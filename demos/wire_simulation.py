@@ -6,8 +6,7 @@ The simulator runs a round as message-passing between a coordinator, N
 server actors and a user actor, with every frame serialized in a fixed
 binary format (1-byte kind, 2-byte sender, 4-byte length, 4-byte symbols).
 Phases always run in the same order, so a round's frame log is a
-deterministic byte string: replays are byte-identical, and a thread-pool
-answer phase changes nothing.
+deterministic byte string: replays are byte-identical.
 """
 
 from codedpid.instances import q5_instance
@@ -59,12 +58,8 @@ print("empirical rate from the log: %d delivered / %d downloaded = %s" % (
 # -- determinism --------------------------------------------------------------
 
 again = simulate_round(config, code, messages, d=2, seed=4)
-threaded = simulate_round(config, code, messages, d=2, seed=4, threads=3)
-log = frames_to_bytes(result.frames)
-print("\nreplay log byte-identical:   %s" %
-      (frames_to_bytes(again.frames) == log))
-print("threaded log byte-identical: %s" %
-      (frames_to_bytes(threaded.frames) == log))
+print("\nreplay log byte-identical: %s" %
+      (frames_to_bytes(again.frames) == frames_to_bytes(result.frames)))
 
 # -- an idle server still speaks ----------------------------------------------
 # In the subset variant the inactive servers answer every request with an

@@ -379,7 +379,7 @@ def cmd_deliver(args) -> int:
     if tuple(st.fragments for st in stored) != tuple(st.fragments for st in fresh):
         raise CliError("storage.txt does not match the messages in this instance")
 
-    result = simulate_round(config, code, messages, d, seed=seed, threads=args.threads)
+    result = simulate_round(config, code, messages, d, seed=seed)
     transcript = result.transcript
 
     inst = Path(args.instance)
@@ -436,16 +436,16 @@ def cmd_verify(args) -> int:
         cfg = load_config(args.config)
         config, code = build_instance(cfg)
 
-    if args.scheme == "split":
-        if args.corrupt:
-            raise CliError("--corrupt applies to the masked scheme only")
-        scheme = verify_mod.split_scheme(config)
-    else:
-        corrupt = _parse_corrupt(args.corrupt) if args.corrupt else None
-        try:
+    if args.scheme == "split" and args.corrupt:
+        raise CliError("--corrupt applies to the masked scheme only")
+    corrupt = _parse_corrupt(args.corrupt) if args.corrupt else None
+    try:
+        if args.scheme == "split":
+            scheme = verify_mod.split_scheme(config)
+        else:
             scheme = verify_mod.masked_scheme(config, code, corrupt=corrupt)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
     properties = (
         ["correctness", "privacy"] if args.property == "both" else [args.property]
@@ -457,9 +457,12 @@ def cmd_verify(args) -> int:
         raise CliError(str(exc)) from exc
 
     if args.probe is not None:
-        report = verify_mod.randomized_privacy_probe(
-            config, code, trials=args.probe, seed=args.seed, scheme=scheme
-        )
+        try:
+            report = verify_mod.randomized_privacy_probe(
+                config, code, trials=args.probe, seed=args.seed, scheme=scheme
+            )
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         anomaly = "yes" if report.pattern_anomaly else "no"
         stat = (
             "-"
@@ -511,6 +514,8 @@ def cmd_verify(args) -> int:
                         f"  leak: answer {mm.answer} occurs {mm.count_a}x for "
                         f"d={mm.request_a} but {mm.count_b}x for d={mm.request_b}"
                     )
+    except verify_mod.InexactArithmeticError as exc:
+        raise CliError(str(exc)) from exc
     except verify_mod.BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         print(
@@ -588,8 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_deliver.add_argument("-d", "--message", type=int, required=True,
                            help="message id to retrieve (1-based)")
     p_deliver.add_argument("--seed", type=int, default=None, help="mask seed")
-    p_deliver.add_argument("--threads", type=int, default=None,
-                           help="answer phase thread pool size")
     p_deliver.set_defaults(func=cmd_deliver)
 
     p_verify = sub.add_parser("verify", help="audit correctness and privacy")

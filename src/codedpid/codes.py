@@ -10,6 +10,13 @@ at construction time:
   determine the rest, which is what makes single-server views uniform),
 * ``h @ g.T == 0`` (so the masks vanish under decoding).
 
+A parity check that is the Vandermonde matrix of distinct points has every
+L-column minor invertible by the Vandermonde determinant; any other is
+checked minor by minor.  Given that and orthogonality, the generator has
+the MDS property exactly when it has full rank N-L (its rows then generate
+the MDS code ``h`` checks), so it needs one rank computation, not a minor
+enumeration.
+
 ``build_vandermonde_pair`` constructs the canonical instance from distinct
 evaluation points; ``override_generator`` swaps in a hand-picked generator
 and re-checks everything.
@@ -26,8 +33,8 @@ from codedpid.field import FieldMatrix, is_prime
 
 __all__ = ["CodePair", "build_vandermonde_pair", "override_generator"]
 
-# Above this many columns, construction spot-checks random minors instead of
-# enumerating all of them.
+# Above this many columns, a parity check that is not a Vandermonde matrix
+# gets random minors spot-checked instead of all of them enumerated.
 _EXHAUSTIVE_MINOR_LIMIT = 12
 _MINOR_SAMPLES = 100
 
@@ -98,17 +105,24 @@ class CodePair:
                 raise ValueError(
                     "generator rows are not orthogonal to the parity check"
                 )
-        bad = _first_bad_minor(h)
-        if bad is not None:
+        vandermonde = len({p % q for p in self.points}) == n and h.to_lists() == [
+            [pow(p, i, q) for p in self.points] for i in range(h.rows)
+        ]
+        if not vandermonde:
+            bad = _first_bad_minor(h)
+            if bad is not None:
+                raise ValueError(
+                    f"parity-check columns {bad} form a singular matrix mod {q}"
+                )
+        # h is MDS, so the code it checks is MDS; orthogonal rows of g lie in
+        # that code and generate it, making g MDS, exactly when rank g = N-L.
+        if g.rank() != g.rows:
             raise ValueError(
-                f"parity-check columns {bad} form a singular matrix mod {q}"
+                f"generator columns {_first_bad_minor(g)} form a singular "
+                f"matrix mod {q}"
             )
-        bad = _first_bad_minor(g)
-        if bad is not None:
-            raise ValueError(
-                f"generator columns {bad} form a singular matrix mod {q}"
-            )
-        # Plain-int views for the hot per-case loops in the verifiers.
+        # Plain-int views, built once: ``protocol.server_answer`` reads a
+        # generator column on every request.
         object.__setattr__(self, "_h_rows", h.row_tuples())
         object.__setattr__(self, "_g_cols", tuple(g.column_tuple(j) for j in range(n)))
 

@@ -15,9 +15,8 @@ decoded symbols).  Actor ids: coordinator 0, servers 1..N, user N+1.
 
 A round always runs in fixed phases - storage setup, share setup, deliver
 commands, answers in server-id order, decode result - so the frame log of a
-round is a deterministic byte string: replays are byte-identical, and the
-optional thread-pool answer phase produces exactly the same log as the
-sequential one.  Logs serialize to files with an 8-byte magic header.
+round is a deterministic byte string: replays are byte-identical.  Logs
+serialize to files with an 8-byte magic header.
 
 The router forwards every frame and enforces the topology: servers never
 talk to each other.  Actors validate every frame they receive and raise
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -307,7 +305,6 @@ def _run_phases(
     shares: tuple[int, ...] | None,
     d: int,
     decode_fn,
-    threads: int | None,
 ) -> tuple[tuple[Frame, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Drive one round through the actors; returns (frames, answers, decoded).
 
@@ -325,22 +322,11 @@ def _run_phases(
         for share, actor in zip(shares, servers):
             router.send(Frame(SETUP_SHARE, COORDINATOR_ID, (share,)), actor)
 
-    commands = [Frame(DELIVER_CMD, user_id, (d,)) for _ in servers]
-    if threads:
-        # Log every command first (the phase order is fixed), then compute
-        # the answers concurrently; gathering in server order keeps the log
-        # identical to the sequential one.
-        for cmd in commands:
-            router.log.append(cmd)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            replies = list(
-                pool.map(lambda sc: sc[0].receive(sc[1]), zip(servers, commands))
-            )
-    else:
-        replies = []
-        for actor, cmd in zip(servers, commands):
-            router.log.append(cmd)
-            replies.append(actor.receive(cmd))
+    replies = []
+    for actor in servers:
+        cmd = Frame(DELIVER_CMD, user_id, (d,))
+        router.log.append(cmd)
+        replies.append(actor.receive(cmd))
 
     answer_frames: list[Frame] = []
     for reply in replies:
@@ -363,13 +349,11 @@ def simulate_round(
     d: int,
     seed: int | None = None,
     randomness: SharedRandomness | None = None,
-    threads: int | None = None,
 ) -> SimResult:
     """One coded delivery round as message-passing actors.
 
     Produces exactly the same transcript as ``protocol.run_delivery`` with
-    the same inputs, plus the frame log.  ``threads`` > 0 computes the
-    answer phase on a thread pool (the log does not change).
+    the same inputs, plus the frame log.
     """
     config._check_message(d)
     storage = encode_storage(config, code, messages)
@@ -383,7 +367,6 @@ def simulate_round(
         shares=randomness.shares,
         d=d,
         decode_fn=lambda ordered: code.decode_vector([a[0] for a in ordered]),
-        threads=threads,
     )
     transcript = DeliveryTranscript(
         requested=d,
@@ -398,7 +381,7 @@ def simulate_round(
 
 
 def simulate_fully_distributed_round(
-    messages, n_servers: int, d: int, threads: int | None = None
+    messages, n_servers: int, d: int
 ) -> SimResult:
     """Raw-slice reference variant over the wire (rate 1, not private)."""
     messages = tuple(messages)
@@ -430,7 +413,6 @@ def simulate_fully_distributed_round(
         shares=None,
         d=d,
         decode_fn=lambda ordered: tuple(s for a in ordered for s in a),
-        threads=threads,
     )
     transcript = DeliveryTranscript(
         requested=d,
@@ -450,7 +432,6 @@ def simulate_subset_round(
     messages,
     d: int,
     seed: int | None = None,
-    threads: int | None = None,
 ) -> SimResult:
     """Subset variant over the wire: ceil(K/M) active servers, the rest idle.
 
@@ -490,8 +471,7 @@ def simulate_subset_round(
             decode_fn=lambda ordered: inner_code.decode_vector(
                 [a[0] for a in ordered[:active]]
             ),
-            threads=threads,
-        )
+            )
         transcript = DeliveryTranscript(
             requested=d,
             answers=answers,
@@ -525,7 +505,6 @@ def simulate_subset_round(
         shares=None,
         d=d,
         decode_fn=lambda ordered: tuple(s for a in ordered for s in a),
-        threads=threads,
     )
     transcript = DeliveryTranscript(
         requested=d,

@@ -1,22 +1,40 @@
-"""Brute-force certification of correctness and privacy on small instances.
+"""Exhaustive certification of correctness and privacy on small instances.
 
 For a scheme with K messages of L symbols over F_q, N servers and an
 (N-L)-symbol mask, the joint input space has q^(K*L + N-L) points and each
-point serves K possible requests, so a full audit costs
+point serves K possible requests, so a full audit covers
 
     cases = q^(K*L + N-L) * K
 
-answer evaluations.  ``exhaustive_correctness`` walks every case and checks
-the decoder output; ``exhaustive_privacy`` counts, for every request d, how
-often each complete answer vector occurs over all inputs.  The scheme keeps
-the request private exactly when those K count maps are identical: then the
-answer distribution (inputs uniform) carries zero information about d.  All
-counting is exact integer arithmetic; no entropies, no floats.
+delivery cases.  ``scheme_correctness`` checks the decoder output of every
+case and stops at the first failure; ``scheme_privacy`` counts, for every
+request d, how often each complete answer vector occurs over all inputs.
+The scheme keeps the request private exactly when those K count maps are
+identical: then the answer distribution (inputs uniform) carries zero
+information about d.  All counting is exact integer arithmetic; no
+entropies, no floats.
 
-Schemes plug in through ``SchemeUnderTest`` (build storage once per message
-tuple, then answer per mask and request), so the real masked protocol, the
-unmasked split variant (a negative control: correct but leaky) and
-fault-injected copies all run through the same enumerators.
+Evaluation is batched.  The audits walk the inputs in ``itertools.product``
+order (message symbols, then mask symbols), ``CHUNK_ROWS`` inputs at a time,
+as rows of int64 digits, and answer every request d = 1..K for each row.  A
+scheme's stages are maps mod q applied to a whole chunk at once, so a case
+costs a share of a few numpy calls instead of its own Python work, and the
+arrays of one chunk stay well under 1 MB whatever the budget.  The privacy
+census keeps one count per distinct answer vector, as any census must.
+
+Exactness: all arithmetic is int64.  Every value a scheme's stages compute
+is at most n*(q-1)^2 + q with n = max(K*L, N): a sum of at most n products
+of residues, plus one residue or the no-symbol marker q.  ``SchemeUnderTest``
+therefore refuses any instance with n*(q-1)^2 + q >= 2^63, raising
+``InexactArithmeticError`` (a ValueError) instead of wrapping around.  The
+exhaustive audits number their inputs in int64 and the privacy census keys
+an answer vector by its base-(q+1) digits, so they refuse in the same way
+when q^(K*L + N-L) or (q+1)^N reaches 2^63.
+
+Schemes plug in through ``SchemeUnderTest`` (build storage for a batch of
+message tuples, then answer per mask and request), so the real masked
+protocol, the unmasked split variant (a negative control: correct but leaky)
+and fault-injected copies all run through the same enumerator.
 
 Budgets: audits refuse to start when ``cases`` exceeds the budget, which
 defaults to 10**7 and can be overridden by the PID_BUDGET environment
@@ -28,7 +46,6 @@ symbol marginals far from uniform (a chi-square screen).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -41,7 +58,9 @@ from codedpid.protocol import PidConfig
 
 __all__ = [
     "DEFAULT_BUDGET",
+    "CHUNK_ROWS",
     "BudgetExceededError",
+    "InexactArithmeticError",
     "SchemeUnderTest",
     "masked_scheme",
     "split_scheme",
@@ -62,6 +81,10 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**7
 BUDGET_ENV_VAR = "PID_BUDGET"
+# Inputs evaluated per batch: large enough that numpy's per-call overhead is
+# small against the work, small enough that a batch's arrays stay cache-sized.
+CHUNK_ROWS = 1024
+_INT64_LIMIT = 2**63
 
 
 class BudgetExceededError(RuntimeError):
@@ -75,29 +98,45 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+class InexactArithmeticError(ValueError):
+    """The instance's values would not fit the audit's int64 arithmetic."""
+
+
 def resolve_budget(budget: int | None = None) -> int:
     """Explicit argument, else PID_BUDGET from the environment, else default."""
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        if env is None:
+            return DEFAULT_BUDGET
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise ValueError(
                 f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
             ) from None
-    return DEFAULT_BUDGET
+    budget = int(budget)
+    if budget < 0:
+        raise ValueError(f"the exhaustive budget must be non-negative, got {budget}")
+    return budget
 
 
 @dataclass(frozen=True)
 class SchemeUnderTest:
-    """The three stages of a delivery scheme, as plain callables.
+    """The three stages of a delivery scheme, as callables on batches.
 
-    ``build_storage`` maps a K-tuple of message symbol tuples to an opaque
-    storage object; ``answers`` maps (storage, mask tuple, request d) to the
-    per-server answer tuples; ``decode`` maps those answers back to symbols.
-    The enumerators hoist ``build_storage`` out of the mask/request loops.
+    Each stage maps int64 arrays with one row per input to the same; the
+    value q, outside F_q, marks "no symbol".
+
+    * ``build_storage(w)``: message symbols, shape (B, K*L) with message k in
+      columns (k-1)*L .. k*L-1, to storage, shape (B, N, K): entry
+      [b, j, k-1] is what server j+1 stores of message k, or q if nothing.
+    * ``answers(storage, mask, d)``: storage and mask symbols, shape
+      (B, mask_len), to every server's answer to request d, shape (B, N),
+      q for a server that sends nothing.
+    * ``decode(answers)``: answers to the decoded symbols, shape (B, L).
+
+    Stages are called with positional arguments only.  Construction refuses
+    moduli too large for exact int64 arithmetic (see the module docstring).
     """
 
     name: str
@@ -109,6 +148,43 @@ class SchemeUnderTest:
     build_storage: Callable
     answers: Callable
     decode: Callable
+
+    def __post_init__(self):
+        q = self.modulus
+        n = max(self.k_messages * self.msg_len, self.n_servers)
+        if n * (q - 1) ** 2 + q >= _INT64_LIMIT:
+            raise InexactArithmeticError(
+                f"q={q} is too large for exact int64 audits of this instance: "
+                f"{n}*(q-1)^2 + q must stay below 2^63"
+            )
+
+
+def _linear_storage(q: int, n_servers: int, hosts, rows, corrupt=None) -> Callable:
+    """``build_storage`` for storage that is a linear map of the messages.
+
+    Server ``hosts[k][i]`` (0-based) stores the dot product of ``rows[k][i]``
+    with message k+1; ``corrupt`` = (server, message, delta), 0-based, adds
+    delta to one stored symbol.
+    """
+    k = len(hosts)
+    l = len(rows[0][0])
+    encode = np.zeros((k * l, n_servers, k), dtype=np.int64)
+    empty = np.full((n_servers, k), q, dtype=np.int64)
+    for k0, (cols, coeffs) in enumerate(zip(hosts, rows)):
+        for col, row in zip(cols, coeffs):
+            encode[k0 * l : (k0 + 1) * l, col, k0] = row
+            empty[col, k0] = 0
+    encode = encode.reshape(k * l, n_servers * k)
+    delta = np.zeros((n_servers, k), dtype=np.int64)
+    if corrupt is not None:
+        server, message, amount = corrupt
+        delta[server, message] = amount % q
+
+    def build_storage(w):
+        stored = (w @ encode).reshape(len(w), n_servers, k)
+        return (stored + delta) % q + empty
+
+    return build_storage
 
 
 def masked_scheme(
@@ -129,9 +205,6 @@ def masked_scheme(
         tuple(s - 1 for s in config.servers_for(k))
         for k in range(1, config.k_messages + 1)
     ]
-    inv_rows = [code.h_sub_inverse(cols) for cols in host_cols]
-    g_cols = [code.g_column(j) for j in range(n)]
-    h = code.h_rows()
 
     if corrupt is not None:
         c_server, c_msg, c_pos, c_delta = corrupt
@@ -145,35 +218,22 @@ def masked_scheme(
             )
         if c_pos != 1:
             raise ValueError("each server stores one symbol per message here")
+        corrupt = (c_server - 1, c_msg - 1, c_delta)
 
-    def build_storage(w_tuples):
-        # storage[server][message] -> stored symbol (one per hosted message)
-        storage: list[dict[int, int]] = [{} for _ in range(n)]
-        for k0, (cols, rows) in enumerate(zip(host_cols, inv_rows)):
-            w = w_tuples[k0]
-            for row, col in zip(rows, cols):
-                storage[col][k0 + 1] = (
-                    sum(c * s for c, s in zip(row, w)) % q
-                )
-        if corrupt is not None:
-            storage[c_server - 1][c_msg] = (
-                storage[c_server - 1][c_msg] + c_delta
-            ) % q
-        return storage
+    build_storage = _linear_storage(
+        q, n, host_cols, [code.h_sub_inverse(cols) for cols in host_cols], corrupt
+    )
+    g = np.array([code.g_column(j) for j in range(n)], dtype=np.int64)
+    g = g.reshape(n, code.mask_len).T
+    h_t = np.array(code.h_rows(), dtype=np.int64).T
 
     def answers(storage, mask, d):
-        out = []
-        for j in range(n):
-            share = sum(c * u for c, u in zip(g_cols[j], mask)) % q
-            frag = storage[j].get(d)
-            out.append((share,) if frag is None else ((frag + share) % q,))
-        return tuple(out)
+        # A server holding nothing of message d has the marker q there, which
+        # is 0 mod q: it sends its mask share alone.
+        return (storage[:, :, d - 1] + mask @ g) % q
 
-    def decode(answer_tuples):
-        flat = [a[0] for a in answer_tuples]
-        return tuple(
-            sum(c * a for c, a in zip(row, flat)) % q for row in h
-        )
+    def decode(answers):
+        return answers @ h_t % q
 
     return SchemeUnderTest(
         name="masked-coded",
@@ -197,33 +257,26 @@ def split_scheme(config: PidConfig) -> SchemeUnderTest:
     control for the privacy audit.
     """
     q = config.modulus
-    n = config.n_servers
+    l = config.msg_len
     hosts = [
-        config.servers_for(k) for k in range(1, config.k_messages + 1)
+        tuple(s - 1 for s in config.servers_for(k))
+        for k in range(1, config.k_messages + 1)
     ]
-
-    def build_storage(w_tuples):
-        storage: list[dict[int, int]] = [{} for _ in range(n)]
-        for k0, hset in enumerate(hosts):
-            w = w_tuples[k0]
-            for i, server in enumerate(hset):
-                storage[server - 1][k0 + 1] = w[i]
-        return storage
+    slices = [np.eye(l, dtype=np.int64)] * config.k_messages
+    build_storage = _linear_storage(q, config.n_servers, hosts, slices)
 
     def answers(storage, _mask, d):
-        return tuple(
-            (storage[j][d],) if d in storage[j] else () for j in range(n)
-        )
+        return storage[:, :, d - 1]
 
-    def decode(answer_tuples):
-        return tuple(s for a in answer_tuples for s in a)
+    def decode(answers):
+        return answers[answers < q].reshape(len(answers), -1)
 
     return SchemeUnderTest(
         name="unmasked-split",
         modulus=q,
         k_messages=config.k_messages,
-        msg_len=config.msg_len,
-        n_servers=n,
+        msg_len=l,
+        n_servers=config.n_servers,
         mask_len=0,
         build_storage=build_storage,
         answers=answers,
@@ -235,6 +288,32 @@ def case_count(scheme: SchemeUnderTest) -> int:
     """q^(K*L + mask_len) * K answer evaluations for a full audit."""
     exponent = scheme.k_messages * scheme.msg_len + scheme.mask_len
     return scheme.modulus**exponent * scheme.k_messages
+
+
+def _inputs(scheme: SchemeUnderTest, budget: int | None):
+    """Yield (index of the first input, message symbols, mask symbols) for
+    every chunk of inputs, in ``itertools.product`` order.
+
+    Refuses first if the audit is over budget or its input count does not
+    fit int64.
+    """
+    total = case_count(scheme)
+    allowed = resolve_budget(budget)
+    if total > allowed:
+        raise BudgetExceededError(total, allowed)
+    q = scheme.modulus
+    msg_width = scheme.k_messages * scheme.msg_len
+    width = msg_width + scheme.mask_len
+    inputs = q**width
+    if inputs >= _INT64_LIMIT:
+        raise InexactArithmeticError(
+            f"{inputs} inputs cannot be numbered in int64"
+        )
+    powers = np.array([q**e for e in reversed(range(width))], dtype=np.int64)
+    for start in range(0, inputs, CHUNK_ROWS):
+        index = np.arange(start, min(start + CHUNK_ROWS, inputs), dtype=np.int64)
+        digits = index[:, None] // powers % q
+        yield start, digits[:, :msg_width], digits[:, msg_width:]
 
 
 @dataclass(frozen=True)
@@ -259,33 +338,39 @@ def scheme_correctness(
     scheme: SchemeUnderTest, budget: int | None = None
 ) -> CorrectnessReport:
     """Decode every (messages, mask, request) case; stop at the first failure."""
-    total = case_count(scheme)
-    allowed = resolve_budget(budget)
-    if total > allowed:
-        raise BudgetExceededError(total, allowed)
-    q, k, l = scheme.modulus, scheme.k_messages, scheme.msg_len
-    masks = list(itertools.product(range(q), repeat=scheme.mask_len))
-    requests = range(1, k + 1)
+    k, l = scheme.k_messages, scheme.msg_len
     done = 0
-    for w_flat in itertools.product(range(q), repeat=k * l):
-        w = tuple(w_flat[i * l : (i + 1) * l] for i in range(k))
+    for start, w, mask in _inputs(scheme, budget):
         storage = scheme.build_storage(w)
-        for mask in masks:
-            for d in requests:
-                decoded = scheme.decode(scheme.answers(storage, mask, d))
-                done += 1
-                if decoded != w[d - 1]:
-                    return CorrectnessReport(
-                        passed=False,
-                        cases=done,
-                        counterexample=Counterexample(
-                            messages=w,
-                            mask=mask,
-                            requested=d,
-                            decoded=decoded,
-                            expected=w[d - 1],
-                        ),
-                    )
+        decoded = [
+            scheme.decode(scheme.answers(storage, mask, d)) for d in range(1, k + 1)
+        ]
+        # wrong[i, d-1]: input start+i decodes request d wrongly.  Row-major
+        # order is enumeration order, so argmax finds the first failure.
+        wrong = np.stack(
+            [
+                (got != w[:, d0 * l : (d0 + 1) * l]).any(axis=1)
+                for d0, got in enumerate(decoded)
+            ],
+            axis=1,
+        )
+        if wrong.any():
+            first = int(wrong.argmax())
+            row, d0 = divmod(first, k)
+            symbols = w[row].tolist()
+            messages = tuple(tuple(symbols[i * l : (i + 1) * l]) for i in range(k))
+            return CorrectnessReport(
+                passed=False,
+                cases=start * k + first + 1,
+                counterexample=Counterexample(
+                    messages=messages,
+                    mask=tuple(mask[row].tolist()),
+                    requested=d0 + 1,
+                    decoded=tuple(decoded[d0][row].tolist()),
+                    expected=messages[d0],
+                ),
+            )
+        done += wrong.size
     return CorrectnessReport(passed=True, cases=done, counterexample=None)
 
 
@@ -323,37 +408,51 @@ def scheme_privacy(
     scheme: SchemeUnderTest, budget: int | None = None
 ) -> PrivacyReport:
     """Count every answer vector for every request and compare the censuses."""
-    total = case_count(scheme)
-    allowed = resolve_budget(budget)
-    if total > allowed:
-        raise BudgetExceededError(total, allowed)
-    q, k, l = scheme.modulus, scheme.k_messages, scheme.msg_len
-    masks = list(itertools.product(range(q), repeat=scheme.mask_len))
-    requests = range(1, k + 1)
-    census: list[dict[tuple, int]] = [dict() for _ in range(k)]
+    q, k, l, n = scheme.modulus, scheme.k_messages, scheme.msg_len, scheme.n_servers
+    if (q + 1) ** n >= _INT64_LIMIT:
+        raise InexactArithmeticError(
+            f"answer vectors of {n} servers over q={q} cannot be keyed in int64"
+        )
+    base = q + 1
+    weights = np.array([base**e for e in reversed(range(n))], dtype=np.int64)
+    # census[d-1]: answer key -> count, in order of first occurrence
+    census: list[dict[int, int]] = [dict() for _ in range(k)]
     done = 0
-    for w_flat in itertools.product(range(q), repeat=k * l):
-        w = tuple(w_flat[i * l : (i + 1) * l] for i in range(k))
+    for _start, w, mask in _inputs(scheme, budget):
         storage = scheme.build_storage(w)
-        for mask in masks:
-            for d in requests:
-                a = scheme.answers(storage, mask, d)
-                counts = census[d - 1]
-                counts[a] = counts.get(a, 0) + 1
-                done += 1
+        for d, counts in enumerate(census, start=1):
+            keys, first, hits = np.unique(
+                scheme.answers(storage, mask, d) @ weights,
+                return_index=True,
+                return_counts=True,
+            )
+            order = np.argsort(first)
+            for key, hit in zip(keys[order].tolist(), hits[order].tolist()):
+                counts[key] = counts.get(key, 0) + hit
+        done += len(w) * k
+
+    def answer_tuple(key: int) -> tuple[tuple[int, ...], ...]:
+        symbols = []
+        for _ in range(n):
+            key, symbol = divmod(key, base)
+            symbols.append(() if symbol == q else (symbol,))
+        return tuple(reversed(symbols))
 
     reference = census[0]
     mismatch = None
     for d0 in range(1, k):
-        other = census[d0]
-        if other == reference:
+        if census[d0] == reference:
             continue
-        for key in reference.keys() | other.keys():
-            if reference.get(key, 0) != other.get(key, 0):
+        # Keyed by answer tuples, in first-occurrence order, so the union
+        # below visits the keys in the same order as a per-case census.
+        ref = {answer_tuple(key): c for key, c in reference.items()}
+        other = {answer_tuple(key): c for key, c in census[d0].items()}
+        for key in ref.keys() | other.keys():
+            if ref.get(key, 0) != other.get(key, 0):
                 mismatch = PrivacyMismatch(
                     answer=key,
                     request_a=1,
-                    count_a=reference.get(key, 0),
+                    count_a=ref.get(key, 0),
                     request_b=d0 + 1,
                     count_b=other.get(key, 0),
                 )
@@ -362,7 +461,7 @@ def scheme_privacy(
 
     support = {key for counts in census for key in counts}
     inputs_per_request = q ** (k * l + scheme.mask_len)
-    full_space = q**scheme.n_servers
+    full_space = q**n
     uniform = (
         mismatch is None
         and len(support) == full_space
@@ -438,6 +537,8 @@ def randomized_privacy_probe(
     transmission patterns (flagged exactly) and non-uniform per-server
     symbol marginals (flagged statistically).
     """
+    if trials < 0:
+        raise ValueError(f"the probe needs a non-negative trial count, got {trials}")
     if scheme is None:
         scheme = masked_scheme(config, code)
     q, k, l = scheme.modulus, scheme.k_messages, scheme.msg_len
@@ -453,19 +554,23 @@ def randomized_privacy_probe(
         )
     rng = np.random.default_rng(seed)
     patterns: list[set[tuple[int, ...]]] = [set() for _ in range(k)]
-    marginals = np.zeros((k, n, q), dtype=np.int64)
-    for _ in range(trials):
-        w = tuple(
-            tuple(int(x) for x in rng.integers(0, q, size=l)) for _ in range(k)
+    # marginals[d-1, j, s]: how often server j+1 sent s; column q counts silence
+    marginals = np.zeros((k, n, q + 1), dtype=np.int64)
+    columns = np.arange(n) * (q + 1)
+    for start in range(0, trials, CHUNK_ROWS):
+        # one row per trial: its K messages, then its mask
+        drawn = rng.integers(
+            0, q, size=(min(CHUNK_ROWS, trials - start), k * l + scheme.mask_len)
         )
-        mask = tuple(int(x) for x in rng.integers(0, q, size=scheme.mask_len))
-        storage = scheme.build_storage(w)
-        for d in range(1, k + 1):
-            answer = scheme.answers(storage, mask, d)
-            patterns[d - 1].add(tuple(len(a) for a in answer))
-            for j, a in enumerate(answer):
-                for s in a:
-                    marginals[d - 1, j, s] += 1
+        storage = scheme.build_storage(drawn[:, : k * l])
+        for d0 in range(k):
+            answer = scheme.answers(storage, drawn[:, k * l :], d0 + 1)
+            sent = np.unique(answer < q, axis=0).astype(np.int64)
+            patterns[d0].update(map(tuple, sent.tolist()))
+            marginals[d0] += np.bincount(
+                (answer + columns).ravel(), minlength=n * (q + 1)
+            ).reshape(n, q + 1)
+    marginals = marginals[:, :, :q]
 
     pattern_sets = tuple(tuple(sorted(p)) for p in patterns)
     pattern_anomaly = len(set(pattern_sets)) > 1

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: exit codes, file outputs, frozen line formats."""
 
 import ast
+import json
 import re
 import subprocess
 import sys
@@ -181,13 +182,6 @@ class TestDeliver:
         assert "d = 1" in text
         assert "rate = '2/3'" in text
 
-    def test_threaded_matches_sequential(self, capsys, q5_dir):
-        run(capsys, "deliver", "-i", str(q5_dir), "-d", "3", "--seed", "5")
-        plain = (q5_dir / "frames.log").read_bytes()
-        run(capsys, "deliver", "-i", str(q5_dir), "-d", "3", "--seed", "5",
-            "--threads", "3")
-        assert (q5_dir / "frames.log").read_bytes() == plain
-
     def test_bad_message_id(self, capsys, q5_dir):
         code, _, err = run(capsys, "deliver", "-i", str(q5_dir), "-d", "9")
         assert code == 2
@@ -310,6 +304,47 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "-c", str(Q5_CFG))
         assert code == 2
         assert "PID_BUDGET must be an integer" in err
+
+    def test_negative_budget_is_bad_input(self, capsys, monkeypatch):
+        code, out, err = run(capsys, "verify", "-c", str(Q5_CFG), "--budget", "-1")
+        assert code == 2
+        assert out == ""
+        assert "budget must be non-negative, got -1" in err
+        monkeypatch.setenv("PID_BUDGET", "-1")
+        code, _, err = run(capsys, "verify", "-c", str(Q5_CFG))
+        assert code == 2
+        assert "budget must be non-negative, got -1" in err
+
+    def test_negative_probe_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "verify", "-c", str(Q5_CFG), "--probe", "-5")
+        assert code == 2
+        assert out == ""
+        assert "non-negative trial count, got -5" in err
+
+    def test_modulus_too_large_for_exact_audit(self, capsys, tmp_path):
+        # 2147483659 is the first prime past 2^31 - 1, the largest modulus
+        # whose N=2 instances keep 2*(q-1)^2 + q below 2^63
+        path = tmp_path / "big.cfg"
+        path.write_text(
+            "q = 2147483659\nK = 1\nN = 2\nL = 2\n"
+            "mode = 'explicit'\nassociation = [[1, 2]]\n"
+        )
+        code, out, err = run(
+            capsys, "verify", "-c", str(path), "--budget", str(10**19)
+        )
+        assert code == 2
+        assert out == ""
+        assert "too large for exact int64 audits" in err
+
+    def test_golden_outputs(self, capsys, monkeypatch):
+        # stdout and exit code of each run, recorded before the audits were
+        # batched; every byte must stay the same
+        monkeypatch.chdir(REPO)
+        golden = json.loads((Path(__file__).parent / "verify_golden.json").read_text())
+        assert len(golden) == 18
+        for entry in golden:
+            code, out, _ = run(capsys, *entry["argv"])
+            assert (code, out) == (entry["exit"], entry["stdout"]), entry["argv"]
 
     def test_probe_clean_on_q11(self, capsys):
         code, out, _ = run(capsys, "verify", "-c", str(Q11_CFG), "--probe", "100")

@@ -127,6 +127,23 @@ class TestOverrideGenerator:
         with pytest.raises(ValueError, match="generator columns"):
             override_generator(pair, [[1, 4, 0], [2, 3, 0]])
 
+    def test_rejects_rank_deficient_generator_past_twelve_servers(self):
+        # orthogonal rows that repeat: every 7-column minor is singular
+        pair = build_vandermonde_pair(17, 14, 7)
+        row = pair.generator.to_lists()[0]
+        with pytest.raises(ValueError, match="generator columns"):
+            override_generator(pair, [row] * 7)
+
+    def test_vandermonde_pairs_need_no_minor_enumeration(self, monkeypatch):
+        # distinct points make every parity-check minor a Vandermonde
+        # determinant, and a full-rank orthogonal generator is then MDS
+        def no_determinants(self):
+            raise AssertionError("minor enumerated")
+
+        monkeypatch.setattr(FieldMatrix, "determinant", no_determinants)
+        pair = build_vandermonde_pair(13, 12, 6)
+        override_generator(pair, pair.generator.to_lists())
+
     def test_rejects_wrong_row_count(self):
         pair = build_vandermonde_pair(5, 3, 2, points=(1, 2, 3))
         with pytest.raises(ValueError):

@@ -156,14 +156,6 @@ class TestRoundStructure:
         b = simulate_round(config, code, messages, 3, seed=5)
         assert frames_to_bytes(a.frames) == frames_to_bytes(b.frames)
 
-    def test_threaded_log_is_byte_identical(self):
-        config, code = q11_instance()
-        messages = random_messages(config, seed=1)
-        plain = simulate_round(config, code, messages, 3, seed=5)
-        threaded = simulate_round(config, code, messages, 3, seed=5, threads=4)
-        assert frames_to_bytes(plain.frames) == frames_to_bytes(threaded.frames)
-        assert threaded.transcript == plain.transcript
-
     def test_many_seeds_decode(self):
         config, code = q5_instance()
         for seed in range(30):
@@ -362,12 +354,13 @@ class TestWireCensus:
             return got
 
         census = [Counter() for _ in range(k)]
-        for w_flat in itertools.product(range(q), repeat=k * l):
-            w = tuple(w_flat[i * l : (i + 1) * l] for i in range(k))
-            storage = scheme.build_storage(w)
-            for mask in itertools.product(range(q), repeat=1):
-                for d in range(1, k + 1):
-                    census[d - 1][answer_bytes(scheme.answers(storage, mask, d))] += 1
+        w = np.array(list(itertools.product(range(q), repeat=k * l)))
+        storage = scheme.build_storage(w)
+        for u in range(q):
+            mask = np.full((len(w), 1), u)
+            for d in range(1, k + 1):
+                for row in scheme.answers(storage, mask, d).tolist():
+                    census[d - 1][answer_bytes(tuple((a,) for a in row))] += 1
 
         assert census[0] == census[1] == census[2]
         assert len(census[0]) == 125

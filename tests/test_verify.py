@@ -5,6 +5,10 @@ census sizes were derived by hand (answer supports and per-vector counts)
 before pinning.
 """
 
+import dataclasses
+import itertools
+
+import numpy as np
 import pytest
 
 from codedpid.codes import build_vandermonde_pair
@@ -16,10 +20,17 @@ from codedpid.protocol import (
     encode_storage,
     make_association,
     random_messages,
+    valid_msg_lens,
 )
 from codedpid.verify import (
+    CHUNK_ROWS,
     DEFAULT_BUDGET,
     BudgetExceededError,
+    CorrectnessReport,
+    Counterexample,
+    InexactArithmeticError,
+    PrivacyMismatch,
+    PrivacyReport,
     case_count,
     exhaustive_correctness,
     exhaustive_privacy,
@@ -71,6 +82,13 @@ class TestBudget:
         with pytest.raises(ValueError, match="PID_BUDGET"):
             resolve_budget()
 
+    def test_negative_budget_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="non-negative"):
+            resolve_budget(-1)
+        monkeypatch.setenv("PID_BUDGET", "-3")
+        with pytest.raises(ValueError, match="non-negative"):
+            resolve_budget()
+
     def test_audit_refuses_over_budget(self, monkeypatch):
         monkeypatch.delenv("PID_BUDGET", raising=False)
         config, code = q11_instance()
@@ -102,19 +120,22 @@ class TestSchemesAgree:
             config, code = maker()
             scheme = masked_scheme(config, code)
             messages = random_messages(config, seed=77)
-            w = tuple(m.symbols for m in messages)
+            q = config.modulus
+            w = np.array([[s for m in messages for s in m.symbols]])
             storage = scheme.build_storage(w)
             states = encode_storage(config, code, messages)
             for st in states:
-                assert storage[st.server_id - 1] == {
+                stored = storage[0, st.server_id - 1].tolist()
+                assert {k + 1: s for k, s in enumerate(stored) if s != q} == {
                     k: syms[0] for k, syms in st.fragments
                 }
             rnd = draw_randomness(code, seed=3)
             masked = attach_shares(states, rnd)
+            mask = np.array([rnd.mask_vector])
             for d in range(1, config.k_messages + 1):
-                a = scheme.answers(storage, rnd.mask_vector, d)
-                assert a == answer_vector(masked, d)
-                assert scheme.decode(a) == messages[d - 1].symbols
+                a = scheme.answers(storage, mask, d)
+                assert tuple((s,) for s in a[0].tolist()) == answer_vector(masked, d)
+                assert tuple(scheme.decode(a)[0].tolist()) == messages[d - 1].symbols
 
 
 class TestExhaustiveQ5:
@@ -167,9 +188,10 @@ class TestSplitControl:
         config, code = q5_instance()
         masked = masked_scheme(config, code)
         split = split_scheme(config)
-        w = tuple(m.symbols for m in random_messages(config, seed=5))
-        masked_cost = sum(len(s) for s in masked.build_storage(w))
-        split_cost = sum(len(s) for s in split.build_storage(w))
+        w = np.array([[s for m in random_messages(config, seed=5) for s in m.symbols]])
+        # the marker q (= 5) stands for "stores nothing"
+        masked_cost = int((masked.build_storage(w) != 5).sum())
+        split_cost = int((split.build_storage(w) != 5).sum())
         assert masked_cost == split_cost == 6
 
 
@@ -251,25 +273,163 @@ class TestEdgeInstances:
     def test_many_small_instances_pass_both_audits(self):
         # every canonical instance cheap enough to enumerate must certify
         checked = 0
-        for q in (2, 3, 5):
-            for n in range(2, 4):
-                if n > q:
-                    continue
-                for k in range(1, 4):
-                    from codedpid.protocol import valid_msg_lens
-
-                    for l in valid_msg_lens(k, n):
-                        if l > n:
-                            continue
-                        config = make_association(q, k, n, l)
-                        code = build_vandermonde_pair(q, n, l)
-                        scheme = masked_scheme(config, code)
-                        if case_count(scheme) > 200_000:
-                            continue
-                        assert scheme_correctness(scheme).passed, (q, k, n, l)
-                        assert scheme_privacy(scheme).passed, (q, k, n, l)
-                        checked += 1
+        for params, scheme in small_instances():
+            assert scheme_correctness(scheme).passed, params
+            assert scheme_privacy(scheme).passed, params
+            checked += 1
         assert checked >= 8
+
+
+def oracle_correctness(scheme):
+    """Per-case reference for ``scheme_correctness``: one input, one request
+    at a time, in ``itertools.product`` order."""
+    q, k, l = scheme.modulus, scheme.k_messages, scheme.msg_len
+    cases = 0
+    for x in itertools.product(range(q), repeat=k * l + scheme.mask_len):
+        storage = scheme.build_storage(np.array([x[: k * l]]))
+        for d in range(1, k + 1):
+            answer = scheme.answers(storage, np.array([x[k * l :]]), d)
+            decoded = tuple(scheme.decode(answer)[0].tolist())
+            cases += 1
+            if decoded != x[(d - 1) * l : d * l]:
+                messages = tuple(x[i * l : (i + 1) * l] for i in range(k))
+                return CorrectnessReport(False, cases, Counterexample(
+                    messages, x[k * l :], d, decoded, messages[d - 1]))
+    return CorrectnessReport(True, cases, None)
+
+
+def oracle_privacy(scheme):
+    """Per-case reference for ``scheme_privacy``, with tuple-keyed censuses."""
+    q, k, l, n = scheme.modulus, scheme.k_messages, scheme.msg_len, scheme.n_servers
+    census = [{} for _ in range(k)]
+    cases = 0
+    for x in itertools.product(range(q), repeat=k * l + scheme.mask_len):
+        storage = scheme.build_storage(np.array([x[: k * l]]))
+        for d in range(1, k + 1):
+            row = scheme.answers(storage, np.array([x[k * l :]]), d)[0].tolist()
+            key = tuple(() if a == q else (a,) for a in row)
+            census[d - 1][key] = census[d - 1].get(key, 0) + 1
+            cases += 1
+    mismatch = None
+    for d0 in range(1, k):
+        a, b = census[0], census[d0]
+        if a != b:
+            key = next(key for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0))
+            mismatch = PrivacyMismatch(key, 1, a.get(key, 0), d0 + 1, b.get(key, 0))
+            break
+    support = set().union(*census)
+    per_vector, rest = divmod(q ** (k * l + scheme.mask_len), q**n)
+    uniform = mismatch is None and len(support) == q**n and rest == 0 and all(
+        c == per_vector for counts in census for c in counts.values())
+    return PrivacyReport(mismatch is None, cases, len(support), uniform,
+                         per_vector if uniform else None, mismatch)
+
+
+def small_instances():
+    """Every canonical masked instance cheap enough to enumerate."""
+    for q in (2, 3, 5):
+        for n in range(2, 4):
+            if n > q:
+                continue
+            for k in range(1, 4):
+                for l in valid_msg_lens(k, n):
+                    config = make_association(q, k, n, l)
+                    scheme = masked_scheme(config, build_vandermonde_pair(q, n, l))
+                    if case_count(scheme) <= 200_000:
+                        yield (q, k, n, l), scheme
+
+
+class TestBatchedMatchesPerCase:
+    def test_small_instances(self):
+        for params, scheme in small_instances():
+            assert scheme_correctness(scheme) == oracle_correctness(scheme), params
+            assert scheme_privacy(scheme) == oracle_privacy(scheme), params
+
+    def test_split_control(self):
+        config, _ = q5_instance()
+        scheme = split_scheme(config)
+        assert scheme_correctness(scheme) == oracle_correctness(scheme)
+        assert scheme_privacy(scheme) == oracle_privacy(scheme)
+
+    def test_every_q5_corrupt_cell(self):
+        # the privacy side of these audits is pinned by the CLI golden outputs
+        config, code = q5_instance()
+        for k in range(1, 4):
+            for server in config.servers_for(k):
+                for delta in (1, 4):
+                    scheme = masked_scheme(config, code, corrupt=(server, k, 1, delta))
+                    assert scheme_correctness(scheme) == oracle_correctness(scheme)
+
+    def test_crosses_chunk_boundaries(self):
+        # storage corrupted only once message 1's second symbol is nonzero:
+        # the first failure is input 5^5, request 2, in the fourth chunk
+        config, code = q5_instance()
+        corrupt = masked_scheme(config, code, corrupt=(2, 2, 1, 3))
+        honest = masked_scheme(config, code)
+        late = dataclasses.replace(
+            honest,
+            build_storage=lambda w: np.where(
+                w[:, 1, None, None] > 0, corrupt.build_storage(w), honest.build_storage(w)
+            ),
+        )
+        report = scheme_correctness(late)
+        assert report.cases == 5**5 * 3 + 2 > 3 * CHUNK_ROWS * 3
+        assert report == oracle_correctness(late)
+
+
+class TestExactness:
+    # 2^31 - 1 is the largest prime with 2*(q-1)^2 + q < 2^63, the bound for
+    # instances with max(K*L, N) = 2
+    Q = 2**31 - 1
+
+    def instance(self, q):
+        config = make_association(q, 1, 2, 2, mode="explicit", association=[[1, 2]])
+        return config, build_vandermonde_pair(q, 2, 2, points=[1, q - 1])
+
+    def test_largest_admitted_prime(self):
+        q = self.Q
+        config, code = self.instance(q)
+        # h = [[1, 1], [1, q-1]]: decoding multiplies residues near q
+        assert code.h_rows() == ((1, 1), (1, q - 1))
+        scheme = masked_scheme(config, code, corrupt=(2, 1, 1, q - 1))
+        # q^2 cases need a raised budget; the corrupted symbol fails case 1
+        report = scheme_correctness(scheme, budget=10**19)
+        assert report.cases == 1
+        ce = report.counterexample
+        assert ce.messages == ((0, 0),) and ce.mask == () and ce.requested == 1
+        assert ce.decoded == (q - 1, (q - 1) * (q - 1) % q) == (q - 1, 1)
+
+        honest = masked_scheme(config, code)
+        w = np.array([[q - 1, q - 1], [q - 1, 0], [12345, q - 2]])
+        storage = honest.build_storage(w)
+        inverse = code.h_sub_inverse((0, 1))
+        for row, stored in zip(w.tolist(), storage.tolist()):
+            assert [s[0] for s in stored] == [
+                sum(c * x for c, x in zip(inv_row, row)) % q for inv_row in inverse
+            ]
+        decoded = honest.decode(honest.answers(storage, np.zeros((3, 0), np.int64), 1))
+        assert decoded.tolist() == w.tolist()
+
+    def test_next_prime_refused(self):
+        q = 2147483659  # the first prime past 2^31 - 1
+        config, code = self.instance(q)
+        with pytest.raises(InexactArithmeticError, match=r"2\*\(q-1\)\^2 \+ q"):
+            masked_scheme(config, code)
+        with pytest.raises(InexactArithmeticError):
+            split_scheme(config)
+
+    def test_input_count_past_int64_refused(self):
+        config, code = q11_instance()
+        with pytest.raises(InexactArithmeticError, match="int64"):
+            exhaustive_correctness(config, code, budget=Q11_CASES)
+
+    def test_census_key_past_int64_refused(self):
+        # 16 servers, 15 of them idle: 17 split cases, but 18^16 > 2^63
+        config = make_association(17, 1, 16, 1, mode="explicit", association=[[1]])
+        scheme = split_scheme(config)
+        assert scheme_correctness(scheme).passed
+        with pytest.raises(InexactArithmeticError, match="keyed in int64"):
+            scheme_privacy(scheme)
 
 
 class TestProbe:
@@ -298,6 +458,11 @@ class TestProbe:
         assert report.pattern_anomaly
         assert report.suspicious
         assert report.max_marginal_stat is None
+
+    def test_negative_trials_rejected(self):
+        config, code = q5_instance()
+        with pytest.raises(ValueError, match="non-negative trial count"):
+            randomized_privacy_probe(config, code, trials=-5)
 
     def test_zero_trials(self):
         config, code = q5_instance()
