@@ -157,8 +157,10 @@ def parse_config_text(text: str, name: str = "instance") -> InstanceConfig:
             raise CliError("key 'generator_override' must be a list of rows")
         gen = tuple(tuple(row) for row in gen)
     seed = values.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise CliError(f"key 'seed' must be an integer, got {seed!r}")
+    if seed is not None and (
+        not isinstance(seed, int) or isinstance(seed, bool) or seed < 0
+    ):
+        raise CliError(f"key 'seed' must be a non-negative integer, got {seed!r}")
     messages = values.get("messages")
     if messages is not None:
         if not isinstance(messages, (list, tuple)):
@@ -349,10 +351,19 @@ def load_instance_dir(
 # -- subcommands ----------------------------------------------------------------
 
 
+def _seed(flag: int | None, cfg: InstanceConfig) -> int | None:
+    """The ``--seed`` flag if given, else the config's seed."""
+    if flag is None:
+        return cfg.seed
+    if flag < 0:
+        raise CliError(f"--seed must be non-negative, got {flag}")
+    return flag
+
+
 def cmd_setup(args) -> int:
     cfg = load_config(args.config)
     config, code = build_instance(cfg)
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = _seed(args.seed, cfg)
     messages = instance_messages(cfg, config, seed)
     out_dir = Path(args.output)
     write_instance_dir(out_dir, cfg, config, code, messages)
@@ -371,7 +382,7 @@ def cmd_deliver(args) -> int:
     d = args.message
     if not 1 <= d <= config.k_messages:
         raise CliError(f"message id {d} outside 1..{config.k_messages}")
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = _seed(args.seed, cfg)
 
     # The stored fragments must agree with a fresh encode of the stored
     # messages (they do for directories written by `pid setup`).
@@ -542,6 +553,8 @@ def cmd_sweep(args) -> int:
         m = Fraction(args.m)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"--m must be an integer or fraction, got {args.m!r}") from None
+    if m <= 0:
+        raise CliError(f"--m must be positive, got {args.m!r}")
     n_values = _parse_range(args.n_range)
     if args.k < 1 or args.l < 1:
         raise CliError("--k and --l must be positive")
@@ -558,6 +571,8 @@ def cmd_sweep(args) -> int:
 def cmd_table_l(args) -> int:
     k_values = _parse_range(args.k_range)
     n_values = _parse_range(args.n_range)
+    if k_values.start < 1 or n_values.start < 1:
+        raise CliError("--k-range and --n-range must be positive")
     header = ["K\\N"] + [str(n) for n in n_values]
     rows = [header]
     for k in k_values:

@@ -2,9 +2,15 @@
 
 Scalars are ``FieldElement`` values (an integer residue plus its modulus);
 matrices are ``FieldMatrix`` objects backed by int64 numpy arrays that are
-reduced mod q after every operation, so every result is exact.  The matrix
-routines deliberately stick to integer Gauss-Jordan elimination: no floats
-ever enter the pipeline.
+reduced mod q after every operation.  The matrix routines deliberately stick
+to integer Gauss-Jordan elimination: no floats ever enter the pipeline.
+
+Products go through ``mod_matmul``: a dot product of n residues mod q is at
+most n*(q-1)^2, so it runs in int64 when n*(q-1)^2 + q < 2^63
+(``int64_exact``) and in Python ints (``dtype=object``) otherwise.  Scaling
+and elimination need one product per entry, so they switch to Python ints
+when (q-1)^2 + q reaches 2^63.  Moduli that fill the 4-byte wire symbol take
+the Python-int paths.
 """
 
 from __future__ import annotations
@@ -19,10 +25,13 @@ __all__ = [
     "SingularMatrixError",
     "RankDeficientError",
     "is_prime",
+    "int64_exact",
+    "mod_matmul",
     "all_square_submatrices_invertible",
 ]
 
 _KNOWN_PRIMES: set[int] = set()
+_INT64_LIMIT = 2**63
 
 
 def is_prime(n: int) -> bool:
@@ -46,6 +55,29 @@ def _check_modulus(q: int) -> int:
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
     return q
+
+
+def int64_exact(modulus: int, inner: int) -> bool:
+    """Whether int64 holds a sum of ``inner`` products of residues mod
+    ``modulus`` plus one more residue: inner*(q-1)^2 + q < 2^63."""
+    return inner * (modulus - 1) ** 2 + modulus < _INT64_LIMIT
+
+
+def mod_matmul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    """Exact ``(a @ b) % modulus`` of int64 arrays of residues, as int64.
+
+    The product runs in int64 when ``int64_exact`` allows it for the inner
+    dimension and in Python ints (``dtype=object``) otherwise.
+    """
+    if not int64_exact(modulus, a.shape[-1]):
+        return ((a.astype(object) @ b.astype(object)) % modulus).astype(np.int64)
+    return (a @ b) % modulus
+
+
+def _exact_copy(a: np.ndarray, modulus: int) -> np.ndarray:
+    """A copy of ``a`` in which a residue times a residue plus a residue is
+    exact: int64 when ``int64_exact`` allows one term, else Python ints."""
+    return a.astype(np.int64 if int64_exact(modulus, 1) else object)
 
 
 class SingularMatrixError(ValueError):
@@ -265,7 +297,8 @@ class FieldMatrix:
         return FieldMatrix(-self._a, self.modulus)
 
     def scale(self, scalar: int) -> "FieldMatrix":
-        return FieldMatrix(self._a * (int(scalar) % self.modulus), self.modulus)
+        q = self.modulus
+        return FieldMatrix(_exact_copy(self._a, q) * (int(scalar) % q) % q, q)
 
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         self._check_same_field(other)
@@ -273,8 +306,7 @@ class FieldMatrix:
             raise ValueError(
                 f"inner dimensions differ: {self.shape} @ {other.shape}"
             )
-        # int64 is exact here: entries < q <= a few thousand, inner dim small.
-        return FieldMatrix(self._a @ other._a, self.modulus)
+        return FieldMatrix(mod_matmul(self._a, other._a, self.modulus), self.modulus)
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self._a.T, self.modulus)
@@ -284,7 +316,7 @@ class FieldMatrix:
         v = np.asarray(list(vec), dtype=np.int64)
         if v.shape != (self.cols,):
             raise ValueError(f"vector length {v.shape} does not match {self.cols}")
-        return tuple(int(x) for x in (self._a @ v) % self.modulus)
+        return tuple(mod_matmul(self._a, v % self.modulus, self.modulus).tolist())
 
     def select_columns(self, cols) -> "FieldMatrix":
         idx = list(cols)
@@ -303,7 +335,7 @@ class FieldMatrix:
     def _rref(self) -> tuple[np.ndarray, list[int]]:
         """Reduced row echelon form and its pivot columns (exact, mod q)."""
         q = self.modulus
-        m = self._a.copy()
+        m = _exact_copy(self._a, q)
         n_rows, n_cols = m.shape
         pivots: list[int] = []
         r = 0
@@ -336,7 +368,7 @@ class FieldMatrix:
         if self.rows != self.cols:
             raise ValueError(f"determinant needs a square matrix, got {self.shape}")
         q = self.modulus
-        m = self._a.copy()
+        m = _exact_copy(self._a, q)
         n = self.rows
         det = 1
         for c in range(n):
@@ -364,7 +396,7 @@ class FieldMatrix:
             raise ValueError(f"inverse needs a square matrix, got {self.shape}")
         q = self.modulus
         n = self.rows
-        aug = np.hstack([self._a.copy(), np.eye(n, dtype=np.int64)]) % q
+        aug = _exact_copy(np.hstack([self._a, np.eye(n, dtype=np.int64)]), q)
         for c in range(n):
             pivot_row = None
             for rr in range(c, n):

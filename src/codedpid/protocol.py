@@ -8,6 +8,9 @@ therefore hosts a share of K*L/N messages when the association is balanced.
 
 * ``encode_storage`` gives server n, for each hosted message k, one symbol of
   the fragment vector  inverse(parity_check restricted to k's host set) @ w_k.
+  Messages with the same host set share that inverse, so encoding is one
+  matrix product mod q per host set, not one per message: int64 when
+  L*(q-1)^2 + q < 2^63, exact Python ints above (``field.mod_matmul``).
 * ``draw_randomness`` picks a uniform mask vector of length N-L and hands
   server n the scalar share  generator_column_n . mask.
 * On a request for message d, servers in d's host set answer their stored
@@ -34,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from codedpid.codes import CodePair, build_vandermonde_pair
-from codedpid.field import is_prime
+from codedpid.field import is_prime, mod_matmul
 
 __all__ = [
     "CANONICAL",
@@ -311,20 +314,28 @@ def encode_storage(
 
     Message k becomes the fragment vector
     ``inverse(parity_check[:, hosts_of_k]) @ w_k``; its i-th entry is stored
-    at the i-th server of k's sorted host set.
+    at the i-th server of k's sorted host set.  The messages of one host set
+    are encoded together, as ``inverse @ [w_k ...]`` mod q: one inverse and
+    one product per host set.  The product runs in int64 when
+    L*(q-1)^2 + q < 2^63 and in exact Python ints otherwise.
     """
     _check_instance(config, code)
     messages = _check_messages(config, messages)
     q = config.modulus
+    groups: dict[tuple[int, ...], list[Message]] = {}
+    for msg in messages:
+        groups.setdefault(config.servers_for(msg.index), []).append(msg)
     per_server: list[list[tuple[int, tuple[int, ...]]]] = [
         [] for _ in range(config.n_servers)
     ]
-    for msg in messages:
-        hosts = config.servers_for(msg.index)
-        inv_rows = code.h_sub_inverse(tuple(s - 1 for s in hosts))
-        for row, server in zip(inv_rows, hosts):
-            symbol = sum(c * w for c, w in zip(row, msg.symbols)) % q
-            per_server[server - 1].append((msg.index, (symbol,)))
+    for hosts, group in groups.items():
+        inv = np.array(code.h_sub_inverse(tuple(s - 1 for s in hosts)), dtype=np.int64)
+        words = np.array([msg.symbols for msg in group], dtype=np.int64)
+        # Row i holds the group's fragment symbols for server hosts[i].
+        coded = mod_matmul(inv, words.T, q).tolist()
+        ids = [msg.index for msg in group]
+        for server, row in zip(hosts, coded):
+            per_server[server - 1].extend(zip(ids, zip(row)))
     return tuple(
         ServerState(
             server_id=n + 1,

@@ -81,7 +81,6 @@ COORDINATOR_ID = 0
 LOG_MAGIC = b"PIDSIM01"
 
 _HEADER = struct.Struct("<BHI")
-_SYMBOL = struct.Struct("<I")
 
 
 class FrameError(ValueError):
@@ -109,12 +108,16 @@ class Frame:
             raise FrameError(f"unknown frame kind {self.kind}")
         if not 0 <= self.sender < 2**16:
             raise FrameError(f"sender id {self.sender} does not fit 2 bytes")
-        if any(not 0 <= s < 2**32 for s in self.payload):
+        if self.payload and not (
+            0 <= min(self.payload) and max(self.payload) < 2**32
+        ):
             raise FrameError("payload symbols must fit 4 bytes each")
 
     def encode(self) -> bytes:
-        body = b"".join(_SYMBOL.pack(s) for s in self.payload)
-        return _HEADER.pack(self.kind, self.sender, len(body)) + body
+        n = len(self.payload)
+        return struct.pack(
+            f"<BHI{n}I", self.kind, self.sender, 4 * n, *self.payload
+        )
 
     @property
     def wire_size(self) -> int:
@@ -133,9 +136,7 @@ def decode_frame(data: bytes, offset: int = 0) -> tuple[Frame, int]:
     start = offset + _HEADER.size
     if len(data) - start < length:
         raise FrameError("truncated frame payload")
-    payload = tuple(
-        _SYMBOL.unpack_from(data, start + 4 * i)[0] for i in range(length // 4)
-    )
+    payload = struct.unpack_from(f"<{length // 4}I", data, start)
     return Frame(kind=kind, sender=sender, payload=payload), start + length
 
 
@@ -223,25 +224,26 @@ class ServerActor:
     def _load_storage(self, payload: tuple[int, ...]) -> None:
         if not payload:
             raise ProtocolViolation("storage frame missing entry count")
+        q = self.modulus
+        reduced = tuple([s % q for s in payload])
+        size = len(payload)
         count = payload[0]
         pos = 1
         table: dict[int, tuple[int, ...]] = {}
         for _ in range(count):
-            if pos + 2 > len(payload):
+            if pos + 2 > size:
                 raise ProtocolViolation("storage frame entry header truncated")
             message_id, n_syms = payload[pos], payload[pos + 1]
             pos += 2
-            if pos + n_syms > len(payload):
+            if pos + n_syms > size:
                 raise ProtocolViolation("storage frame entry symbols truncated")
             if message_id in table:
                 raise ProtocolViolation(
                     f"storage frame repeats message {message_id}"
                 )
-            table[message_id] = tuple(
-                s % self.modulus for s in payload[pos : pos + n_syms]
-            )
+            table[message_id] = reduced[pos : pos + n_syms]
             pos += n_syms
-        if pos != len(payload):
+        if pos != size:
             raise ProtocolViolation("storage frame has trailing symbols")
         self.fragments = table
 

@@ -54,6 +54,7 @@ from typing import Callable
 import numpy as np
 
 from codedpid.codes import CodePair
+from codedpid.field import int64_exact
 from codedpid.protocol import PidConfig
 
 __all__ = [
@@ -152,7 +153,7 @@ class SchemeUnderTest:
     def __post_init__(self):
         q = self.modulus
         n = max(self.k_messages * self.msg_len, self.n_servers)
-        if n * (q - 1) ** 2 + q >= _INT64_LIMIT:
+        if not int64_exact(q, n):
             raise InexactArithmeticError(
                 f"q={q} is too large for exact int64 audits of this instance: "
                 f"{n}*(q-1)^2 + q must stay below 2^63"

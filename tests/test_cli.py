@@ -203,6 +203,25 @@ class TestDeliver:
         assert code == 2
         assert "no instance.cfg" in err
 
+    def test_negative_seed(self, capsys, q5_dir):
+        code, out, err = run(capsys, "deliver", "-i", str(q5_dir), "-d", "1", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --seed must be non-negative, got -1\n"
+        assert not (q5_dir / "frames.log").exists()
+
+    def test_negative_seed_in_setup_and_config(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "setup", "-c", str(Q5_CFG), "-o", str(tmp_path / "a"), "--seed", "-1"
+        )
+        assert code == 2
+        assert err == "error: --seed must be non-negative, got -1\n"
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(Q5_CFG.read_text().replace("seed = 11", "seed = -1"))
+        code, _, err = run(capsys, "setup", "-c", str(cfg), "-o", str(tmp_path / "b"))
+        assert code == 2
+        assert "key 'seed' must be a non-negative integer, got -1" in err
+
 
 class TestVerify:
     def test_q5_both_properties_pass(self, capsys):
@@ -407,6 +426,15 @@ class TestSweep:
         assert code == 2
         assert "--m must be an integer or fraction" in err
 
+    def test_nonpositive_m(self, capsys):
+        for m in ("0", "-1", "-1/2"):
+            code, out, err = run(
+                capsys, "sweep", "--k", "4", f"--m={m}", "--l", "2", "--n-range", "2:4"
+            )
+            assert code == 2
+            assert out == ""
+            assert err == f"error: --m must be positive, got {m!r}\n"
+
     def test_bad_range(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--k", "12", "--m", "2", "--l", "4", "--n-range", "8:5"
@@ -430,6 +458,11 @@ class TestTableL:
         assert lines[0].split() == ["K\\N", "4", "5", "6", "7"]
         assert lines[1].split() == ["7", "4", "5", "6", "[7]"]
         assert lines[2].split() == ["8", "[4]", "5", "3,6", "7"]
+
+    def test_nonpositive_range(self, capsys):
+        code, _, err = run(capsys, "table-l", "--k-range", "0:2", "--n-range", "1:2")
+        assert code == 2
+        assert err == "error: --k-range and --n-range must be positive\n"
 
     def test_full_range_brackets(self, capsys):
         _, out, _ = run(capsys, "table-l", "--k-range", "12:12", "--n-range", "4:4")

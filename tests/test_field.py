@@ -11,7 +11,9 @@ from codedpid.field import (
     RankDeficientError,
     SingularMatrixError,
     all_square_submatrices_invertible,
+    int64_exact,
     is_prime,
+    mod_matmul,
 )
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -300,3 +302,66 @@ class TestMinorEnumeration:
                 for cols in itertools.combinations(range(4), 2)
             )
             assert all_square_submatrices_invertible(m, 2) == expected
+
+
+# Primes whose products of two residues leave int64: the smallest such prime
+# and 4294967291, the largest prime below the 4-byte wire symbol.
+BIG_PRIMES = (3037000507, 4294967291)
+EDGE_PRIME = 2**31 - 1
+
+
+def py_matmul(a, b, q):
+    """Oracle: row-by-column products in Python ints."""
+    return [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a]
+
+
+def residues(rng, q, shape):
+    return [[int(x) for x in row] for row in rng.integers(0, q, size=shape, dtype=np.int64)]
+
+
+class TestExactProducts:
+    def test_int64_bound(self):
+        # inner * (q-1)^2 + q < 2^63, exactly at the edge
+        assert int64_exact(EDGE_PRIME, 2)
+        assert not int64_exact(EDGE_PRIME, 3)
+        assert not int64_exact(3037000507, 1)
+        assert int64_exact(3037000493, 1)
+        assert int64_exact(257, 32)
+
+    def test_mod_matmul_matches_python_ints(self):
+        rng = np.random.default_rng(5)
+        for q in (257, EDGE_PRIME) + BIG_PRIMES:
+            for inner in (1, 2, 3, 7):
+                a = residues(rng, q, (3, inner))
+                b = residues(rng, q, (inner, 4))
+                got = mod_matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), q)
+                assert got.dtype == np.int64
+                assert got.tolist() == py_matmul(a, b, q), (q, inner)
+
+    def test_matmul_and_mat_vec_at_big_moduli(self):
+        rng = np.random.default_rng(6)
+        for q in (EDGE_PRIME,) + BIG_PRIMES:
+            a = residues(rng, q, (4, 5))
+            b = residues(rng, q, (5, 3))
+            v = [row[0] for row in b]
+            assert (FieldMatrix(a, q) @ FieldMatrix(b, q)).to_lists() == py_matmul(a, b, q)
+            assert FieldMatrix(a, q).mat_vec(v) == tuple(
+                row[0] for row in py_matmul(a, [[x] for x in v], q)
+            )
+            assert FieldMatrix(a, q).scale(q - 2).to_lists() == [
+                [x * (q - 2) % q for x in row] for row in a
+            ]
+
+    def test_elimination_at_big_moduli(self):
+        rng = np.random.default_rng(8)
+        for q in BIG_PRIMES:
+            for size in (2, 3, 4):
+                rows = residues(rng, q, (size, size))
+                m = FieldMatrix(rows, q)
+                assert m @ m.inverse() == FieldMatrix.identity(size, q)
+                if size == 3:
+                    assert int(m.determinant()) == det3_oracle(rows, q)
+            wide = FieldMatrix(residues(rng, q, (2, 5)), q)
+            basis = wide.null_space_basis()
+            assert basis.rows == 3 and basis.rank() == 3
+            assert wide @ basis.transpose() == FieldMatrix.zeros(2, 3, q)

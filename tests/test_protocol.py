@@ -10,6 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from codedpid.codes import build_vandermonde_pair
+from codedpid.field import int64_exact
 from codedpid.instances import q5_instance, q11_instance
 from codedpid.protocol import (
     EXPLICIT,
@@ -464,3 +466,90 @@ class TestTranscriptDataclass:
         )
         assert t.transmission_counts == (2, 0, 1)
         assert t.rate == Fraction(1)
+
+
+# The largest prime below 2^32, the 4-byte wire symbol, with evaluation
+# points spread over the whole field: every product of two residues
+# overflows int64.
+BIG_Q = 4294967291
+BIG_POINTS = (123456789, 987654321, 2222222222, 3333333333)
+
+
+def per_symbol_storage(config, code, messages):
+    """Oracle for ``encode_storage``: each fragment symbol as its own dot
+    product ``sum(c * w) % q`` in Python ints, message by message."""
+    q = config.modulus
+    per_server = [[] for _ in range(config.n_servers)]
+    for msg in messages:
+        hosts = config.servers_for(msg.index)
+        inv_rows = code.h_sub_inverse(tuple(s - 1 for s in hosts))
+        for row, server in zip(inv_rows, hosts):
+            symbol = sum(c * w for c, w in zip(row, msg.symbols)) % q
+            per_server[server - 1].append((msg.index, (symbol,)))
+    return tuple(tuple(sorted(frags)) for frags in per_server)
+
+
+class TestEncodeMatchesPerSymbolFormula:
+    def check(self, config, code, seed=0):
+        messages = random_messages(config, seed=seed)
+        storage = encode_storage(config, code, messages)
+        assert tuple(st.fragments for st in storage) == per_symbol_storage(
+            config, code, messages
+        )
+        for st in storage:
+            for _, symbols in st.fragments:
+                assert all(type(s) is int for s in symbols)
+
+    def test_small_instances(self):
+        from test_verify import small_configs
+
+        for params, config, code in small_configs():
+            for seed in range(3):
+                self.check(config, code, seed)
+
+    def test_explicit_q5(self):
+        config, code = q5_instance()
+        for seed in range(5):
+            self.check(config, code, seed)
+
+    def test_k64(self):
+        config = make_association(257, 64, 64, 32)
+        self.check(config, build_vandermonde_pair(257, 64, 32), seed=3)
+
+    def test_python_int_path(self):
+        # 3 * (q-1)^2 + q passes 2^63, so the product leaves int64
+        q = 2**31 - 1
+        assert not int64_exact(q, 3)
+        config = make_association(q, 4, 4, 3)
+        self.check(config, build_vandermonde_pair(q, 4, 3, points=(5, 2**30, 2**31 - 7, 99)))
+
+    def test_four_byte_modulus(self):
+        config = make_association(BIG_Q, 2, 4, 2)
+        code = build_vandermonde_pair(BIG_Q, 4, 2, points=BIG_POINTS)
+        for seed in range(5):
+            self.check(config, code, seed)
+
+
+class TestFourByteModulus:
+    """Rounds at the largest 4-byte prime decode exactly."""
+
+    def test_run_delivery_decodes_every_seeded_round(self):
+        config = make_association(BIG_Q, 2, 4, 2)
+        code = build_vandermonde_pair(BIG_Q, 4, 2, points=BIG_POINTS)
+        for seed in range(20):
+            messages = random_messages(config, seed=seed)
+            d = seed % 2 + 1
+            t = run_delivery(config, code, messages, d, seed=seed)
+            assert t.decoded == messages[d - 1].symbols, seed
+
+    def test_every_host_set(self):
+        # host sets (1, 3) and (1, 4) need exact elimination in h_sub_inverse
+        hosts = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+        config = make_association(
+            BIG_Q, 6, 4, 2, mode=EXPLICIT, association=hosts
+        )
+        code = build_vandermonde_pair(BIG_Q, 4, 2, points=BIG_POINTS)
+        messages = random_messages(config, seed=1)
+        for d in range(1, 7):
+            t = run_delivery(config, code, messages, d, seed=d)
+            assert t.decoded == messages[d - 1].symbols, d

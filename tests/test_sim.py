@@ -5,16 +5,21 @@ The frame byte golden was laid out by hand from the header packing
 4-byte little-endian symbols).
 """
 
+import hashlib
 import itertools
+import struct
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from codedpid.codes import build_vandermonde_pair
 from codedpid.instances import q5_instance, q11_instance
 from codedpid.protocol import (
     Message,
+    make_association,
     random_messages,
     run_delivery,
     run_fully_distributed,
@@ -46,6 +51,7 @@ from codedpid.sim import (
     write_frame_log,
 )
 from codedpid.verify import masked_scheme
+from test_protocol import BIG_POINTS, BIG_Q
 
 
 def msgs(q, *rows):
@@ -365,3 +371,142 @@ class TestWireCensus:
         assert census[0] == census[1] == census[2]
         assert len(census[0]) == 125
         assert set(census[0].values()) == {625}
+
+
+# -- pinned frame logs -----------------------------------------------------------
+
+
+def k64_round():
+    config = make_association(257, 64, 64, 32)
+    code = build_vandermonde_pair(257, 64, 32)
+    return simulate_round(config, code, random_messages(config, seed=5), 17, seed=9)
+
+
+def q5_round():
+    config, code = q5_instance()
+    return simulate_round(config, code, random_messages(config, seed=4), 2, seed=6)
+
+
+def q11_round():
+    config, code = q11_instance()
+    return simulate_round(config, code, random_messages(config, seed=1), 6, seed=5)
+
+
+def subset_coded_round():
+    rng = np.random.default_rng(2)
+    rows = [tuple(int(x) for x in rng.integers(0, 13, size=4)) for _ in range(12)]
+    return simulate_subset_round(12, 7, 2, 4, msgs(13, *rows), 5, seed=1)
+
+
+def subset_raw_round():
+    messages = msgs(5, (1, 2), (3, 4), (0, 1), (2, 0))
+    return simulate_subset_round(4, 5, 2, 2, messages, 3)
+
+
+def fully_distributed_round():
+    messages = msgs(7, (1, 2, 3, 4), (5, 6, 0, 1))
+    return simulate_fully_distributed_round(messages, 2, 2)
+
+
+# sha256 of ``frames_to_bytes`` of each round, with its frame and byte counts,
+# recorded before the bulk codec and the per-host-set encoding landed.
+PINNED_LOGS = {
+    k64_round: (
+        257, 27527, "e0ec0c6e1cd99d0544e7f0f8278c99bf25a5cdc57a329f7f0f55c54896f3a4ff"
+    ),
+    q5_round: (
+        13, 219, "e1f5561a5c753181ee6e8382feb657a9c0255b065b7e8c18ef89704aeb4f0477"
+    ),
+    q11_round: (
+        25, 571, "fda2adb22e72f94261ebc1c1c4188cd92f00fc3f0b34dceb95659c1d63f5af58"
+    ),
+    subset_coded_round: (
+        28, 892, "05e86f29d9ff59c14fd24a195a3c1c47739e7db3da61d4f23cd3ef035f95594f"
+    ),
+    subset_raw_round: (
+        16, 264, "964b128b0ff5c94d8a15d4d7ddd852a789d548e96c732ef7bfb39ef8d12cefd2"
+    ),
+    fully_distributed_round: (
+        7, 161, "1882bd31147fd2038fb15b85cda762d922edaef3113adcec39ba332f3979da71"
+    ),
+}
+
+
+class TestPinnedFrameLogs:
+    @pytest.mark.parametrize("make", PINNED_LOGS, ids=lambda f: f.__name__)
+    def test_log_bytes(self, make):
+        frames = make().frames
+        data = frames_to_bytes(frames)
+        assert (len(frames), len(data), hashlib.sha256(data).hexdigest()) == (
+            PINNED_LOGS[make]
+        )
+        parsed, offset = [], 0
+        while offset < len(data):
+            frame, offset = decode_frame(data, offset)
+            parsed.append(frame)
+        assert tuple(parsed) == frames
+
+
+class TestFourByteModulusRound:
+    def test_every_seeded_round_decodes(self):
+        config = make_association(BIG_Q, 2, 4, 2)
+        code = build_vandermonde_pair(BIG_Q, 4, 2, points=BIG_POINTS)
+        for seed in range(20):
+            messages = random_messages(config, seed=seed)
+            d = seed % 2 + 1
+            sim = simulate_round(config, code, messages, d, seed=seed)
+            assert sim.transcript.decoded == messages[d - 1].symbols, seed
+            assert sim.transcript == run_delivery(config, code, messages, d, seed=seed)
+
+
+# -- codec properties ------------------------------------------------------------
+
+KINDS = st.sampled_from((SETUP_STORAGE, SETUP_SHARE, DELIVER_CMD, ANSWER, DECODE_RESULT))
+SENDERS = st.integers(0, 2**16 - 1)
+SYMBOLS = st.integers(0, 2**32 - 1)
+FRAMES = st.builds(Frame, KINDS, SENDERS, st.lists(SYMBOLS, max_size=40).map(tuple))
+# Arbitrary bytes, and arbitrary bodies behind a header with a known kind.
+WIRE = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        lambda kind, sender, length, body: struct.pack("<BHI", kind, sender, length)
+        + body,
+        KINDS,
+        SENDERS,
+        st.integers(0, 80),
+        st.binary(max_size=80),
+    ),
+)
+
+
+class TestCodecProperties:
+    @given(FRAMES)
+    def test_roundtrip(self, frame):
+        data = frame.encode()
+        assert len(data) == frame.wire_size
+        assert decode_frame(data) == (frame, len(data))
+
+    @given(st.binary(max_size=12), FRAMES, st.binary(max_size=12))
+    def test_roundtrip_at_offset(self, before, frame, after):
+        data = before + frame.encode() + after
+        assert decode_frame(data, len(before)) == (frame, len(data) - len(after))
+
+    @given(WIRE)
+    def test_arbitrary_bytes_raise_only_frame_error(self, data):
+        try:
+            frame, end = decode_frame(data)
+        except FrameError:
+            return
+        assert frame.encode() == data[:end]
+
+    @given(
+        KINDS,
+        SENDERS,
+        st.lists(SYMBOLS, max_size=8),
+        st.one_of(st.integers(max_value=-1), st.integers(min_value=2**32)),
+        st.integers(0, 8),
+    )
+    def test_out_of_range_symbol_rejected(self, kind, sender, payload, bad, at):
+        payload.insert(at, bad)
+        with pytest.raises(FrameError, match="4 bytes"):
+            Frame(kind, sender, tuple(payload))

@@ -325,8 +325,9 @@ def oracle_privacy(scheme):
                          per_vector if uniform else None, mismatch)
 
 
-def small_instances():
-    """Every canonical masked instance cheap enough to enumerate."""
+def small_configs():
+    """(params, config, code) of every canonical masked instance cheap enough
+    to enumerate."""
     for q in (2, 3, 5):
         for n in range(2, 4):
             if n > q:
@@ -334,9 +335,15 @@ def small_instances():
             for k in range(1, 4):
                 for l in valid_msg_lens(k, n):
                     config = make_association(q, k, n, l)
-                    scheme = masked_scheme(config, build_vandermonde_pair(q, n, l))
-                    if case_count(scheme) <= 200_000:
-                        yield (q, k, n, l), scheme
+                    code = build_vandermonde_pair(q, n, l)
+                    if case_count(masked_scheme(config, code)) <= 200_000:
+                        yield (q, k, n, l), config, code
+
+
+def small_instances():
+    """Every canonical masked instance cheap enough to enumerate."""
+    for params, config, code in small_configs():
+        yield params, masked_scheme(config, code)
 
 
 class TestBatchedMatchesPerCase:
