@@ -7,7 +7,6 @@ the transmission pattern reveals nothing about D.
 """
 
 from codedpid.field import (
-    FieldElement,
     FieldMatrix,
     RankDeficientError,
     SingularMatrixError,
@@ -34,7 +33,6 @@ from codedpid.protocol import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldElement",
     "FieldMatrix",
     "SingularMatrixError",
     "RankDeficientError",

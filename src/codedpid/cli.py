@@ -556,6 +556,8 @@ def cmd_sweep(args) -> int:
     if m <= 0:
         raise CliError(f"--m must be positive, got {args.m!r}")
     n_values = _parse_range(args.n_range)
+    if n_values.start < 1:
+        raise CliError("--n-range must be positive")
     if args.k < 1 or args.l < 1:
         raise CliError("--k and --l must be positive")
     rows = sweep_rate_vs_n(args.k, m, args.l, n_values)

@@ -56,7 +56,7 @@ def _first_bad_minor(matrix: FieldMatrix) -> tuple[int, ...] | None:
             for _ in range(_MINOR_SAMPLES)
         )
     for cols in candidates:
-        if int(matrix.select_columns(cols).determinant()) == 0:
+        if matrix.select_columns(cols).determinant() == 0:
             return tuple(cols)
     return None
 
@@ -77,6 +77,11 @@ class CodePair:
     modulus: int
     _sub_inverse_cache: dict = dc_field(
         default_factory=dict, repr=False, compare=False, hash=False
+    )
+    # One slot, (config, messages, storage) or None, kept by
+    # ``protocol.encode_storage`` for the last storage encoded on this pair.
+    _storage_memo: list = dc_field(
+        default_factory=lambda: [None], repr=False, compare=False, hash=False
     )
 
     def __post_init__(self):

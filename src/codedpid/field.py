@@ -1,9 +1,9 @@
-"""Exact arithmetic over prime fields, scalar and matrix.
+"""Exact arithmetic over prime fields.
 
-Scalars are ``FieldElement`` values (an integer residue plus its modulus);
-matrices are ``FieldMatrix`` objects backed by int64 numpy arrays that are
-reduced mod q after every operation.  The matrix routines deliberately stick
-to integer Gauss-Jordan elimination: no floats ever enter the pipeline.
+Scalars are plain Python ints reduced mod q; matrices are ``FieldMatrix``
+objects backed by int64 numpy arrays that are reduced mod q after every
+operation.  The matrix routines deliberately stick to integer Gauss-Jordan
+elimination: no floats ever enter the pipeline.
 
 Products go through ``mod_matmul``: a dot product of n residues mod q is at
 most n*(q-1)^2, so it runs in int64 when n*(q-1)^2 + q < 2^63
@@ -20,7 +20,6 @@ import itertools
 import numpy as np
 
 __all__ = [
-    "FieldElement",
     "FieldMatrix",
     "SingularMatrixError",
     "RankDeficientError",
@@ -30,21 +29,39 @@ __all__ = [
     "all_square_submatrices_invertible",
 ]
 
-_KNOWN_PRIMES: set[int] = set()
 _INT64_LIMIT = 2**63
+# Miller-Rabin with these bases has no strong pseudoprime below
+# 3.3 * 10^24, so it decides every 64-bit n exactly.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_KNOWN_PRIMES: set[int] = set(_WITNESSES)
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality check, cached for repeated moduli."""
+    """Deterministic Miller-Rabin primality check, cached for repeated moduli.
+
+    Exact for every n below 3.3 * 10^24, which covers every modulus an int64
+    matrix can hold; above that a pass means a strong probable prime.
+    """
     if n in _KNOWN_PRIMES:
         return True
     if n < 2:
         return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
+    if any(n % p == 0 for p in _WITNESSES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 1
     _KNOWN_PRIMES.add(n)
     return True
 
@@ -86,109 +103,6 @@ class SingularMatrixError(ValueError):
 
 class RankDeficientError(ValueError):
     """Raised when an operation requires full row rank and the matrix lacks it."""
-
-
-class FieldElement:
-    """An element of the prime field with q elements.
-
-    Supports +, -, *, unary -, /, ** and exact inversion.  Mixing moduli
-    raises ValueError; inverting zero raises ZeroDivisionError.
-    """
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        _check_modulus(modulus)
-        object.__setattr__(self, "value", int(value) % modulus)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"FieldElement is immutable, cannot set {name!r}")
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"mixed moduli: {self.modulus} vs {other.modulus}"
-                )
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return FieldElement(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return FieldElement(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return FieldElement(pow(self.value, exponent, self.modulus), self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.value == other.value and self.modulus == other.modulus
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"FieldElement({self.value}, mod {self.modulus})"
-
-    def __bool__(self):
-        return self.value != 0
 
 
 def _as_array(rows, q: int) -> np.ndarray:
@@ -256,9 +170,14 @@ class FieldMatrix:
     def column_tuple(self, j: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self._a[:, j])
 
-    def __getitem__(self, key) -> FieldElement:
+    @property
+    def array(self) -> np.ndarray:
+        """The entries as a read-only int64 array."""
+        return self._a
+
+    def __getitem__(self, key) -> int:
         i, j = key
-        return FieldElement(int(self._a[i, j]), self.modulus)
+        return int(self._a[i, j])
 
     def __eq__(self, other):
         if not isinstance(other, FieldMatrix):
@@ -364,7 +283,7 @@ class FieldMatrix:
         _, pivots = self._rref()
         return len(pivots)
 
-    def determinant(self) -> FieldElement:
+    def determinant(self) -> int:
         if self.rows != self.cols:
             raise ValueError(f"determinant needs a square matrix, got {self.shape}")
         q = self.modulus
@@ -378,7 +297,7 @@ class FieldMatrix:
                     pivot_row = rr
                     break
             if pivot_row is None:
-                return FieldElement(0, q)
+                return 0
             if pivot_row != c:
                 m[[c, pivot_row]] = m[[pivot_row, c]]
                 det = -det
@@ -388,7 +307,7 @@ class FieldMatrix:
                 if m[rr, c] != 0:
                     factor = int(m[rr, c]) * inv % q
                     m[rr] = (m[rr] - factor * m[c]) % q
-        return FieldElement(det, q)
+        return det
 
     def inverse(self) -> "FieldMatrix":
         """Exact inverse by Gauss-Jordan elimination on [A | I]."""
@@ -417,7 +336,7 @@ class FieldMatrix:
         return FieldMatrix(aug[:, n:], q)
 
     def is_invertible(self) -> bool:
-        return self.rows == self.cols and int(self.determinant()) != 0
+        return self.rows == self.cols and self.determinant() != 0
 
     def null_space_basis(self) -> "FieldMatrix":
         """Canonical basis of the right null space, one basis vector per row.
@@ -474,6 +393,6 @@ def all_square_submatrices_invertible(
         )
     for rows, cols in pairs:
         sub = matrix.select_rows(rows).select_columns(cols)
-        if int(sub.determinant()) == 0:
+        if sub.determinant() == 0:
             return False
     return True

@@ -11,8 +11,12 @@ therefore hosts a share of K*L/N messages when the association is balanced.
   Messages with the same host set share that inverse, so encoding is one
   matrix product mod q per host set, not one per message: int64 when
   L*(q-1)^2 + q < 2^63, exact Python ints above (``field.mod_matmul``).
+  Storage depends on the code pair, the config and the messages only, so it
+  is encoded once per (code pair, config, messages) and reused, round after
+  round, until a message changes.
 * ``draw_randomness`` picks a uniform mask vector of length N-L and hands
-  server n the scalar share  generator_column_n . mask.
+  server n the scalar share  generator_column_n . mask: all N shares are one
+  product  mask @ generator  mod q.
 * On a request for message d, servers in d's host set answer their stored
   fragment symbol plus their mask share; all other servers answer the mask
   share alone.  Every server sends exactly one symbol, so the transmission
@@ -318,8 +322,17 @@ def encode_storage(
     are encoded together, as ``inverse @ [w_k ...]`` mod q: one inverse and
     one product per host set.  The product runs in int64 when
     L*(q-1)^2 + q < 2^63 and in exact Python ints otherwise.
+
+    The result is memoised in one slot per code pair: a call with a config
+    and a messages tuple equal (by value) to the last ones encoded on
+    ``code`` returns the same storage tuple without encoding again.
     """
     _check_instance(config, code)
+    messages = tuple(messages)
+    slot = code._storage_memo
+    memo = slot[0]
+    if memo is not None and memo[0] == config and memo[1] == messages:
+        return memo[2]
     messages = _check_messages(config, messages)
     q = config.modulus
     groups: dict[tuple[int, ...], list[Message]] = {}
@@ -336,7 +349,7 @@ def encode_storage(
         ids = [msg.index for msg in group]
         for server, row in zip(hosts, coded):
             per_server[server - 1].extend(zip(ids, zip(row)))
-    return tuple(
+    storage = tuple(
         ServerState(
             server_id=n + 1,
             fragments=tuple(sorted(per_server[n])),
@@ -345,6 +358,8 @@ def encode_storage(
         )
         for n in range(config.n_servers)
     )
+    slot[0] = (config, messages, storage)
+    return storage
 
 
 def split_storage(config: PidConfig, messages) -> tuple[ServerState, ...]:
@@ -379,7 +394,8 @@ def draw_randomness(
     """Draw the mask vector (length N-L) and derive one scalar share per server.
 
     ``seed`` gives a reproducible numpy stream; None uses OS entropy.  Pass
-    ``mask`` explicitly to fix the vector (tests, replay).
+    ``mask`` explicitly to fix the vector (tests, replay).  The shares are
+    ``mask @ generator`` mod q, all zero when the mask is empty (L = N).
     """
     q = code.modulus
     r = code.mask_len
@@ -392,10 +408,8 @@ def draw_randomness(
     else:
         rng = np.random.default_rng(seed)
         mask = tuple(int(x) for x in rng.integers(0, q, size=r))
-    shares = tuple(
-        sum(c * u for c, u in zip(code.g_column(n), mask)) % q
-        for n in range(code.n_servers)
-    )
+    vector = np.array(mask, dtype=np.int64)
+    shares = tuple(mod_matmul(vector, code.generator.array, q).tolist())
     return SharedRandomness(mask_vector=mask, shares=shares, modulus=q)
 
 

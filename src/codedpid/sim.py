@@ -15,7 +15,10 @@ decoded symbols).  Actor ids: coordinator 0, servers 1..N, user N+1.
 
 A round always runs in fixed phases - storage setup, share setup, deliver
 commands, answers in server-id order, decode result - so the frame log of a
-round is a deterministic byte string: replays are byte-identical.  Logs
+round is a deterministic byte string: replays are byte-identical.  Storage
+is encoded once per instance and messages (see ``protocol.encode_storage``),
+so successive rounds on one instance re-send the same SETUP_STORAGE frames,
+built once; only the shares, the command and the answers change.  Logs
 serialize to files with an 8-byte magic header.
 
 The router forwards every frame and enforces the topology: servers never
@@ -31,7 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from codedpid.codes import CodePair, build_vandermonde_pair
-from codedpid.protocol import (
+# ``attach_shares`` is not called here (storage frames carry no shares);
+# it stays importable under this module for tracers such as
+# ``perfbench/tracing.py``, which wrap the names they look up here.
+from codedpid.protocol import (  # noqa: F401
     DeliveryTranscript,
     PidConfig,
     ServerState,
@@ -300,26 +306,48 @@ def _storage_frame(state: ServerState) -> Frame:
     return Frame(SETUP_STORAGE, COORDINATOR_ID, tuple(payload))
 
 
+def _storage_frames(storage) -> tuple[Frame, ...]:
+    """One SETUP_STORAGE frame per server state, in server-id order."""
+    return tuple(_storage_frame(state) for state in storage)
+
+
+# (storage, its frames) for the storage tuple ``simulate_round`` framed last.
+_last_framed: list = [None]
+
+
+def _framed(storage: tuple[ServerState, ...]) -> tuple[Frame, ...]:
+    """The storage frames of ``storage``, reused while it is the same tuple
+    object: ``encode_storage`` returns the same one until the instance or a
+    message changes."""
+    last = _last_framed[0]
+    if last is not None and last[0] is storage:
+        return last[1]
+    frames = _storage_frames(storage)
+    _last_framed[0] = (storage, frames)
+    return frames
+
+
 def _run_phases(
     n_servers: int,
     modulus: int,
-    storage,
+    storage_frames,
     shares: tuple[int, ...] | None,
     d: int,
     decode_fn,
 ) -> tuple[tuple[Frame, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Drive one round through the actors; returns (frames, answers, decoded).
 
-    ``shares`` may be None (no share phase) or shorter than the server list
-    (only that prefix of servers receives a share).
+    ``storage_frames`` holds one SETUP_STORAGE frame per server, in server-id
+    order.  ``shares`` may be None (no share phase) or shorter than the
+    server list (only that prefix of servers receives a share).
     """
     router = Router(n_servers)
     servers = [ServerActor(n, modulus) for n in range(1, n_servers + 1)]
     user_id = n_servers + 1
     user = UserActor(user_id, n_servers, decode_fn, modulus)
 
-    for state, actor in zip(storage, servers):
-        router.send(_storage_frame(state), actor)
+    for frame, actor in zip(storage_frames, servers):
+        router.send(frame, actor)
     if shares is not None:
         for share, actor in zip(shares, servers):
             router.send(Frame(SETUP_SHARE, COORDINATOR_ID, (share,)), actor)
@@ -355,17 +383,18 @@ def simulate_round(
     """One coded delivery round as message-passing actors.
 
     Produces exactly the same transcript as ``protocol.run_delivery`` with
-    the same inputs, plus the frame log.
+    the same inputs, plus the frame log.  Storage and its SETUP_STORAGE
+    frames are reused from the previous round while the instance and the
+    messages are unchanged; the shares travel in their own frames.
     """
     config._check_message(d)
     storage = encode_storage(config, code, messages)
     if randomness is None:
         randomness = draw_randomness(code, seed)
-    masked = attach_shares(storage, randomness)
     frames, answers, decoded = _run_phases(
         n_servers=config.n_servers,
         modulus=config.modulus,
-        storage=masked,
+        storage_frames=_framed(storage),
         shares=randomness.shares,
         d=d,
         decode_fn=lambda ordered: code.decode_vector([a[0] for a in ordered]),
@@ -411,7 +440,7 @@ def simulate_fully_distributed_round(
     frames, answers, decoded = _run_phases(
         n_servers=n_servers,
         modulus=q,
-        storage=storage,
+        storage_frames=_storage_frames(storage),
         shares=None,
         d=d,
         decode_fn=lambda ordered: tuple(s for a in ordered for s in a),
@@ -461,19 +490,18 @@ def simulate_subset_round(
         inner_config = make_association(q, k_messages, active, msg_len)
         inner_code = build_vandermonde_pair(q, active, msg_len)
         _check_messages(inner_config, messages)
-        inner_storage = encode_storage(inner_config, inner_code, messages)
+        storage = encode_storage(inner_config, inner_code, messages) + silent
         randomness = draw_randomness(inner_code, seed)
-        storage = attach_shares(inner_storage, randomness) + silent
         frames, answers, decoded = _run_phases(
             n_servers=n_servers,
             modulus=q,
-            storage=storage,
+            storage_frames=_storage_frames(storage),
             shares=randomness.shares,  # prefix: only active servers
             d=d,
             decode_fn=lambda ordered: inner_code.decode_vector(
                 [a[0] for a in ordered[:active]]
             ),
-            )
+        )
         transcript = DeliveryTranscript(
             requested=d,
             answers=answers,
@@ -503,7 +531,7 @@ def simulate_subset_round(
     frames, answers, decoded = _run_phases(
         n_servers=n_servers,
         modulus=q,
-        storage=storage,
+        storage_frames=_storage_frames(storage),
         shares=None,
         d=d,
         decode_fn=lambda ordered: tuple(s for a in ordered for s in a),

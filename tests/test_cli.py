@@ -447,6 +447,16 @@ class TestSweep:
         assert code == 2
         assert "A:B" in err
 
+    def test_nonpositive_server_count(self, capsys):
+        for n_range in ("0:2", "-1:3"):
+            code, out, err = run(
+                capsys, "sweep", "--k", "4", "--m", "1", "--l", "2",
+                f"--n-range={n_range}"
+            )
+            assert code == 2
+            assert out == ""
+            assert err == "error: --n-range must be positive\n"
+
 
 class TestTableL:
     def test_cells(self, capsys):

@@ -1,12 +1,12 @@
-"""Field scalar and matrix arithmetic, checked against brute-force oracles."""
+"""Field matrix arithmetic and primality, checked against brute-force oracles."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from codedpid.field import (
-    FieldElement,
     FieldMatrix,
     RankDeficientError,
     SingularMatrixError,
@@ -35,79 +35,41 @@ def det3_oracle(m, q: int) -> int:
     return (a * e * i + b * f * g + c * d * h - c * e * g - b * d * i - a * f * h) % q
 
 
+def trial_division_prime(n: int) -> bool:
+    """Oracle: n >= 2 with no divisor in 2..sqrt(n)."""
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
 class TestPrimality:
     def test_small_values(self):
         expected = {2, 3, 5, 7, 11, 13, 17, 19, 23}
         for n in range(25):
             assert is_prime(n) == (n in expected)
 
+    def test_matches_trial_division_below_20000(self):
+        for n in range(20_000):
+            assert is_prime(n) == trial_division_prime(n), n
+
+    def test_pseudoprimes_are_composite(self):
+        # Carmichael numbers fool the Fermat test; 3215031751 is a strong
+        # pseudoprime to bases 2, 3, 5 and 7.
+        for n in (561, 41041, 3215031751):
+            assert not is_prime(n), n
+
+    def test_large_values_are_fast(self):
+        cases = ((4294967291, True), (2**61 - 1, True), ((2**31 - 1) ** 2, False))
+        for n, expected in cases:
+            start = time.perf_counter()
+            assert is_prime(n) == expected, n
+            assert time.perf_counter() - start < 0.5, n
+
     def test_rejects_nonprime_modulus(self):
         with pytest.raises(ValueError):
-            FieldElement(1, 6)
+            FieldMatrix([[1]], 6)
         with pytest.raises(ValueError):
             FieldMatrix([[1]], 9)
         with pytest.raises(ValueError):
-            FieldElement(1, 1)
-
-
-class TestFieldElement:
-    def test_inverse_matches_brute_force_all_small_fields(self):
-        for q in SMALL_PRIMES:
-            for v in range(1, q):
-                assert int(FieldElement(v, q).inverse()) == brute_force_inverse(v, q)
-
-    def test_arithmetic_exhaustive_f7(self):
-        q = 7
-        for a in range(q):
-            for b in range(q):
-                x, y = FieldElement(a, q), FieldElement(b, q)
-                assert int(x + y) == (a + b) % q
-                assert int(x - y) == (a - b) % q
-                assert int(x * y) == (a * b) % q
-        assert int(-FieldElement(3, q)) == 4
-
-    def test_division_round_trip(self):
-        q = 11
-        for a in range(q):
-            for b in range(1, q):
-                x, y = FieldElement(a, q), FieldElement(b, q)
-                assert (x / y) * y == x
-
-    def test_int_operands_coerce(self):
-        x = FieldElement(3, 5)
-        assert x + 4 == FieldElement(2, 5)
-        assert 4 + x == FieldElement(2, 5)
-        assert 1 - x == FieldElement(3, 5)
-        assert 2 * x == FieldElement(1, 5)
-        assert x == 8  # 8 reduces to 3 mod 5
-
-    def test_pow(self):
-        x = FieldElement(2, 11)
-        assert int(x**10) == 1
-        assert int(x**0) == 1
-        assert x**-1 == x.inverse()
-
-    def test_zero_inverse_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            FieldElement(0, 7).inverse()
-        with pytest.raises(ZeroDivisionError):
-            FieldElement(1, 7) / FieldElement(0, 7)
-
-    def test_mixed_moduli_raise(self):
-        with pytest.raises(ValueError):
-            FieldElement(1, 5) + FieldElement(1, 7)
-        with pytest.raises(ValueError):
-            FieldElement(1, 5) * FieldElement(1, 7)
-
-    def test_immutable_and_hashable(self):
-        x = FieldElement(2, 5)
-        with pytest.raises(AttributeError):
-            x.value = 3
-        assert len({FieldElement(2, 5), FieldElement(2, 5), FieldElement(7, 5)}) == 1
-
-    def test_reduction_on_construction(self):
-        assert int(FieldElement(-1, 7)) == 6
-        assert int(FieldElement(15, 7)) == 1
+            FieldMatrix([[1]], 1)
 
 
 # Frozen inverse tables, each independently recomputed by scanning all
@@ -123,6 +85,14 @@ INVERSE_GOLDENS = [
 
 
 class TestFieldMatrix:
+    def test_scalar_inverse_matches_brute_force_all_small_fields(self):
+        for q in SMALL_PRIMES:
+            for v in range(1, q):
+                inverse = FieldMatrix([[v]], q).inverse()
+                assert inverse[0, 0] == brute_force_inverse(v, q)
+            with pytest.raises(SingularMatrixError):
+                FieldMatrix([[0]], q).inverse()
+
     def test_inverse_goldens(self):
         for rows, q, expected in INVERSE_GOLDENS:
             m = FieldMatrix(rows, q)

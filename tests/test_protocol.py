@@ -235,6 +235,45 @@ class TestRandomness:
             draw_randomness(code, mask=(1, 2))
 
 
+def per_server_shares(code, mask):
+    """Oracle for ``draw_randomness``: each share as its own dot product
+    ``sum(c * u) % q`` over a generator column, in Python ints."""
+    return tuple(
+        sum(c * u for c, u in zip(code.g_column(n), mask)) % code.modulus
+        for n in range(code.n_servers)
+    )
+
+
+class TestSharesMatchPerServerFormula:
+    def check(self, code, seeds=range(3)):
+        for seed in seeds:
+            rnd = draw_randomness(code, seed=seed)
+            assert rnd.shares == per_server_shares(code, rnd.mask_vector)
+            assert all(type(s) is int for s in rnd.shares)
+
+    def test_small_instances(self):
+        from test_verify import small_configs
+
+        for _, _, code in small_configs():
+            self.check(code)
+
+    def test_k64(self):
+        self.check(build_vandermonde_pair(257, 64, 32))
+
+    def test_empty_mask(self):
+        # L = N: no mask, every share is 0
+        code = build_vandermonde_pair(7, 4, 4)
+        rnd = draw_randomness(code, seed=1)
+        assert rnd.mask_vector == ()
+        assert rnd.shares == (0, 0, 0, 0)
+
+    def test_python_int_path(self):
+        # one product of residues already leaves int64
+        assert not int64_exact(BIG_Q, 1)
+        self.check(build_vandermonde_pair(BIG_Q, 4, 2, points=BIG_POINTS), range(10))
+        self.check(build_vandermonde_pair(BIG_Q, 5, 1, points=(3, *BIG_POINTS)), range(10))
+
+
 # All three requests on the q5 instance with storage above and mask u=(2,):
 # shares are (2,1,2).
 Q5_ROUNDS = {

@@ -19,6 +19,7 @@ from codedpid.codes import build_vandermonde_pair
 from codedpid.instances import q5_instance, q11_instance
 from codedpid.protocol import (
     Message,
+    encode_storage,
     make_association,
     random_messages,
     run_delivery,
@@ -457,6 +458,92 @@ class TestFourByteModulusRound:
             sim = simulate_round(config, code, messages, d, seed=seed)
             assert sim.transcript.decoded == messages[d - 1].symbols, seed
             assert sim.transcript == run_delivery(config, code, messages, d, seed=seed)
+
+
+# -- encode once, serve many -----------------------------------------------------
+
+
+def rewritten(messages, d, rng):
+    """``messages`` with message d replaced by fresh symbols."""
+    old = messages[d - 1]
+    symbols = tuple(int(s) for s in rng.integers(0, old.modulus, len(old.symbols)))
+    new = Message(index=d, symbols=symbols, modulus=old.modulus)
+    return tuple(new if m.index == d else m for m in messages)
+
+
+class TestEncodeOnce:
+    """Rounds on one instance reuse its storage and SETUP_STORAGE frames
+    until a message changes, and never serve stale storage."""
+
+    def test_rewritten_message_is_delivered(self):
+        config, code = q11_instance()
+        messages = random_messages(config, seed=2)
+        rng = np.random.default_rng(0)
+        for r in range(12):
+            d = int(rng.integers(1, config.k_messages + 1))
+            if r % 2:
+                messages = rewritten(messages, d, rng)
+            sim = simulate_round(config, code, messages, d, seed=r)
+            lib = run_delivery(config, code, messages, d, seed=r)
+            assert sim.transcript == lib
+            assert lib.decoded == messages[d - 1].symbols
+
+    def test_list_mutated_in_place_is_delivered(self):
+        config, code = q5_instance()
+        messages = list(random_messages(config, seed=3))
+        before = simulate_round(config, code, messages, 2, seed=1)
+        assert before.transcript.decoded == messages[1].symbols
+        symbols = tuple((s + 1) % 5 for s in messages[1].symbols)
+        messages[1] = Message(index=2, symbols=symbols, modulus=5)
+        lib = run_delivery(config, code, messages, 2, seed=1)
+        sim = simulate_round(config, code, messages, 2, seed=1)
+        assert lib.decoded == sim.transcript.decoded == symbols
+        assert sim.transcript == lib
+        assert frames_to_bytes(sim.frames) != frames_to_bytes(before.frames)
+
+    def test_reused_frames_match_fresh_instances(self):
+        config = make_association(257, 64, 64, 32)
+        code = build_vandermonde_pair(257, 64, 32)
+        messages = random_messages(config, seed=8)
+        rng = np.random.default_rng(1)
+        for r in range(20):
+            d = int(rng.integers(1, 65))
+            if r % 5 == 4:
+                messages = rewritten(messages, d, rng)
+            served = simulate_round(config, code, messages, d, seed=r)
+            fresh_code = build_vandermonde_pair(257, 64, 32)
+            fresh = simulate_round(config, fresh_code, messages, d, seed=r)
+            assert frames_to_bytes(served.frames) == frames_to_bytes(fresh.frames), r
+            assert served.transcript == fresh.transcript
+            assert served.transcript.decoded == messages[d - 1].symbols
+
+    def test_storage_is_reused_until_a_message_changes(self):
+        config, code = q11_instance()
+        messages = random_messages(config, seed=4)
+        storage = encode_storage(config, code, messages)
+        assert encode_storage(config, code, list(messages)) is storage
+        copies = tuple(
+            Message(index=m.index, symbols=m.symbols, modulus=m.modulus)
+            for m in messages
+        )
+        assert encode_storage(config, code, copies) is storage
+        changed = rewritten(messages, 1, np.random.default_rng(2))
+        assert encode_storage(config, code, changed) is not storage
+
+    def test_other_association_never_gets_cached_storage(self):
+        # Same (q, K, N, L) and code pair, different host sets.
+        explicit, code = q11_instance()
+        canonical = make_association(11, 8, 6, 3)
+        assert canonical.association != explicit.association
+        messages = random_messages(canonical, seed=5)
+        for config in (canonical, explicit, canonical, explicit):
+            storage = encode_storage(config, code, messages)
+            fresh = encode_storage(config, q11_instance()[1], messages)
+            assert storage == fresh
+            for d in range(1, 9):
+                sim = simulate_round(config, code, messages, d, seed=d)
+                assert sim.transcript.decoded == messages[d - 1].symbols
+                assert sim.transcript == run_delivery(config, code, messages, d, seed=d)
 
 
 # -- codec properties ------------------------------------------------------------
