@@ -14,7 +14,9 @@ the default exhaustive-audit budget.
 
 Config files are ``key = value`` lines; values are Python literals (lists,
 ints, quoted strings) with ``#`` comments.  Keys: q, K, N, L, mode,
-association, points, generator_override, seed, messages, name.  Instance
+association, points, generator_override, seed, messages, name.  Numbers and
+list entries must be integers (not floats or bools), and q must lie below
+2^32, the 4-byte wire symbol; anything else exits 2.  Instance
 directories hold instance.cfg, code.txt, messages.txt, storage.txt and gain
 transcript.txt + frames.log after a delivery.
 """
@@ -35,7 +37,12 @@ from codedpid.analysis import (
     sweep_to_csv,
     valid_msg_lens,
 )
-from codedpid.codes import CodePair, build_vandermonde_pair, override_generator
+from codedpid.codes import (
+    MODULUS_LIMIT,
+    CodePair,
+    build_vandermonde_pair,
+    override_generator,
+)
 from codedpid.protocol import (
     CANONICAL,
     EXPLICIT,
@@ -98,6 +105,10 @@ class InstanceConfig:
     messages: tuple | None
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_config_text(text: str, name: str = "instance") -> InstanceConfig:
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -126,15 +137,36 @@ def parse_config_text(text: str, name: str = "instance") -> InstanceConfig:
 
     def _as_int(key: str) -> int:
         v = values[key]
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_int(v):
             raise CliError(f"key {key!r} must be an integer, got {v!r}")
         return v
 
+    def _ints(key: str, v, what: str) -> tuple[int, ...]:
+        """``v`` as a tuple of integers, refusing floats and bools."""
+        if not isinstance(v, (list, tuple)):
+            raise CliError(f"key {key!r} must be {what}, got {v!r}")
+        for entry in v:
+            if not _is_int(entry):
+                raise CliError(f"key {key!r} entries must be integers, got {entry!r}")
+        return tuple(v)
+
+    def _int_rows(key: str, what: str) -> tuple[tuple[int, ...], ...] | None:
+        rows = values.get(key)
+        if rows is None:
+            return None
+        if not isinstance(rows, (list, tuple)):
+            raise CliError(f"key {key!r} must be a list of {what}")
+        return tuple(_ints(key, row, f"a list of {what}") for row in rows)
+
     q = _as_int("q")
+    if q >= MODULUS_LIMIT:
+        raise CliError(
+            f"key 'q' must be below 2^32 (one 4-byte wire symbol), got {q}"
+        )
     k = _as_int("K")
     n = _as_int("N")
     l = _as_int("L")
-    association = values.get("association")
+    association = _int_rows("association", "host lists")
     mode = values.get("mode")
     if mode is None:
         mode = EXPLICIT if association is not None else CANONICAL
@@ -142,30 +174,14 @@ def parse_config_text(text: str, name: str = "instance") -> InstanceConfig:
         raise CliError(
             f"key 'mode' must be '{CANONICAL}' or '{EXPLICIT}', got {mode!r}"
         )
-    if association is not None:
-        if not isinstance(association, (list, tuple)):
-            raise CliError("key 'association' must be a list of host lists")
-        association = tuple(tuple(h) for h in association)
     points = values.get("points")
     if points is not None:
-        if not isinstance(points, (list, tuple)):
-            raise CliError("key 'points' must be a list of integers")
-        points = tuple(points)
-    gen = values.get("generator_override")
-    if gen is not None:
-        if not isinstance(gen, (list, tuple)):
-            raise CliError("key 'generator_override' must be a list of rows")
-        gen = tuple(tuple(row) for row in gen)
+        points = _ints("points", points, "a list of integers")
+    gen = _int_rows("generator_override", "rows")
     seed = values.get("seed")
-    if seed is not None and (
-        not isinstance(seed, int) or isinstance(seed, bool) or seed < 0
-    ):
+    if seed is not None and (not _is_int(seed) or seed < 0):
         raise CliError(f"key 'seed' must be a non-negative integer, got {seed!r}")
-    messages = values.get("messages")
-    if messages is not None:
-        if not isinstance(messages, (list, tuple)):
-            raise CliError("key 'messages' must be a list of symbol lists")
-        messages = tuple(tuple(m) for m in messages)
+    messages = _int_rows("messages", "symbol lists")
     cfg_name = values.get("name", name)
     if not isinstance(cfg_name, str):
         raise CliError(f"key 'name' must be a string, got {cfg_name!r}")
@@ -252,9 +268,13 @@ def write_instance_dir(
         f"N = {config.n_servers}",
         f"L = {config.msg_len}",
         f"mode = {_fmt(config.mode)}",
-        f"association = {_fmt([list(h) for h in config.association])}",
-        f"points = {_fmt(list(code.points))}",
     ]
+    if config.mode == EXPLICIT:
+        # Canonical mode derives its association and refuses a given one.
+        lines.append(
+            f"association = {_fmt([list(h) for h in config.association])}"
+        )
+    lines.append(f"points = {_fmt(list(code.points))}")
     if cfg.generator_override is not None:
         lines.append(
             f"generator_override = {_fmt([list(r) for r in cfg.generator_override])}"

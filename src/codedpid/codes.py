@@ -31,7 +31,17 @@ import numpy as np
 
 from codedpid.field import FieldMatrix, is_prime
 
-__all__ = ["CodePair", "build_vandermonde_pair", "override_generator"]
+__all__ = [
+    "MODULUS_LIMIT",
+    "CodePair",
+    "build_vandermonde_pair",
+    "check_modulus",
+    "override_generator",
+]
+
+# Every field symbol travels as one 4-byte wire symbol, so a modulus must lie
+# below 2^32; the largest prime allowed is 4294967291.
+MODULUS_LIMIT = 2**32
 
 # Above this many columns, a parity check that is not a Vandermonde matrix
 # gets random minors spot-checked instead of all of them enumerated.
@@ -86,8 +96,7 @@ class CodePair:
 
     def __post_init__(self):
         q = self.modulus
-        if not is_prime(q):
-            raise ValueError(f"modulus {q} is not prime")
+        check_modulus(q)
         h, g = self.parity_check, self.generator
         if h.modulus != q or g.modulus != q:
             raise ValueError("matrix moduli do not match the code modulus")
@@ -168,6 +177,17 @@ class CodePair:
         return self.parity_check.mat_vec(answers)
 
 
+def check_modulus(q: int) -> None:
+    """Refuse a modulus that is not a prime below ``MODULUS_LIMIT``."""
+    if q >= MODULUS_LIMIT:
+        raise ValueError(
+            f"modulus {q} does not fit the 4-byte wire symbol: q must be "
+            f"below 2^32"
+        )
+    if not is_prime(q):
+        raise ValueError(f"modulus {q} is not prime")
+
+
 def build_vandermonde_pair(
     q: int, n_servers: int, msg_len: int, points=None
 ) -> CodePair:
@@ -179,8 +199,7 @@ def build_vandermonde_pair(
     reduced, free columns in ascending order), so the construction is fully
     deterministic.
     """
-    if not is_prime(q):
-        raise ValueError(f"modulus {q} is not prime")
+    check_modulus(q)
     if not 1 <= msg_len <= n_servers:
         raise ValueError(
             f"message length {msg_len} must be between 1 and {n_servers}"

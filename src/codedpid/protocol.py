@@ -40,8 +40,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from codedpid.codes import CodePair, build_vandermonde_pair
-from codedpid.field import is_prime, mod_matmul
+from codedpid.codes import CodePair, build_vandermonde_pair, check_modulus
+from codedpid.field import mod_matmul
 
 __all__ = [
     "CANONICAL",
@@ -97,8 +97,7 @@ class PidConfig:
 
     def __post_init__(self):
         q, k, n, l = self.modulus, self.k_messages, self.n_servers, self.msg_len
-        if not is_prime(q):
-            raise ValueError(f"modulus {q} is not prime")
+        check_modulus(q)
         if k < 1:
             raise ValueError(f"need at least one message, got K={k}")
         if not 1 <= l <= n:
@@ -560,6 +559,28 @@ def run_fully_distributed(messages, n_servers: int, d: int) -> DeliveryTranscrip
     )
 
 
+# ((q, K, active, L), inner config, inner code pair) of the subset round
+# served last.
+_last_subset_inner: list = [None]
+
+
+def _subset_inner(
+    q: int, k_messages: int, active: int, msg_len: int
+) -> tuple[PidConfig, CodePair]:
+    """The canonical config and code pair on the ``active`` servers of a
+    coded subset round, kept while (q, K, active, L) stays the same, so that
+    successive rounds also reuse their encoded storage."""
+    key = (q, k_messages, active, msg_len)
+    last = _last_subset_inner[0]
+    if last is None or last[0] != key:
+        last = _last_subset_inner[0] = (
+            key,
+            make_association(q, k_messages, active, msg_len),
+            build_vandermonde_pair(q, active, msg_len),
+        )
+    return last[1], last[2]
+
+
 def run_subset_scheme(
     k_messages: int,
     n_servers: int,
@@ -601,8 +622,9 @@ def run_subset_scheme(
                 f"L={msg_len} does not balance K={k_messages} messages over "
                 f"{active} active servers"
             )
-        inner_config = make_association(q, k_messages, active, msg_len)
-        inner_code = build_vandermonde_pair(q, active, msg_len)
+        inner_config, inner_code = _subset_inner(
+            q, k_messages, active, msg_len
+        )
         inner = run_delivery(inner_config, inner_code, messages, d, seed=seed)
         answers = inner.answers + ((),) * silent
         return DeliveryTranscript(

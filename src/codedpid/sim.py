@@ -18,8 +18,12 @@ commands, answers in server-id order, decode result - so the frame log of a
 round is a deterministic byte string: replays are byte-identical.  Storage
 is encoded once per instance and messages (see ``protocol.encode_storage``),
 so successive rounds on one instance re-send the same SETUP_STORAGE frames,
-built once; only the shares, the command and the answers change.  Logs
-serialize to files with an 8-byte magic header.
+built once; only the shares, the command and the answers change.  Those
+frames also cost almost nothing after the first round: a storage frame
+packs its bytes once and keeps them, and each server parses its storage
+frame only if no server has parsed that very frame object before (see
+``ServerActor``).  Frames are immutable, so the first parse's result holds
+for the frame for good.  Logs serialize to files with an 8-byte magic header.
 
 The router forwards every frame and enforces the topology: servers never
 talk to each other.  Actors validate every frame they receive and raise
@@ -30,10 +34,12 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
-from codedpid.codes import CodePair, build_vandermonde_pair
+from codedpid.codes import CodePair
 # ``attach_shares`` is not called here (storage frames carry no shares);
 # it stays importable under this module for tracers such as
 # ``perfbench/tracing.py``, which wrap the names they look up here.
@@ -43,10 +49,10 @@ from codedpid.protocol import (  # noqa: F401
     ServerState,
     SharedRandomness,
     _check_messages,
+    _subset_inner,
     attach_shares,
     draw_randomness,
     encode_storage,
-    make_association,
 )
 
 __all__ = [
@@ -108,6 +114,7 @@ class Frame:
     kind: int
     sender: int
     payload: tuple[int, ...]
+    _wire = None  # kept packed bytes (see ``encode``); not a field
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -119,11 +126,32 @@ class Frame:
         ):
             raise FrameError("payload symbols must fit 4 bytes each")
 
+    @classmethod
+    def _unpacked(cls, kind: int, sender: int, payload: tuple[int, ...]) -> Frame:
+        """A frame of fields just unpacked from the wire, built without
+        ``__post_init__``: the ``<BHI`` header and ``<I`` symbols already
+        bound the sender and the symbols, and the caller checks the kind."""
+        frame = object.__new__(cls)
+        fields = frame.__dict__
+        fields["kind"] = kind
+        fields["sender"] = sender
+        fields["payload"] = payload
+        return frame
+
     def encode(self) -> bytes:
-        n = len(self.payload)
-        return struct.pack(
-            f"<BHI{n}I", self.kind, self.sender, 4 * n, *self.payload
-        )
+        """The frame's wire bytes.  A SETUP_STORAGE frame packs them once and
+        keeps them: a frame is immutable, and storage frames are re-sent and
+        re-encoded round after round.  Keeping the bytes of the one-off
+        per-round frames would cost more than it saves."""
+        wire = self._wire
+        if wire is None:
+            n = len(self.payload)
+            wire = struct.pack(
+                f"<BHI{n}I", self.kind, self.sender, 4 * n, *self.payload
+            )
+            if self.kind == SETUP_STORAGE:
+                object.__setattr__(self, "_wire", wire)
+        return wire
 
     @property
     def wire_size(self) -> int:
@@ -143,7 +171,7 @@ def decode_frame(data: bytes, offset: int = 0) -> tuple[Frame, int]:
     if len(data) - start < length:
         raise FrameError("truncated frame payload")
     payload = struct.unpack_from(f"<{length // 4}I", data, start)
-    return Frame(kind=kind, sender=sender, payload=payload), start + length
+    return Frame._unpacked(kind, sender, payload), start + length
 
 
 def frames_to_bytes(frames) -> bytes:
@@ -198,17 +226,29 @@ class ServerActor:
     The answer rule is the protocol's: with a share attached, send fragment
     plus share for a hosted message and the bare share otherwise; with no
     share, send raw fragments or stay silent.
+
+    A SETUP_STORAGE frame is parsed once per frame object: the storage
+    frames ``simulate_round`` re-sends round after round keep the fragment
+    table the first server to receive each one parsed (see ``_framed``), and
+    a later server handed that very object, under the same modulus, takes
+    the table without parsing.  That is sound because a frame is immutable,
+    so the first parse's result, or its ``ProtocolViolation``, holds for it.
+    Every other storage frame - a new storage, a subset or fully distributed
+    round, a frame built by hand, an equal copy - is parsed in full, and a
+    frame that fails to parse is never kept.
     """
 
     def __init__(self, server_id: int, modulus: int):
         self.actor_id = server_id
         self.modulus = modulus
-        self.fragments: dict[int, tuple[int, ...]] = {}
+        self.fragments: Mapping[int, tuple[int, ...]] = {}
         self.share: int | None = None
 
     def receive(self, frame: Frame) -> list[Frame]:
         if frame.kind == SETUP_STORAGE:
-            self._load_storage(frame.payload)
+            self.fragments = _last_framed[0].table(
+                frame, self.modulus, self._load_storage
+            )
             return []
         if frame.kind == SETUP_SHARE:
             if len(frame.payload) != 1:
@@ -227,7 +267,11 @@ class ServerActor:
             f"server {self.actor_id} cannot handle frame kind {frame.kind}"
         )
 
-    def _load_storage(self, payload: tuple[int, ...]) -> None:
+    def _load_storage(
+        self, payload: tuple[int, ...]
+    ) -> Mapping[int, tuple[int, ...]]:
+        """Parse a storage payload into a read-only message id -> symbols
+        table, symbols reduced mod q."""
         if not payload:
             raise ProtocolViolation("storage frame missing entry count")
         q = self.modulus
@@ -251,7 +295,7 @@ class ServerActor:
             pos += n_syms
         if pos != size:
             raise ProtocolViolation("storage frame has trailing symbols")
-        self.fragments = table
+        return MappingProxyType(table)
 
     def _answer(self, d: int) -> tuple[int, ...]:
         symbols = self.fragments.get(d, ())
@@ -311,8 +355,33 @@ def _storage_frames(storage) -> tuple[Frame, ...]:
     return tuple(_storage_frame(state) for state in storage)
 
 
-# (storage, its frames) for the storage tuple ``simulate_round`` framed last.
-_last_framed: list = [None]
+class _FramedStorage:
+    """The SETUP_STORAGE frames of one storage tuple, and the fragment table
+    parsed from each frame, kept once a server has parsed it."""
+
+    def __init__(self, storage, frames: tuple[Frame, ...]):
+        self.storage = storage
+        self.frames = frames
+        self._position = {id(frame): i for i, frame in enumerate(frames)}
+        # (modulus, table) per frame, None until a server parses it.
+        self._tables: list = [None] * len(frames)
+
+    def table(self, frame: Frame, modulus: int, parse):
+        """The fragment table of ``frame`` under ``modulus``: kept from an
+        earlier parse when ``frame`` is one of these very frame objects,
+        else ``parse(frame.payload)``."""
+        i = self._position.get(id(frame))
+        if i is None or self.frames[i] is not frame:
+            return parse(frame.payload)
+        kept = self._tables[i]
+        if kept is None or kept[0] != modulus:
+            kept = self._tables[i] = (modulus, parse(frame.payload))
+        return kept[1]
+
+
+# The storage tuple ``simulate_round`` framed last, with its frames and
+# their parsed tables: memory stays at one storage's frames and tables.
+_last_framed: list[_FramedStorage] = [_FramedStorage(None, ())]
 
 
 def _framed(storage: tuple[ServerState, ...]) -> tuple[Frame, ...]:
@@ -320,11 +389,10 @@ def _framed(storage: tuple[ServerState, ...]) -> tuple[Frame, ...]:
     object: ``encode_storage`` returns the same one until the instance or a
     message changes."""
     last = _last_framed[0]
-    if last is not None and last[0] is storage:
-        return last[1]
-    frames = _storage_frames(storage)
-    _last_framed[0] = (storage, frames)
-    return frames
+    if last.storage is storage:
+        return last.frames
+    last = _last_framed[0] = _FramedStorage(storage, _storage_frames(storage))
+    return last.frames
 
 
 def _run_phases(
@@ -487,8 +555,9 @@ def simulate_subset_round(
     )
 
     if msg_len < active:
-        inner_config = make_association(q, k_messages, active, msg_len)
-        inner_code = build_vandermonde_pair(q, active, msg_len)
+        inner_config, inner_code = _subset_inner(
+            q, k_messages, active, msg_len
+        )
         _check_messages(inner_config, messages)
         storage = encode_storage(inner_config, inner_code, messages) + silent
         randomness = draw_randomness(inner_code, seed)

@@ -8,8 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from codedpid.cli import main
+from codedpid.cli import CliError, main, parse_config_text
 from codedpid.protocol import random_messages
 from codedpid.sim import read_frame_log
 
@@ -98,6 +99,83 @@ class TestConfigParsing:
         assert "mode" in err
 
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("points = [1, 2, 3.5]", "points"),
+            ("generator_override = [[1, 3.0, True]]", "generator_override"),
+            ("association = [[1, 2], [2, 3], [1, 3.9]]", "association"),
+            ("messages = [[1, 2], [3, 4], [0, False]]", "messages"),
+            ("points = [1, True, 3]", "points"),
+            ("association = [[1, 2], 3, [1, 3]]", "association"),
+        ],
+    )
+    def test_non_integer_entries(self, capsys, tmp_path, line, key):
+        key_re = re.compile(rf"^{key} = .*$", re.M)
+        text = Q5_CFG.read_text()
+        text = key_re.sub(line, text) if key_re.search(text) else text + line + "\n"
+        path = self.write(tmp_path, text)
+        code, out, err = run(capsys, "verify", "-c", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: key {key!r}")
+
+    @pytest.mark.parametrize("q", [2**32, 4294967311, 18446744073709551557])
+    def test_modulus_must_fit_a_wire_symbol(self, capsys, tmp_path, q):
+        path = self.write(tmp_path, f"q = {q}\nK = 2\nN = 4\nL = 2\n")
+        for argv in (["verify", "-c", str(path)],
+                     ["setup", "-c", str(path), "-o", str(tmp_path / "o")]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: key 'q' must be below 2^32 (one 4-byte wire symbol), got {q}\n"
+
+    def test_largest_modulus_accepted(self, capsys, tmp_path):
+        path = self.write(tmp_path, "q = 4294967291\nK = 2\nN = 4\nL = 2\nseed = 3\n")
+        out_dir = tmp_path / "inst"
+        assert run(capsys, "setup", "-c", str(path), "-o", str(out_dir))[0] == 0
+        code, out, _ = run(capsys, "deliver", "-i", str(out_dir), "-d", "2")
+        assert code == 0
+        assert "delivered message 2: ok" in out
+
+
+LIST_KEYS = st.sampled_from(("points", "association", "generator_override", "messages"))
+NON_INTS = st.one_of(
+    st.booleans(), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+class TestConfigEntriesProperty:
+    """``parse_config_text`` keeps lists of integers and refuses any entry
+    that is a float or a bool, whatever the key and position."""
+
+    base = "q = 5\nK = 3\nN = 3\nL = 2\n"
+
+    @staticmethod
+    def nested(key, entries):
+        return entries if key == "points" else [[0, 1], entries]
+
+    @given(LIST_KEYS, st.lists(st.integers(-(10**12), 10**12), max_size=5),
+           NON_INTS, st.integers(0, 5))
+    def test_non_integer_entry_refused(self, key, entries, bad, at):
+        entries.insert(at, bad)
+        text = f"{self.base}{key} = {self.nested(key, entries)!r}\n"
+        with pytest.raises(CliError, match=f"key '{key}' entries must be integers") as exc:
+            parse_config_text(text)
+        assert exc.value.exit_code == 2
+
+    @given(LIST_KEYS, st.lists(st.integers(-(10**12), 10**12), max_size=5))
+    def test_integer_entries_kept(self, key, entries):
+        cfg = parse_config_text(f"{self.base}{key} = {self.nested(key, entries)!r}\n")
+        value = {
+            "points": cfg.points,
+            "association": cfg.association,
+            "generator_override": cfg.generator_override,
+            "messages": cfg.messages,
+        }[key]
+        assert value == (tuple(entries) if key == "points" else ((0, 1), tuple(entries)))
+
+
 class TestSetup:
     def test_writes_all_files(self, q5_dir):
         for name in ("instance.cfg", "code.txt", "messages.txt", "storage.txt"):
@@ -153,6 +231,23 @@ class TestSetup:
         run(capsys, "setup", "-c", str(Q5_CFG), "-o", str(a), "--seed", "99")
         run(capsys, "setup", "-c", str(Q5_CFG), "-o", str(b))
         assert (a / "messages.txt").read_text() != (b / "messages.txt").read_text()
+
+
+    def test_canonical_round_trip(self, capsys, tmp_path):
+        cfg = tmp_path / "canonical.cfg"
+        cfg.write_text("q = 7\nK = 2\nN = 4\nL = 2\nseed = 1\n")
+        out = tmp_path / "inst"
+        assert run(capsys, "setup", "-c", str(cfg), "-o", str(out))[0] == 0
+        instance = (out / "instance.cfg").read_text()
+        assert "mode = 'biregular-canonical'" in instance
+        assert "association" not in instance
+        for d in ("1", "2"):
+            code, stdout, err = run(capsys, "deliver", "-i", str(out), "-d", d)
+            assert (code, err) == (0, "")
+            assert f"delivered message {d}: ok" in stdout
+        code, stdout, _ = run(capsys, "verify", "-i", str(out))
+        assert code == 0
+        assert stdout.count("VERDICT=pass") == 2
 
 
 class TestDeliver:

@@ -5,7 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from codedpid.codes import CodePair, build_vandermonde_pair, override_generator
+from codedpid.codes import (
+    MODULUS_LIMIT,
+    CodePair,
+    build_vandermonde_pair,
+    override_generator,
+)
 from codedpid.field import FieldMatrix
 
 # Frozen: the parity check on points 1..6 over F_11 and a compatible
@@ -71,6 +76,13 @@ class TestVandermondeConstruction:
     def test_rejects_nonprime(self):
         with pytest.raises(ValueError, match="prime"):
             build_vandermonde_pair(8, 4, 2)
+
+    def test_modulus_must_fit_a_wire_symbol(self):
+        assert MODULUS_LIMIT == 2**32
+        assert build_vandermonde_pair(4294967291, 4, 2).modulus == 4294967291
+        for q in (2**32, 4294967311, 18446744073709551557):
+            with pytest.raises(ValueError, match="below 2\\^32"):
+                build_vandermonde_pair(q, 4, 2)
 
 
 class TestMdsInvariants:

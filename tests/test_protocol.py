@@ -572,6 +572,11 @@ class TestEncodeMatchesPerSymbolFormula:
 class TestFourByteModulus:
     """Rounds at the largest 4-byte prime decode exactly."""
 
+    def test_larger_moduli_refused(self):
+        for q in (2**32, 4294967311, 18446744073709551557):
+            with pytest.raises(ValueError, match="below 2\\^32"):
+                make_association(q, 2, 4, 2)
+
     def test_run_delivery_decodes_every_seeded_round(self):
         config = make_association(BIG_Q, 2, 4, 2)
         code = build_vandermonde_pair(BIG_Q, 4, 2, points=BIG_POINTS)

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import codedpid.protocol
+import codedpid.sim
 from codedpid.codes import build_vandermonde_pair
 from codedpid.instances import q5_instance, q11_instance
 from codedpid.protocol import (
@@ -546,6 +548,172 @@ class TestEncodeOnce:
                 assert sim.transcript == run_delivery(config, code, messages, d, seed=d)
 
 
+# -- parse once -------------------------------------------------------------------
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """The payloads ``ServerActor._load_storage`` parses, in order."""
+    calls = []
+    parse = ServerActor._load_storage
+
+    def counted(self, payload):
+        calls.append(payload)
+        return parse(self, payload)
+
+    monkeypatch.setattr(ServerActor, "_load_storage", counted)
+    return calls
+
+
+def k64_instance():
+    config = make_association(257, 64, 64, 32)
+    return config, build_vandermonde_pair(257, 64, 32)
+
+
+class TestParseOnce:
+    """A SETUP_STORAGE frame re-sent round after round is parsed by the first
+    server that receives it; any other storage frame is parsed in full."""
+
+    def test_rounds_on_one_instance_parse_storage_once(self, parses):
+        config, code = k64_instance()
+        messages = random_messages(config, seed=6)
+        rng = np.random.default_rng(3)
+        per_round = []
+        for r in range(22):
+            d = int(rng.integers(1, 65))
+            if r == 20:
+                messages = rewritten(messages, d, rng)
+            before = len(parses)
+            sim = simulate_round(config, code, messages, d, seed=r)
+            per_round.append(len(parses) - before)
+            assert sim.transcript == run_delivery(config, code, messages, d, seed=r)
+        assert per_round == [64] + [0] * 19 + [64, 0]
+
+    def test_reused_tables_serve_the_fresh_parse(self):
+        config, code = k64_instance()
+        messages = random_messages(config, seed=7)
+        first = simulate_round(config, code, messages, 1, seed=0)
+        storage_frames = first.frames[:64]
+        for d in (2, 40, 64):
+            served = simulate_round(config, code, messages, d, seed=d)
+            assert served.frames[:64] == storage_frames
+            for n, frame in enumerate(storage_frames, start=1):
+                reused, fresh = ServerActor(n, 257), ServerActor(n, 257)
+                reused.receive(frame)
+                fresh.receive(Frame(frame.kind, frame.sender, frame.payload))
+                assert reused.fragments == fresh.fragments
+            assert served.transcript.decoded == messages[d - 1].symbols
+
+    def test_equal_copy_is_parsed_in_full(self, parses):
+        config, code = k64_instance()
+        frame = simulate_round(
+            config, code, random_messages(config, seed=8), 3, seed=1
+        ).frames[0]
+        assert frame.kind == SETUP_STORAGE
+        parses.clear()
+        original = ServerActor(1, 257)
+        original.receive(frame)
+        assert parses == []
+        built = Frame(frame.kind, frame.sender, frame.payload)
+        decoded, _ = decode_frame(frame.encode())
+        for copy in (built, decoded):
+            assert copy == frame and copy is not frame
+            server = ServerActor(1, 257)
+            server.receive(copy)
+            assert parses[-1] is copy.payload
+            assert server.fragments == original.fragments
+        assert len(parses) == 2
+
+    def test_other_modulus_is_parsed_in_full(self, parses):
+        config, code = k64_instance()
+        frame = simulate_round(
+            config, code, random_messages(config, seed=9), 3, seed=1
+        ).frames[0]
+        parses.clear()
+        small, large = ServerActor(1, 7), ServerActor(1, 257)
+        small.receive(frame)
+        large.receive(frame)
+        assert len(parses) == 2
+        assert all(s < 7 for symbols in small.fragments.values() for s in symbols)
+        assert small.fragments != large.fragments
+
+    def test_malformed_frame_raises_on_every_receipt(self, parses, monkeypatch):
+        bad = Frame(SETUP_STORAGE, 0, (1, 1, 3, 0, 0))
+        good = Frame(SETUP_STORAGE, 0, (1, 2, 1, 3))
+        # Malformed frames held as the current storage's frames are not kept.
+        slot = codedpid.sim._FramedStorage(object(), (bad, good))
+        monkeypatch.setattr(codedpid.sim, "_last_framed", [slot])
+        for n in range(1, 4):
+            with pytest.raises(ProtocolViolation, match="symbols truncated"):
+                ServerActor(n, 5).receive(bad)
+        assert len(parses) == 3
+        for n in range(1, 4):
+            server = ServerActor(n, 5)
+            server.receive(good)
+            assert server.fragments == {2: (3,)}
+        assert len(parses) == 4
+
+    def test_tables_are_read_only(self):
+        server = ServerActor(1, 5)
+        server.receive(Frame(SETUP_STORAGE, 0, (1, 2, 1, 3)))
+        with pytest.raises(TypeError):
+            server.fragments[2] = (0,)
+
+    def test_other_rounds_parse_every_frame(self, parses):
+        rows = [tuple((i + j) % 13 for j in range(4)) for i in range(12)]
+        messages = msgs(13, *rows)
+        for _ in range(3):
+            simulate_subset_round(12, 7, 2, 4, messages, 5, seed=1)
+            simulate_fully_distributed_round(msgs(7, (1, 2), (3, 4)), 2, 1)
+        assert len(parses) == 3 * (7 + 2)
+
+
+class TestSubsetInnerReuse:
+    """Subset rounds keep the inner config and code pair of their last
+    (q, K, active, L), and log exactly what a fresh build would."""
+
+    def test_logs_match_fresh_builds(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        shapes = ((12, 7, 2, 4), (6, 5, 2, 2))
+        messages = {
+            shape: msgs(13, *[tuple(int(x) for x in rng.integers(0, 13, shape[3]))
+                              for _ in range(shape[0])])
+            for shape in shapes
+        }
+        for r in range(16):
+            shape = shapes[r // 4 % 2]
+            k = shape[0]
+            d = int(rng.integers(1, k + 1))
+            if r % 3 == 2:
+                messages[shape] = rewritten(messages[shape], d, rng)
+            served = simulate_subset_round(*shape, messages[shape], d, seed=r)
+            lib = run_subset_scheme(*shape, messages[shape], d, seed=r)
+            monkeypatch.setattr(codedpid.protocol, "_last_subset_inner", [None])
+            fresh = simulate_subset_round(*shape, messages[shape], d, seed=r)
+            assert frames_to_bytes(served.frames) == frames_to_bytes(fresh.frames)
+            assert served.transcript == fresh.transcript == lib
+            assert lib.decoded == messages[shape][d - 1].symbols
+
+    def test_code_is_built_once_per_shape(self, monkeypatch):
+        builds = []
+        build = codedpid.protocol.build_vandermonde_pair
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(codedpid.protocol, "build_vandermonde_pair", counted)
+        monkeypatch.setattr(codedpid.protocol, "_last_subset_inner", [None])
+        messages = msgs(13, *[(i, 1, 2, 3) for i in range(12)])
+        for d in range(1, 13):
+            simulate_subset_round(12, 7, 2, 4, messages, d, seed=d)
+            run_subset_scheme(12, 7, 2, 4, messages, d, seed=d)
+        assert builds == [(13, 6, 4)]
+        other = msgs(11, *[(i % 11, 1, 2, 3) for i in range(12)])
+        simulate_subset_round(12, 7, 2, 4, other, 1, seed=0)
+        assert builds == [(13, 6, 4), (11, 6, 4)]
+
+
 # -- codec properties ------------------------------------------------------------
 
 KINDS = st.sampled_from((SETUP_STORAGE, SETUP_SHARE, DELIVER_CMD, ANSWER, DECODE_RESULT))
@@ -577,6 +745,27 @@ class TestCodecProperties:
     def test_roundtrip_at_offset(self, before, frame, after):
         data = before + frame.encode() + after
         assert decode_frame(data, len(before)) == (frame, len(data) - len(after))
+
+    @given(FRAMES)
+    def test_decoded_frame_equals_built_frame(self, frame):
+        decoded, _ = decode_frame(frame.encode())
+        built = Frame(frame.kind, frame.sender, frame.payload)
+        assert decoded == built and hash(decoded) == hash(built)
+        assert repr(decoded) == repr(built)
+        assert type(decoded.payload) is tuple
+        assert decoded.encode() == built.encode() == frame.encode()
+
+    @given(FRAMES)
+    def test_storage_frames_are_packed_once(self, frame):
+        data = frame.encode()
+        assert frame.encode() == data
+        if frame.kind == SETUP_STORAGE:
+            assert frame.encode() is data
+        n = len(frame.payload)
+        assert data == struct.pack(
+            f"<BHI{n}I", frame.kind, frame.sender, 4 * n, *frame.payload
+        )
+        assert frames_to_bytes([frame, frame]) == data + data
 
     @given(WIRE)
     def test_arbitrary_bytes_raise_only_frame_error(self, data):
