@@ -4,9 +4,11 @@ Certifying privacy by counting, not by argument
 
 On a small instance we can simply enumerate every possible world -- every
 message tuple, every mask value, every request -- and count how often each
-complete answer vector appears for each request.  If the K count maps are
-identical, a server (or a wiretapper seeing all answers) learns nothing
-about the request: that is privacy as an exact, finite, checkable statement.
+complete answer vector appears for each request.  Privacy is owed to the
+user, who receives all N answers: the servers pick the message to convey
+and must not reveal which one it is.  If the K count maps are identical,
+the user (or a wiretapper seeing all answers) learns nothing about the
+request: that is privacy as an exact, finite, checkable statement.
 
 The same machinery audits broken schemes: strip the mask and the census
 splits; corrupt one stored symbol and the correctness sweep finds it.

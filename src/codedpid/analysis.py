@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from codedpid.protocol import DeliveryTranscript, PidConfig, valid_msg_lens
 
 __all__ = [
@@ -191,22 +193,21 @@ def download_floor_check(
     Any scheme that is correct for every possible request and keeps the
     request private must pull at least L symbols out of each message's host
     set; a transcript violating this cannot come from such a scheme.
+
+    The K host-set sums are one product of the config's host incidence
+    (``PidConfig.host_incidence``, built once per config) with the N
+    per-server counts.
     """
     counts = transcript.transmission_counts
     if len(counts) != config.n_servers:
         raise ValueError(
             f"transcript has {len(counts)} servers, config has {config.n_servers}"
         )
-    sums = tuple(
-        sum(counts[s - 1] for s in config.servers_for(k))
-        for k in range(1, config.k_messages + 1)
-    )
-    failing = tuple(
-        k for k, total in enumerate(sums, start=1) if total < config.msg_len
-    )
+    sums = config.host_incidence @ np.array(counts, dtype=np.int64)
+    failing = tuple((np.flatnonzero(sums < config.msg_len) + 1).tolist())
     return DownloadFloorCheck(
         ok=not failing,
-        sums=sums,
+        sums=tuple(sums.tolist()),
         floor=config.msg_len,
         failing_messages=failing,
     )

@@ -15,8 +15,6 @@ the Python-int paths.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 __all__ = [
@@ -26,7 +24,6 @@ __all__ = [
     "is_prime",
     "int64_exact",
     "mod_matmul",
-    "all_square_submatrices_invertible",
 ]
 
 _INT64_LIMIT = 2**63
@@ -361,38 +358,3 @@ class FieldMatrix:
                 basis[i, pc] = (-int(rref[r, fc])) % q
         return FieldMatrix(basis, q)
 
-
-def all_square_submatrices_invertible(
-    matrix: FieldMatrix, size: int, *, samples: int | None = None, seed: int = 0
-) -> bool:
-    """Whether every size x size minor built from `size` rows and `size` columns
-    of `matrix` is invertible.
-
-    With ``samples=None`` all row/column combinations are enumerated.  For
-    larger matrices pass ``samples`` to spot-check that many pseudo-random
-    combinations instead (seeded, reproducible).
-    """
-    if size == 0:
-        return True
-    if size > matrix.rows or size > matrix.cols:
-        raise ValueError(
-            f"minor size {size} exceeds matrix shape {matrix.shape}"
-        )
-    row_choices = list(itertools.combinations(range(matrix.rows), size))
-    col_choices = list(itertools.combinations(range(matrix.cols), size))
-    if samples is None:
-        pairs = itertools.product(row_choices, col_choices)
-    else:
-        rng = np.random.default_rng(seed)
-        pairs = (
-            (
-                row_choices[int(rng.integers(len(row_choices)))],
-                col_choices[int(rng.integers(len(col_choices)))],
-            )
-            for _ in range(samples)
-        )
-    for rows, cols in pairs:
-        sub = matrix.select_rows(rows).select_columns(cols)
-        if sub.determinant() == 0:
-            return False
-    return True

@@ -33,6 +33,7 @@ stores a raw slice of every message, rate 1) and ``run_subset_scheme``
 
 from __future__ import annotations
 
+import functools
 import math
 import secrets
 from dataclasses import dataclass
@@ -179,6 +180,17 @@ class PidConfig:
         if not self.is_balanced:
             raise ValueError("storage per server is uniform only when balanced")
         return Fraction(self.k_messages, self.n_servers)
+
+    @functools.cached_property
+    def host_incidence(self) -> np.ndarray:
+        """Read-only K x N int64 0/1 matrix: row k-1 marks the host set of
+        message k.  Built on first use, not in ``__post_init__``, and kept
+        for the life of the config."""
+        incidence = np.zeros((self.k_messages, self.n_servers), dtype=np.int64)
+        rows = np.repeat(np.arange(self.k_messages), self.msg_len)
+        incidence[rows, np.array(self.association).ravel() - 1] = 1
+        incidence.flags.writeable = False
+        return incidence
 
     def _check_message(self, k: int) -> None:
         if not 1 <= k <= self.k_messages:
@@ -529,9 +541,12 @@ def run_fully_distributed(messages, n_servers: int, d: int) -> DeliveryTranscrip
     """Reference point: every server stores a raw slice of every message.
 
     Requires N to divide L.  The requested message is downloaded slice by
-    slice, nothing else is sent, so the rate is exactly 1 - but every server
-    learns d from the request itself; this variant documents the bandwidth
-    optimum, not a private protocol.
+    slice, nothing else is sent, so the rate is exactly 1.  Every server
+    holds a slice of every message and answers every request with the same
+    number of raw symbols, distributed alike for every d when the messages
+    are uniform, so the user learns nothing of d from the answers; only
+    raw-slice layouts with L < N, where d's host set alone transmits, leak
+    d (see ``verify.split_scheme``).
     """
     messages = tuple(messages)
     if not messages:

@@ -25,6 +25,18 @@ frame only if no server has parsed that very frame object before (see
 ``ServerActor``).  Frames are immutable, so the first parse's result holds
 for the frame for good.  Logs serialize to files with an 8-byte magic header.
 
+A ``Frame`` is a tuple record (kind, sender, payload), so each frame of a
+round costs what a tuple costs.  Its public constructor validates the three
+fields (``FrameError``).  Frames whose fields are bounded already are built
+without that check - the trusted construction: a parsed frame, whose header
+and symbols the wire format bounds, and the share, command, answer and
+decode-result frames of a round.  Those are sound because a round's symbols
+are residues mod q < 2^32 (``codes.MODULUS_LIMIT``) and its senders are 0
+and 1..N+1: ``_run_phases`` checks once per round that N+1 fits 2 bytes and
+that the shares and the request fit 4 bytes, each actor trusts its own
+frames only when its id and modulus bound them, and the user checks the
+symbols its decoder returns.
+
 The router forwards every frame and enforces the topology: servers never
 talk to each other.  Actors validate every frame they receive and raise
 ``ProtocolViolation`` on anything out of schema.
@@ -32,8 +44,10 @@ talk to each other.  Actors validate every frame they receive and raise
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,6 +85,7 @@ __all__ = [
     "UserActor",
     "SimResult",
     "decode_frame",
+    "decode_frames",
     "simulate_round",
     "simulate_subset_round",
     "simulate_fully_distributed_round",
@@ -87,12 +102,16 @@ SETUP_SHARE = 2
 DELIVER_CMD = 3
 ANSWER = 4
 DECODE_RESULT = 5
-_KINDS = {SETUP_STORAGE, SETUP_SHARE, DELIVER_CMD, ANSWER, DECODE_RESULT}
 
 COORDINATOR_ID = 0
 LOG_MAGIC = b"PIDSIM01"
 
 _HEADER = struct.Struct("<BHI")
+_SENDER_LIMIT = 2**16
+_SYMBOL_LIMIT = 2**32
+# Builds a record of a tuple subclass from a 3-tuple without calling its
+# ``__new__``: the trusted construction of frames whose values are bounded.
+_record = tuple.__new__
 
 
 class FrameError(ValueError):
@@ -107,75 +126,133 @@ class RoutingError(RuntimeError):
     """A frame was offered to a forbidden destination."""
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One wire frame: kind, sender id, and a tuple of field symbols."""
+def _check_symbols(payload: tuple[int, ...]) -> None:
+    if payload and not (0 <= min(payload) and max(payload) < _SYMBOL_LIMIT):
+        raise FrameError("payload symbols must fit 4 bytes each")
 
-    kind: int
-    sender: int
-    payload: tuple[int, ...]
-    _wire = None  # kept packed bytes (see ``encode``); not a field
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise FrameError(f"unknown frame kind {self.kind}")
-        if not 0 <= self.sender < 2**16:
-            raise FrameError(f"sender id {self.sender} does not fit 2 bytes")
-        if self.payload and not (
-            0 <= min(self.payload) and max(self.payload) < 2**32
-        ):
-            raise FrameError("payload symbols must fit 4 bytes each")
+class Frame(namedtuple("Frame", ("kind", "sender", "payload"))):
+    """One wire frame: kind, sender id, and a tuple of field symbols.
+
+    A frame is an immutable tuple record, so building, comparing, hashing
+    and reading one run at the cost of a tuple, and only a storage frame
+    has a ``__dict__``.  It is a tuple in every respect: it equals, and
+    hashes like, the bare tuple ``(kind, sender, payload)`` of the same
+    values, and it unpacks as one.
+
+    The constructor validates: the kind must be known, the sender must fit
+    2 bytes and every symbol 4 bytes, else ``FrameError``; the payload is
+    stored as a tuple.  Frames that ``decode_frame`` parses, and the share,
+    deliver-command, answer and decode-result frames of a simulated round,
+    are built without that check (the record is made directly): the wire
+    format bounds what is parsed, and a round's values are bounded before
+    its frames are built (see ``_run_phases``, ``ServerActor`` and
+    ``UserActor.decode_result``).  Every frame, built either way, has the
+    class its kind calls for: SETUP_STORAGE frames are ``_StorageFrame``s.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: int, sender: int, payload) -> Frame:
+        payload = tuple(payload)
+        frame_class = _FRAME_CLASS.get(kind)
+        if frame_class is None:
+            raise FrameError(f"unknown frame kind {kind}")
+        if not 0 <= sender < _SENDER_LIMIT:
+            raise FrameError(f"sender id {sender} does not fit 2 bytes")
+        _check_symbols(payload)
+        return _record(frame_class, (kind, sender, payload))
 
     @classmethod
-    def _unpacked(cls, kind: int, sender: int, payload: tuple[int, ...]) -> Frame:
-        """A frame of fields just unpacked from the wire, built without
-        ``__post_init__``: the ``<BHI`` header and ``<I`` symbols already
-        bound the sender and the symbols, and the caller checks the kind."""
-        frame = object.__new__(cls)
-        fields = frame.__dict__
-        fields["kind"] = kind
-        fields["sender"] = sender
-        fields["payload"] = payload
-        return frame
+    def _make(cls, iterable) -> Frame:
+        # ``namedtuple``'s own ``_make`` (and ``_replace`` through it) would
+        # skip validation.
+        return cls(*iterable)
+
+    def __repr__(self) -> str:
+        return "Frame(kind=%r, sender=%r, payload=%r)" % tuple(self)
 
     def encode(self) -> bytes:
-        """The frame's wire bytes.  A SETUP_STORAGE frame packs them once and
-        keeps them: a frame is immutable, and storage frames are re-sent and
-        re-encoded round after round.  Keeping the bytes of the one-off
-        per-round frames would cost more than it saves."""
-        wire = self._wire
-        if wire is None:
-            n = len(self.payload)
-            wire = struct.pack(
-                f"<BHI{n}I", self.kind, self.sender, 4 * n, *self.payload
-            )
-            if self.kind == SETUP_STORAGE:
-                object.__setattr__(self, "_wire", wire)
-        return wire
+        """The frame's wire bytes."""
+        kind, sender, payload = self
+        n = len(payload)
+        return _frame_struct(n).pack(kind, sender, 4 * n, *payload)
 
     @property
     def wire_size(self) -> int:
-        return _HEADER.size + 4 * len(self.payload)
+        return _HEADER.size + 4 * len(self[2])
+
+
+class _StorageFrame(Frame):
+    """A SETUP_STORAGE frame, which packs its bytes once and keeps them:
+    storage frames are re-sent and re-encoded round after round.  It is the
+    one frame class with a ``__dict__``; keeping the bytes of the one-off
+    per-round frames would cost more than it saves."""
+
+    _wire = None
+
+    def encode(self) -> bytes:
+        wire = self._wire
+        if wire is None:
+            wire = self._wire = Frame.encode(self)
+        return wire
+
+
+_FRAME_CLASS = {
+    SETUP_STORAGE: _StorageFrame,
+    SETUP_SHARE: Frame,
+    DELIVER_CMD: Frame,
+    ANSWER: Frame,
+    DECODE_RESULT: Frame,
+}
+
+
+# Compiled codecs per payload length in symbols.  A log holds few distinct
+# lengths (a round has at most four besides its storage frames); the bound
+# keeps arbitrary input from growing the caches.
+@functools.lru_cache(maxsize=256)
+def _frame_struct(n: int) -> struct.Struct:
+    return struct.Struct(f"<BHI{n}I")
+
+
+@functools.lru_cache(maxsize=256)
+def _symbols_struct(n: int) -> struct.Struct:
+    return struct.Struct(f"<{n}I")
 
 
 def decode_frame(data: bytes, offset: int = 0) -> tuple[Frame, int]:
-    """Parse one frame at ``offset``; returns (frame, next offset)."""
+    """Parse one frame at ``offset``; returns (frame, next offset).
+
+    The ``<BHI`` header and ``<I`` symbols bound the sender and the
+    symbols, so the frame is built without re-validation once its kind is
+    known."""
     if len(data) - offset < _HEADER.size:
         raise FrameError("truncated frame header")
     kind, sender, length = _HEADER.unpack_from(data, offset)
-    if kind not in _KINDS:
+    frame_class = _FRAME_CLASS.get(kind)
+    if frame_class is None:
         raise FrameError(f"unknown frame kind {kind}")
     if length % 4 != 0:
         raise FrameError(f"payload length {length} is not a multiple of 4")
     start = offset + _HEADER.size
     if len(data) - start < length:
         raise FrameError("truncated frame payload")
-    payload = struct.unpack_from(f"<{length // 4}I", data, start)
-    return Frame._unpacked(kind, sender, payload), start + length
+    payload = _symbols_struct(length >> 2).unpack_from(data, start)
+    return _record(frame_class, (kind, sender, payload)), start + length
+
+
+def decode_frames(data: bytes, offset: int = 0) -> tuple[Frame, ...]:
+    """Parse every frame from ``offset`` to the end of ``data``; raises the
+    ``FrameError`` of the first frame that does not parse."""
+    frames = []
+    while offset < len(data):
+        frame, offset = decode_frame(data, offset)
+        frames.append(frame)
+    return tuple(frames)
 
 
 def frames_to_bytes(frames) -> bytes:
-    return b"".join(f.encode() for f in frames)
+    return b"".join([frame.encode() for frame in frames])
 
 
 def write_frame_log(path, frames) -> None:
@@ -189,12 +266,7 @@ def read_frame_log(path) -> tuple[Frame, ...]:
         data = fh.read()
     if not data.startswith(LOG_MAGIC):
         raise FrameError(f"log file lacks the {LOG_MAGIC!r} magic header")
-    frames = []
-    offset = len(LOG_MAGIC)
-    while offset < len(data):
-        frame, offset = decode_frame(data, offset)
-        frames.append(frame)
-    return tuple(frames)
+    return decode_frames(data, len(LOG_MAGIC))
 
 
 class Router:
@@ -204,11 +276,9 @@ class Router:
         self.n_servers = n_servers
         self.log: list[Frame] = []
 
-    def _is_server(self, actor_id: int) -> bool:
-        return 1 <= actor_id <= self.n_servers
-
     def send(self, frame: Frame, recipient) -> list[Frame]:
-        if self._is_server(frame.sender) and self._is_server(recipient.actor_id):
+        n = self.n_servers
+        if 1 <= frame.sender <= n and 1 <= recipient.actor_id <= n:
             raise RoutingError(
                 f"server {frame.sender} may not message server {recipient.actor_id}"
             )
@@ -236,6 +306,11 @@ class ServerActor:
     Every other storage frame - a new storage, a subset or fully distributed
     round, a frame built by hand, an equal copy - is parsed in full, and a
     frame that fails to parse is never kept.
+
+    Answer frames are built without re-validation when the server's own
+    values bound them: its id fits the 2-byte sender field and its modulus
+    is at most 2^32, so every symbol it sends (reduced mod q) fits 4 bytes.
+    Any other server's answers go through the validating ``Frame``.
     """
 
     def __init__(self, server_id: int, modulus: int):
@@ -243,28 +318,35 @@ class ServerActor:
         self.modulus = modulus
         self.fragments: Mapping[int, tuple[int, ...]] = {}
         self.share: int | None = None
+        self._trusted = (
+            0 <= server_id < _SENDER_LIMIT and 0 < modulus <= _SYMBOL_LIMIT
+        )
 
     def receive(self, frame: Frame) -> list[Frame]:
-        if frame.kind == SETUP_STORAGE:
+        kind, _, payload = frame
+        if kind == SETUP_STORAGE:
             self.fragments = _last_framed[0].table(
                 frame, self.modulus, self._load_storage
             )
             return []
-        if frame.kind == SETUP_SHARE:
-            if len(frame.payload) != 1:
+        if kind == SETUP_SHARE:
+            if len(payload) != 1:
                 raise ProtocolViolation(
-                    f"share frame must carry one symbol, got {len(frame.payload)}"
+                    f"share frame must carry one symbol, got {len(payload)}"
                 )
-            self.share = frame.payload[0] % self.modulus
+            self.share = payload[0] % self.modulus
             return []
-        if frame.kind == DELIVER_CMD:
-            if len(frame.payload) != 1:
+        if kind == DELIVER_CMD:
+            if len(payload) != 1:
                 raise ProtocolViolation(
-                    f"deliver command must carry one symbol, got {len(frame.payload)}"
+                    f"deliver command must carry one symbol, got {len(payload)}"
                 )
-            return [Frame(ANSWER, self.actor_id, self._answer(frame.payload[0]))]
+            answer = self._answer(payload[0])
+            if self._trusted:
+                return [_record(Frame, (ANSWER, self.actor_id, answer))]
+            return [Frame(ANSWER, self.actor_id, answer)]
         raise ProtocolViolation(
-            f"server {self.actor_id} cannot handle frame kind {frame.kind}"
+            f"server {self.actor_id} cannot handle frame kind {kind}"
         )
 
     def _load_storage(
@@ -302,7 +384,8 @@ class ServerActor:
         if self.share is None:
             return symbols
         if symbols:
-            return tuple((s + self.share) % self.modulus for s in symbols)
+            share, q = self.share, self.modulus
+            return tuple([(s + share) % q for s in symbols])
         return (self.share,)
 
 
@@ -317,13 +400,15 @@ class UserActor:
         self.answers: dict[int, tuple[int, ...]] = {}
 
     def receive(self, frame: Frame) -> list[Frame]:
-        if frame.kind != ANSWER:
-            raise ProtocolViolation(f"user cannot handle frame kind {frame.kind}")
-        if not 1 <= frame.sender <= self.n_servers:
-            raise ProtocolViolation(f"answer from unknown server {frame.sender}")
-        if frame.sender in self.answers:
-            raise ProtocolViolation(f"server {frame.sender} answered twice")
-        self.answers[frame.sender] = tuple(s % self.modulus for s in frame.payload)
+        kind, sender, payload = frame
+        if kind != ANSWER:
+            raise ProtocolViolation(f"user cannot handle frame kind {kind}")
+        if not 1 <= sender <= self.n_servers:
+            raise ProtocolViolation(f"answer from unknown server {sender}")
+        if sender in self.answers:
+            raise ProtocolViolation(f"server {sender} answered twice")
+        q = self.modulus
+        self.answers[sender] = tuple([s % q for s in payload])
         return []
 
     def decode_result(self) -> Frame:
@@ -332,8 +417,13 @@ class UserActor:
                 f"decoding with {len(self.answers)}/{self.n_servers} answers"
             )
         ordered = tuple(self.answers[n] for n in range(1, self.n_servers + 1))
-        decoded = self.decode_fn(ordered)
-        return Frame(DECODE_RESULT, self.actor_id, tuple(decoded))
+        decoded = tuple(self.decode_fn(ordered))
+        if 0 <= self.actor_id < _SENDER_LIMIT:
+            # ``decode_fn`` is the caller's, so its symbols are checked here;
+            # kind and sender need no check.
+            _check_symbols(decoded)
+            return _record(Frame, (DECODE_RESULT, self.actor_id, decoded))
+        return Frame(DECODE_RESULT, self.actor_id, decoded)  # raises FrameError
 
 
 @dataclass(frozen=True)
@@ -408,21 +498,34 @@ def _run_phases(
     ``storage_frames`` holds one SETUP_STORAGE frame per server, in server-id
     order.  ``shares`` may be None (no share phase) or shorter than the
     server list (only that prefix of servers receives a share).
+
+    The storage frames were validated when they were built.  The share and
+    deliver-command frames are built here without re-validation, after one
+    check per round: the user id N+1, the largest sender of the round, must
+    fit 2 bytes, and the shares and ``d`` 4 bytes each (``FrameError``
+    otherwise, as ``Frame`` would raise).  One command frame goes to every
+    server: frames are immutable.
     """
-    router = Router(n_servers)
-    servers = [ServerActor(n, modulus) for n in range(1, n_servers + 1)]
     user_id = n_servers + 1
+    if shares:
+        _check_symbols(shares[:n_servers])
+    if not 0 <= user_id < _SENDER_LIMIT:
+        raise FrameError(f"sender id {user_id} does not fit 2 bytes")
+    _check_symbols((d,))
+    router = Router(n_servers)
+    servers = [ServerActor(n, modulus) for n in range(1, user_id)]
     user = UserActor(user_id, n_servers, decode_fn, modulus)
 
+    send = router.send
     for frame, actor in zip(storage_frames, servers):
-        router.send(frame, actor)
+        send(frame, actor)
     if shares is not None:
         for share, actor in zip(shares, servers):
-            router.send(Frame(SETUP_SHARE, COORDINATOR_ID, (share,)), actor)
+            send(_record(Frame, (SETUP_SHARE, COORDINATOR_ID, (share,))), actor)
 
+    cmd = _record(Frame, (DELIVER_CMD, user_id, (d,)))
     replies = []
     for actor in servers:
-        cmd = Frame(DELIVER_CMD, user_id, (d,))
         router.log.append(cmd)
         replies.append(actor.receive(cmd))
 
@@ -432,11 +535,11 @@ def _run_phases(
             raise ProtocolViolation("server must reply with exactly one answer")
         answer_frames.append(reply[0])
     for frame in answer_frames:
-        router.send(frame, user)
+        send(frame, user)
 
     result = user.decode_result()
     router.record(result)
-    answers = tuple(frame.payload for frame in answer_frames)
+    answers = tuple([frame.payload for frame in answer_frames])
     return tuple(router.log), answers, result.payload
 
 
@@ -482,7 +585,12 @@ def simulate_round(
 def simulate_fully_distributed_round(
     messages, n_servers: int, d: int
 ) -> SimResult:
-    """Raw-slice reference variant over the wire (rate 1, not private)."""
+    """Raw-slice reference variant over the wire (rate 1).
+
+    Every server holds a slice of every message and all of them answer, so
+    the answers are alike for every d; only raw-slice layouts with L < N
+    leak d (see ``protocol.run_fully_distributed``).
+    """
     messages = tuple(messages)
     if not messages:
         raise ValueError("need at least one message")
@@ -636,23 +744,23 @@ class ByteAccounting:
 
 
 def byte_accounting(frames, n_servers: int) -> ByteAccounting:
-    payload_bytes = [0] * n_servers
     symbols = [0] * n_servers
     delivered = 0
-    headers = 0
-    total = 0
-    for frame in frames:
-        headers += _HEADER.size
-        total += frame.wire_size
-        if frame.kind == ANSWER:
-            payload_bytes[frame.sender - 1] += 4 * len(frame.payload)
-            symbols[frame.sender - 1] += len(frame.payload)
-        elif frame.kind == DECODE_RESULT:
-            delivered += len(frame.payload)
+    count = 0
+    carried = 0
+    for kind, sender, payload in frames:
+        n = len(payload)
+        count += 1
+        carried += n
+        if kind == ANSWER:
+            symbols[sender - 1] += n
+        elif kind == DECODE_RESULT:
+            delivered += n
+    headers = _HEADER.size * count
     return ByteAccounting(
-        answer_payload_bytes=tuple(payload_bytes),
+        answer_payload_bytes=tuple([4 * s for s in symbols]),
         answer_symbols=tuple(symbols),
         delivered_symbols=delivered,
         header_bytes=headers,
-        total_bytes=total,
+        total_bytes=headers + 4 * carried,
     )

@@ -33,8 +33,9 @@ when q^(K*L + N-L) or (q+1)^N reaches 2^63.
 
 Schemes plug in through ``SchemeUnderTest`` (build storage for a batch of
 message tuples, then answer per mask and request), so the real masked
-protocol, the unmasked split variant (a negative control: correct but leaky)
-and fault-injected copies all run through the same enumerator.
+protocol, the unmasked split variant (a negative control: correct, and
+leaky whenever L < N) and fault-injected copies all run through the same
+enumerator.
 
 Budgets: audits refuse to start when ``cases`` exceeds the budget, which
 defaults to 10**7 and can be overridden by the PID_BUDGET environment
@@ -250,12 +251,16 @@ def masked_scheme(
 
 
 def split_scheme(config: PidConfig) -> SchemeUnderTest:
-    """Unmasked raw-slice variant: correct, same storage cost, not private.
+    """Unmasked raw-slice variant: correct, same storage cost, and leaky
+    when L < N.
 
     Each host stores one raw symbol of the message; on a request only d's
-    hosts transmit and everyone else stays silent, so the transmission
-    pattern is the host set of d in plain sight.  Serves as the negative
-    control for the privacy audit.
+    hosts transmit and everyone else stays silent.  With L < N the
+    transmission pattern is the host set of d in plain sight, so the layout
+    serves as the negative control for the privacy audit.  With L = N every
+    server hosts every message and transmits on every request, and the
+    answers are d's raw symbols, distributed alike for every d when the
+    messages are uniform: that layout passes the privacy audit.
     """
     q = config.modulus
     l = config.msg_len

@@ -1,6 +1,5 @@
 """Field matrix arithmetic and primality, checked against brute-force oracles."""
 
-import itertools
 import time
 
 import numpy as np
@@ -10,7 +9,6 @@ from codedpid.field import (
     FieldMatrix,
     RankDeficientError,
     SingularMatrixError,
-    all_square_submatrices_invertible,
     int64_exact,
     is_prime,
     mod_matmul,
@@ -242,36 +240,6 @@ class TestNullSpace:
         assert FieldMatrix([[1, 2], [2, 4]], 5).rank() == 1
         assert FieldMatrix([[1, 0], [0, 1]], 5).rank() == 2
         assert FieldMatrix.zeros(2, 3, 5).rank() == 0
-
-
-class TestMinorEnumeration:
-    def test_vandermonde_is_mds(self):
-        h = FieldMatrix([[pow(p, i, 11) for p in range(1, 7)] for i in range(3)], 11)
-        assert all_square_submatrices_invertible(h, 3)
-
-    def test_detects_singular_minor(self):
-        m = FieldMatrix([[1, 1, 2], [2, 2, 3]], 5)  # columns 0,1 proportional
-        assert not all_square_submatrices_invertible(m, 2)
-
-    def test_degenerate_and_errors(self):
-        m = FieldMatrix([[1, 2], [3, 4]], 5)
-        assert all_square_submatrices_invertible(m, 0)
-        with pytest.raises(ValueError):
-            all_square_submatrices_invertible(m, 3)
-
-    def test_sampled_mode_agrees_on_mds_matrix(self):
-        h = FieldMatrix([[pow(p, i, 13) for p in range(12)] for i in range(4)], 13)
-        assert all_square_submatrices_invertible(h, 4, samples=50, seed=1)
-
-    def test_exhaustive_matches_direct_combination_scan(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            m = FieldMatrix(rng.integers(0, 5, size=(2, 4)), 5)
-            expected = all(
-                int(m.select_columns(cols).determinant()) != 0
-                for cols in itertools.combinations(range(4), 2)
-            )
-            assert all_square_submatrices_invertible(m, 2) == expected
 
 
 # Primes whose products of two residues leave int64: the smallest such prime

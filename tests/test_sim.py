@@ -17,10 +17,15 @@ from hypothesis import given, strategies as st
 
 import codedpid.protocol
 import codedpid.sim
+from codedpid.analysis import DownloadFloorCheck, download_floor_check
 from codedpid.codes import build_vandermonde_pair
 from codedpid.instances import q5_instance, q11_instance
 from codedpid.protocol import (
+    EXPLICIT,
+    DeliveryTranscript,
     Message,
+    SharedRandomness,
+    draw_randomness,
     encode_storage,
     make_association,
     random_messages,
@@ -46,6 +51,7 @@ from codedpid.sim import (
     UserActor,
     byte_accounting,
     decode_frame,
+    decode_frames,
     frames_to_bytes,
     read_frame_log,
     simulate_fully_distributed_round,
@@ -55,6 +61,7 @@ from codedpid.sim import (
 )
 from codedpid.verify import masked_scheme
 from test_protocol import BIG_POINTS, BIG_Q
+from test_verify import small_configs
 
 
 def msgs(q, *rows):
@@ -449,6 +456,16 @@ class TestPinnedFrameLogs:
             parsed.append(frame)
         assert tuple(parsed) == frames
 
+    @pytest.mark.parametrize("make", PINNED_LOGS, ids=lambda f: f.__name__)
+    def test_log_round_trip(self, make, tmp_path):
+        frames = make().frames
+        path = tmp_path / "round.log"
+        write_frame_log(path, frames)
+        assert read_frame_log(path) == frames
+        decoded = decode_frames(frames_to_bytes(frames))
+        assert decoded == frames
+        assert [type(f) for f in decoded] == [type(f) for f in frames]
+
 
 class TestFourByteModulusRound:
     def test_every_seeded_round_decodes(self):
@@ -786,3 +803,312 @@ class TestCodecProperties:
         payload.insert(at, bad)
         with pytest.raises(FrameError, match="4 bytes"):
             Frame(kind, sender, tuple(payload))
+
+
+def decode_one_by_one(data, offset=0):
+    """The frames ``decode_frame`` calls parse from ``offset`` to the end,
+    or the text of the ``FrameError`` they raise."""
+    frames = []
+    try:
+        while offset < len(data):
+            frame, offset = decode_frame(data, offset)
+            frames.append(frame)
+    except FrameError as exc:
+        return str(exc)
+    return tuple(frames)
+
+
+def decode_in_one_loop(data, offset=0):
+    try:
+        return decode_frames(data, offset)
+    except FrameError as exc:
+        return str(exc)
+
+
+class TestDecodeFrames:
+    @given(st.lists(FRAMES, max_size=8))
+    def test_concatenated_frames(self, frames):
+        decoded = decode_frames(frames_to_bytes(frames))
+        assert decoded == tuple(frames)
+        assert [type(f) for f in decoded] == [type(f) for f in frames]
+
+    @given(
+        st.binary(max_size=8),
+        st.lists(st.one_of(FRAMES.map(Frame.encode), WIRE), max_size=5),
+    )
+    def test_same_frames_or_error_as_decode_frame(self, before, chunks):
+        data = before + b"".join(chunks)
+        expected = decode_one_by_one(data, len(before))
+        assert decode_in_one_loop(data, len(before)) == expected
+
+    def test_every_error_text(self):
+        good = Frame(ANSWER, 1, (5,)).encode()
+        cases = {
+            good + good[:4]: "truncated frame header",
+            good + good[:-2]: "truncated frame payload",
+            good + b"\x09" + good[1:]: "unknown frame kind 9",
+            good + b"\x04\x01\x00\x03\x00\x00\x00\x00\x00\x00": (
+                "payload length 3 is not a multiple of 4"
+            ),
+        }
+        for data, message in cases.items():
+            with pytest.raises(FrameError) as raised:
+                decode_frames(data)
+            assert str(raised.value) == message == decode_one_by_one(data)
+
+
+# -- frame records and trusted round frames --------------------------------------
+
+
+def big_modulus_round():
+    config = make_association(BIG_Q, 2, 4, 2)
+    code = build_vandermonde_pair(BIG_Q, 4, 2, points=BIG_POINTS)
+    return simulate_round(config, code, random_messages(config, seed=3), 2, seed=4)
+
+
+ROUNDS = (*PINNED_LOGS, big_modulus_round)
+
+
+class TestFrameRecord:
+    def test_equals_and_hashes_like_its_bare_tuple(self):
+        # A frame is a tuple record: equal to the bare tuple of its fields.
+        frame = Frame(ANSWER, 1, (5,))
+        assert frame == (ANSWER, 1, (5,))
+        assert hash(frame) == hash((ANSWER, 1, (5,)))
+        assert frame != (ANSWER, 1, (6,))
+        kind, sender, payload = frame
+        assert (kind, sender, payload) == (frame.kind, frame.sender, frame.payload)
+        storage = Frame(SETUP_STORAGE, 0, (1, 2, 1, 3))
+        assert storage == (SETUP_STORAGE, 0, (1, 2, 1, 3))
+        assert hash(storage) == hash((SETUP_STORAGE, 0, (1, 2, 1, 3)))
+
+    def test_fields_are_read_only(self):
+        frames = (
+            Frame(ANSWER, 1, (5,)),
+            Frame(SETUP_STORAGE, 0, (1, 2, 1, 3)),
+            decode_frame(Frame(DECODE_RESULT, 4, (1, 2)).encode())[0],
+        )
+        for frame in frames:
+            for field in ("kind", "sender", "payload"):
+                with pytest.raises(AttributeError):
+                    setattr(frame, field, 1)
+
+    def test_only_storage_frames_carry_a_dict(self):
+        for kind in (SETUP_SHARE, DELIVER_CMD, ANSWER, DECODE_RESULT):
+            assert not hasattr(Frame(kind, 1, (2,)), "__dict__")
+            assert not hasattr(decode_frame(Frame(kind, 1, (2,)).encode())[0], "__dict__")
+
+    def test_payload_is_stored_as_a_tuple(self):
+        frame = Frame(ANSWER, 1, [5, 6])
+        assert type(frame.payload) is tuple
+        assert frame == Frame(ANSWER, 1, (5, 6))
+
+    def test_make_and_replace_validate(self):
+        with pytest.raises(FrameError, match="kind"):
+            Frame._make((9, 0, ()))
+        with pytest.raises(FrameError, match="2 bytes"):
+            Frame(ANSWER, 1, ())._replace(sender=2**16)
+        with pytest.raises(FrameError, match="4 bytes"):
+            Frame(ANSWER, 1, ())._replace(payload=(2**32,))
+        storage = Frame(ANSWER, 0, (0,))._replace(kind=SETUP_STORAGE)
+        assert storage.encode() is storage.encode()
+
+    def test_repr(self):
+        built = Frame(SETUP_STORAGE, 0, (1, 2))
+        assert repr(built) == "Frame(kind=1, sender=0, payload=(1, 2))"
+        assert repr(decode_frame(built.encode())[0]) == repr(built)
+        assert repr(Frame(ANSWER, 3, ())) == "Frame(kind=4, sender=3, payload=())"
+
+    @pytest.mark.parametrize("make", ROUNDS, ids=lambda f: f.__name__)
+    def test_round_frames_pass_full_validation(self, make):
+        for frame in make().frames:
+            rebuilt = Frame(*frame)
+            assert rebuilt == frame
+            assert type(rebuilt) is type(frame)
+
+
+class TestTrustedRoundFrames:
+    """Round frames skip re-validation only where their values are bounded."""
+
+    def test_no_validation_or_parse_after_the_first_round(self, parses, monkeypatch):
+        validations = []
+        validate = Frame.__new__
+
+        def counted(cls, kind, sender, payload):
+            validations.append(kind)
+            return validate(cls, kind, sender, payload)
+
+        monkeypatch.setattr(Frame, "__new__", counted)
+        config, code = k64_instance()
+        messages = random_messages(config, seed=10)
+        per_round = []
+        for r in range(20):
+            before = len(validations), len(parses)
+            d = r % 64 + 1
+            sim = simulate_round(config, code, messages, d, seed=r)
+            per_round.append((len(validations) - before[0], len(parses) - before[1]))
+            assert sim.transcript.decoded == messages[d - 1].symbols
+        assert per_round == [(64, 64)] + [(0, 0)] * 19
+        assert set(validations) == {SETUP_STORAGE}
+
+    def test_per_round_bounds_raise_frame_error(self):
+        run = codedpid.sim._run_phases
+
+        def decode(ordered):
+            return ()
+
+        # Checked before any actor is built, so no 65 535 servers are made.
+        with pytest.raises(FrameError, match="sender id 65536 does not fit 2 bytes"):
+            run(2**16 - 1, 5, (), None, 1, decode)
+        for d in (2**32, -1):
+            with pytest.raises(FrameError, match="4 bytes"):
+                run(2, 5, (), None, d, decode)
+        config, code = q5_instance()
+        good = draw_randomness(code, seed=1)
+        for share in (2**32, -1):
+            bad = SharedRandomness(good.mask_vector, (share,) + good.shares[1:], 5)
+            with pytest.raises(FrameError, match="4 bytes"):
+                simulate_round(
+                    config, code, random_messages(config, seed=1), 1, randomness=bad
+                )
+
+    def test_actors_outside_the_bounds_validate_their_frames(self):
+        with pytest.raises(FrameError, match="2 bytes"):
+            ServerActor(2**16, 5).receive(Frame(DELIVER_CMD, 4, (1,)))
+        wide = ServerActor(1, 2**40)
+        wide.receive(Frame(SETUP_STORAGE, 0, (1, 1, 1, 2**32 - 1)))
+        wide.receive(Frame(SETUP_SHARE, 0, (1,)))
+        with pytest.raises(FrameError, match="4 bytes"):
+            wide.receive(Frame(DELIVER_CMD, 4, (1,)))  # answers 2^32
+        for decoded in ((-1,), (2**32,)):
+            user = UserActor(3, 1, decode_fn=lambda _a, out=decoded: out, modulus=5)
+            user.receive(Frame(ANSWER, 1, (1,)))
+            with pytest.raises(FrameError, match="4 bytes"):
+                user.decode_result()
+        far = UserActor(2**16, 1, decode_fn=lambda _a: (0,), modulus=5)
+        far.receive(Frame(ANSWER, 1, (1,)))
+        with pytest.raises(FrameError, match="2 bytes"):
+            far.decode_result()
+
+
+# -- accounting against the per-term formulas ------------------------------------
+
+
+def oracle_accounting(frames, n_servers):
+    """``byte_accounting`` as a sum over frames of each frame's own terms."""
+    payload_bytes = [0] * n_servers
+    symbols = [0] * n_servers
+    delivered = headers = total = 0
+    for frame in frames:
+        headers += 7
+        total += len(frame.encode())
+        if frame.kind == ANSWER:
+            payload_bytes[frame.sender - 1] += 4 * len(frame.payload)
+            symbols[frame.sender - 1] += len(frame.payload)
+        elif frame.kind == DECODE_RESULT:
+            delivered += len(frame.payload)
+    return ByteAccounting(
+        answer_payload_bytes=tuple(payload_bytes),
+        answer_symbols=tuple(symbols),
+        delivered_symbols=delivered,
+        header_bytes=headers,
+        total_bytes=total,
+    )
+
+
+def oracle_floor(config, transcript):
+    """``download_floor_check`` as one sum per (message, host) term."""
+    counts = transcript.transmission_counts
+    sums = tuple(
+        sum(counts[s - 1] for s in config.servers_for(k))
+        for k in range(1, config.k_messages + 1)
+    )
+    failing = tuple(k for k, total in enumerate(sums, start=1) if total < config.msg_len)
+    return DownloadFloorCheck(
+        ok=not failing, sums=sums, floor=config.msg_len, failing_messages=failing
+    )
+
+
+def assert_accounting_matches(config, result):
+    for frames in (result.frames, decode_frames(frames_to_bytes(result.frames))):
+        got = byte_accounting(frames, config.n_servers)
+        assert got == oracle_accounting(frames, config.n_servers)
+    check = download_floor_check(config, result.transcript)
+    assert check == oracle_floor(config, result.transcript)
+    assert all(type(s) is int for s in check.sums)
+    return check
+
+
+def subset_config(q, k, n, l, hosts):
+    """The N-server config whose message k is hosted by ``hosts(k)``."""
+    return make_association(
+        q, k, n, l, mode=EXPLICIT, association=[hosts(m) for m in range(1, k + 1)]
+    )
+
+
+class TestAccountingOracles:
+    def test_small_configs(self):
+        for params, config, code in small_configs():
+            messages = random_messages(config, seed=sum(params))
+            for d in range(1, config.k_messages + 1):
+                result = simulate_round(config, code, messages, d, seed=d)
+                assert assert_accounting_matches(config, result).ok, (params, d)
+
+    def test_explicit_q11_and_k64(self):
+        rounds = ((q11_instance()[0], q11_round()), (k64_instance()[0], k64_round()))
+        for config, result in rounds:
+            assert assert_accounting_matches(config, result).ok
+
+    def test_subset_rounds_with_silent_servers(self):
+        coded, raw = subset_coded_round(), subset_raw_round()
+        inner = make_association(13, 12, 6, 4)
+        config = subset_config(13, 12, 7, 4, inner.servers_for)
+        assert coded.transcript.transmission_counts[-1] == 0
+        assert assert_accounting_matches(config, coded).ok
+        config = subset_config(5, 4, 5, 2, lambda k: (1, 2))
+        assert raw.transcript.transmission_counts == (1, 1, 0, 0, 0)
+        assert assert_accounting_matches(config, raw).ok
+        # Host sets that take in the silent servers miss the floor.
+        config = subset_config(5, 4, 5, 2, lambda k: (k % 2 + 1, k % 3 + 3))
+        check = assert_accounting_matches(config, raw)
+        assert check.sums == (1, 1, 1, 1)
+        assert check.failing_messages == (1, 2, 3, 4)
+
+    def test_hand_built_transcripts_that_fail(self):
+        config = make_association(7, 6, 4, 2)  # hosts (1,2) (3,4) (1,2) ...
+        cases = {
+            ((1,), (), (1,), (1,)): ((1, 2) * 3, (1, 3, 5)),
+            ((), (), (2, 3), ()): ((0, 2) * 3, (1, 3, 5)),
+            ((), (), (), ()): ((0, 0) * 3, (1, 2, 3, 4, 5, 6)),
+            ((1, 1), (), (), (1,)): ((2, 1) * 3, (2, 4, 6)),
+        }
+        for answers, (sums, failing) in cases.items():
+            t = DeliveryTranscript(
+                requested=1, answers=answers, decoded=(0, 0), modulus=7, msg_len=2
+            )
+            check = download_floor_check(config, t)
+            assert check == oracle_floor(config, t)
+            assert (check.ok, check.sums, check.failing_messages) == (False, sums, failing)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            counts = rng.integers(0, 3, size=config.n_servers)
+            t = DeliveryTranscript(
+                requested=1,
+                answers=tuple((0,) * int(c) for c in counts),
+                decoded=(0, 0),
+                modulus=7,
+                msg_len=2,
+            )
+            assert download_floor_check(config, t) == oracle_floor(config, t)
+
+    def test_incidence_is_built_once_per_config_and_read_only(self):
+        config = make_association(7, 6, 4, 2)
+        assert "host_incidence" not in vars(config)
+        incidence = config.host_incidence
+        assert config.host_incidence is incidence
+        assert incidence.tolist() == [
+            [1 if s in config.servers_for(k) else 0 for s in range(1, 5)]
+            for k in range(1, 7)
+        ]
+        with pytest.raises(ValueError):
+            incidence[0, 0] = 0

@@ -184,6 +184,14 @@ class TestSplitControl:
         # silent vs transmitting servers distinguish the requests outright
         assert 0 in (leak.count_a, leak.count_b)
 
+    def test_full_length_layout_is_private(self):
+        # L = N: every server hosts every message and always transmits, so
+        # only L < N raw-slice layouts leak.
+        privacy = scheme_privacy(split_scheme(make_association(3, 2, 2, 2)))
+        assert privacy.passed and privacy.uniform
+        assert privacy.distinct_answers == 9
+        assert privacy.cases == 162
+
     def test_same_storage_cost_as_masked(self):
         config, code = q5_instance()
         masked = masked_scheme(config, code)
