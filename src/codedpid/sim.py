@@ -557,11 +557,16 @@ def simulate_round(
     the same inputs, plus the frame log.  Storage and its SETUP_STORAGE
     frames are reused from the previous round while the instance and the
     messages are unchanged; the shares travel in their own frames.
+    ``randomness`` must hold one share per server, as in ``run_delivery``.
     """
     config._check_message(d)
     storage = encode_storage(config, code, messages)
     if randomness is None:
         randomness = draw_randomness(code, seed)
+    if len(randomness.shares) != len(storage):
+        raise ValueError(
+            f"{len(randomness.shares)} shares for {len(storage)} servers"
+        )
     frames, answers, decoded = _run_phases(
         n_servers=config.n_servers,
         modulus=config.modulus,

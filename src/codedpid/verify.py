@@ -15,12 +15,18 @@ information about d.  All counting is exact integer arithmetic; no
 entropies, no floats.
 
 Evaluation is batched.  The audits walk the inputs in ``itertools.product``
-order (message symbols, then mask symbols), ``CHUNK_ROWS`` inputs at a time,
-as rows of int64 digits, and answer every request d = 1..K for each row.  A
-scheme's stages are maps mod q applied to a whole chunk at once, so a case
-costs a share of a few numpy calls instead of its own Python work, and the
-arrays of one chunk stay well under 1 MB whatever the budget.  The privacy
-census keeps one count per distinct answer vector, as any census must.
+order (message symbols, then mask symbols) as rows of int64 digits, one
+aligned block at a time: the q^t inputs that share all but their last t
+digits, for the largest q^t <= ``CHUNK_ROWS``.  The table of trailing digits
+is built once per audit; a block fills in only its leading digits.  Every
+request d = 1..K is answered for each row.  A scheme's stages are maps mod q
+applied to a whole block at once, so a case costs a share of a few numpy
+calls instead of its own Python work, and the arrays of one block stay well
+under 1 MB whatever the budget.  The mask digits vary fastest, so storage is
+built once per message tuple of a block and repeated over its masks.  The
+privacy census keeps one count per distinct answer vector, as any census
+must: in one dense array of K*(q+1)^N counters when (q+1)^N is at most
+``DENSE_CENSUS_KEYS``, else as per-request maps from the keys seen.
 
 Exactness: all arithmetic is int64.  Every value a scheme's stages compute
 is at most n*(q-1)^2 + q with n = max(K*L, N): a sum of at most n products
@@ -47,6 +53,7 @@ symbol marginals far from uniform (a chi-square screen).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -61,6 +68,7 @@ from codedpid.protocol import PidConfig
 __all__ = [
     "DEFAULT_BUDGET",
     "CHUNK_ROWS",
+    "DENSE_CENSUS_KEYS",
     "BudgetExceededError",
     "InexactArithmeticError",
     "SchemeUnderTest",
@@ -83,9 +91,16 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**7
 BUDGET_ENV_VAR = "PID_BUDGET"
-# Inputs evaluated per batch: large enough that numpy's per-call overhead is
-# small against the work, small enough that a batch's arrays stay cache-sized.
+# Most inputs evaluated at once: an audit's blocks hold q^t inputs, the
+# largest power of q not above this (chunks of this many inputs when q is
+# larger).  Large enough that numpy's per-call overhead is small against the
+# work, small enough that a block's arrays stay cache-sized.
 CHUNK_ROWS = 1024
+# Most answer keys per request, (q+1)^N, that the privacy census counts in a
+# dense array of K*(q+1)^N counters: below it, a block's bincount costs less
+# than merging the block's distinct keys in Python, and the array stays
+# small.  Past it, the keys seen are kept in per-request maps instead.
+DENSE_CENSUS_KEYS = 4096
 _INT64_LIMIT = 2**63
 
 
@@ -137,8 +152,12 @@ class SchemeUnderTest:
       q for a server that sends nothing.
     * ``decode(answers)``: answers to the decoded symbols, shape (B, L).
 
-    Stages are called with positional arguments only.  Construction refuses
-    moduli too large for exact int64 arithmetic (see the module docstring).
+    Stages are called with positional arguments only and must be row-wise:
+    row b of a stage's output depends on row b of its inputs alone, so a
+    batch gives the rows its inputs would give one at a time.  The audits
+    rely on this to build storage once per message tuple and repeat its rows
+    over the masks.  Construction refuses moduli too large for exact int64
+    arithmetic (see the module docstring).
     """
 
     name: str
@@ -297,8 +316,18 @@ def case_count(scheme: SchemeUnderTest) -> int:
 
 
 def _inputs(scheme: SchemeUnderTest, budget: int | None):
-    """Yield (index of the first input, message symbols, mask symbols) for
-    every chunk of inputs, in ``itertools.product`` order.
+    """Yield (index of the first input, message symbols, mask symbols,
+    storage) for every block of consecutive inputs, in ``itertools.product``
+    order.
+
+    A block is the q^t inputs that share all but their last t digits, with
+    q^t <= ``CHUNK_ROWS``: the trailing-digit table is built once and each
+    block fills in only its leading digits, in one buffer reused from block
+    to block.  The mask digits vary fastest, so a block holds each of its
+    message tuples q^min(mask_len, t) times in a row; ``build_storage`` runs
+    on one row per tuple and its rows are repeated (sound because it is
+    row-wise).  When q > ``CHUNK_ROWS`` (t = 0) the inputs come in chunks of
+    ``CHUNK_ROWS`` numbered inputs instead, with storage built for every row.
 
     Refuses first if the audit is over budget or its input count does not
     fit int64.
@@ -316,10 +345,27 @@ def _inputs(scheme: SchemeUnderTest, budget: int | None):
             f"{inputs} inputs cannot be numbered in int64"
         )
     powers = np.array([q**e for e in reversed(range(width))], dtype=np.int64)
-    for start in range(0, inputs, CHUNK_ROWS):
-        index = np.arange(start, min(start + CHUNK_ROWS, inputs), dtype=np.int64)
-        digits = index[:, None] // powers % q
-        yield start, digits[:, :msg_width], digits[:, msg_width:]
+    t = 0
+    while t < width and q ** (t + 1) <= CHUNK_ROWS:
+        t += 1
+    if t == 0:
+        for start in range(0, inputs, CHUNK_ROWS):
+            index = np.arange(start, min(start + CHUNK_ROWS, inputs), dtype=np.int64)
+            digits = index[:, None] // powers % q
+            w = digits[:, :msg_width]
+            yield start, w, digits[:, msg_width:], scheme.build_storage(w)
+        return
+    rows, lead = q**t, width - t
+    digits = np.empty((rows, width), dtype=np.int64)
+    digits[:, lead:] = np.arange(rows, dtype=np.int64)[:, None] // powers[lead:] % q
+    w, mask = digits[:, :msg_width], digits[:, msg_width:]
+    stride = q ** min(scheme.mask_len, t)
+    for block, leading in enumerate(itertools.product(range(q), repeat=lead)):
+        digits[:, :lead] = leading
+        storage = scheme.build_storage(w[::stride])
+        if stride > 1:
+            storage = np.repeat(storage, stride, axis=0)
+        yield block * rows, w, mask, storage
 
 
 @dataclass(frozen=True)
@@ -346,22 +392,16 @@ def scheme_correctness(
     """Decode every (messages, mask, request) case; stop at the first failure."""
     k, l = scheme.k_messages, scheme.msg_len
     done = 0
-    for start, w, mask in _inputs(scheme, budget):
-        storage = scheme.build_storage(w)
+    for start, w, mask, storage in _inputs(scheme, budget):
         decoded = [
             scheme.decode(scheme.answers(storage, mask, d)) for d in range(1, k + 1)
         ]
-        # wrong[i, d-1]: input start+i decodes request d wrongly.  Row-major
-        # order is enumeration order, so argmax finds the first failure.
-        wrong = np.stack(
-            [
-                (got != w[:, d0 * l : (d0 + 1) * l]).any(axis=1)
-                for d0, got in enumerate(decoded)
-            ],
-            axis=1,
-        )
+        # Message d's columns of w are what request d must decode to.
+        wrong = np.concatenate(decoded, axis=1) != w
         if wrong.any():
-            first = int(wrong.argmax())
+            # wrong[i, d-1]: input start+i decodes request d wrongly.  Row-major
+            # order is enumeration order, so argmax finds the first failure.
+            first = int(wrong.reshape(len(w), k, l).any(axis=2).argmax())
             row, d0 = divmod(first, k)
             symbols = w[row].tolist()
             messages = tuple(tuple(symbols[i * l : (i + 1) * l]) for i in range(k))
@@ -376,7 +416,7 @@ def scheme_correctness(
                     expected=messages[d0],
                 ),
             )
-        done += wrong.size
+        done += len(w) * k
     return CorrectnessReport(passed=True, cases=done, counterexample=None)
 
 
@@ -410,32 +450,72 @@ class PrivacyReport:
     mismatch: PrivacyMismatch | None
 
 
-def scheme_privacy(
-    scheme: SchemeUnderTest, budget: int | None = None
-) -> PrivacyReport:
-    """Count every answer vector for every request and compare the censuses."""
-    q, k, l, n = scheme.modulus, scheme.k_messages, scheme.msg_len, scheme.n_servers
+def _census(
+    scheme: SchemeUnderTest, budget: int | None
+) -> tuple[list[dict[int, int]], int]:
+    """Count every answer vector for every request.
+
+    Returns, per request d, a map from each answer vector's key (its
+    base-(q+1) digits, q for silence) to its count, in order of first
+    occurrence; and the number of cases counted.
+    """
+    q, k, n = scheme.modulus, scheme.k_messages, scheme.n_servers
     if (q + 1) ** n >= _INT64_LIMIT:
         raise InexactArithmeticError(
             f"answer vectors of {n} servers over q={q} cannot be keyed in int64"
         )
     base = q + 1
     weights = np.array([base**e for e in reversed(range(n))], dtype=np.int64)
-    # census[d-1]: answer key -> count, in order of first occurrence
-    census: list[dict[int, int]] = [dict() for _ in range(k)]
+    keys_per_request = base**n
+    dense = keys_per_request <= DENSE_CENSUS_KEYS
+    if dense:
+        # Request d's key x counts at (d-1)*base^n + x; ``first`` keeps the
+        # index of the input where that key first occurred.
+        size = k * keys_per_request
+        offsets = np.arange(0, size, keys_per_request, dtype=np.int64)[:, None]
+        counts = np.zeros(size, dtype=np.int64)
+        first = np.zeros(size, dtype=np.int64)
+    else:
+        # census[d-1]: answer key -> count, in order of first occurrence
+        census: list[dict[int, int]] = [dict() for _ in range(k)]
     done = 0
-    for _start, w, mask in _inputs(scheme, budget):
-        storage = scheme.build_storage(w)
-        for d, counts in enumerate(census, start=1):
-            keys, first, hits = np.unique(
-                scheme.answers(storage, mask, d) @ weights,
-                return_index=True,
-                return_counts=True,
-            )
-            order = np.argsort(first)
-            for key, hit in zip(keys[order].tolist(), hits[order].tolist()):
-                counts[key] = counts.get(key, 0) + hit
-        done += len(w) * k
+    for start, w, mask, storage in _inputs(scheme, budget):
+        keys = np.stack(
+            [scheme.answers(storage, mask, d) @ weights for d in range(1, k + 1)]
+        )
+        done += keys.size
+        if dense:
+            keys += offsets
+            block = np.bincount(keys.ravel(), minlength=size)
+            fresh = (block > 0) & (counts == 0)
+            if fresh.any():
+                # positions of the new keys' hits, in row-major order
+                hits = np.flatnonzero(fresh[keys])
+                seen, at = np.unique(keys.ravel()[hits], return_index=True)
+                first[seen] = start + hits[at] % keys.shape[1]
+            counts += block
+        else:
+            for row, counts_d in zip(keys, census):
+                seen, at, hits = np.unique(row, return_index=True, return_counts=True)
+                order = np.argsort(at)
+                for key, hit in zip(seen[order].tolist(), hits[order].tolist()):
+                    counts_d[key] = counts_d.get(key, 0) + hit
+    if dense:
+        census = []
+        for counts_d, first_d in zip(counts.reshape(k, -1), first.reshape(k, -1)):
+            present = np.flatnonzero(counts_d)
+            present = present[np.argsort(first_d[present])]
+            census.append(dict(zip(present.tolist(), counts_d[present].tolist())))
+    return census, done
+
+
+def scheme_privacy(
+    scheme: SchemeUnderTest, budget: int | None = None
+) -> PrivacyReport:
+    """Count every answer vector for every request and compare the censuses."""
+    q, k, l, n = scheme.modulus, scheme.k_messages, scheme.msg_len, scheme.n_servers
+    census, done = _census(scheme, budget)
+    base = q + 1
 
     def answer_tuple(key: int) -> tuple[tuple[int, ...], ...]:
         symbols = []

@@ -181,6 +181,22 @@ class TestRoundStructure:
             assert sim.transcript.decoded == messages[d - 1].symbols
 
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_share_count_must_match_servers(self, count):
+        # a round with too few shares used to leave servers unmasked
+        config, code = q5_instance()
+        messages = random_messages(config, seed=8)
+        full = draw_randomness(code, seed=2)
+        shares = (full.shares + (1,))[:count]
+        randomness = SharedRandomness(full.mask_vector, shares, full.modulus)
+        for d in range(1, config.k_messages + 1):
+            with pytest.raises(ValueError) as lib:
+                run_delivery(config, code, messages, d, randomness=randomness)
+            with pytest.raises(ValueError) as sim:
+                simulate_round(config, code, messages, d, randomness=randomness)
+            assert str(sim.value) == str(lib.value) == f"{count} shares for 3 servers"
+
+
 class TestSubsetRound:
     def test_coded_branch_structure(self):
         q = 13

@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+import codedpid.verify
 from codedpid.codes import build_vandermonde_pair
 from codedpid.instances import q5_instance, q11_instance
 from codedpid.protocol import (
@@ -306,9 +307,10 @@ def oracle_correctness(scheme):
     return CorrectnessReport(True, cases, None)
 
 
-def oracle_privacy(scheme):
-    """Per-case reference for ``scheme_privacy``, with tuple-keyed censuses."""
-    q, k, l, n = scheme.modulus, scheme.k_messages, scheme.msg_len, scheme.n_servers
+def oracle_census(scheme):
+    """Per-case census: per request, answer tuple -> count in order of first
+    occurrence; and the number of cases."""
+    q, k, l = scheme.modulus, scheme.k_messages, scheme.msg_len
     census = [{} for _ in range(k)]
     cases = 0
     for x in itertools.product(range(q), repeat=k * l + scheme.mask_len):
@@ -318,6 +320,14 @@ def oracle_privacy(scheme):
             key = tuple(() if a == q else (a,) for a in row)
             census[d - 1][key] = census[d - 1].get(key, 0) + 1
             cases += 1
+    return census, cases
+
+
+def oracle_privacy(scheme, counted=None):
+    """Per-case reference for ``scheme_privacy``, with tuple-keyed censuses;
+    ``counted`` is the scheme's ``oracle_census`` if already taken."""
+    q, k, l, n = scheme.modulus, scheme.k_messages, scheme.msg_len, scheme.n_servers
+    census, cases = oracle_census(scheme) if counted is None else counted
     mismatch = None
     for d0 in range(1, k):
         a, b = census[0], census[d0]
@@ -331,6 +341,26 @@ def oracle_privacy(scheme):
         c == per_vector for counts in census for c in counts.values())
     return PrivacyReport(mismatch is None, cases, len(support), uniform,
                          per_vector if uniform else None, mismatch)
+
+
+_oracle_runs = {}
+
+
+def oracle_runs(label, scheme):
+    """``oracle_correctness`` and ``oracle_census`` of ``scheme``, taken once
+    per ``label``."""
+    if label not in _oracle_runs:
+        _oracle_runs[label] = (oracle_correctness(scheme), oracle_census(scheme))
+    return _oracle_runs[label]
+
+
+def oracle_reports(label, scheme):
+    correct, counted = oracle_runs(label, scheme)
+    return correct, oracle_privacy(scheme, counted)
+
+
+def audit_reports(scheme):
+    return scheme_correctness(scheme), scheme_privacy(scheme)
 
 
 def small_configs():
@@ -357,27 +387,22 @@ def small_instances():
 class TestBatchedMatchesPerCase:
     def test_small_instances(self):
         for params, scheme in small_instances():
-            assert scheme_correctness(scheme) == oracle_correctness(scheme), params
-            assert scheme_privacy(scheme) == oracle_privacy(scheme), params
+            assert audit_reports(scheme) == oracle_reports(params, scheme), params
 
     def test_split_control(self):
         config, _ = q5_instance()
         scheme = split_scheme(config)
-        assert scheme_correctness(scheme) == oracle_correctness(scheme)
-        assert scheme_privacy(scheme) == oracle_privacy(scheme)
+        assert audit_reports(scheme) == oracle_reports("q5-split", scheme)
 
     def test_every_q5_corrupt_cell(self):
         # the privacy side of these audits is pinned by the CLI golden outputs
-        config, code = q5_instance()
-        for k in range(1, 4):
-            for server in config.servers_for(k):
-                for delta in (1, 4):
-                    scheme = masked_scheme(config, code, corrupt=(server, k, 1, delta))
-                    assert scheme_correctness(scheme) == oracle_correctness(scheme)
+        for cell, scheme in corrupt_cells(*q5_instance(), deltas=(1, 4)):
+            assert scheme_correctness(scheme) == oracle_correctness(scheme), cell
 
     def test_crosses_chunk_boundaries(self):
         # storage corrupted only once message 1's second symbol is nonzero:
-        # the first failure is input 5^5, request 2, in the fourth chunk
+        # the first failure is input 5^5, request 2, in the sixth block of
+        # 5^4 inputs
         config, code = q5_instance()
         corrupt = masked_scheme(config, code, corrupt=(2, 2, 1, 3))
         honest = masked_scheme(config, code)
@@ -390,6 +415,143 @@ class TestBatchedMatchesPerCase:
         report = scheme_correctness(late)
         assert report.cases == 5**5 * 3 + 2 > 3 * CHUNK_ROWS * 3
         assert report == oracle_correctness(late)
+
+
+def corrupt_cells(config, code, deltas):
+    """A corrupted copy of the masked scheme for every stored (server,
+    message) cell and every delta."""
+    for k in range(1, config.k_messages + 1):
+        for server in config.servers_for(k):
+            for delta in deltas:
+                cell = (server, k, 1, delta)
+                yield cell, masked_scheme(config, code, corrupt=cell)
+
+
+def q3_corrupt_cells():
+    """The 12 corrupt cells of the q=3, K=3, N=3, L=2 instance."""
+    config = make_association(3, 3, 3, 2)
+    return corrupt_cells(config, build_vandermonde_pair(3, 3, 2), deltas=(1, 2))
+
+
+def long_mask_scheme():
+    """q=5, K=2, N=5, L=1, one host each: a 4-symbol mask, longer than the
+    t < 4 trailing digits of any block of fewer than 5^4 inputs."""
+    config = make_association(5, 2, 5, 1, mode="explicit", association=[[1], [2]])
+    scheme = masked_scheme(config, build_vandermonde_pair(5, 5, 1))
+    assert scheme.mask_len == 4
+    return scheme
+
+
+@pytest.mark.parametrize("rows", [1, 5, 7, 30, 10**6])
+class TestBlockShapes:
+    """Every block size gives the per-case reports: one-row chunks (t = 0),
+    blocks of q^t inputs shorter or longer than the mask, and the whole input
+    space as one block."""
+
+    @pytest.fixture(autouse=True)
+    def block_rows(self, monkeypatch, rows):
+        monkeypatch.setattr(codedpid.verify, "CHUNK_ROWS", rows)
+
+    def test_small_instances(self):
+        for params, scheme in small_instances():
+            assert audit_reports(scheme) == oracle_reports(params, scheme), params
+
+    def test_split_control(self):
+        config, _ = q5_instance()
+        scheme = split_scheme(config)
+        assert audit_reports(scheme) == oracle_reports("q5-split", scheme)
+
+    def test_every_q5_corrupt_cell(self):
+        # A per-case privacy census of one q5 cell takes seconds, so the q=3
+        # cells below cover the privacy side; the CLI golden outputs pin the
+        # q5 cells' privacy at the default block size.
+        for cell, scheme in corrupt_cells(*q5_instance(), deltas=(1, 4)):
+            assert scheme_correctness(scheme) == oracle_correctness(scheme), cell
+
+    def test_every_q3_corrupt_cell(self):
+        for cell, scheme in q3_corrupt_cells():
+            assert audit_reports(scheme) == oracle_reports(("q3", cell), scheme), cell
+
+    def test_mask_longer_than_trailing_digits(self):
+        scheme = long_mask_scheme()
+        assert audit_reports(scheme) == oracle_reports("long-mask", scheme)
+
+
+def answer_tuple(scheme, key):
+    """The answer vector of a census key, as ``oracle_census`` keys it."""
+    q = scheme.modulus
+    digits = [key // (q + 1) ** e % (q + 1) for e in reversed(range(scheme.n_servers))]
+    return tuple(() if a == q else (a,) for a in digits)
+
+
+class TestCensusPaths:
+    """The dense census and the sparse one give identical reports, the leak
+    line's first-occurrence order included."""
+
+    def schemes(self):
+        config, code = q5_instance()
+        yield "q5", masked_scheme(config, code)
+        yield "q5-split", split_scheme(config)
+        yield "long-mask", long_mask_scheme()
+        yield from small_instances()
+        yield from q3_corrupt_cells()
+
+    def test_sparse_matches_dense(self, monkeypatch):
+        # every census here has at most 6^5 keys per request
+        monkeypatch.setattr(codedpid.verify, "DENSE_CENSUS_KEYS", 6**5)
+        dense = [scheme_privacy(scheme) for _, scheme in self.schemes()]
+        monkeypatch.setattr(codedpid.verify, "DENSE_CENSUS_KEYS", 0)
+        for (label, scheme), report in zip(self.schemes(), dense):
+            assert scheme_privacy(scheme) == report, label
+
+    @pytest.mark.parametrize("bound", [0, 6**5])
+    @pytest.mark.parametrize("rows", [5, CHUNK_ROWS])
+    def test_first_occurrence_order(self, monkeypatch, rows, bound):
+        # the leak search walks the censuses in this order
+        monkeypatch.setattr(codedpid.verify, "CHUNK_ROWS", rows)
+        monkeypatch.setattr(codedpid.verify, "DENSE_CENSUS_KEYS", bound)
+        config, _ = q5_instance()
+        labelled = [("q5-split", split_scheme(config)), ("long-mask", long_mask_scheme())]
+        for label, scheme in labelled + list(small_instances()):
+            census, cases = codedpid.verify._census(scheme, None)
+            expected, expected_cases = oracle_runs(label, scheme)[1]
+            assert cases == expected_cases, label
+            assert [
+                [(answer_tuple(scheme, key), c) for key, c in counts.items()]
+                for counts in census
+            ] == [list(counts.items()) for counts in expected], label
+
+
+class TestStorageOncePerMessageTuple:
+    def counted(self, scheme):
+        rows = []
+
+        def build_storage(w):
+            rows.append(len(w))
+            return scheme.build_storage(w)
+
+        return dataclasses.replace(scheme, build_storage=build_storage), rows
+
+    def test_q5_audits(self):
+        # 5^7 inputs, each message tuple repeated over the 5 mask values:
+        # 5^6 storage rows per property
+        config, code = q5_instance()
+        scheme, rows = self.counted(masked_scheme(config, code))
+        assert scheme_correctness(scheme).passed
+        assert sum(rows) == 5**6
+        rows.clear()
+        assert scheme_privacy(scheme).passed
+        assert sum(rows) == 5**6
+
+    def test_split_control(self):
+        # no mask: one storage row per input
+        config, _ = q5_instance()
+        scheme, rows = self.counted(split_scheme(config))
+        assert scheme_correctness(scheme).passed
+        assert sum(rows) == 5**6
+        rows.clear()
+        assert not scheme_privacy(scheme).passed
+        assert sum(rows) == 5**6
 
 
 class TestExactness:
