@@ -478,10 +478,6 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    properties = (
-        ["correctness", "privacy"] if args.property == "both" else [args.property]
-    )
-
     try:
         budget = verify_mod.resolve_budget(args.budget)
     except ValueError as exc:
@@ -510,41 +506,13 @@ def cmd_verify(args) -> int:
             return EXIT_VERDICT_FAIL
         return EXIT_OK
 
-    failed = False
     try:
-        for prop in properties:
-            if prop == "correctness":
-                c_report = verify_mod.scheme_correctness(scheme, budget=budget)
-                print(
-                    verify_mod.verdict_line(
-                        "correctness", cfg.name, c_report.passed, c_report.cases
-                    )
-                )
-                if not c_report.passed:
-                    failed = True
-                    ce = c_report.counterexample
-                    print(
-                        f"  counterexample: messages={ce.messages} mask={ce.mask} "
-                        f"d={ce.requested} decoded={ce.decoded} expected={ce.expected}"
-                    )
-            else:
-                p_report = verify_mod.scheme_privacy(scheme, budget=budget)
-                print(
-                    verify_mod.verdict_line(
-                        "privacy", cfg.name, p_report.passed, p_report.cases
-                    )
-                )
-                print(
-                    f"  distinct answer vectors: {p_report.distinct_answers}; "
-                    f"uniform over them: {'yes' if p_report.uniform else 'no'}"
-                )
-                if not p_report.passed:
-                    failed = True
-                    mm = p_report.mismatch
-                    print(
-                        f"  leak: answer {mm.answer} occurs {mm.count_a}x for "
-                        f"d={mm.request_a} but {mm.count_b}x for d={mm.request_b}"
-                    )
+        c_report, p_report = verify_mod.scheme_audit(
+            scheme,
+            budget=budget,
+            correctness=args.property != "privacy",
+            privacy=args.property != "correctness",
+        )
     except verify_mod.InexactArithmeticError as exc:
         raise CliError(str(exc)) from exc
     except verify_mod.BudgetExceededError as exc:
@@ -554,6 +522,37 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_BUDGET
+    failed = False
+    if c_report is not None:
+        print(
+            verify_mod.verdict_line(
+                "correctness", cfg.name, c_report.passed, c_report.cases
+            )
+        )
+        if not c_report.passed:
+            failed = True
+            ce = c_report.counterexample
+            print(
+                f"  counterexample: messages={ce.messages} mask={ce.mask} "
+                f"d={ce.requested} decoded={ce.decoded} expected={ce.expected}"
+            )
+    if p_report is not None:
+        print(
+            verify_mod.verdict_line(
+                "privacy", cfg.name, p_report.passed, p_report.cases
+            )
+        )
+        print(
+            f"  distinct answer vectors: {p_report.distinct_answers}; "
+            f"uniform over them: {'yes' if p_report.uniform else 'no'}"
+        )
+        if not p_report.passed:
+            failed = True
+            mm = p_report.mismatch
+            print(
+                f"  leak: answer {mm.answer} occurs {mm.count_a}x for "
+                f"d={mm.request_a} but {mm.count_b}x for d={mm.request_b}"
+            )
     return EXIT_VERDICT_FAIL if failed else EXIT_OK
 
 

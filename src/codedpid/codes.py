@@ -10,12 +10,12 @@ at construction time:
   determine the rest, which is what makes single-server views uniform),
 * ``h @ g.T == 0`` (so the masks vanish under decoding).
 
-A parity check that is the Vandermonde matrix of distinct points has every
-L-column minor invertible by the Vandermonde determinant; any other is
-checked minor by minor.  Given that and orthogonality, the generator has
-the MDS property exactly when it has full rank N-L (its rows then generate
-the MDS code ``h`` checks), so it needs one rank computation, not a minor
-enumeration.
+The parity check must be the Vandermonde matrix of the pair's distinct
+points mod q, so every L-column minor is invertible by the Vandermonde
+determinant; any other parity check is refused.  Given that and
+orthogonality, the generator has the MDS property exactly when it has full
+rank N-L (its rows then generate the MDS code ``h`` checks), so it needs one
+rank computation, not a minor enumeration.  Both checks are exact.
 
 ``build_vandermonde_pair`` constructs the canonical instance from distinct
 evaluation points; ``override_generator`` swaps in a hand-picked generator
@@ -24,10 +24,7 @@ and re-checks everything.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
-
-import numpy as np
 
 from codedpid.field import FieldMatrix, is_prime
 
@@ -43,42 +40,13 @@ __all__ = [
 # below 2^32; the largest prime allowed is 4294967291.
 MODULUS_LIMIT = 2**32
 
-# Above this many columns, a parity check that is not a Vandermonde matrix
-# gets random minors spot-checked instead of all of them enumerated.
-_EXHAUSTIVE_MINOR_LIMIT = 12
-_MINOR_SAMPLES = 100
-
-
-def _first_bad_minor(matrix: FieldMatrix) -> tuple[int, ...] | None:
-    """First column set (all rows tall) whose minor is singular, or None.
-
-    Exhaustive for narrow matrices, seeded random sampling for wide ones.
-    """
-    size = matrix.rows
-    if size == 0:
-        return None
-    if matrix.cols <= _EXHAUSTIVE_MINOR_LIMIT:
-        candidates = itertools.combinations(range(matrix.cols), size)
-    else:
-        rng = np.random.default_rng(2024)
-        candidates = (
-            tuple(sorted(rng.choice(matrix.cols, size=size, replace=False).tolist()))
-            for _ in range(_MINOR_SAMPLES)
-        )
-    for cols in candidates:
-        if matrix.select_columns(cols).determinant() == 0:
-            return tuple(cols)
-    return None
-
-
 @dataclass(frozen=True)
 class CodePair:
     """A parity-check / mask-generator pair over a prime field.
 
-    ``parity_check`` has shape (msg_len, n_servers); ``generator`` has shape
-    (n_servers - msg_len, n_servers).  ``points`` records the evaluation
-    points the parity check was built from (informational; kept so instances
-    can be serialized and rebuilt).
+    ``parity_check`` has shape (msg_len, n_servers) and must be the
+    Vandermonde matrix of ``points``: row i holds the points to the i-th
+    power mod q.  ``generator`` has shape (n_servers - msg_len, n_servers).
     """
 
     parity_check: FieldMatrix
@@ -119,20 +87,20 @@ class CodePair:
                 raise ValueError(
                     "generator rows are not orthogonal to the parity check"
                 )
-        vandermonde = len({p % q for p in self.points}) == n and h.to_lists() == [
-            [pow(p, i, q) for p in self.points] for i in range(h.rows)
-        ]
-        if not vandermonde:
-            bad = _first_bad_minor(h)
-            if bad is not None:
-                raise ValueError(
-                    f"parity-check columns {bad} form a singular matrix mod {q}"
-                )
+        if len({p % q for p in self.points}) != n:
+            raise ValueError(f"evaluation points must be distinct mod {q}")
+        if h.to_lists() != [[pow(p, i, q) for p in self.points] for i in range(h.rows)]:
+            raise ValueError(
+                f"parity check is not the Vandermonde matrix of points "
+                f"{self.points} mod {q}"
+            )
         # h is MDS, so the code it checks is MDS; orthogonal rows of g lie in
         # that code and generate it, making g MDS, exactly when rank g = N-L.
+        # A rank-deficient g has every (N-L)-column minor singular, so its
+        # first N-L columns name a failing set.
         if g.rank() != g.rows:
             raise ValueError(
-                f"generator columns {_first_bad_minor(g)} form a singular "
+                f"generator columns {tuple(range(g.rows))} form a singular "
                 f"matrix mod {q}"
             )
         # Plain-int views, built once: ``protocol.server_answer`` reads a

@@ -6,39 +6,45 @@ point serves K possible requests, so a full audit covers
 
     cases = q^(K*L + N-L) * K
 
-delivery cases.  ``scheme_correctness`` checks the decoder output of every
-case and stops at the first failure; ``scheme_privacy`` counts, for every
-request d, how often each complete answer vector occurs over all inputs.
-The scheme keeps the request private exactly when those K count maps are
-identical: then the answer distribution (inputs uniform) carries zero
-information about d.  All counting is exact integer arithmetic; no
-entropies, no floats.
+delivery cases.  ``scheme_audit`` walks them once and checks both
+properties on the same answers: correctness decodes every case and stops
+decoding at the first failure; the privacy census counts, for every request
+d, how often each complete answer vector occurs over all inputs.  The scheme
+keeps the request private exactly when those K count maps are identical:
+then the answer distribution (inputs uniform) carries zero information about
+d.  ``scheme_correctness`` and ``scheme_privacy`` run the same pass for one
+property.  All counting is exact integer arithmetic; no entropies, no
+floats.
 
-Evaluation is batched.  The audits walk the inputs in ``itertools.product``
+Evaluation is batched.  The audit walks the inputs in ``itertools.product``
 order (message symbols, then mask symbols) as rows of int64 digits, one
 aligned block at a time: the q^t inputs that share all but their last t
 digits, for the largest q^t <= ``CHUNK_ROWS``.  The table of trailing digits
-is built once per audit; a block fills in only its leading digits.  Every
-request d = 1..K is answered for each row.  A scheme's stages are maps mod q
-applied to a whole block at once, so a case costs a share of a few numpy
-calls instead of its own Python work, and the arrays of one block stay well
-under 1 MB whatever the budget.  The mask digits vary fastest, so storage is
-built once per message tuple of a block and repeated over its masks.  The
-privacy census keeps one count per distinct answer vector, as any census
-must: in one dense array of K*(q+1)^N counters when (q+1)^N is at most
-``DENSE_CENSUS_KEYS``, else as per-request maps from the keys seen.
+is built once per audit; a block fills in only its leading digits.  One
+``answers`` call gives every request d = 1..K for each row of a block, and
+that one array feeds both the decode check and the census keys.  A scheme's
+stages are maps mod q applied to a whole block at once, so a case costs a
+share of a few numpy calls instead of its own Python work, and the arrays of
+one block stay well under 1 MB whatever the budget.  The mask digits vary
+fastest, so storage is built once per message tuple of a block and repeated
+over its masks.  The privacy census keeps one count per distinct answer
+vector, as any census must: in one dense array of K*(q+1)^N counters when
+(q+1)^N is at most ``DENSE_CENSUS_KEYS``, else as per-request maps from the
+keys seen.
 
 Exactness: all arithmetic is int64.  Every value a scheme's stages compute
 is at most n*(q-1)^2 + q with n = max(K*L, N): a sum of at most n products
 of residues, plus one residue or the no-symbol marker q.  ``SchemeUnderTest``
 therefore refuses any instance with n*(q-1)^2 + q >= 2^63, raising
 ``InexactArithmeticError`` (a ValueError) instead of wrapping around.  The
-exhaustive audits number their inputs in int64 and the privacy census keys
-an answer vector by its base-(q+1) digits, so they refuse in the same way
-when q^(K*L + N-L) or (q+1)^N reaches 2^63.
+exhaustive audit numbers its inputs in int64 and the privacy census keys
+an answer vector by its base-(q+1) digits, so it refuses in the same way
+when q^(K*L + N-L) or (q+1)^N reaches 2^63.  Refusals come in a fixed order,
+before any case is evaluated: the budget, then the input numbering, then
+(when privacy is audited) the census keys.
 
 Schemes plug in through ``SchemeUnderTest`` (build storage for a batch of
-message tuples, then answer per mask and request), so the real masked
+message tuples, then answer every request per mask), so the real masked
 protocol, the unmasked split variant (a negative control: correct, and
 leaky whenever L < N) and fault-injected copies all run through the same
 enumerator.
@@ -76,6 +82,7 @@ __all__ = [
     "split_scheme",
     "case_count",
     "resolve_budget",
+    "scheme_audit",
     "scheme_correctness",
     "scheme_privacy",
     "exhaustive_correctness",
@@ -145,12 +152,14 @@ class SchemeUnderTest:
     value q, outside F_q, marks "no symbol".
 
     * ``build_storage(w)``: message symbols, shape (B, K*L) with message k in
-      columns (k-1)*L .. k*L-1, to storage, shape (B, N, K): entry
-      [b, j, k-1] is what server j+1 stores of message k, or q if nothing.
-    * ``answers(storage, mask, d)``: storage and mask symbols, shape
-      (B, mask_len), to every server's answer to request d, shape (B, N),
-      q for a server that sends nothing.
-    * ``decode(answers)``: answers to the decoded symbols, shape (B, L).
+      columns (k-1)*L .. k*L-1, to the storage of each row, an array of B
+      rows in whatever layout ``answers`` reads.
+    * ``answers(storage, mask)``: storage and mask symbols, shape
+      (B, mask_len), to every server's answer to every request, shape
+      (B, K, N): entry [b, d-1, j] is server j+1's answer to request d, or q
+      for a server that sends nothing.
+    * ``decode(answers)``: answer vectors, shape (..., N), to the decoded
+      symbols, shape (..., L), row by row over all leading axes.
 
     Stages are called with positional arguments only and must be row-wise:
     row b of a stage's output depends on row b of its inputs alone, so a
@@ -185,24 +194,26 @@ def _linear_storage(q: int, n_servers: int, hosts, rows, corrupt=None) -> Callab
 
     Server ``hosts[k][i]`` (0-based) stores the dot product of ``rows[k][i]``
     with message k+1; ``corrupt`` = (server, message, delta), 0-based, adds
-    delta to one stored symbol.
+    delta to one stored symbol.  The storage has shape (B, K, N): entry
+    [b, k-1, j] is what server j+1 stores of message k, or q if nothing, so
+    each request's row of servers is contiguous.
     """
     k = len(hosts)
     l = len(rows[0][0])
-    encode = np.zeros((k * l, n_servers, k), dtype=np.int64)
-    empty = np.full((n_servers, k), q, dtype=np.int64)
+    encode = np.zeros((k * l, k, n_servers), dtype=np.int64)
+    empty = np.full((k, n_servers), q, dtype=np.int64)
     for k0, (cols, coeffs) in enumerate(zip(hosts, rows)):
         for col, row in zip(cols, coeffs):
-            encode[k0 * l : (k0 + 1) * l, col, k0] = row
-            empty[col, k0] = 0
-    encode = encode.reshape(k * l, n_servers * k)
-    delta = np.zeros((n_servers, k), dtype=np.int64)
+            encode[k0 * l : (k0 + 1) * l, k0, col] = row
+            empty[k0, col] = 0
+    encode = encode.reshape(k * l, k * n_servers)
+    delta = np.zeros((k, n_servers), dtype=np.int64)
     if corrupt is not None:
         server, message, amount = corrupt
-        delta[server, message] = amount % q
+        delta[message, server] = amount % q
 
     def build_storage(w):
-        stored = (w @ encode).reshape(len(w), n_servers, k)
+        stored = (w @ encode).reshape(len(w), k, n_servers)
         return (stored + delta) % q + empty
 
     return build_storage
@@ -248,10 +259,11 @@ def masked_scheme(
     g = g.reshape(n, code.mask_len).T
     h_t = np.array(code.h_rows(), dtype=np.int64).T
 
-    def answers(storage, mask, d):
+    def answers(storage, mask):
         # A server holding nothing of message d has the marker q there, which
-        # is 0 mod q: it sends its mask share alone.
-        return (storage[:, :, d - 1] + mask @ g) % q
+        # is 0 mod q: it sends its mask share alone.  The shares do not
+        # depend on d, so they are computed once for all K requests.
+        return (storage + (mask @ g)[:, None, :]) % q
 
     def decode(answers):
         return answers @ h_t % q
@@ -290,11 +302,11 @@ def split_scheme(config: PidConfig) -> SchemeUnderTest:
     slices = [np.eye(l, dtype=np.int64)] * config.k_messages
     build_storage = _linear_storage(q, config.n_servers, hosts, slices)
 
-    def answers(storage, _mask, d):
-        return storage[:, :, d - 1]
+    def answers(storage, _mask):
+        return storage
 
     def decode(answers):
-        return answers[answers < q].reshape(len(answers), -1)
+        return answers[answers < q].reshape(*answers.shape[:-1], -1)
 
     return SchemeUnderTest(
         name="unmasked-split",
@@ -315,7 +327,25 @@ def case_count(scheme: SchemeUnderTest) -> int:
     return scheme.modulus**exponent * scheme.k_messages
 
 
-def _inputs(scheme: SchemeUnderTest, budget: int | None):
+def _input_count(scheme: SchemeUnderTest, budget: int | None) -> int:
+    """The number of inputs an exhaustive audit of ``scheme`` walks.
+
+    Refuses if the audit is over budget, then if the inputs cannot be
+    numbered in int64.
+    """
+    total = case_count(scheme)
+    allowed = resolve_budget(budget)
+    if total > allowed:
+        raise BudgetExceededError(total, allowed)
+    inputs = scheme.modulus ** (scheme.k_messages * scheme.msg_len + scheme.mask_len)
+    if inputs >= _INT64_LIMIT:
+        raise InexactArithmeticError(
+            f"{inputs} inputs cannot be numbered in int64"
+        )
+    return inputs
+
+
+def _inputs(scheme: SchemeUnderTest, inputs: int):
     """Yield (index of the first input, message symbols, mask symbols,
     storage) for every block of consecutive inputs, in ``itertools.product``
     order.
@@ -328,22 +358,10 @@ def _inputs(scheme: SchemeUnderTest, budget: int | None):
     on one row per tuple and its rows are repeated (sound because it is
     row-wise).  When q > ``CHUNK_ROWS`` (t = 0) the inputs come in chunks of
     ``CHUNK_ROWS`` numbered inputs instead, with storage built for every row.
-
-    Refuses first if the audit is over budget or its input count does not
-    fit int64.
     """
-    total = case_count(scheme)
-    allowed = resolve_budget(budget)
-    if total > allowed:
-        raise BudgetExceededError(total, allowed)
     q = scheme.modulus
     msg_width = scheme.k_messages * scheme.msg_len
     width = msg_width + scheme.mask_len
-    inputs = q**width
-    if inputs >= _INT64_LIMIT:
-        raise InexactArithmeticError(
-            f"{inputs} inputs cannot be numbered in int64"
-        )
     powers = np.array([q**e for e in reversed(range(width))], dtype=np.int64)
     t = 0
     while t < width and q ** (t + 1) <= CHUNK_ROWS:
@@ -386,38 +404,128 @@ class CorrectnessReport:
     counterexample: Counterexample | None
 
 
-def scheme_correctness(
-    scheme: SchemeUnderTest, budget: int | None = None
-) -> CorrectnessReport:
-    """Decode every (messages, mask, request) case; stop at the first failure."""
+def _first_failure(
+    scheme: SchemeUnderTest, start: int, w, mask, answers
+) -> CorrectnessReport | None:
+    """The failed report of a block's first wrongly decoded case, or None
+    when every case of the block decodes."""
     k, l = scheme.k_messages, scheme.msg_len
-    done = 0
-    for start, w, mask, storage in _inputs(scheme, budget):
-        decoded = [
-            scheme.decode(scheme.answers(storage, mask, d)) for d in range(1, k + 1)
-        ]
-        # Message d's columns of w are what request d must decode to.
-        wrong = np.concatenate(decoded, axis=1) != w
-        if wrong.any():
-            # wrong[i, d-1]: input start+i decodes request d wrongly.  Row-major
-            # order is enumeration order, so argmax finds the first failure.
-            first = int(wrong.reshape(len(w), k, l).any(axis=2).argmax())
-            row, d0 = divmod(first, k)
-            symbols = w[row].tolist()
-            messages = tuple(tuple(symbols[i * l : (i + 1) * l]) for i in range(k))
-            return CorrectnessReport(
-                passed=False,
-                cases=start * k + first + 1,
-                counterexample=Counterexample(
-                    messages=messages,
-                    mask=tuple(mask[row].tolist()),
-                    requested=d0 + 1,
-                    decoded=tuple(decoded[d0][row].tolist()),
-                    expected=messages[d0],
-                ),
+    decoded = scheme.decode(answers)
+    # Message d's columns of w are what request d must decode to.
+    wrong = decoded.reshape(len(w), k * l) != w
+    if not wrong.any():
+        return None
+    # wrong[i, (d-1)*L : d*L]: input start+i decodes request d wrongly.
+    # Row-major order is enumeration order, so argmax finds the first failure.
+    first = int(wrong.reshape(len(w), k, l).any(axis=2).argmax())
+    row, d0 = divmod(first, k)
+    symbols = w[row].tolist()
+    messages = tuple(tuple(symbols[i * l : (i + 1) * l]) for i in range(k))
+    return CorrectnessReport(
+        passed=False,
+        cases=start * k + first + 1,
+        counterexample=Counterexample(
+            messages=messages,
+            mask=tuple(mask[row].tolist()),
+            requested=d0 + 1,
+            decoded=tuple(decoded[row, d0].tolist()),
+            expected=messages[d0],
+        ),
+    )
+
+
+class _Census:
+    """Every answer vector of every request, counted block by block.
+
+    ``counts`` gives, per request d, a map from each answer vector's key (its
+    base-(q+1) digits, q for silence) to its count, in order of first
+    occurrence; ``cases`` is the number of cases counted.  Construction
+    refuses answer vectors whose keys do not fit int64.
+    """
+
+    def __init__(self, scheme: SchemeUnderTest):
+        q, k, n = scheme.modulus, scheme.k_messages, scheme.n_servers
+        base = q + 1
+        if base**n >= _INT64_LIMIT:
+            raise InexactArithmeticError(
+                f"answer vectors of {n} servers over q={q} cannot be keyed in int64"
             )
-        done += len(w) * k
-    return CorrectnessReport(passed=True, cases=done, counterexample=None)
+        self.k = k
+        self.weights = np.array([base**e for e in reversed(range(n))], dtype=np.int64)
+        self.cases = 0
+        keys_per_request = base**n
+        self.dense = keys_per_request <= DENSE_CENSUS_KEYS
+        if self.dense:
+            # Request d's key x counts at (d-1)*base^n + x; ``first`` keeps the
+            # index of the input where that key first occurred.
+            self.size = k * keys_per_request
+            self.offsets = np.arange(0, self.size, keys_per_request, dtype=np.int64)
+            self.tally = np.zeros(self.size, dtype=np.int64)
+            self.first = np.zeros(self.size, dtype=np.int64)
+        else:
+            # per request: answer key -> count, in order of first occurrence
+            self.maps: list[dict[int, int]] = [dict() for _ in range(k)]
+
+    def add(self, start: int, answers) -> None:
+        """Count a block's answers, shape (B, K, N), for inputs start.."""
+        keys = answers @ self.weights  # (B, K): input-major, as enumerated
+        self.cases += keys.size
+        if not self.dense:
+            for column, counts in zip(keys.T, self.maps):
+                seen, at, hits = np.unique(column, return_index=True, return_counts=True)
+                order = np.argsort(at)
+                for key, hit in zip(seen[order].tolist(), hits[order].tolist()):
+                    counts[key] = counts.get(key, 0) + hit
+            return
+        keys += self.offsets
+        block = np.bincount(keys.ravel(), minlength=self.size)
+        fresh = (block > 0) & (self.tally == 0)
+        if fresh.any():
+            # positions of the new keys' hits, in enumeration order; a
+            # request-offset key occurs in one column only
+            hits = np.flatnonzero(fresh[keys])
+            seen, at = np.unique(keys.ravel()[hits], return_index=True)
+            self.first[seen] = start + hits[at] // self.k
+        self.tally += block
+
+    def counts(self) -> list[dict[int, int]]:
+        if not self.dense:
+            return self.maps
+        census = []
+        for tally, first in zip(
+            self.tally.reshape(self.k, -1), self.first.reshape(self.k, -1)
+        ):
+            present = np.flatnonzero(tally)
+            present = present[np.argsort(first[present])]
+            census.append(dict(zip(present.tolist(), tally[present].tolist())))
+        return census
+
+
+def _audit(
+    scheme: SchemeUnderTest, budget: int | None, correctness: bool, privacy: bool
+) -> tuple[CorrectnessReport | None, _Census | None]:
+    """The one pass behind ``scheme_audit``: the correctness report, or None,
+    and the filled census, or None."""
+    k = scheme.k_messages
+    inputs = _input_count(scheme, budget)
+    census = _Census(scheme) if privacy else None
+    failure = None
+    checked = 0
+    for start, w, mask, storage in _inputs(scheme, inputs):
+        answers = scheme.answers(storage, mask)
+        if correctness and failure is None:
+            failure = _first_failure(scheme, start, w, mask, answers)
+            if failure is None:
+                checked += len(w) * k
+            elif census is None:
+                break
+        if census is not None:
+            census.add(start, answers)
+    if not correctness:
+        return None, census
+    if failure is None:
+        return CorrectnessReport(passed=True, cases=checked, counterexample=None), census
+    return failure, census
 
 
 @dataclass(frozen=True)
@@ -450,71 +558,11 @@ class PrivacyReport:
     mismatch: PrivacyMismatch | None
 
 
-def _census(
-    scheme: SchemeUnderTest, budget: int | None
-) -> tuple[list[dict[int, int]], int]:
-    """Count every answer vector for every request.
-
-    Returns, per request d, a map from each answer vector's key (its
-    base-(q+1) digits, q for silence) to its count, in order of first
-    occurrence; and the number of cases counted.
-    """
-    q, k, n = scheme.modulus, scheme.k_messages, scheme.n_servers
-    if (q + 1) ** n >= _INT64_LIMIT:
-        raise InexactArithmeticError(
-            f"answer vectors of {n} servers over q={q} cannot be keyed in int64"
-        )
-    base = q + 1
-    weights = np.array([base**e for e in reversed(range(n))], dtype=np.int64)
-    keys_per_request = base**n
-    dense = keys_per_request <= DENSE_CENSUS_KEYS
-    if dense:
-        # Request d's key x counts at (d-1)*base^n + x; ``first`` keeps the
-        # index of the input where that key first occurred.
-        size = k * keys_per_request
-        offsets = np.arange(0, size, keys_per_request, dtype=np.int64)[:, None]
-        counts = np.zeros(size, dtype=np.int64)
-        first = np.zeros(size, dtype=np.int64)
-    else:
-        # census[d-1]: answer key -> count, in order of first occurrence
-        census: list[dict[int, int]] = [dict() for _ in range(k)]
-    done = 0
-    for start, w, mask, storage in _inputs(scheme, budget):
-        keys = np.stack(
-            [scheme.answers(storage, mask, d) @ weights for d in range(1, k + 1)]
-        )
-        done += keys.size
-        if dense:
-            keys += offsets
-            block = np.bincount(keys.ravel(), minlength=size)
-            fresh = (block > 0) & (counts == 0)
-            if fresh.any():
-                # positions of the new keys' hits, in row-major order
-                hits = np.flatnonzero(fresh[keys])
-                seen, at = np.unique(keys.ravel()[hits], return_index=True)
-                first[seen] = start + hits[at] % keys.shape[1]
-            counts += block
-        else:
-            for row, counts_d in zip(keys, census):
-                seen, at, hits = np.unique(row, return_index=True, return_counts=True)
-                order = np.argsort(at)
-                for key, hit in zip(seen[order].tolist(), hits[order].tolist()):
-                    counts_d[key] = counts_d.get(key, 0) + hit
-    if dense:
-        census = []
-        for counts_d, first_d in zip(counts.reshape(k, -1), first.reshape(k, -1)):
-            present = np.flatnonzero(counts_d)
-            present = present[np.argsort(first_d[present])]
-            census.append(dict(zip(present.tolist(), counts_d[present].tolist())))
-    return census, done
-
-
-def scheme_privacy(
-    scheme: SchemeUnderTest, budget: int | None = None
-) -> PrivacyReport:
-    """Count every answer vector for every request and compare the censuses."""
+def _privacy_report(scheme: SchemeUnderTest, census: _Census) -> PrivacyReport:
+    """Compare the K censuses: the first leaking answer vector, if any, and
+    whether the answers are uniform."""
     q, k, l, n = scheme.modulus, scheme.k_messages, scheme.msg_len, scheme.n_servers
-    census, done = _census(scheme, budget)
+    counted = census.counts()
     base = q + 1
 
     def answer_tuple(key: int) -> tuple[tuple[int, ...], ...]:
@@ -524,15 +572,15 @@ def scheme_privacy(
             symbols.append(() if symbol == q else (symbol,))
         return tuple(reversed(symbols))
 
-    reference = census[0]
+    reference = counted[0]
     mismatch = None
     for d0 in range(1, k):
-        if census[d0] == reference:
+        if counted[d0] == reference:
             continue
         # Keyed by answer tuples, in first-occurrence order, so the union
         # below visits the keys in the same order as a per-case census.
         ref = {answer_tuple(key): c for key, c in reference.items()}
-        other = {answer_tuple(key): c for key, c in census[d0].items()}
+        other = {answer_tuple(key): c for key, c in counted[d0].items()}
         for key in ref.keys() | other.keys():
             if ref.get(key, 0) != other.get(key, 0):
                 mismatch = PrivacyMismatch(
@@ -545,7 +593,7 @@ def scheme_privacy(
                 break
         break
 
-    support = {key for counts in census for key in counts}
+    support = {key for counts in counted for key in counts}
     inputs_per_request = q ** (k * l + scheme.mask_len)
     full_space = q**n
     uniform = (
@@ -554,18 +602,50 @@ def scheme_privacy(
         and inputs_per_request % full_space == 0
         and all(
             count == inputs_per_request // full_space
-            for counts in census
+            for counts in counted
             for count in counts.values()
         )
     )
     return PrivacyReport(
         passed=mismatch is None,
-        cases=done,
+        cases=census.cases,
         distinct_answers=len(support),
         uniform=uniform,
         uniform_count=inputs_per_request // full_space if uniform else None,
         mismatch=mismatch,
     )
+
+
+def scheme_audit(
+    scheme: SchemeUnderTest,
+    budget: int | None = None,
+    correctness: bool = True,
+    privacy: bool = True,
+) -> tuple[CorrectnessReport | None, PrivacyReport | None]:
+    """Audit correctness and privacy in one pass over the inputs.
+
+    Returns the correctness and privacy reports, None for a property not
+    audited.  Each block's answers to all K requests come from one
+    ``answers`` call and feed both the decode check and the census.
+    Decoding stops at the first failure; the census still counts every
+    case, and a correctness-only audit stops there.
+    """
+    c_report, census = _audit(scheme, budget, correctness, privacy)
+    return c_report, None if census is None else _privacy_report(scheme, census)
+
+
+def scheme_correctness(
+    scheme: SchemeUnderTest, budget: int | None = None
+) -> CorrectnessReport:
+    """Decode every (messages, mask, request) case; stop at the first failure."""
+    return scheme_audit(scheme, budget, privacy=False)[0]
+
+
+def scheme_privacy(
+    scheme: SchemeUnderTest, budget: int | None = None
+) -> PrivacyReport:
+    """Count every answer vector for every request and compare the censuses."""
+    return scheme_audit(scheme, budget, correctness=False)[1]
 
 
 def exhaustive_correctness(
@@ -641,22 +721,20 @@ def randomized_privacy_probe(
     rng = np.random.default_rng(seed)
     patterns: list[set[tuple[int, ...]]] = [set() for _ in range(k)]
     # marginals[d-1, j, s]: how often server j+1 sent s; column q counts silence
-    marginals = np.zeros((k, n, q + 1), dtype=np.int64)
-    columns = np.arange(n) * (q + 1)
+    marginals = np.zeros(k * n * (q + 1), dtype=np.int64)
+    columns = np.arange(k * n).reshape(k, n) * (q + 1)
     for start in range(0, trials, CHUNK_ROWS):
         # one row per trial: its K messages, then its mask
         drawn = rng.integers(
             0, q, size=(min(CHUNK_ROWS, trials - start), k * l + scheme.mask_len)
         )
         storage = scheme.build_storage(drawn[:, : k * l])
-        for d0 in range(k):
-            answer = scheme.answers(storage, drawn[:, k * l :], d0 + 1)
-            sent = np.unique(answer < q, axis=0).astype(np.int64)
-            patterns[d0].update(map(tuple, sent.tolist()))
-            marginals[d0] += np.bincount(
-                (answer + columns).ravel(), minlength=n * (q + 1)
-            ).reshape(n, q + 1)
-    marginals = marginals[:, :, :q]
+        answers = scheme.answers(storage, drawn[:, k * l :])
+        for seen, sent in zip(patterns, (answers < q).transpose(1, 0, 2)):
+            sent = np.unique(sent, axis=0).astype(np.int64)
+            seen.update(map(tuple, sent.tolist()))
+        marginals += np.bincount((answers + columns).ravel(), minlength=marginals.size)
+    marginals = marginals.reshape(k, n, q + 1)[:, :, :q]
 
     pattern_sets = tuple(tuple(sorted(p)) for p in patterns)
     pattern_anomaly = len(set(pattern_sets)) > 1

@@ -450,6 +450,43 @@ class TestVerify:
         assert out == ""
         assert "too large for exact int64 audits" in err
 
+    def split_cfg(self, tmp_path, k):
+        # q=17 with 16 servers and K one-host messages: split answers are
+        # keyed by 18^16 > 2^63 values; K = 16 also makes 17^16 > 2^63 inputs
+        path = tmp_path / f"split-k{k}.cfg"
+        hosts = [[j] for j in range(1, k + 1)]
+        path.write_text(
+            f"q = 17\nK = {k}\nN = 16\nL = 1\n"
+            f"mode = 'explicit'\nassociation = {hosts}\n"
+        )
+        return str(path)
+
+    def test_refusal_order(self, capsys, monkeypatch, tmp_path):
+        # budget first (exit 4), then the input numbering, then the census
+        # keys (exit 2), all before any verdict line
+        monkeypatch.delenv("PID_BUDGET", raising=False)
+        both = ("--scheme", "split", "--property", "both")
+        wide = self.split_cfg(tmp_path, 16)
+        code, out, err = run(capsys, "verify", "-c", wide, *both)
+        assert (code, out) == (4, "")
+        assert "budget exceeded" in err
+        code, out, err = run(
+            capsys, "verify", "-c", wide, *both, "--budget", str(10**21)
+        )
+        assert (code, out) == (2, "")
+        assert "inputs cannot be numbered in int64" in err
+        narrow = self.split_cfg(tmp_path, 1)
+        code, out, err = run(capsys, "verify", "-c", narrow, *both)
+        assert (code, out) == (2, "")
+        assert "cannot be keyed in int64" in err
+        # the keys matter only to the census
+        code, out, _ = run(
+            capsys, "verify", "-c", narrow, "--scheme", "split",
+            "--property", "correctness",
+        )
+        assert code == 0
+        assert out == "PROPERTY=correctness INSTANCE=split-k1 VERDICT=pass CASES=17\n"
+
     def test_golden_outputs(self, capsys, monkeypatch):
         # stdout and exit code of each run, recorded before the audits were
         # batched; every byte must stay the same

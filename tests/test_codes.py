@@ -146,6 +146,18 @@ class TestOverrideGenerator:
         with pytest.raises(ValueError, match="generator columns"):
             override_generator(pair, [row] * 7)
 
+    @pytest.mark.parametrize("q, n, l", [(5, 3, 1), (17, 14, 7)])
+    def test_rank_deficient_generator_names_its_first_columns(self, q, n, l):
+        # every (N-L)-column minor of a rank-deficient generator is singular,
+        # so the first N-L columns are a failing set at any size
+        pair = build_vandermonde_pair(q, n, l)
+        row = pair.generator.to_lists()[0]
+        with pytest.raises(ValueError) as info:
+            override_generator(pair, [row] * (n - l))
+        assert str(info.value) == (
+            f"generator columns {tuple(range(n - l))} form a singular matrix mod {q}"
+        )
+
     def test_vandermonde_pairs_need_no_minor_enumeration(self, monkeypatch):
         # distinct points make every parity-check minor a Vandermonde
         # determinant, and a full-rank orthogonal generator is then MDS
@@ -211,8 +223,31 @@ class TestCodePairApi:
         with pytest.raises(ValueError):
             CodePair(parity_check=h, generator=g, points=(1, 2, 3), modulus=7)
 
+    def test_parity_check_must_be_the_points_vandermonde(self):
+        # every minor of this parity check is invertible (it scales the
+        # Vandermonde matrix's first row by 2), yet it is refused: only the
+        # Vandermonde matrix of the pair's own points is accepted
+        g = FieldMatrix([[1, 3, 1]], 5)
+        for rows in ([[2, 2, 2], [1, 2, 3]], [[1, 1, 1], [3, 2, 1]]):
+            with pytest.raises(ValueError, match="not the Vandermonde matrix"):
+                CodePair(
+                    parity_check=FieldMatrix(rows, 5),
+                    generator=g,
+                    points=(1, 2, 3),
+                    modulus=5,
+                )
+
+    def test_points_must_be_distinct_mod_q(self):
+        h = FieldMatrix([[1, 1, 1], [1, 1, 3]], 5)  # the points 1, 6, 3 mod 5
+        g = FieldMatrix([[1, 4, 0]], 5)
+        with pytest.raises(ValueError, match="distinct mod 5"):
+            CodePair(parity_check=h, generator=g, points=(1, 6, 3), modulus=5)
+
     def test_parity_minor_failure_is_named(self):
         h = FieldMatrix([[1, 1, 2], [2, 2, 3]], 5)  # cols 0,1 dependent
         g = FieldMatrix([[1, 4, 0]], 5)  # placeholder; h check fires first
-        with pytest.raises(ValueError, match="parity-check columns"):
+        with pytest.raises(
+            ValueError,
+            match=r"parity check is not the Vandermonde matrix of points \(0, 1, 2\) mod 5",
+        ):
             CodePair(parity_check=h, generator=g, points=(0, 1, 2), modulus=5)

@@ -389,9 +389,9 @@ class TestWireCensus:
         w = np.array(list(itertools.product(range(q), repeat=k * l)))
         storage = scheme.build_storage(w)
         for u in range(q):
-            mask = np.full((len(w), 1), u)
+            answers = scheme.answers(storage, np.full((len(w), 1), u))
             for d in range(1, k + 1):
-                for row in scheme.answers(storage, mask, d).tolist():
+                for row in answers[:, d - 1].tolist():
                     census[d - 1][answer_bytes(tuple((a,) for a in row))] += 1
 
         assert census[0] == census[1] == census[2]

@@ -7,11 +7,13 @@ before pinning.
 
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import codedpid.verify
+from codedpid.cli import main
 from codedpid.codes import build_vandermonde_pair
 from codedpid.instances import q5_instance, q11_instance
 from codedpid.protocol import (
@@ -38,12 +40,14 @@ from codedpid.verify import (
     masked_scheme,
     randomized_privacy_probe,
     resolve_budget,
+    scheme_audit,
     scheme_correctness,
     scheme_privacy,
     split_scheme,
     verdict_line,
 )
 
+Q5_CFG = Path(__file__).resolve().parent.parent / "configs" / "q5-k3.cfg"
 Q5_CASES = 5 ** (3 * 2 + 1) * 3  # 234375
 Q5_SPLIT_CASES = 5 ** (3 * 2) * 3  # 46875
 Q11_CASES = 11 ** (8 * 3 + 3) * 8
@@ -126,17 +130,20 @@ class TestSchemesAgree:
             storage = scheme.build_storage(w)
             states = encode_storage(config, code, messages)
             for st in states:
-                stored = storage[0, st.server_id - 1].tolist()
+                # the masked scheme stores message k of server j at [b, k-1, j-1]
+                stored = storage[0, :, st.server_id - 1].tolist()
                 assert {k + 1: s for k, s in enumerate(stored) if s != q} == {
                     k: syms[0] for k, syms in st.fragments
                 }
             rnd = draw_randomness(code, seed=3)
             masked = attach_shares(states, rnd)
             mask = np.array([rnd.mask_vector])
+            answers = scheme.answers(storage, mask)
+            decoded = scheme.decode(answers)
             for d in range(1, config.k_messages + 1):
-                a = scheme.answers(storage, mask, d)
+                a = answers[:, d - 1]
                 assert tuple((s,) for s in a[0].tolist()) == answer_vector(masked, d)
-                assert tuple(scheme.decode(a)[0].tolist()) == messages[d - 1].symbols
+                assert tuple(decoded[0, d - 1].tolist()) == messages[d - 1].symbols
 
 
 class TestExhaustiveQ5:
@@ -296,9 +303,9 @@ def oracle_correctness(scheme):
     cases = 0
     for x in itertools.product(range(q), repeat=k * l + scheme.mask_len):
         storage = scheme.build_storage(np.array([x[: k * l]]))
+        answers = scheme.answers(storage, np.array([x[k * l :]]))
         for d in range(1, k + 1):
-            answer = scheme.answers(storage, np.array([x[k * l :]]), d)
-            decoded = tuple(scheme.decode(answer)[0].tolist())
+            decoded = tuple(scheme.decode(answers[0, d - 1]).tolist())
             cases += 1
             if decoded != x[(d - 1) * l : d * l]:
                 messages = tuple(x[i * l : (i + 1) * l] for i in range(k))
@@ -315,8 +322,9 @@ def oracle_census(scheme):
     cases = 0
     for x in itertools.product(range(q), repeat=k * l + scheme.mask_len):
         storage = scheme.build_storage(np.array([x[: k * l]]))
+        answers = scheme.answers(storage, np.array([x[k * l :]]))
         for d in range(1, k + 1):
-            row = scheme.answers(storage, np.array([x[k * l :]]), d)[0].tolist()
+            row = answers[0, d - 1].tolist()
             key = tuple(() if a == q else (a,) for a in row)
             census[d - 1][key] = census[d - 1].get(key, 0) + 1
             cases += 1
@@ -360,7 +368,10 @@ def oracle_reports(label, scheme):
 
 
 def audit_reports(scheme):
-    return scheme_correctness(scheme), scheme_privacy(scheme)
+    """The joint audit's reports, checked equal to the one-property audits'."""
+    joint = scheme_audit(scheme)
+    assert joint == (scheme_correctness(scheme), scheme_privacy(scheme))
+    return joint
 
 
 def small_configs():
@@ -395,9 +406,14 @@ class TestBatchedMatchesPerCase:
         assert audit_reports(scheme) == oracle_reports("q5-split", scheme)
 
     def test_every_q5_corrupt_cell(self):
-        # the privacy side of these audits is pinned by the CLI golden outputs
+        # Correctness fails early, yet the joint pass counts the full census:
+        # its privacy report is the privacy-only audit's, whose side is also
+        # pinned by the CLI golden outputs.
         for cell, scheme in corrupt_cells(*q5_instance(), deltas=(1, 4)):
-            assert scheme_correctness(scheme) == oracle_correctness(scheme), cell
+            correct = oracle_correctness(scheme)
+            assert not correct.passed, cell
+            assert scheme_correctness(scheme) == correct, cell
+            assert scheme_audit(scheme) == (correct, scheme_privacy(scheme)), cell
 
     def test_crosses_chunk_boundaries(self):
         # storage corrupted only once message 1's second symbol is nonzero:
@@ -499,10 +515,10 @@ class TestCensusPaths:
     def test_sparse_matches_dense(self, monkeypatch):
         # every census here has at most 6^5 keys per request
         monkeypatch.setattr(codedpid.verify, "DENSE_CENSUS_KEYS", 6**5)
-        dense = [scheme_privacy(scheme) for _, scheme in self.schemes()]
+        dense = [audit_reports(scheme) for _, scheme in self.schemes()]
         monkeypatch.setattr(codedpid.verify, "DENSE_CENSUS_KEYS", 0)
-        for (label, scheme), report in zip(self.schemes(), dense):
-            assert scheme_privacy(scheme) == report, label
+        for (label, scheme), reports in zip(self.schemes(), dense):
+            assert audit_reports(scheme) == reports, label
 
     @pytest.mark.parametrize("bound", [0, 6**5])
     @pytest.mark.parametrize("rows", [5, CHUNK_ROWS])
@@ -513,23 +529,32 @@ class TestCensusPaths:
         config, _ = q5_instance()
         labelled = [("q5-split", split_scheme(config)), ("long-mask", long_mask_scheme())]
         for label, scheme in labelled + list(small_instances()):
-            census, cases = codedpid.verify._census(scheme, None)
+            _, census = codedpid.verify._audit(scheme, None, True, True)
             expected, expected_cases = oracle_runs(label, scheme)[1]
-            assert cases == expected_cases, label
+            assert census.cases == expected_cases, label
             assert [
                 [(answer_tuple(scheme, key), c) for key, c in counts.items()]
-                for counts in census
+                for counts in census.counts()
             ] == [list(counts.items()) for counts in expected], label
 
 
 class TestStorageOncePerMessageTuple:
-    def counted(self, scheme):
+    def counted(self, scheme, answered=None):
+        """``scheme`` with its storage rows counted, and its answered rows
+        too when ``answered`` is a list."""
         rows = []
+        build, answer = scheme.build_storage, scheme.answers
 
         def build_storage(w):
             rows.append(len(w))
-            return scheme.build_storage(w)
+            return build(w)
 
+        def answers(storage, mask):
+            answered.append(len(storage))
+            return answer(storage, mask)
+
+        if answered is not None:
+            scheme = dataclasses.replace(scheme, answers=answers)
         return dataclasses.replace(scheme, build_storage=build_storage), rows
 
     def test_q5_audits(self):
@@ -552,6 +577,42 @@ class TestStorageOncePerMessageTuple:
         rows.clear()
         assert not scheme_privacy(scheme).passed
         assert sum(rows) == 5**6
+
+    @pytest.mark.parametrize(
+        "extra, blocks, code",
+        [
+            ([], 5**3, 0),
+            (["--scheme", "split"], 5**2, 3),
+            (["--corrupt", "1,1,1,2"], 5**3, 3),
+        ],
+    )
+    def test_pid_verify_walks_the_inputs_once(
+        self, monkeypatch, capsys, extra, blocks, code
+    ):
+        # Both properties in one pass: storage for each of the 5^6 message
+        # tuples once in all, and one all-requests answers call per block
+        # of 5^4 inputs (5^2 blocks of 5^4 message tuples for the split).
+        answered = []
+        tallies = []
+
+        def counting(maker):
+            def make(*args, **kwargs):
+                scheme, rows = self.counted(maker(*args, **kwargs), answered)
+                tallies.append(rows)
+                return scheme
+
+            return make
+
+        for name in ("masked_scheme", "split_scheme"):
+            monkeypatch.setattr(
+                codedpid.verify, name, counting(getattr(codedpid.verify, name))
+            )
+        assert main(["verify", "-c", str(Q5_CFG), *extra]) == code
+        assert len(capsys.readouterr().out.splitlines()) == (3 if code == 0 else 4)
+        [rows] = tallies
+        assert sum(rows) == 5**6
+        assert len(answered) == blocks
+        assert sum(answered) == (5**6 if extra[:1] == ["--scheme"] else 5**7)
 
 
 class TestExactness:
@@ -580,12 +641,13 @@ class TestExactness:
         w = np.array([[q - 1, q - 1], [q - 1, 0], [12345, q - 2]])
         storage = honest.build_storage(w)
         inverse = code.h_sub_inverse((0, 1))
-        for row, stored in zip(w.tolist(), storage.tolist()):
-            assert [s[0] for s in stored] == [
+        # the one message's symbols on servers 1 and 2
+        for row, stored in zip(w.tolist(), storage[:, 0].tolist()):
+            assert stored == [
                 sum(c * x for c, x in zip(inv_row, row)) % q for inv_row in inverse
             ]
-        decoded = honest.decode(honest.answers(storage, np.zeros((3, 0), np.int64), 1))
-        assert decoded.tolist() == w.tolist()
+        decoded = honest.decode(honest.answers(storage, np.zeros((3, 0), np.int64)))
+        assert decoded[:, 0].tolist() == w.tolist()
 
     def test_next_prime_refused(self):
         q = 2147483659  # the first prime past 2^31 - 1
@@ -620,6 +682,21 @@ class TestProbe:
         assert report.max_marginal_stat is not None
         assert report.stat_bound is not None
         assert report.max_marginal_stat <= report.stat_bound
+
+    def test_one_answers_call_per_chunk(self):
+        # every request of a chunk of trials comes from one answers call
+        config, code = q11_instance()
+        scheme = masked_scheme(config, code)
+        answered = []
+
+        def answers(storage, mask):
+            answered.append(len(storage))
+            return scheme.answers(storage, mask)
+
+        counted = dataclasses.replace(scheme, answers=answers)
+        report = randomized_privacy_probe(config, code, 2500, seed=4, scheme=counted)
+        assert answered == [CHUNK_ROWS, CHUNK_ROWS, 2500 - 2 * CHUNK_ROWS]
+        assert report == randomized_privacy_probe(config, code, 2500, seed=4)
 
     def test_deterministic_for_a_seed(self):
         config, code = q11_instance()
