@@ -13,7 +13,8 @@ therefore hosts a share of K*L/N messages when the association is balanced.
   L*(q-1)^2 + q < 2^63, exact Python ints above (``field.mod_matmul``).
   Storage depends on the code pair, the config and the messages only, so it
   is encoded once per (code pair, config, messages) and reused, round after
-  round, until a message changes.
+  round, until a message changes; then only the changed messages are
+  encoded again, and only their host servers get new states.
 * ``draw_randomness`` picks a uniform mask vector of length N-L and hands
   server n the scalar share  generator_column_n . mask: all N shares are one
   product  mask @ generator  mod q.
@@ -336,7 +337,10 @@ def encode_storage(
 
     The result is memoised in one slot per code pair: a call with a config
     and a messages tuple equal (by value) to the last ones encoded on
-    ``code`` returns the same storage tuple without encoding again.
+    ``code`` returns the same storage tuple without encoding again.  A call
+    with that same config and other messages encodes only the messages that
+    differ from the memo's, and builds new states only for the servers that
+    host one of them: every other server's state is the memo's own object.
     """
     _check_instance(config, code)
     messages = tuple(messages)
@@ -345,13 +349,35 @@ def encode_storage(
     if memo is not None and memo[0] == config and memo[1] == messages:
         return memo[2]
     messages = _check_messages(config, messages)
+    if memo is not None and memo[0] == config:
+        base = memo[2]
+        todo = [
+            msg for msg, old in zip(messages, memo[1]) if msg is not old and msg != old
+        ]
+    else:
+        base = (None,) * config.n_servers
+        todo = messages
+    fragments = _encode_fragments(config, code, todo)
+    storage = tuple(
+        state
+        if state is not None and n not in fragments
+        else _with_fragments(config, n, state, fragments.get(n, ()))
+        for n, state in enumerate(base, start=1)
+    )
+    slot[0] = (config, messages, storage)
+    return storage
+
+
+def _encode_fragments(
+    config: PidConfig, code: CodePair, messages
+) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
+    """Server id -> (message id, fragment symbols) of each of ``messages``
+    that the server hosts, for the servers that host any of them."""
     q = config.modulus
     groups: dict[tuple[int, ...], list[Message]] = {}
     for msg in messages:
         groups.setdefault(config.servers_for(msg.index), []).append(msg)
-    per_server: list[list[tuple[int, tuple[int, ...]]]] = [
-        [] for _ in range(config.n_servers)
-    ]
+    per_server: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for hosts, group in groups.items():
         inv = np.array(code.h_sub_inverse(tuple(s - 1 for s in hosts)), dtype=np.int64)
         words = np.array([msg.symbols for msg in group], dtype=np.int64)
@@ -359,18 +385,24 @@ def encode_storage(
         coded = mod_matmul(inv, words.T, q).tolist()
         ids = [msg.index for msg in group]
         for server, row in zip(hosts, coded):
-            per_server[server - 1].extend(zip(ids, zip(row)))
-    storage = tuple(
-        ServerState(
-            server_id=n + 1,
-            fragments=tuple(sorted(per_server[n])),
-            share=None,
-            modulus=q,
-        )
-        for n in range(config.n_servers)
+            per_server.setdefault(server, []).extend(zip(ids, zip(row)))
+    return per_server
+
+
+def _with_fragments(
+    config: PidConfig, server_id: int, state: ServerState | None, entries
+) -> ServerState:
+    """A new state of ``server_id`` holding ``entries`` (message id, symbols)
+    in place of the same messages' fragments of ``state``, or alone when
+    ``state`` is None (a full encode builds no empty states to merge into)."""
+    if state is not None:
+        entries = (state._by_message | dict(entries)).items()  # type: ignore[attr-defined]
+    return ServerState(
+        server_id=server_id,
+        fragments=tuple(sorted(entries)),
+        share=None,
+        modulus=config.modulus,
     )
-    slot[0] = (config, messages, storage)
-    return storage
 
 
 def split_storage(config: PidConfig, messages) -> tuple[ServerState, ...]:
@@ -574,26 +606,17 @@ def run_fully_distributed(messages, n_servers: int, d: int) -> DeliveryTranscrip
     )
 
 
-# ((q, K, active, L), inner config, inner code pair) of the subset round
-# served last.
-_last_subset_inner: list = [None]
-
-
+@functools.lru_cache(maxsize=8)
 def _subset_inner(
     q: int, k_messages: int, active: int, msg_len: int
 ) -> tuple[PidConfig, CodePair]:
     """The canonical config and code pair on the ``active`` servers of a
-    coded subset round, kept while (q, K, active, L) stays the same, so that
-    successive rounds also reuse their encoded storage."""
-    key = (q, k_messages, active, msg_len)
-    last = _last_subset_inner[0]
-    if last is None or last[0] != key:
-        last = _last_subset_inner[0] = (
-            key,
-            make_association(q, k_messages, active, msg_len),
-            build_vandermonde_pair(q, active, msg_len),
-        )
-    return last[1], last[2]
+    coded subset round, kept per (q, K, active, L) for the last few shapes
+    served, so that successive rounds also reuse their encoded storage."""
+    return (
+        make_association(q, k_messages, active, msg_len),
+        build_vandermonde_pair(q, active, msg_len),
+    )
 
 
 def run_subset_scheme(

@@ -16,14 +16,19 @@ decoded symbols).  Actor ids: coordinator 0, servers 1..N, user N+1.
 A round always runs in fixed phases - storage setup, share setup, deliver
 commands, answers in server-id order, decode result - so the frame log of a
 round is a deterministic byte string: replays are byte-identical.  Storage
-is encoded once per instance and messages (see ``protocol.encode_storage``),
-so successive rounds on one instance re-send the same SETUP_STORAGE frames,
-built once; only the shares, the command and the answers change.  Those
-frames also cost almost nothing after the first round: a storage frame
-packs its bytes once and keeps them, and each server parses its storage
-frame only if no server has parsed that very frame object before (see
-``ServerActor``).  Frames are immutable, so the first parse's result holds
-for the frame for good.  Logs serialize to files with an 8-byte magic header.
+is encoded once per instance and messages, and a rewrite re-encodes only
+the servers that host a changed message (see ``protocol.encode_storage``);
+every other server keeps its state object.  A state's SETUP_STORAGE frame
+is built once and kept on that state, so successive rounds re-send the
+same frame objects for every unchanged server, and only the shares, the
+command and the answers change.  Those frames also cost almost nothing
+after their first round: a storage frame packs its bytes once and keeps
+them, and keeps the fragment table its first server parsed (see
+``ServerActor``).  Frames are immutable, so that parse holds for the frame
+for good.  These caches live on the objects they describe, not in a
+module-level slot, so they last as long as the caller keeps those objects,
+and instances served alternately do not evict each other's.  Logs
+serialize to files with an 8-byte magic header.
 
 A ``Frame`` is a tuple record (kind, sender, payload), so each frame of a
 round costs what a tuple costs.  Its public constructor validates the three
@@ -184,18 +189,30 @@ class Frame(namedtuple("Frame", ("kind", "sender", "payload"))):
 
 
 class _StorageFrame(Frame):
-    """A SETUP_STORAGE frame, which packs its bytes once and keeps them:
-    storage frames are re-sent and re-encoded round after round.  It is the
-    one frame class with a ``__dict__``; keeping the bytes of the one-off
-    per-round frames would cost more than it saves."""
+    """A SETUP_STORAGE frame, which packs its bytes once and keeps them, and
+    keeps the fragment table parsed from it: storage frames are re-sent,
+    re-encoded and re-parsed round after round.  It is the one frame class
+    with a ``__dict__``; keeping the bytes of the one-off per-round frames
+    would cost more than it saves."""
 
     _wire = None
+    # (modulus, table) of the last parse that succeeded.
+    _parsed = None
 
     def encode(self) -> bytes:
         wire = self._wire
         if wire is None:
             wire = self._wire = Frame.encode(self)
         return wire
+
+    def table(self, modulus: int, parse):
+        """``parse(payload)``, the fragment table under ``modulus``: kept
+        from the last parse under the same modulus.  A parse that raises
+        keeps nothing, so a malformed frame raises on every receipt."""
+        parsed = self._parsed
+        if parsed is None or parsed[0] != modulus:
+            parsed = self._parsed = (modulus, parse(self[2]))
+        return parsed[1]
 
 
 _FRAME_CLASS = {
@@ -225,9 +242,12 @@ def decode_frame(data: bytes, offset: int = 0) -> tuple[Frame, int]:
 
     The ``<BHI`` header and ``<I`` symbols bound the sender and the
     symbols, so the frame is built without re-validation once its kind is
-    known."""
-    if len(data) - offset < _HEADER.size:
-        raise FrameError("truncated frame header")
+    known.  A negative ``offset`` is refused, not counted from the end."""
+    if len(data) - offset < _HEADER.size or offset < 0:
+        raise FrameError(
+            f"negative frame offset {offset}" if offset < 0
+            else "truncated frame header"
+        )
     kind, sender, length = _HEADER.unpack_from(data, offset)
     frame_class = _FRAME_CLASS.get(kind)
     if frame_class is None:
@@ -243,7 +263,8 @@ def decode_frame(data: bytes, offset: int = 0) -> tuple[Frame, int]:
 
 def decode_frames(data: bytes, offset: int = 0) -> tuple[Frame, ...]:
     """Parse every frame from ``offset`` to the end of ``data``; raises the
-    ``FrameError`` of the first frame that does not parse."""
+    ``FrameError`` of the first frame that does not parse, or of a negative
+    ``offset``."""
     frames = []
     while offset < len(data):
         frame, offset = decode_frame(data, offset)
@@ -297,15 +318,18 @@ class ServerActor:
     plus share for a hosted message and the bare share otherwise; with no
     share, send raw fragments or stay silent.
 
-    A SETUP_STORAGE frame is parsed once per frame object: the storage
-    frames ``simulate_round`` re-sends round after round keep the fragment
-    table the first server to receive each one parsed (see ``_framed``), and
-    a later server handed that very object, under the same modulus, takes
-    the table without parsing.  That is sound because a frame is immutable,
-    so the first parse's result, or its ``ProtocolViolation``, holds for it.
-    Every other storage frame - a new storage, a subset or fully distributed
-    round, a frame built by hand, an equal copy - is parsed in full, and a
-    frame that fails to parse is never kept.
+    A SETUP_STORAGE frame is parsed once per frame object and modulus: the
+    frame keeps the fragment table the first server to receive it parsed
+    (``_StorageFrame.table``), and a later server handed that very object,
+    under the same modulus, takes the table without parsing.  There is no
+    global cache: a round re-sends the frame kept on each unchanged server
+    state, so its tables are reused for as long as the caller keeps the
+    instance, across any number of other instances.  That is sound because
+    a frame is immutable, so the first parse's result, or its
+    ``ProtocolViolation``, holds for it.  Every other storage frame - a new
+    state's (every raw-slice round builds new states), a frame built by
+    hand, an equal copy - is parsed in full, and a frame that fails to parse
+    keeps nothing.
 
     Answer frames are built without re-validation when the server's own
     values bound them: its id fits the 2-byte sender field and its modulus
@@ -325,9 +349,7 @@ class ServerActor:
     def receive(self, frame: Frame) -> list[Frame]:
         kind, _, payload = frame
         if kind == SETUP_STORAGE:
-            self.fragments = _last_framed[0].table(
-                frame, self.modulus, self._load_storage
-            )
+            self.fragments = frame.table(self.modulus, self._load_storage)
             return []
         if kind == SETUP_SHARE:
             if len(payload) != 1:
@@ -433,56 +455,25 @@ class SimResult:
 
 
 def _storage_frame(state: ServerState) -> Frame:
-    payload: list[int] = [len(state.fragments)]
-    for message_id, symbols in state.fragments:
-        payload.extend([message_id, len(symbols)])
-        payload.extend(symbols)
-    return Frame(SETUP_STORAGE, COORDINATOR_ID, tuple(payload))
+    """The SETUP_STORAGE frame of ``state``, built once and kept on the
+    state (set through its ``__dict__``, as ``_by_message`` is):
+    ``encode_storage`` returns the same state object until a message that
+    the server hosts changes, so its frame, and the table parsed from it,
+    are reused round after round."""
+    frame = state.__dict__.get("_storage_frame")
+    if frame is None:
+        payload: list[int] = [len(state.fragments)]
+        for message_id, symbols in state.fragments:
+            payload.extend([message_id, len(symbols)])
+            payload.extend(symbols)
+        frame = Frame(SETUP_STORAGE, COORDINATOR_ID, tuple(payload))
+        state.__dict__["_storage_frame"] = frame
+    return frame
 
 
 def _storage_frames(storage) -> tuple[Frame, ...]:
     """One SETUP_STORAGE frame per server state, in server-id order."""
     return tuple(_storage_frame(state) for state in storage)
-
-
-class _FramedStorage:
-    """The SETUP_STORAGE frames of one storage tuple, and the fragment table
-    parsed from each frame, kept once a server has parsed it."""
-
-    def __init__(self, storage, frames: tuple[Frame, ...]):
-        self.storage = storage
-        self.frames = frames
-        self._position = {id(frame): i for i, frame in enumerate(frames)}
-        # (modulus, table) per frame, None until a server parses it.
-        self._tables: list = [None] * len(frames)
-
-    def table(self, frame: Frame, modulus: int, parse):
-        """The fragment table of ``frame`` under ``modulus``: kept from an
-        earlier parse when ``frame`` is one of these very frame objects,
-        else ``parse(frame.payload)``."""
-        i = self._position.get(id(frame))
-        if i is None or self.frames[i] is not frame:
-            return parse(frame.payload)
-        kept = self._tables[i]
-        if kept is None or kept[0] != modulus:
-            kept = self._tables[i] = (modulus, parse(frame.payload))
-        return kept[1]
-
-
-# The storage tuple ``simulate_round`` framed last, with its frames and
-# their parsed tables: memory stays at one storage's frames and tables.
-_last_framed: list[_FramedStorage] = [_FramedStorage(None, ())]
-
-
-def _framed(storage: tuple[ServerState, ...]) -> tuple[Frame, ...]:
-    """The storage frames of ``storage``, reused while it is the same tuple
-    object: ``encode_storage`` returns the same one until the instance or a
-    message changes."""
-    last = _last_framed[0]
-    if last.storage is storage:
-        return last.frames
-    last = _last_framed[0] = _FramedStorage(storage, _storage_frames(storage))
-    return last.frames
 
 
 def _run_phases(
@@ -554,9 +545,10 @@ def simulate_round(
     """One coded delivery round as message-passing actors.
 
     Produces exactly the same transcript as ``protocol.run_delivery`` with
-    the same inputs, plus the frame log.  Storage and its SETUP_STORAGE
-    frames are reused from the previous round while the instance and the
-    messages are unchanged; the shares travel in their own frames.
+    the same inputs, plus the frame log.  Storage is reused from the
+    previous round on ``code`` while the instance and the messages are
+    unchanged, and each server state's SETUP_STORAGE frame is built once;
+    the shares travel in their own frames.
     ``randomness`` must hold one share per server, as in ``run_delivery``.
     """
     config._check_message(d)
@@ -570,7 +562,7 @@ def simulate_round(
     frames, answers, decoded = _run_phases(
         n_servers=config.n_servers,
         modulus=config.modulus,
-        storage_frames=_framed(storage),
+        storage_frames=_storage_frames(storage),
         shares=randomness.shares,
         d=d,
         decode_fn=lambda ordered: code.decode_vector([a[0] for a in ordered]),

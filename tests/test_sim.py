@@ -5,6 +5,7 @@ The frame byte golden was laid out by hand from the header packing
 4-byte little-endian symbols).
 """
 
+import functools
 import hashlib
 import itertools
 import struct
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import codedpid.protocol
 import codedpid.sim
@@ -118,6 +119,13 @@ class TestFrameBytes:
         bad_len = b"\x04\x01\x00\x03\x00\x00\x00\x00\x00\x00"
         with pytest.raises(FrameError, match="multiple of 4"):
             decode_frame(bad_len)
+
+    def test_negative_offset_is_refused(self):
+        # ``unpack_from`` would count a negative offset from the end.
+        good = Frame(ANSWER, 1, (5,)).encode()
+        for offset in (-1, -len(good), -11):
+            with pytest.raises(FrameError, match=f"negative frame offset {offset}"):
+                decode_frame(good + good, offset)
 
 
 class TestFrameLog:
@@ -605,7 +613,9 @@ def k64_instance():
 
 class TestParseOnce:
     """A SETUP_STORAGE frame re-sent round after round is parsed by the first
-    server that receives it; any other storage frame is parsed in full."""
+    server that receives it; any other storage frame is parsed in full.  A
+    rewrite re-frames, and so re-parses, only the hosts of the rewritten
+    message."""
 
     def test_rounds_on_one_instance_parse_storage_once(self, parses):
         config, code = k64_instance()
@@ -620,7 +630,19 @@ class TestParseOnce:
             sim = simulate_round(config, code, messages, d, seed=r)
             per_round.append(len(parses) - before)
             assert sim.transcript == run_delivery(config, code, messages, d, seed=r)
-        assert per_round == [64] + [0] * 19 + [64, 0]
+        assert per_round == [64] + [0] * 19 + [32, 0]
+
+    def test_alternating_instances_parse_each_frame_once(self, parses):
+        instances = []
+        for seed in (11, 12):
+            config, code = k64_instance()
+            instances.append((config, code, random_messages(config, seed=seed)))
+        for r in range(20):
+            config, code, messages = instances[r % 2]
+            d = r % 64 + 1
+            sim = simulate_round(config, code, messages, d, seed=r)
+            assert sim.transcript.decoded == messages[d - 1].symbols
+        assert len(parses) == 2 * 64
 
     def test_reused_tables_serve_the_fresh_parse(self):
         config, code = k64_instance()
@@ -670,12 +692,9 @@ class TestParseOnce:
         assert all(s < 7 for symbols in small.fragments.values() for s in symbols)
         assert small.fragments != large.fragments
 
-    def test_malformed_frame_raises_on_every_receipt(self, parses, monkeypatch):
+    def test_malformed_frame_raises_on_every_receipt(self, parses):
         bad = Frame(SETUP_STORAGE, 0, (1, 1, 3, 0, 0))
         good = Frame(SETUP_STORAGE, 0, (1, 2, 1, 3))
-        # Malformed frames held as the current storage's frames are not kept.
-        slot = codedpid.sim._FramedStorage(object(), (bad, good))
-        monkeypatch.setattr(codedpid.sim, "_last_framed", [slot])
         for n in range(1, 4):
             with pytest.raises(ProtocolViolation, match="symbols truncated"):
                 ServerActor(n, 5).receive(bad)
@@ -693,19 +712,38 @@ class TestParseOnce:
             server.fragments[2] = (0,)
 
     def test_other_rounds_parse_every_frame(self, parses):
-        rows = [tuple((i + j) % 13 for j in range(4)) for i in range(12)]
+        # Raw-slice rounds build new states, so every frame is new.
+        rows = [tuple((i + j) % 13 for j in range(2)) for i in range(4)]
         messages = msgs(13, *rows)
         for _ in range(3):
-            simulate_subset_round(12, 7, 2, 4, messages, 5, seed=1)
+            simulate_subset_round(4, 4, 2, 2, messages, 3, seed=1)
             simulate_fully_distributed_round(msgs(7, (1, 2), (3, 4)), 2, 1)
-        assert len(parses) == 3 * (7 + 2)
+        assert len(parses) == 3 * (4 + 2)
+
+    def test_coded_subset_rounds_parse_inner_storage_once(self, parses):
+        codedpid.protocol._subset_inner.cache_clear()
+        rows = [tuple((i + j) % 13 for j in range(4)) for i in range(12)]
+        messages = msgs(13, *rows)
+        per_round = []
+        for r in range(4):
+            if r == 3:
+                new = Message(index=1, symbols=(5, 6, 7, 8), modulus=13)
+                messages = (new,) + messages[1:]
+            before = len(parses)
+            served = simulate_subset_round(12, 7, 2, 4, messages, 1, seed=r)
+            per_round.append(len(parses) - before)
+            assert served.transcript.decoded == messages[0].symbols
+        # Six active servers from the storage memo, one idle server whose
+        # empty state is built each round; the rewrite re-parses message
+        # 1's L = 4 hosts.
+        assert per_round == [7, 1, 1, 1 + 4]
 
 
 class TestSubsetInnerReuse:
-    """Subset rounds keep the inner config and code pair of their last
+    """Subset rounds keep the inner config and code pair of each recent
     (q, K, active, L), and log exactly what a fresh build would."""
 
-    def test_logs_match_fresh_builds(self, monkeypatch):
+    def test_logs_match_fresh_builds(self):
         rng = np.random.default_rng(5)
         shapes = ((12, 7, 2, 4), (6, 5, 2, 2))
         messages = {
@@ -721,7 +759,7 @@ class TestSubsetInnerReuse:
                 messages[shape] = rewritten(messages[shape], d, rng)
             served = simulate_subset_round(*shape, messages[shape], d, seed=r)
             lib = run_subset_scheme(*shape, messages[shape], d, seed=r)
-            monkeypatch.setattr(codedpid.protocol, "_last_subset_inner", [None])
+            codedpid.protocol._subset_inner.cache_clear()
             fresh = simulate_subset_round(*shape, messages[shape], d, seed=r)
             assert frames_to_bytes(served.frames) == frames_to_bytes(fresh.frames)
             assert served.transcript == fresh.transcript == lib
@@ -736,7 +774,7 @@ class TestSubsetInnerReuse:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(codedpid.protocol, "build_vandermonde_pair", counted)
-        monkeypatch.setattr(codedpid.protocol, "_last_subset_inner", [None])
+        codedpid.protocol._subset_inner.cache_clear()
         messages = msgs(13, *[(i, 1, 2, 3) for i in range(12)])
         for d in range(1, 13):
             simulate_subset_round(12, 7, 2, 4, messages, d, seed=d)
@@ -745,6 +783,104 @@ class TestSubsetInnerReuse:
         other = msgs(11, *[(i % 11, 1, 2, 3) for i in range(12)])
         simulate_subset_round(12, 7, 2, 4, other, 1, seed=0)
         assert builds == [(13, 6, 4), (11, 6, 4)]
+        # Alternating shapes keep both code pairs.
+        simulate_subset_round(12, 7, 2, 4, messages, 1, seed=0)
+        run_subset_scheme(12, 7, 2, 4, other, 1, seed=0)
+        assert builds == [(13, 6, 4), (11, 6, 4)]
+
+
+# -- incremental encode ----------------------------------------------------------
+
+
+def big_q_instance():
+    config = make_association(BIG_Q, 2, 4, 2)
+    return config, build_vandermonde_pair(BIG_Q, 4, 2, points=BIG_POINTS)
+
+
+def canonical_instance(q, k, n, l):
+    return make_association(q, k, n, l), build_vandermonde_pair(q, n, l)
+
+
+# Makers of (config, code): every call builds a fresh code pair.
+REWRITE_INSTANCES = st.one_of(
+    st.sampled_from(
+        [
+            functools.partial(canonical_instance, *params)
+            for params, _, _ in small_configs()
+        ]
+    ),
+    st.just(k64_instance),
+    st.just(q11_instance),  # explicit association, two host groups
+    st.just(big_q_instance),
+)
+REWRITE_KINDS = ("none", "one", "several", "all", "copies", "in-place")
+REWRITE_STEPS = st.lists(
+    st.tuples(st.sampled_from(REWRITE_KINDS), st.integers(0, 2**32 - 1)),
+    min_size=1,
+    max_size=5,
+)
+
+
+def apply_rewrite(messages: list, kind: str, rng) -> list:
+    """The messages after one rewrite of ``kind``: the same list object,
+    mutated, for ``in-place``, else a new list.  ``copies`` replaces every
+    message by an equal copy and then rewrites one."""
+    k = len(messages)
+    if kind == "none":
+        fresh = []
+    elif kind == "several":
+        fresh = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+    elif kind == "all":
+        fresh = range(k)
+    else:
+        fresh = [int(rng.integers(k))]
+    out = messages if kind == "in-place" else list(messages)
+    if kind == "copies":
+        out = [
+            Message(index=m.index, symbols=m.symbols, modulus=m.modulus) for m in out
+        ]
+    for i in fresh:
+        old = out[i]
+        symbols = tuple(int(s) for s in rng.integers(0, old.modulus, len(old.symbols)))
+        out[i] = Message(index=old.index, symbols=symbols, modulus=old.modulus)
+    return out
+
+
+class TestIncrementalEncode:
+    """After a rewrite, ``encode_storage`` rebuilds the states of the changed
+    messages' hosts only, and every storage, state and frame log equals a
+    fresh code pair's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(REWRITE_INSTANCES, st.integers(0, 2**32 - 1), REWRITE_STEPS)
+    def test_rewrites_match_fresh_pairs(self, make, seed, steps):
+        config, code = make()
+        messages = list(random_messages(config, seed=seed))
+        storage = encode_storage(config, code, messages)
+        frames = simulate_round(config, code, messages, 1, seed=0).frames
+        for r, (kind, step_seed) in enumerate(steps, start=1):
+            rng = np.random.default_rng(step_seed)
+            before = tuple(messages)
+            messages = apply_rewrite(messages, kind, rng)
+            changed = {m.index for m, old in zip(messages, before) if m != old}
+            touched = {s for k in changed for s in config.servers_for(k)}
+
+            _, fresh_code = make()
+            kept = encode_storage(config, code, messages)
+            assert kept == encode_storage(config, fresh_code, messages)
+            for state, old in zip(kept, storage):
+                assert (state is old) == (state.server_id not in touched)
+
+            d = int(rng.integers(1, config.k_messages + 1))
+            served = simulate_round(config, code, messages, d, seed=r)
+            fresh = simulate_round(config, fresh_code, messages, d, seed=r)
+            assert frames_to_bytes(served.frames) == frames_to_bytes(fresh.frames)
+            assert served.transcript == fresh.transcript
+            assert served.transcript.decoded == messages[d - 1].symbols
+            for n in range(1, config.n_servers + 1):
+                same = served.frames[n - 1] is frames[n - 1]
+                assert same == (n not in touched)
+            storage, frames = kept, served.frames
 
 
 # -- codec properties ------------------------------------------------------------
@@ -856,6 +992,14 @@ class TestDecodeFrames:
         data = before + b"".join(chunks)
         expected = decode_one_by_one(data, len(before))
         assert decode_in_one_loop(data, len(before)) == expected
+
+    def test_negative_offset_is_refused(self):
+        good = Frame(ANSWER, 1, (5,)).encode()
+        assert len(decode_frames(good + good, 0)) == 2
+        for data in (good + good, b""):
+            for offset in (-1, -11):
+                with pytest.raises(FrameError, match=f"negative frame offset {offset}"):
+                    decode_frames(data, offset)
 
     def test_every_error_text(self):
         good = Frame(ANSWER, 1, (5,)).encode()
