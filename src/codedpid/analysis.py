@@ -26,7 +26,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from codedpid.protocol import DeliveryTranscript, PidConfig, valid_msg_lens
+from codedpid.protocol import (
+    DeliveryTranscript,
+    PidConfig,
+    _active_count,
+    _subset_active,
+    valid_msg_lens,
+)
 
 __all__ = [
     "coded_capacity",
@@ -63,10 +69,7 @@ def coded_capacity(k_messages: int, n_servers: int, msg_len: int) -> Fraction:
 
 def active_server_count(k_messages: int, storage_limit) -> int:
     """ceil(K/M): how many servers must participate given M storage each."""
-    m = Fraction(storage_limit)
-    if m <= 0:
-        raise ValueError(f"storage limit must be positive, got {m}")
-    return math.ceil(Fraction(k_messages) / m)
+    return _active_count(k_messages, storage_limit)
 
 
 def achievable_coded_rate(
@@ -75,31 +78,15 @@ def achievable_coded_rate(
     """Coded rate with M messages of storage per server: L/ceil(K/M), capped at 1.
 
     Runs the scheme on the ceil(K/M) servers that suffice to hold everything
-    (all N of them when M = K/N exactly).  Requires ceil(K/M) <= N and the
+    (all N of them when M = K/N exactly).  Requires K/N <= M and the
     divisibility that makes the active association balanced (active | K*L
     when L is below the active count, active | L at or above it); raises
-    otherwise.
+    otherwise.  These are the checks of ``protocol.run_subset_scheme``.
     """
     _check_positive(k_messages=k_messages, n_servers=n_servers, msg_len=msg_len)
-    m = Fraction(storage_limit)
-    if m <= 0:
-        raise ValueError(f"storage limit must be positive, got {m}")
-    active = active_server_count(k_messages, m)
-    if active > n_servers:
-        raise ValueError(
-            f"storage {m} needs {active} servers for K={k_messages}, have {n_servers}"
-        )
+    active = _subset_active(k_messages, n_servers, storage_limit, msg_len)
     if msg_len < active:
-        if (k_messages * msg_len) % active != 0:
-            raise ValueError(
-                f"L={msg_len} does not balance K={k_messages} over {active} "
-                f"active servers"
-            )
         return Fraction(msg_len, active)
-    if msg_len % active != 0:
-        raise ValueError(
-            f"L={msg_len} is not divisible by {active} active servers"
-        )
     return Fraction(1)
 
 
@@ -113,9 +100,8 @@ def subset_scheme_rate(
     Divisibility as in ``achievable_coded_rate``; raises when undefined.
     """
     m = Fraction(storage_limit)
-    if m <= 0:
-        raise ValueError(f"storage limit must be positive, got {m}")
-    if Fraction(k_messages) / m >= n_servers:
+    # achievable_coded_rate refuses M <= 0; the strict form needs M > 0 to test.
+    if m > 0 and Fraction(k_messages) / m >= n_servers:
         raise ValueError(
             f"subset scheme needs N > K/M, got N={n_servers}, "
             f"K/M={Fraction(k_messages) / m}"

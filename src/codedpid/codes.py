@@ -103,8 +103,8 @@ class CodePair:
                 f"generator columns {tuple(range(g.rows))} form a singular "
                 f"matrix mod {q}"
             )
-        # Plain-int views, built once: ``protocol.server_answer`` reads a
-        # generator column on every request.
+        # Plain-int views, built once: ``verify.masked_scheme`` reads every
+        # generator column and parity-check row when it builds its arrays.
         object.__setattr__(self, "_h_rows", h.row_tuples())
         object.__setattr__(self, "_g_cols", tuple(g.column_tuple(j) for j in range(n)))
 

@@ -7,8 +7,8 @@ elimination: no floats ever enter the pipeline.
 
 Products go through ``mod_matmul``: a dot product of n residues mod q is at
 most n*(q-1)^2, so it runs in int64 when n*(q-1)^2 + q < 2^63
-(``int64_exact``) and in Python ints (``dtype=object``) otherwise.  Scaling
-and elimination need one product per entry, so they switch to Python ints
+(``int64_exact``) and in Python ints (``dtype=object``) otherwise.
+Elimination needs one product per entry, so it switches to Python ints
 when (q-1)^2 + q reaches 2^63.  Moduli that fill the 4-byte wire symbol take
 the Python-int paths.
 """
@@ -197,25 +197,6 @@ class FieldMatrix:
         if self.modulus != other.modulus:
             raise ValueError(f"mixed moduli: {self.modulus} vs {other.modulus}")
 
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same_field(other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return FieldMatrix(self._a + other._a, self.modulus)
-
-    def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same_field(other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return FieldMatrix(self._a - other._a, self.modulus)
-
-    def __neg__(self) -> "FieldMatrix":
-        return FieldMatrix(-self._a, self.modulus)
-
-    def scale(self, scalar: int) -> "FieldMatrix":
-        q = self.modulus
-        return FieldMatrix(_exact_copy(self._a, q) * (int(scalar) % q) % q, q)
-
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         self._check_same_field(other)
         if self.cols != other.rows:
@@ -237,14 +218,6 @@ class FieldMatrix:
     def select_columns(self, cols) -> "FieldMatrix":
         idx = list(cols)
         return FieldMatrix(self._a[:, idx], self.modulus)
-
-    def select_rows(self, rows) -> "FieldMatrix":
-        idx = list(rows)
-        return FieldMatrix(self._a[idx, :], self.modulus)
-
-    def stack_below(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same_field(other)
-        return FieldMatrix(np.vstack([self._a, other._a]), self.modulus)
 
     # -- elimination ----------------------------------------------------------
 

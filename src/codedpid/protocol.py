@@ -26,10 +26,18 @@ therefore hosts a share of K*L/N messages when the association is balanced.
   shares cancel (generator rows are orthogonal to the parity check) and the
   fragment terms collapse back to w_d.
 
-``run_delivery`` drives one full round and returns a transcript.  Two
-reference variants are included: ``run_fully_distributed`` (every server
-stores a raw slice of every message, rate 1) and ``run_subset_scheme``
-(only ceil(K/M) servers participate; the rest stay silent).
+Delivery variants
+-----------------
+Each variant is laid out once, by a private function that checks the
+request, the messages and the parameters and returns the server states,
+the randomness (None when unmasked) and the decoder: ``_coded_layout``,
+``_raw_slice_layout`` (every server stores a raw slice of every message,
+rate 1) and ``_subset_layout`` (M > K/N: a coded or raw-slice layout on
+ceil(K/M) servers, the rest silent; ``analysis.achievable_coded_rate``
+shares its checks).  ``run_delivery``, ``run_fully_distributed`` and
+``run_subset_scheme`` answer a layout locally; ``sim.simulate_round``,
+``simulate_fully_distributed_round`` and ``simulate_subset_round`` answer
+the same layout over the wire.
 """
 
 from __future__ import annotations
@@ -37,8 +45,10 @@ from __future__ import annotations
 import functools
 import math
 import secrets
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +66,6 @@ __all__ = [
     "make_association",
     "random_messages",
     "encode_storage",
-    "split_storage",
     "draw_randomness",
     "attach_shares",
     "server_answer",
@@ -348,7 +357,7 @@ def encode_storage(
     memo = slot[0]
     if memo is not None and memo[0] == config and memo[1] == messages:
         return memo[2]
-    messages = _check_messages(config, messages)
+    _check_messages(messages, config.k_messages, config.modulus, config.msg_len)
     if memo is not None and memo[0] == config:
         base = memo[2]
         todo = [
@@ -402,32 +411,6 @@ def _with_fragments(
         fragments=tuple(sorted(entries)),
         share=None,
         modulus=config.modulus,
-    )
-
-
-def split_storage(config: PidConfig, messages) -> tuple[ServerState, ...]:
-    """Uncoded variant: each host stores a raw consecutive slice of the message.
-
-    Message k's L symbols are dealt one each, in order, to k's sorted host
-    set.  Storage cost matches the coded scheme; there is no masking, so this
-    variant trades privacy away (useful as a negative control).
-    """
-    messages = _check_messages(config, messages)
-    q = config.modulus
-    per_server: list[list[tuple[int, tuple[int, ...]]]] = [
-        [] for _ in range(config.n_servers)
-    ]
-    for msg in messages:
-        for i, server in enumerate(config.servers_for(msg.index)):
-            per_server[server - 1].append((msg.index, (msg.symbols[i],)))
-    return tuple(
-        ServerState(
-            server_id=n + 1,
-            fragments=tuple(sorted(per_server[n])),
-            share=None,
-            modulus=q,
-        )
-        for n in range(config.n_servers)
     )
 
 
@@ -542,6 +525,168 @@ class DeliveryTranscript:
         return Fraction(self.msg_len, self.total_symbols)
 
 
+# -- delivery layouts ----------------------------------------------------------
+
+
+class _Layout(NamedTuple):
+    """One variant laid out for one request: a state per server, in
+    server-id order; the randomness whose shares go to the leading servers,
+    one each (None when unmasked); the decoder from the answers, in
+    server-id order, to the delivered symbols; and the transcript that the
+    answers and the decoded symbols complete."""
+
+    requested: int
+    storage: tuple[ServerState, ...]
+    randomness: SharedRandomness | None
+    decode: Callable
+    modulus: int
+    transcript: Callable[..., DeliveryTranscript]
+
+
+def _coded_layout(
+    config: PidConfig,
+    code: CodePair,
+    messages,
+    d: int,
+    seed: int | None = None,
+    randomness: SharedRandomness | None = None,
+    encode=encode_storage,
+    draw=draw_randomness,
+) -> _Layout:
+    """The coded scheme on all N servers.  The wire round passes as
+    ``encode`` and ``draw`` the names it looks up in its own module."""
+    config._check_message(d)
+    storage = encode(config, code, messages)
+    if randomness is None:
+        randomness = draw(code, seed)
+    if len(randomness.shares) != config.n_servers:
+        raise ValueError(
+            f"{len(randomness.shares)} shares for {config.n_servers} servers"
+        )
+    transcript = functools.partial(
+        DeliveryTranscript,
+        requested=d,
+        modulus=config.modulus,
+        msg_len=config.msg_len,
+        seed=seed,
+        mask_vector=randomness.mask_vector,
+    )
+    decode = lambda answers: code.decode_vector([a[0] for a in answers])  # noqa: E731
+    return _Layout(d, storage, randomness, decode, config.modulus, transcript)
+
+
+def _raw_slice_layout(messages, n_servers: int, d: int, msg_len=None) -> _Layout:
+    """Raw slices, unmasked: server n stores the n-th of N equal slices of
+    every message.  Messages 1..K in order, all with message 1's modulus
+    and length (``msg_len`` when given), which N must divide."""
+    messages = tuple(messages)
+    if not messages:
+        raise ValueError("need at least one message")
+    q = messages[0].modulus
+    l = len(messages[0].symbols) if msg_len is None else msg_len
+    _check_messages(messages, len(messages), q, l)
+    if l % n_servers != 0:
+        raise ValueError(
+            f"message length {l} is not divisible by {n_servers} servers"
+        )
+    if not 1 <= d <= len(messages):
+        raise ValueError(f"message id {d} outside 1..{len(messages)}")
+    part = l // n_servers
+    storage = tuple(
+        ServerState(
+            server_id=n + 1,
+            fragments=tuple(
+                (msg.index, tuple(msg.symbols[n * part : (n + 1) * part]))
+                for msg in messages
+            ),
+            share=None,
+            modulus=q,
+        )
+        for n in range(n_servers)
+    )
+    decode = lambda answers: tuple(s for a in answers for s in a)  # noqa: E731
+    transcript = functools.partial(DeliveryTranscript, requested=d, modulus=q, msg_len=l)
+    return _Layout(d, storage, None, decode, q, transcript)
+
+
+@functools.lru_cache(maxsize=8)
+def _subset_inner(
+    q: int, k_messages: int, active: int, msg_len: int
+) -> tuple[PidConfig, CodePair]:
+    """The canonical config and code pair on the ``active`` servers of a
+    coded subset round, kept per (q, K, active, L) for the last few shapes
+    served, so that successive rounds also reuse their encoded storage."""
+    return (
+        make_association(q, k_messages, active, msg_len),
+        build_vandermonde_pair(q, active, msg_len),
+    )
+
+
+def _active_count(k_messages: int, storage_limit) -> int:
+    """ceil(K/M): how many servers hold K messages at M > 0 messages each."""
+    m = Fraction(storage_limit)
+    if m <= 0:
+        raise ValueError(f"storage limit must be positive, got {m}")
+    return math.ceil(Fraction(k_messages) / m)
+
+
+def _subset_active(k_messages: int, n_servers: int, storage_limit, msg_len: int) -> int:
+    """The active count ceil(K/M) of a subset round, once M holds the K
+    messages on the N servers (K/N <= M, hence ceil(K/M) <= N) and L
+    balances over the active servers: they divide K*L when L is below their
+    count (coded branch) and L otherwise (raw-slice branch)."""
+    active = _active_count(k_messages, storage_limit)
+    m = Fraction(storage_limit)
+    if Fraction(k_messages, n_servers) > m:
+        raise ValueError(
+            f"storage limit {m} cannot hold K={k_messages} messages on "
+            f"N={n_servers} servers (needs at least {Fraction(k_messages, n_servers)})"
+        )
+    if msg_len < active and (k_messages * msg_len) % active != 0:
+        raise ValueError(
+            f"L={msg_len} does not balance K={k_messages} messages over "
+            f"{active} active servers"
+        )
+    if msg_len >= active and msg_len % active != 0:
+        raise ValueError(f"L={msg_len} is not divisible by the {active} active servers")
+    return active
+
+
+def _subset_layout(
+    k_messages: int, n_servers: int, storage_limit, msg_len: int, messages, d: int, seed
+) -> _Layout:
+    """A coded (L below ceil(K/M)) or raw-slice layout on the first ceil(K/M)
+    servers, then silent servers that hold and send nothing."""
+    active = _subset_active(k_messages, n_servers, storage_limit, msg_len)
+    messages = tuple(messages)
+    if len(messages) != k_messages:
+        raise ValueError(f"expected {k_messages} messages, got {len(messages)}")
+    q = messages[0].modulus
+    if msg_len < active:
+        inner_config, inner_code = _subset_inner(q, k_messages, active, msg_len)
+        inner = _coded_layout(inner_config, inner_code, messages, d, seed)
+    else:
+        inner = _raw_slice_layout(messages, active, d, msg_len)
+    silent = tuple(
+        ServerState(server_id=n, fragments=(), share=None, modulus=q)
+        for n in range(active + 1, n_servers + 1)
+    )
+    return inner._replace(
+        storage=inner.storage + silent,
+        decode=lambda answers: inner.decode(answers[:active]),
+    )
+
+
+def _answer_locally(layout: _Layout) -> DeliveryTranscript:
+    """Answer a layout in process: shares attached, every server answers."""
+    storage, randomness = layout.storage, layout.randomness
+    if randomness is not None:
+        shared = len(randomness.shares)
+        storage = attach_shares(storage[:shared], randomness) + storage[shared:]
+    answers = answer_vector(storage, layout.requested)
+    return layout.transcript(answers=answers, decoded=layout.decode(answers))
+
+
 def run_delivery(
     config: PidConfig,
     code: CodePair,
@@ -551,21 +696,8 @@ def run_delivery(
     randomness: SharedRandomness | None = None,
 ) -> DeliveryTranscript:
     """One full coded delivery round: encode, mask, answer, decode."""
-    config._check_message(d)
-    storage = encode_storage(config, code, messages)
-    if randomness is None:
-        randomness = draw_randomness(code, seed)
-    masked = attach_shares(storage, randomness)
-    answers = answer_vector(masked, d)
-    decoded = decode_answers(code, answers)
-    return DeliveryTranscript(
-        requested=d,
-        answers=answers,
-        decoded=decoded,
-        modulus=config.modulus,
-        msg_len=config.msg_len,
-        seed=seed,
-        mask_vector=randomness.mask_vector,
+    return _answer_locally(
+        _coded_layout(config, code, messages, d, seed, randomness)
     )
 
 
@@ -580,43 +712,7 @@ def run_fully_distributed(messages, n_servers: int, d: int) -> DeliveryTranscrip
     raw-slice layouts with L < N, where d's host set alone transmits, leak
     d (see ``verify.split_scheme``).
     """
-    messages = tuple(messages)
-    if not messages:
-        raise ValueError("need at least one message")
-    q = messages[0].modulus
-    l = len(messages[0].symbols)
-    if l % n_servers != 0:
-        raise ValueError(
-            f"message length {l} is not divisible by {n_servers} servers"
-        )
-    if not 1 <= d <= len(messages):
-        raise ValueError(f"message id {d} outside 1..{len(messages)}")
-    part = l // n_servers
-    answers = tuple(
-        tuple(messages[d - 1].symbols[n * part : (n + 1) * part])
-        for n in range(n_servers)
-    )
-    decoded = tuple(s for a in answers for s in a)
-    return DeliveryTranscript(
-        requested=d,
-        answers=answers,
-        decoded=decoded,
-        modulus=q,
-        msg_len=l,
-    )
-
-
-@functools.lru_cache(maxsize=8)
-def _subset_inner(
-    q: int, k_messages: int, active: int, msg_len: int
-) -> tuple[PidConfig, CodePair]:
-    """The canonical config and code pair on the ``active`` servers of a
-    coded subset round, kept per (q, K, active, L) for the last few shapes
-    served, so that successive rounds also reuse their encoded storage."""
-    return (
-        make_association(q, k_messages, active, msg_len),
-        build_vandermonde_pair(q, active, msg_len),
-    )
+    return _answer_locally(_raw_slice_layout(messages, n_servers, d))
 
 
 def run_subset_scheme(
@@ -635,58 +731,8 @@ def run_subset_scheme(
     active count the coded scheme runs on the active servers at rate
     L/ceil(K/M); once L reaches the active count, raw slices achieve rate 1.
     """
-    m = Fraction(storage_limit)
-    if m <= 0:
-        raise ValueError(f"storage limit must be positive, got {m}")
-    if Fraction(k_messages, n_servers) > m:
-        raise ValueError(
-            f"storage limit {m} cannot hold K={k_messages} messages on "
-            f"N={n_servers} servers (needs at least {Fraction(k_messages, n_servers)})"
-        )
-    active = math.ceil(Fraction(k_messages) / m)
-    if active > n_servers:
-        raise ValueError(
-            f"need {active} active servers but only {n_servers} exist"
-        )
-    messages = tuple(messages)
-    if len(messages) != k_messages:
-        raise ValueError(f"expected {k_messages} messages, got {len(messages)}")
-    q = messages[0].modulus
-    silent = n_servers - active
-
-    if msg_len < active:
-        if (k_messages * msg_len) % active != 0:
-            raise ValueError(
-                f"L={msg_len} does not balance K={k_messages} messages over "
-                f"{active} active servers"
-            )
-        inner_config, inner_code = _subset_inner(
-            q, k_messages, active, msg_len
-        )
-        inner = run_delivery(inner_config, inner_code, messages, d, seed=seed)
-        answers = inner.answers + ((),) * silent
-        return DeliveryTranscript(
-            requested=d,
-            answers=answers,
-            decoded=inner.decoded,
-            modulus=q,
-            msg_len=msg_len,
-            seed=seed,
-            mask_vector=inner.mask_vector,
-        )
-
-    if msg_len % active != 0:
-        raise ValueError(
-            f"L={msg_len} is not divisible by the {active} active servers"
-        )
-    inner = run_fully_distributed(messages, active, d)
-    answers = inner.answers + ((),) * silent
-    return DeliveryTranscript(
-        requested=d,
-        answers=answers,
-        decoded=inner.decoded,
-        modulus=q,
-        msg_len=msg_len,
+    return _answer_locally(
+        _subset_layout(k_messages, n_servers, storage_limit, msg_len, messages, d, seed)
     )
 
 
@@ -708,21 +754,19 @@ def _check_instance(config: PidConfig, code: CodePair) -> None:
         )
 
 
-def _check_messages(config: PidConfig, messages) -> tuple[Message, ...]:
-    messages = tuple(messages)
-    if len(messages) != config.k_messages:
-        raise ValueError(
-            f"expected {config.k_messages} messages, got {len(messages)}"
-        )
+def _check_messages(
+    messages: tuple[Message, ...], k_messages: int, modulus: int, msg_len: int
+) -> None:
+    """Refuse all but K messages numbered 1..K in order, each of
+    ``msg_len`` symbols mod ``modulus``."""
+    if len(messages) != k_messages:
+        raise ValueError(f"expected {k_messages} messages, got {len(messages)}")
     for i, msg in enumerate(messages, start=1):
         if msg.index != i:
             raise ValueError(f"message at position {i} has index {msg.index}")
-        if msg.modulus != config.modulus:
+        if msg.modulus != modulus:
+            raise ValueError(f"message {i} modulus {msg.modulus} != {modulus}")
+        if len(msg.symbols) != msg_len:
             raise ValueError(
-                f"message {i} modulus {msg.modulus} != config {config.modulus}"
+                f"message {i} has {len(msg.symbols)} symbols, expected {msg_len}"
             )
-        if len(msg.symbols) != config.msg_len:
-            raise ValueError(
-                f"message {i} has {len(msg.symbols)} symbols, expected {config.msg_len}"
-            )
-    return messages

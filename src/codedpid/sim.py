@@ -50,7 +50,6 @@ talk to each other.  Actors validate every frame they receive and raise
 from __future__ import annotations
 
 import functools
-import math
 import struct
 from collections import namedtuple
 from collections.abc import Mapping
@@ -67,8 +66,10 @@ from codedpid.protocol import (  # noqa: F401
     PidConfig,
     ServerState,
     SharedRandomness,
-    _check_messages,
-    _subset_inner,
+    _coded_layout,
+    _Layout,
+    _raw_slice_layout,
+    _subset_layout,
     attach_shares,
     draw_randomness,
     encode_storage,
@@ -471,11 +472,6 @@ def _storage_frame(state: ServerState) -> Frame:
     return frame
 
 
-def _storage_frames(storage) -> tuple[Frame, ...]:
-    """One SETUP_STORAGE frame per server state, in server-id order."""
-    return tuple(_storage_frame(state) for state in storage)
-
-
 def _run_phases(
     n_servers: int,
     modulus: int,
@@ -534,6 +530,23 @@ def _run_phases(
     return tuple(router.log), answers, result.payload
 
 
+def _serve(layout: _Layout) -> SimResult:
+    """Answer a ``protocol`` layout over the wire: one storage frame per
+    server state, the shares (if any) to the leading servers, then the
+    deliver commands, the answers and the decode result."""
+    randomness = layout.randomness
+    frames, answers, decoded = _run_phases(
+        n_servers=len(layout.storage),
+        modulus=layout.modulus,
+        storage_frames=tuple(_storage_frame(state) for state in layout.storage),
+        shares=None if randomness is None else randomness.shares,
+        d=layout.requested,
+        decode_fn=layout.decode,
+    )
+    transcript = layout.transcript(answers=answers, decoded=decoded)
+    return SimResult(transcript=transcript, frames=frames)
+
+
 def simulate_round(
     config: PidConfig,
     code: CodePair,
@@ -551,81 +564,22 @@ def simulate_round(
     the shares travel in their own frames.
     ``randomness`` must hold one share per server, as in ``run_delivery``.
     """
-    config._check_message(d)
-    storage = encode_storage(config, code, messages)
-    if randomness is None:
-        randomness = draw_randomness(code, seed)
-    if len(randomness.shares) != len(storage):
-        raise ValueError(
-            f"{len(randomness.shares)} shares for {len(storage)} servers"
+    # Pass the names as looked up in this module, where tracers wrap them.
+    return _serve(
+        _coded_layout(
+            config, code, messages, d, seed, randomness,
+            encode_storage, draw_randomness,
         )
-    frames, answers, decoded = _run_phases(
-        n_servers=config.n_servers,
-        modulus=config.modulus,
-        storage_frames=_storage_frames(storage),
-        shares=randomness.shares,
-        d=d,
-        decode_fn=lambda ordered: code.decode_vector([a[0] for a in ordered]),
     )
-    transcript = DeliveryTranscript(
-        requested=d,
-        answers=answers,
-        decoded=decoded,
-        modulus=config.modulus,
-        msg_len=config.msg_len,
-        seed=seed,
-        mask_vector=randomness.mask_vector,
-    )
-    return SimResult(transcript=transcript, frames=frames)
 
 
 def simulate_fully_distributed_round(
     messages, n_servers: int, d: int
 ) -> SimResult:
-    """Raw-slice reference variant over the wire (rate 1).
-
-    Every server holds a slice of every message and all of them answer, so
-    the answers are alike for every d; only raw-slice layouts with L < N
-    leak d (see ``protocol.run_fully_distributed``).
-    """
-    messages = tuple(messages)
-    if not messages:
-        raise ValueError("need at least one message")
-    q = messages[0].modulus
-    l = len(messages[0].symbols)
-    if l % n_servers != 0:
-        raise ValueError(f"message length {l} is not divisible by {n_servers}")
-    if not 1 <= d <= len(messages):
-        raise ValueError(f"message id {d} outside 1..{len(messages)}")
-    part = l // n_servers
-    storage = tuple(
-        ServerState(
-            server_id=n + 1,
-            fragments=tuple(
-                (m.index, tuple(m.symbols[n * part : (n + 1) * part]))
-                for m in messages
-            ),
-            share=None,
-            modulus=q,
-        )
-        for n in range(n_servers)
-    )
-    frames, answers, decoded = _run_phases(
-        n_servers=n_servers,
-        modulus=q,
-        storage_frames=_storage_frames(storage),
-        shares=None,
-        d=d,
-        decode_fn=lambda ordered: tuple(s for a in ordered for s in a),
-    )
-    transcript = DeliveryTranscript(
-        requested=d,
-        answers=answers,
-        decoded=decoded,
-        modulus=q,
-        msg_len=l,
-    )
-    return SimResult(transcript=transcript, frames=frames)
+    """Raw-slice reference variant over the wire (rate 1): the layout of
+    ``protocol.run_fully_distributed``, answered by actors, with the same
+    transcript."""
+    return _serve(_raw_slice_layout(messages, n_servers, d))
 
 
 def simulate_subset_round(
@@ -641,83 +595,11 @@ def simulate_subset_round(
 
     Idle servers receive the deliver command like everyone else and answer
     with an empty payload, so the frame pattern stays request-independent.
+    Produces the same transcript as ``protocol.run_subset_scheme``.
     """
-    m = Fraction(storage_limit)
-    if m <= 0:
-        raise ValueError(f"storage limit must be positive, got {m}")
-    if Fraction(k_messages, n_servers) > m:
-        raise ValueError(
-            f"storage limit {m} cannot hold K={k_messages} on N={n_servers}"
-        )
-    active = math.ceil(Fraction(k_messages) / m)
-    if active > n_servers:
-        raise ValueError(f"need {active} active servers, have {n_servers}")
-    messages = tuple(messages)
-    q = messages[0].modulus
-    silent = tuple(
-        ServerState(server_id=i + 1, fragments=(), share=None, modulus=q)
-        for i in range(active, n_servers)
+    return _serve(
+        _subset_layout(k_messages, n_servers, storage_limit, msg_len, messages, d, seed)
     )
-
-    if msg_len < active:
-        inner_config, inner_code = _subset_inner(
-            q, k_messages, active, msg_len
-        )
-        _check_messages(inner_config, messages)
-        storage = encode_storage(inner_config, inner_code, messages) + silent
-        randomness = draw_randomness(inner_code, seed)
-        frames, answers, decoded = _run_phases(
-            n_servers=n_servers,
-            modulus=q,
-            storage_frames=_storage_frames(storage),
-            shares=randomness.shares,  # prefix: only active servers
-            d=d,
-            decode_fn=lambda ordered: inner_code.decode_vector(
-                [a[0] for a in ordered[:active]]
-            ),
-        )
-        transcript = DeliveryTranscript(
-            requested=d,
-            answers=answers,
-            decoded=decoded,
-            modulus=q,
-            msg_len=msg_len,
-            seed=seed,
-            mask_vector=randomness.mask_vector,
-        )
-        return SimResult(transcript=transcript, frames=frames)
-
-    if msg_len % active != 0:
-        raise ValueError(f"L={msg_len} is not divisible by {active} active servers")
-    part = msg_len // active
-    storage = tuple(
-        ServerState(
-            server_id=n + 1,
-            fragments=tuple(
-                (msg.index, tuple(msg.symbols[n * part : (n + 1) * part]))
-                for msg in messages
-            ),
-            share=None,
-            modulus=q,
-        )
-        for n in range(active)
-    ) + silent
-    frames, answers, decoded = _run_phases(
-        n_servers=n_servers,
-        modulus=q,
-        storage_frames=_storage_frames(storage),
-        shares=None,
-        d=d,
-        decode_fn=lambda ordered: tuple(s for a in ordered for s in a),
-    )
-    transcript = DeliveryTranscript(
-        requested=d,
-        answers=answers,
-        decoded=decoded,
-        modulus=q,
-        msg_len=msg_len,
-    )
-    return SimResult(transcript=transcript, frames=frames)
 
 
 @dataclass(frozen=True)

@@ -161,34 +161,19 @@ class TestFieldMatrix:
         a = FieldMatrix([[1, 2]], 5)
         b = FieldMatrix([[1], [2]], 5)
         with pytest.raises(ValueError):
-            a + b
-        with pytest.raises(ValueError):
             a @ a
-        with pytest.raises(ValueError):
-            a + FieldMatrix([[1, 2]], 7)
-
-    def test_add_sub_neg_scale(self):
-        a = FieldMatrix([[1, 2], [3, 4]], 5)
-        b = FieldMatrix([[4, 4], [4, 4]], 5)
-        assert (a + b).to_lists() == [[0, 1], [2, 3]]
-        assert (a - b).to_lists() == [[2, 3], [4, 0]]
-        assert (-a).to_lists() == [[4, 3], [2, 1]]
-        assert a.scale(2).to_lists() == [[2, 4], [1, 3]]
+        with pytest.raises(ValueError, match="mixed moduli"):
+            a @ FieldMatrix([[1], [2]], 7)
+        assert (a @ b).shape == (1, 1)
 
     def test_selection_and_views(self):
         m = FieldMatrix([[1, 2, 3], [4, 5, 6]], 7)
         assert m.select_columns((0, 2)).to_lists() == [[1, 3], [4, 6]]
-        assert m.select_rows((1,)).to_lists() == [[4, 5, 6]]
         assert m.transpose().to_lists() == [[1, 4], [2, 5], [3, 6]]
         assert m.row_tuples() == ((1, 2, 3), (4, 5, 6))
         assert m.column_tuple(1) == (2, 5)
         assert int(m[1, 2]) == 6
         assert m.shape == (2, 3)
-
-    def test_stack_below(self):
-        a = FieldMatrix([[1, 2]], 5)
-        b = FieldMatrix([[3, 4]], 5)
-        assert a.stack_below(b).to_lists() == [[1, 2], [3, 4]]
 
     def test_immutability(self):
         m = FieldMatrix([[1]], 5)
@@ -286,9 +271,6 @@ class TestExactProducts:
             assert FieldMatrix(a, q).mat_vec(v) == tuple(
                 row[0] for row in py_matmul(a, [[x] for x in v], q)
             )
-            assert FieldMatrix(a, q).scale(q - 2).to_lists() == [
-                [x * (q - 2) % q for x in row] for row in a
-            ]
 
     def test_elimination_at_big_moduli(self):
         rng = np.random.default_rng(8)

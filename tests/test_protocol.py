@@ -18,6 +18,7 @@ from codedpid.protocol import (
     DeliveryTranscript,
     Message,
     PidConfig,
+    ServerState,
     answer_vector,
     attach_shares,
     decode_answers,
@@ -29,7 +30,6 @@ from codedpid.protocol import (
     run_fully_distributed,
     run_subset_scheme,
     server_answer,
-    split_storage,
     valid_msg_lens,
 )
 
@@ -193,16 +193,6 @@ class TestEncoding:
         with pytest.raises(ValueError):
             encode_storage(config, code11, msgs(5, *Q5_MESSAGES))
 
-    def test_split_storage_raw_slices(self):
-        config, _ = q5_instance()
-        storage = split_storage(config, msgs(5, *Q5_MESSAGES))
-        assert storage[0].symbols_for(1) == (1,)
-        assert storage[1].symbols_for(1) == (2,)
-        assert storage[1].symbols_for(2) == (3,)
-        assert storage[2].symbols_for(2) == (4,)
-        assert storage[0].symbols_for(3) == (0,)
-        assert storage[2].symbols_for(3) == (1,)
-
 
 class TestRandomness:
     def test_share_golden_q5(self):
@@ -339,10 +329,13 @@ class TestAnswersAndDecoding:
         assert patterns == {(1, 1, 1, 1, 1, 1)}
 
     def test_server_answer_without_share(self):
-        config, _ = q5_instance()
-        storage = split_storage(config, msgs(5, *Q5_MESSAGES))
-        assert server_answer(storage[0], 1) == (1,)
-        assert server_answer(storage[0], 2) == ()  # silent: not a host
+        # Server 1 of the q5 layout holding raw symbols of messages 1 and 3.
+        state = ServerState(
+            server_id=1, fragments=((1, (1,)), (3, (0,))), share=None, modulus=5
+        )
+        assert server_answer(state, 1) == (1,)
+        assert server_answer(state, 3) == (0,)
+        assert server_answer(state, 2) == ()  # silent: not a host
 
     def test_decode_rejects_multi_symbol_answers(self):
         _, code = q5_instance()

@@ -18,7 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 import codedpid.protocol
 import codedpid.sim
-from codedpid.analysis import DownloadFloorCheck, download_floor_check
+from codedpid.analysis import (
+    DownloadFloorCheck,
+    achievable_coded_rate,
+    download_floor_check,
+)
 from codedpid.codes import build_vandermonde_pair
 from codedpid.instances import q5_instance, q11_instance
 from codedpid.protocol import (
@@ -278,6 +282,87 @@ class TestFullyDistributedRound:
             simulate_fully_distributed_round(messages, 3, 9)
         with pytest.raises(ValueError):
             simulate_fully_distributed_round((), 2, 1)
+
+
+# -- one layout per variant, two transports --------------------------------------
+
+
+RAW_2 = msgs(5, (1, 2), (3, 4), (0, 1), (2, 0))
+
+# (library call, simulator call, arguments, the ValueError both raise)
+REFUSALS = [
+    # a subset round refuses requests that do not exist, on either branch
+    (run_subset_scheme, simulate_subset_round,
+     (4, 4, 1, 1, msgs(5, (1,), (2,), (3,), (4,)), 9), "message id 9 outside 1..4"),
+    (run_subset_scheme, simulate_subset_round,
+     (4, 5, 2, 2, RAW_2, 9), "message id 9 outside 1..4"),
+    # ... and message lists that are not K long
+    (run_subset_scheme, simulate_subset_round,
+     (4, 5, 2, 2, RAW_2[:3], 1), "expected 4 messages, got 3"),
+    (run_subset_scheme, simulate_subset_round,
+     (4, 4, 1, 1, (), 1), "expected 4 messages, got 0"),
+    # ... and messages whose length is not L
+    (run_subset_scheme, simulate_subset_round,
+     (4, 4, 2, 2, msgs(5, *[(1, 2, 3, 4)] * 4), 1),
+     "message 1 has 4 symbols, expected 2"),
+    # raw slices check every message, not only the first
+    (run_fully_distributed, simulate_fully_distributed_round,
+     (msgs(7, (1, 2, 3, 4), (5, 6)), 2, 1),
+     "message 2 has 2 symbols, expected 4"),
+    (run_fully_distributed, simulate_fully_distributed_round,
+     ((Message(1, (1, 2), 7), Message(2, (3, 4), 11)), 2, 2),
+     "message 2 modulus 11 != 7"),
+    (run_fully_distributed, simulate_fully_distributed_round,
+     ((Message(2, (1, 2), 7), Message(1, (3, 4), 7)), 2, 1),
+     "message at position 1 has index 2"),
+    (run_fully_distributed, simulate_fully_distributed_round,
+     (msgs(7, (1, 2, 3), (4, 5, 6)), 2, 1),
+     "message length 3 is not divisible by 2 servers"),
+]
+
+
+@pytest.mark.parametrize(
+    "lib_fn, sim_fn, args, text",
+    REFUSALS,
+    ids=[
+        "subset-coded-request", "subset-raw-request", "subset-short-list",
+        "subset-no-messages", "subset-long-messages", "raw-ragged",
+        "raw-mixed-moduli", "raw-misnumbered", "raw-indivisible",
+    ],
+)
+def test_library_and_simulator_refuse_alike(lib_fn, sim_fn, args, text):
+    with pytest.raises(ValueError) as lib:
+        lib_fn(*args)
+    with pytest.raises(ValueError) as sim:
+        sim_fn(*args)
+    assert str(sim.value) == str(lib.value) == text
+
+
+# (q, K, N, M, L): both branches, M = K/N exactly, a fractional M and the
+# largest 4-byte prime.
+SUBSET_SHAPES = [
+    (13, 12, 7, 2, 4),
+    (5, 4, 5, 2, 2),
+    (7, 4, 5, 2, 4),
+    (7, 6, 3, 2, 2),
+    (11, 8, 6, Fraction(4, 3), 3),
+    (11, 8, 7, Fraction(4, 3), 6),
+    (BIG_Q, 6, 4, 2, 2),
+    (BIG_Q, 4, 3, 2, 2),
+]
+
+
+@pytest.mark.parametrize("q, k, n, m, l", SUBSET_SHAPES)
+def test_subset_transports_agree_across_shapes(q, k, n, m, l):
+    rng = np.random.default_rng(k * n + l)
+    rows = [tuple(int(x) for x in rng.integers(0, q, size=l)) for _ in range(k)]
+    messages = msgs(q, *rows)
+    for d in (1, k):
+        lib = run_subset_scheme(k, n, m, l, messages, d, seed=d)
+        sim = simulate_subset_round(k, n, m, l, messages, d, seed=d)
+        assert sim.transcript == lib
+        assert lib.decoded == messages[d - 1].symbols
+        assert lib.rate == achievable_coded_rate(k, n, m, l)
 
 
 class TestRouterAndActors:
