@@ -33,7 +33,7 @@ for row in code.generator.to_lists():
     print("  %s" % row)
 print("server j's share is column j of the generator, dotted with the mask:")
 for j in range(6):
-    print("  server %d share coefficients %s" % (j + 1, code.g_column(j)))
+    print("  server %d share coefficients %s" % (j + 1, code.generator.column_tuple(j)))
 
 # -- one delivery from each host group --------------------------------------
 

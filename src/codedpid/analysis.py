@@ -30,6 +30,7 @@ from codedpid.protocol import (
     DeliveryTranscript,
     PidConfig,
     _active_count,
+    _check_positive,
     _subset_active,
     valid_msg_lens,
 )
@@ -83,7 +84,6 @@ def achievable_coded_rate(
     when L is below the active count, active | L at or above it); raises
     otherwise.  These are the checks of ``protocol.run_subset_scheme``.
     """
-    _check_positive(k_messages=k_messages, n_servers=n_servers, msg_len=msg_len)
     active = _subset_active(k_messages, n_servers, storage_limit, msg_len)
     if msg_len < active:
         return Fraction(msg_len, active)
@@ -295,9 +295,3 @@ def sweep_to_csv(rows) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def _check_positive(**named: int) -> None:
-    for name, value in named.items():
-        if value < 1:
-            raise ValueError(f"{name} must be positive, got {value}")

@@ -8,9 +8,11 @@ Subcommands::
     pid sweep   --k K --m M --l L --n-range A:B    rate table as CSV
     pid table-l --k-range A:B --n-range A:B        valid message lengths
 
-Exit codes: 0 success, 2 validation error, 3 verification failure,
-4 exhaustive budget exceeded.  The PID_BUDGET environment variable overrides
-the default exhaustive-audit budget.
+Exit codes: 0 success, 2 bad input, 3 verification failure, 4 exhaustive
+budget exceeded.  The PID_BUDGET environment variable overrides the default
+exhaustive-audit budget.  ``main`` reports every refusal, the command line's
+(``CliError``) and the library's (any ``ValueError``), and any file that
+cannot be read or written (``OSError``), as one ``error:`` line and exit 2.
 
 Config files are ``key = value`` lines; values are Python literals (lists,
 ints, quoted strings) with ``#`` comments.  Keys: q, K, N, L, mode,
@@ -18,7 +20,8 @@ association, points, generator_override, seed, messages, name.  Numbers and
 list entries must be integers (not floats or bools), and q must lie below
 2^32, the 4-byte wire symbol; anything else exits 2.  Instance
 directories hold instance.cfg, code.txt, messages.txt, storage.txt and gain
-transcript.txt + frames.log after a delivery.
+transcript.txt + frames.log after a delivery; messages.txt and storage.txt
+are read like configs, and storage.txt must hold its messages' storage.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from codedpid.protocol import (
     EXPLICIT,
     Message,
     PidConfig,
-    ServerState,
+    _check_messages,
     encode_storage,
     make_association,
     random_messages,
@@ -64,10 +67,9 @@ EXIT_VERDICT_FAIL = 3
 EXIT_BUDGET = 4
 
 
-class CliError(Exception):
-    def __init__(self, message: str, exit_code: int = EXIT_VALIDATION):
-        super().__init__(message)
-        self.exit_code = exit_code
+class CliError(ValueError):
+    """Input that the command line itself refuses (exit 2, as every
+    ``ValueError`` that reaches ``main``)."""
 
 
 # -- config files --------------------------------------------------------------
@@ -109,28 +111,55 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def parse_config_text(text: str, name: str = "instance") -> InstanceConfig:
+def _read_kv(text: str, known, where: str = "") -> dict[str, object]:
+    """The ``key = value`` lines of a config, messages.txt or storage.txt:
+    Python literals, else the bare text (e.g. mode names), ``#`` comments.
+    Refuses a line without ``=``, a key outside ``known`` and a repeated
+    key, naming the line after ``where``."""
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise CliError(f"{where}line {lineno}: expected 'key = value', got {raw!r}")
         key, _, rhs = line.partition("=")
         key = key.strip()
         rhs = rhs.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in known:
             raise CliError(
-                f"line {lineno}: unknown key {key!r} (known: {sorted(_CONFIG_KEYS)})"
+                f"{where}line {lineno}: unknown key {key!r} (known: {sorted(known)})"
             )
         if key in values:
-            raise CliError(f"line {lineno}: duplicate key {key!r}")
+            raise CliError(f"{where}line {lineno}: duplicate key {key!r}")
         try:
             values[key] = ast.literal_eval(rhs)
-        except (ValueError, SyntaxError):
-            # bare words (e.g. mode names) read as strings
+        except (ValueError, SyntaxError, TypeError):
             values[key] = rhs
+    return values
+
+
+def _ints(key: str, v, what: str) -> tuple[int, ...]:
+    """``v`` as a tuple of integers, refusing floats and bools."""
+    if not isinstance(v, (list, tuple)):
+        raise CliError(f"key {key!r} must be {what}, got {v!r}")
+    for entry in v:
+        if not _is_int(entry):
+            raise CliError(f"key {key!r} entries must be integers, got {entry!r}")
+    return tuple(v)
+
+
+def _int_rows(key: str, rows, what: str) -> tuple[tuple[int, ...], ...] | None:
+    """``rows`` as a tuple of integer tuples; None stays None."""
+    if rows is None:
+        return None
+    if not isinstance(rows, (list, tuple)):
+        raise CliError(f"key {key!r} must be a list of {what}")
+    return tuple(_ints(key, row, f"a list of {what}") for row in rows)
+
+
+def parse_config_text(text: str, name: str = "instance") -> InstanceConfig:
+    values = _read_kv(text, _CONFIG_KEYS)
     for key in _REQUIRED_KEYS:
         if key not in values:
             raise CliError(f"config is missing required key {key!r}")
@@ -141,23 +170,6 @@ def parse_config_text(text: str, name: str = "instance") -> InstanceConfig:
             raise CliError(f"key {key!r} must be an integer, got {v!r}")
         return v
 
-    def _ints(key: str, v, what: str) -> tuple[int, ...]:
-        """``v`` as a tuple of integers, refusing floats and bools."""
-        if not isinstance(v, (list, tuple)):
-            raise CliError(f"key {key!r} must be {what}, got {v!r}")
-        for entry in v:
-            if not _is_int(entry):
-                raise CliError(f"key {key!r} entries must be integers, got {entry!r}")
-        return tuple(v)
-
-    def _int_rows(key: str, what: str) -> tuple[tuple[int, ...], ...] | None:
-        rows = values.get(key)
-        if rows is None:
-            return None
-        if not isinstance(rows, (list, tuple)):
-            raise CliError(f"key {key!r} must be a list of {what}")
-        return tuple(_ints(key, row, f"a list of {what}") for row in rows)
-
     q = _as_int("q")
     if q >= MODULUS_LIMIT:
         raise CliError(
@@ -166,7 +178,7 @@ def parse_config_text(text: str, name: str = "instance") -> InstanceConfig:
     k = _as_int("K")
     n = _as_int("N")
     l = _as_int("L")
-    association = _int_rows("association", "host lists")
+    association = _int_rows("association", values.get("association"), "host lists")
     mode = values.get("mode")
     if mode is None:
         mode = EXPLICIT if association is not None else CANONICAL
@@ -177,11 +189,11 @@ def parse_config_text(text: str, name: str = "instance") -> InstanceConfig:
     points = values.get("points")
     if points is not None:
         points = _ints("points", points, "a list of integers")
-    gen = _int_rows("generator_override", "rows")
+    gen = _int_rows("generator_override", values.get("generator_override"), "rows")
     seed = values.get("seed")
     if seed is not None and (not _is_int(seed) or seed < 0):
         raise CliError(f"key 'seed' must be a non-negative integer, got {seed!r}")
-    messages = _int_rows("messages", "symbol lists")
+    messages = _int_rows("messages", values.get("messages"), "symbol lists")
     cfg_name = values.get("name", name)
     if not isinstance(cfg_name, str):
         raise CliError(f"key 'name' must be a string, got {cfg_name!r}")
@@ -208,49 +220,53 @@ def load_config(path: str | Path) -> InstanceConfig:
 
 
 def build_instance(cfg: InstanceConfig) -> tuple[PidConfig, CodePair]:
-    try:
-        config = make_association(
-            q=cfg.q,
-            k_messages=cfg.k_messages,
-            n_servers=cfg.n_servers,
-            msg_len=cfg.msg_len,
-            mode=cfg.mode,
-            association=cfg.association,
-        )
-        code = build_vandermonde_pair(
-            cfg.q, cfg.n_servers, cfg.msg_len, points=cfg.points
-        )
-        if cfg.generator_override is not None:
-            code = override_generator(code, cfg.generator_override)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    config = make_association(
+        q=cfg.q,
+        k_messages=cfg.k_messages,
+        n_servers=cfg.n_servers,
+        msg_len=cfg.msg_len,
+        mode=cfg.mode,
+        association=cfg.association,
+    )
+    code = build_vandermonde_pair(
+        cfg.q, cfg.n_servers, cfg.msg_len, points=cfg.points
+    )
+    if cfg.generator_override is not None:
+        code = override_generator(code, cfg.generator_override)
     return config, code
 
 
 def instance_messages(
     cfg: InstanceConfig, config: PidConfig, seed: int | None
 ) -> tuple[Message, ...]:
-    if cfg.messages is not None:
-        if len(cfg.messages) != config.k_messages:
-            raise CliError(
-                f"config lists {len(cfg.messages)} messages, expected "
-                f"{config.k_messages}"
-            )
-        try:
-            return tuple(
-                Message(index=i + 1, symbols=tuple(row), modulus=config.modulus)
-                for i, row in enumerate(cfg.messages)
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-    return random_messages(config, seed)
+    """The config's messages if it lists them, else K random ones drawn
+    from ``seed``."""
+    if cfg.messages is None:
+        return random_messages(config, seed)
+    return _messages(cfg.messages, config)
+
+
+def _messages(rows, config: PidConfig) -> tuple[Message, ...]:
+    """Messages 1..K from integer ``rows``, refused unless there are K rows
+    of L symbols mod q."""
+    messages = tuple(
+        Message(index=i, symbols=row, modulus=config.modulus)
+        for i, row in enumerate(rows, start=1)
+    )
+    _check_messages(messages, config.k_messages, config.modulus, config.msg_len)
+    return messages
 
 
 # -- instance directories -------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    return repr(value)
+def _storage_entries(storage) -> dict[str, list]:
+    """The storage.txt entries of ``storage``: ``server_n`` maps to server
+    n's [message id, [symbols]] pairs."""
+    return {
+        f"server_{st.server_id}": [[k, list(syms)] for k, syms in st.fragments]
+        for st in storage
+    }
 
 
 def write_instance_dir(
@@ -260,24 +276,25 @@ def write_instance_dir(
     code: CodePair,
     messages: tuple[Message, ...],
 ) -> None:
+    entries = _storage_entries(encode_storage(config, code, messages))
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [
-        f"name = {_fmt(cfg.name)}",
+        f"name = {cfg.name!r}",
         f"q = {config.modulus}",
         f"K = {config.k_messages}",
         f"N = {config.n_servers}",
         f"L = {config.msg_len}",
-        f"mode = {_fmt(config.mode)}",
+        f"mode = {config.mode!r}",
     ]
     if config.mode == EXPLICIT:
         # Canonical mode derives its association and refuses a given one.
         lines.append(
-            f"association = {_fmt([list(h) for h in config.association])}"
+            f"association = {[list(h) for h in config.association]!r}"
         )
-    lines.append(f"points = {_fmt(list(code.points))}")
+    lines.append(f"points = {list(code.points)!r}")
     if cfg.generator_override is not None:
         lines.append(
-            f"generator_override = {_fmt([list(r) for r in cfg.generator_override])}"
+            f"generator_override = {[list(r) for r in cfg.generator_override]!r}"
         )
     if cfg.seed is not None:
         lines.append(f"seed = {cfg.seed}")
@@ -285,87 +302,47 @@ def write_instance_dir(
 
     code_lines = [
         f"q = {code.modulus}",
-        f"points = {_fmt(list(code.points))}",
-        f"parity_check = {_fmt(code.parity_check.to_lists())}",
-        f"generator = {_fmt(code.generator.to_lists())}",
+        f"points = {list(code.points)!r}",
+        f"parity_check = {code.parity_check.to_lists()!r}",
+        f"generator = {code.generator.to_lists()!r}",
     ]
     (out_dir / "code.txt").write_text("\n".join(code_lines) + "\n")
 
     (out_dir / "messages.txt").write_text(
-        f"messages = {_fmt([list(m.symbols) for m in messages])}\n"
+        f"messages = {[list(m.symbols) for m in messages]!r}\n"
+    )
+    (out_dir / "storage.txt").write_text(
+        "".join(f"{key} = {entry!r}\n" for key, entry in entries.items())
     )
 
-    storage = encode_storage(config, code, messages)
-    storage_lines = [
-        f"server_{st.server_id} = "
-        f"{_fmt([[k, list(syms)] for k, syms in st.fragments])}"
-        for st in storage
-    ]
-    (out_dir / "storage.txt").write_text("\n".join(storage_lines) + "\n")
 
-
-def _parse_kv_file(path: Path) -> dict[str, object]:
-    values: dict[str, object] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliError(f"{path.name} line {lineno}: expected 'key = value'")
-        key, _, rhs = line.partition("=")
-        try:
-            values[key.strip()] = ast.literal_eval(rhs.strip())
-        except (ValueError, SyntaxError):
-            values[key.strip()] = rhs.strip()
-    return values
+def _instance_file(inst: Path, name: str) -> str:
+    path = inst / name
+    if not path.is_file():
+        raise CliError(f"instance directory is missing {name}: {inst}")
+    return path.read_text()
 
 
 def load_instance_dir(
     path: str | Path,
-) -> tuple[InstanceConfig, PidConfig, CodePair, tuple[Message, ...], tuple[ServerState, ...]]:
+) -> tuple[InstanceConfig, PidConfig, CodePair, tuple[Message, ...]]:
+    """The instance in directory ``path``, refused unless its messages.txt
+    holds K messages of L symbols and its storage.txt exactly their
+    storage under its config and code."""
     inst = Path(path)
     cfg_path = inst / "instance.cfg"
     if not cfg_path.is_file():
         raise CliError(f"not an instance directory (no instance.cfg): {inst}")
     cfg = load_config(cfg_path)
     config, code = build_instance(cfg)
-
-    msg_path = inst / "messages.txt"
-    if not msg_path.is_file():
-        raise CliError(f"instance directory is missing messages.txt: {inst}")
-    msg_values = _parse_kv_file(msg_path)
-    rows = msg_values.get("messages")
-    if not isinstance(rows, (list, tuple)) or len(rows) != config.k_messages:
-        raise CliError("messages.txt must define 'messages' with K rows")
-    try:
-        messages = tuple(
-            Message(index=i + 1, symbols=tuple(row), modulus=config.modulus)
-            for i, row in enumerate(rows)
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-    storage_path = inst / "storage.txt"
-    if not storage_path.is_file():
-        raise CliError(f"instance directory is missing storage.txt: {inst}")
-    storage_values = _parse_kv_file(storage_path)
-    states = []
-    for n in range(1, config.n_servers + 1):
-        entry = storage_values.get(f"server_{n}")
-        if not isinstance(entry, (list, tuple)):
-            raise CliError(f"storage.txt is missing server_{n}")
-        try:
-            states.append(
-                ServerState(
-                    server_id=n,
-                    fragments=tuple((k, tuple(syms)) for k, syms in entry),
-                    share=None,
-                    modulus=config.modulus,
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"storage.txt server_{n}: {exc}") from exc
-    return cfg, config, code, messages, tuple(states)
+    text = _instance_file(inst, "messages.txt")
+    listed = _read_kv(text, {"messages"}, "messages.txt ").get("messages", ())
+    messages = _messages(_int_rows("messages", listed, "symbol lists"), config)
+    entries = _storage_entries(encode_storage(config, code, messages))
+    stored = _read_kv(_instance_file(inst, "storage.txt"), entries, "storage.txt ")
+    if stored != entries:
+        raise CliError("storage.txt does not match the messages in this instance")
+    return cfg, config, code, messages
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -398,30 +375,22 @@ def cmd_setup(args) -> int:
 
 
 def cmd_deliver(args) -> int:
-    cfg, config, code, messages, stored = load_instance_dir(args.instance)
+    cfg, config, code, messages = load_instance_dir(args.instance)
     d = args.message
-    if not 1 <= d <= config.k_messages:
-        raise CliError(f"message id {d} outside 1..{config.k_messages}")
     seed = _seed(args.seed, cfg)
-
-    # The stored fragments must agree with a fresh encode of the stored
-    # messages (they do for directories written by `pid setup`).
-    fresh = encode_storage(config, code, messages)
-    if tuple(st.fragments for st in stored) != tuple(st.fragments for st in fresh):
-        raise CliError("storage.txt does not match the messages in this instance")
-
+    # The library refuses a request outside 1..K.
     result = simulate_round(config, code, messages, d, seed=seed)
     transcript = result.transcript
 
     inst = Path(args.instance)
     t_lines = [
         f"d = {transcript.requested}",
-        f"seed = {_fmt(seed)}",
-        f"mask = {_fmt(list(transcript.mask_vector or ()))}",
-        f"answers = {_fmt([list(a) for a in transcript.answers])}",
-        f"counts = {_fmt(list(transcript.transmission_counts))}",
-        f"decoded = {_fmt(list(transcript.decoded))}",
-        f"rate = {_fmt(str(transcript.rate))}",
+        f"seed = {seed!r}",
+        f"mask = {list(transcript.mask_vector or ())!r}",
+        f"answers = {[list(a) for a in transcript.answers]!r}",
+        f"counts = {list(transcript.transmission_counts)!r}",
+        f"decoded = {list(transcript.decoded)!r}",
+        f"rate = {str(transcript.rate)!r}",
     ]
     (inst / "transcript.txt").write_text("\n".join(t_lines) + "\n")
     write_frame_log(inst / "frames.log", result.frames)
@@ -462,7 +431,7 @@ def _parse_corrupt(text: str) -> tuple[int, int, int, int]:
 
 def cmd_verify(args) -> int:
     if args.instance:
-        cfg, config, code, _messages, _storage = load_instance_dir(args.instance)
+        cfg, config, code, _ = load_instance_dir(args.instance)
     else:
         cfg = load_config(args.config)
         config, code = build_instance(cfg)
@@ -470,26 +439,16 @@ def cmd_verify(args) -> int:
     if args.scheme == "split" and args.corrupt:
         raise CliError("--corrupt applies to the masked scheme only")
     corrupt = _parse_corrupt(args.corrupt) if args.corrupt else None
-    try:
-        if args.scheme == "split":
-            scheme = verify_mod.split_scheme(config)
-        else:
-            scheme = verify_mod.masked_scheme(config, code, corrupt=corrupt)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-    try:
-        budget = verify_mod.resolve_budget(args.budget)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.scheme == "split":
+        scheme = verify_mod.split_scheme(config)
+    else:
+        scheme = verify_mod.masked_scheme(config, code, corrupt=corrupt)
+    budget = verify_mod.resolve_budget(args.budget)
 
     if args.probe is not None:
-        try:
-            report = verify_mod.randomized_privacy_probe(
-                config, code, trials=args.probe, seed=args.seed, scheme=scheme
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        report = verify_mod.randomized_privacy_probe(
+            config, code, trials=args.probe, seed=args.seed, scheme=scheme
+        )
         anomaly = "yes" if report.pattern_anomaly else "no"
         stat = (
             "-"
@@ -513,8 +472,6 @@ def cmd_verify(args) -> int:
             correctness=args.property != "privacy",
             privacy=args.property != "correctness",
         )
-    except verify_mod.InexactArithmeticError as exc:
-        raise CliError(str(exc)) from exc
     except verify_mod.BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         print(
@@ -671,12 +628,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except verify_mod.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

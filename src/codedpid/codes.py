@@ -103,10 +103,6 @@ class CodePair:
                 f"generator columns {tuple(range(g.rows))} form a singular "
                 f"matrix mod {q}"
             )
-        # Plain-int views, built once: ``verify.masked_scheme`` reads every
-        # generator column and parity-check row when it builds its arrays.
-        object.__setattr__(self, "_h_rows", h.row_tuples())
-        object.__setattr__(self, "_g_cols", tuple(g.column_tuple(j) for j in range(n)))
 
     @property
     def n_servers(self) -> int:
@@ -119,13 +115,6 @@ class CodePair:
     @property
     def mask_len(self) -> int:
         return self.generator.rows
-
-    def h_rows(self) -> tuple[tuple[int, ...], ...]:
-        return self._h_rows  # type: ignore[attr-defined]
-
-    def g_column(self, col: int) -> tuple[int, ...]:
-        """Generator column ``col`` (0-based), as plain ints."""
-        return self._g_cols[col]  # type: ignore[attr-defined]
 
     def h_sub_inverse(self, cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """Inverse of the square parity-check minor on these 0-based columns.
@@ -195,11 +184,14 @@ def build_vandermonde_pair(
 
 
 def override_generator(pair: CodePair, generator_rows) -> CodePair:
-    """Replace the generator of a pair, re-running all structural checks."""
-    g = FieldMatrix(generator_rows, pair.modulus)
+    """Replace the generator of a pair, re-running all structural checks.
+    Entries are reduced mod q first, as ``build_vandermonde_pair`` reduces
+    its points, so an integer of any size is accepted."""
+    q = pair.modulus
+    g = FieldMatrix([[entry % q for entry in row] for row in generator_rows], q)
     return CodePair(
         parity_check=pair.parity_check,
         generator=g,
         points=pair.points,
-        modulus=pair.modulus,
+        modulus=q,
     )

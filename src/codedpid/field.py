@@ -139,10 +139,6 @@ class FieldMatrix:
     def zeros(cls, rows: int, cols: int, modulus: int) -> "FieldMatrix":
         return cls(np.zeros((rows, cols), dtype=np.int64), modulus)
 
-    @classmethod
-    def column(cls, entries, modulus: int) -> "FieldMatrix":
-        return cls(np.array([[int(e)] for e in entries], dtype=np.int64), modulus)
-
     # -- views ----------------------------------------------------------------
 
     @property

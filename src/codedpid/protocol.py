@@ -228,6 +228,7 @@ def make_association(
     if mode == CANONICAL:
         if association is not None:
             raise ValueError("canonical mode derives the association itself")
+        _check_positive(n_servers=n_servers)
         if (k_messages * msg_len) % n_servers != 0:
             raise ValueError(
                 f"L={msg_len} does not balance K={k_messages} messages over "
@@ -458,19 +459,19 @@ def attach_shares(storage, randomness: SharedRandomness) -> tuple[ServerState, .
 
 
 def server_answer(state: ServerState, d: int) -> tuple[int, ...]:
-    """One server's local answer to a request for message d.
+    """One server's local answer to a request for message d (see ``_answer``)."""
+    return _answer(state.symbols_for(d), state.share, state.modulus)
 
-    If the server hosts a fragment of d it sends fragment + share per symbol;
-    otherwise it sends its bare share.  With no share attached it sends raw
-    fragments (or stays silent) - that is the unmasked variant's behaviour.
-    """
-    symbols = state.symbols_for(d)
-    if state.share is None:
+
+def _answer(symbols: tuple[int, ...], share: int | None, q: int) -> tuple[int, ...]:
+    """The answer rule, also ``sim.ServerActor``'s: a server storing
+    ``symbols`` of the request (none if not a host) sends fragment + share
+    per symbol, or its bare share; with no share, raw fragments or silence."""
+    if share is None:
         return symbols
-    q = state.modulus
     if symbols:
-        return tuple((s + state.share) % q for s in symbols)
-    return (state.share,)
+        return tuple([(s + share) % q for s in symbols])
+    return (share,)
 
 
 def answer_vector(storage, d: int) -> tuple[tuple[int, ...], ...]:
@@ -578,11 +579,12 @@ def _coded_layout(
 def _raw_slice_layout(messages, n_servers: int, d: int, msg_len=None) -> _Layout:
     """Raw slices, unmasked: server n stores the n-th of N equal slices of
     every message.  Messages 1..K in order, all with message 1's modulus
-    and length (``msg_len`` when given), which N must divide."""
+    (a prime below 2^32, as every layout's) and length (``msg_len`` when
+    given), which N must divide."""
     messages = tuple(messages)
-    if not messages:
-        raise ValueError("need at least one message")
+    _check_positive(k_messages=len(messages), n_servers=n_servers)
     q = messages[0].modulus
+    check_modulus(q)
     l = len(messages[0].symbols) if msg_len is None else msg_len
     _check_messages(messages, len(messages), q, l)
     if l % n_servers != 0:
@@ -631,10 +633,11 @@ def _active_count(k_messages: int, storage_limit) -> int:
 
 
 def _subset_active(k_messages: int, n_servers: int, storage_limit, msg_len: int) -> int:
-    """The active count ceil(K/M) of a subset round, once M holds the K
-    messages on the N servers (K/N <= M, hence ceil(K/M) <= N) and L
+    """The active count ceil(K/M) of a subset round, once K, N, L > 0, M holds
+    the K messages on the N servers (K/N <= M, hence ceil(K/M) <= N) and L
     balances over the active servers: they divide K*L when L is below their
     count (coded branch) and L otherwise (raw-slice branch)."""
+    _check_positive(k_messages=k_messages, n_servers=n_servers, msg_len=msg_len)
     active = _active_count(k_messages, storage_limit)
     m = Fraction(storage_limit)
     if Fraction(k_messages, n_servers) > m:
@@ -737,6 +740,12 @@ def run_subset_scheme(
 
 
 # -- shared validation helpers ----------------------------------------------
+
+
+def _check_positive(**named: int) -> None:
+    for name, value in named.items():
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _check_instance(config: PidConfig, code: CodePair) -> None:

@@ -32,14 +32,14 @@ serialize to files with an 8-byte magic header.
 
 A ``Frame`` is a tuple record (kind, sender, payload), so each frame of a
 round costs what a tuple costs.  Its public constructor validates the three
-fields (``FrameError``).  Frames whose fields are bounded already are built
-without that check - the trusted construction: a parsed frame, whose header
-and symbols the wire format bounds, and the share, command, answer and
-decode-result frames of a round.  Those are sound because a round's symbols
-are residues mod q < 2^32 (``codes.MODULUS_LIMIT``) and its senders are 0
-and 1..N+1: ``_run_phases`` checks once per round that N+1 fits 2 bytes and
-that the shares and the request fit 4 bytes, each actor trusts its own
-frames only when its id and modulus bound them, and the user checks the
+fields (``FrameError``).  A parsed frame, and the share, command, answer and
+decode-result frames of a round, are built without that check, because
+their fields are bounded where they enter: the wire format bounds what is
+parsed; every layout's modulus is a prime below 2^32
+(``codes.check_modulus``); an actor refuses, when it is built, an id that
+does not fit 2 bytes and a server a modulus above 2^32, so every symbol it
+sends, reduced mod q, fits 4 bytes; ``_run_phases`` checks once per round
+that the shares and the request fit 4 bytes; and the user checks the
 symbols its decoder returns.
 
 The router forwards every frame and enforces the topology: servers never
@@ -68,6 +68,7 @@ from codedpid.protocol import (  # noqa: F401
     SharedRandomness,
     _coded_layout,
     _Layout,
+    _answer,
     _raw_slice_layout,
     _subset_layout,
     attach_shares,
@@ -116,7 +117,7 @@ _HEADER = struct.Struct("<BHI")
 _SENDER_LIMIT = 2**16
 _SYMBOL_LIMIT = 2**32
 # Builds a record of a tuple subclass from a 3-tuple without calling its
-# ``__new__``: the trusted construction of frames whose values are bounded.
+# ``__new__``: the construction of frames whose fields are bounded already.
 _record = tuple.__new__
 
 
@@ -137,6 +138,11 @@ def _check_symbols(payload: tuple[int, ...]) -> None:
         raise FrameError("payload symbols must fit 4 bytes each")
 
 
+def _check_sender(sender: int) -> None:
+    if not 0 <= sender < _SENDER_LIMIT:
+        raise FrameError(f"sender id {sender} does not fit 2 bytes")
+
+
 class Frame(namedtuple("Frame", ("kind", "sender", "payload"))):
     """One wire frame: kind, sender id, and a tuple of field symbols.
 
@@ -152,7 +158,7 @@ class Frame(namedtuple("Frame", ("kind", "sender", "payload"))):
     deliver-command, answer and decode-result frames of a simulated round,
     are built without that check (the record is made directly): the wire
     format bounds what is parsed, and a round's values are bounded before
-    its frames are built (see ``_run_phases``, ``ServerActor`` and
+    its frames are built (see ``_run_phases``, the actors' constructors and
     ``UserActor.decode_result``).  Every frame, built either way, has the
     class its kind calls for: SETUP_STORAGE frames are ``_StorageFrame``s.
     """
@@ -164,8 +170,7 @@ class Frame(namedtuple("Frame", ("kind", "sender", "payload"))):
         frame_class = _FRAME_CLASS.get(kind)
         if frame_class is None:
             raise FrameError(f"unknown frame kind {kind}")
-        if not 0 <= sender < _SENDER_LIMIT:
-            raise FrameError(f"sender id {sender} does not fit 2 bytes")
+        _check_sender(sender)
         _check_symbols(payload)
         return _record(frame_class, (kind, sender, payload))
 
@@ -315,9 +320,8 @@ class Router:
 class ServerActor:
     """Holds fragments and a mask share; answers deliver commands locally.
 
-    The answer rule is the protocol's: with a share attached, send fragment
-    plus share for a hosted message and the bare share otherwise; with no
-    share, send raw fragments or stay silent.
+    The answer rule is the protocol's own: ``protocol._answer``, which
+    ``server_answer`` applies too.
 
     A SETUP_STORAGE frame is parsed once per frame object and modulus: the
     frame keeps the fragment table the first server to receive it parsed
@@ -332,20 +336,19 @@ class ServerActor:
     hand, an equal copy - is parsed in full, and a frame that fails to parse
     keeps nothing.
 
-    Answer frames are built without re-validation when the server's own
-    values bound them: its id fits the 2-byte sender field and its modulus
-    is at most 2^32, so every symbol it sends (reduced mod q) fits 4 bytes.
-    Any other server's answers go through the validating ``Frame``.
+    The constructor refuses (``FrameError``) an id that does not fit the
+    2-byte sender field and a modulus outside 1..2^32, so every answer
+    frame, whose symbols are reduced mod q, is built without re-validation.
     """
 
     def __init__(self, server_id: int, modulus: int):
+        _check_sender(server_id)
+        if not 0 < modulus <= _SYMBOL_LIMIT:
+            raise FrameError(f"modulus {modulus} gives symbols that do not fit 4 bytes")
         self.actor_id = server_id
         self.modulus = modulus
         self.fragments: Mapping[int, tuple[int, ...]] = {}
         self.share: int | None = None
-        self._trusted = (
-            0 <= server_id < _SENDER_LIMIT and 0 < modulus <= _SYMBOL_LIMIT
-        )
 
     def receive(self, frame: Frame) -> list[Frame]:
         kind, _, payload = frame
@@ -364,10 +367,9 @@ class ServerActor:
                 raise ProtocolViolation(
                     f"deliver command must carry one symbol, got {len(payload)}"
                 )
-            answer = self._answer(payload[0])
-            if self._trusted:
-                return [_record(Frame, (ANSWER, self.actor_id, answer))]
-            return [Frame(ANSWER, self.actor_id, answer)]
+            symbols = self.fragments.get(payload[0], ())
+            answer = _answer(symbols, self.share, self.modulus)
+            return [_record(Frame, (ANSWER, self.actor_id, answer))]
         raise ProtocolViolation(
             f"server {self.actor_id} cannot handle frame kind {kind}"
         )
@@ -402,20 +404,14 @@ class ServerActor:
             raise ProtocolViolation("storage frame has trailing symbols")
         return MappingProxyType(table)
 
-    def _answer(self, d: int) -> tuple[int, ...]:
-        symbols = self.fragments.get(d, ())
-        if self.share is None:
-            return symbols
-        if symbols:
-            share, q = self.share, self.modulus
-            return tuple([(s + share) % q for s in symbols])
-        return (self.share,)
-
 
 class UserActor:
-    """Collects one answer per server, then decodes."""
+    """Collects one answer per server, then decodes.  The constructor
+    refuses (``FrameError``) an id that does not fit the 2-byte sender
+    field."""
 
     def __init__(self, user_id: int, n_servers: int, decode_fn, modulus: int):
+        _check_sender(user_id)
         self.actor_id = user_id
         self.n_servers = n_servers
         self.decode_fn = decode_fn
@@ -441,12 +437,10 @@ class UserActor:
             )
         ordered = tuple(self.answers[n] for n in range(1, self.n_servers + 1))
         decoded = tuple(self.decode_fn(ordered))
-        if 0 <= self.actor_id < _SENDER_LIMIT:
-            # ``decode_fn`` is the caller's, so its symbols are checked here;
-            # kind and sender need no check.
-            _check_symbols(decoded)
-            return _record(Frame, (DECODE_RESULT, self.actor_id, decoded))
-        return Frame(DECODE_RESULT, self.actor_id, decoded)  # raises FrameError
+        # ``decode_fn`` is the caller's, so its symbols are checked here;
+        # kind and sender need no check.
+        _check_symbols(decoded)
+        return _record(Frame, (DECODE_RESULT, self.actor_id, decoded))
 
 
 @dataclass(frozen=True)
@@ -488,20 +482,19 @@ def _run_phases(
 
     The storage frames were validated when they were built.  The share and
     deliver-command frames are built here without re-validation, after one
-    check per round: the user id N+1, the largest sender of the round, must
-    fit 2 bytes, and the shares and ``d`` 4 bytes each (``FrameError``
-    otherwise, as ``Frame`` would raise).  One command frame goes to every
-    server: frames are immutable.
+    check per round: the shares and ``d`` must fit 4 bytes each, and the
+    user, built before the servers, refuses an id N+1 (the largest sender
+    of the round) that does not fit 2 bytes (``FrameError`` either way, as
+    ``Frame`` would raise).  One command frame goes to every server: frames
+    are immutable.
     """
     user_id = n_servers + 1
     if shares:
         _check_symbols(shares[:n_servers])
-    if not 0 <= user_id < _SENDER_LIMIT:
-        raise FrameError(f"sender id {user_id} does not fit 2 bytes")
     _check_symbols((d,))
+    user = UserActor(user_id, n_servers, decode_fn, modulus)
     router = Router(n_servers)
     servers = [ServerActor(n, modulus) for n in range(1, user_id)]
-    user = UserActor(user_id, n_servers, decode_fn, modulus)
 
     send = router.send
     for frame, actor in zip(storage_frames, servers):

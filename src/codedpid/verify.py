@@ -255,9 +255,8 @@ def masked_scheme(
     build_storage = _linear_storage(
         q, n, host_cols, [code.h_sub_inverse(cols) for cols in host_cols], corrupt
     )
-    g = np.array([code.g_column(j) for j in range(n)], dtype=np.int64)
-    g = g.reshape(n, code.mask_len).T
-    h_t = np.array(code.h_rows(), dtype=np.int64).T
+    g = code.generator.array
+    h_t = code.parity_check.array.T
 
     def answers(storage, mask):
         # A server holding nothing of message d has the marker q there, which

@@ -18,6 +18,12 @@ REPO = Path(__file__).resolve().parent.parent
 Q5_CFG = REPO / "configs" / "q5-k3.cfg"
 Q11_CFG = REPO / "configs" / "q11-k8.cfg"
 
+# One run per refusal class: each malformed config, each tampered instance
+# directory file and each bad flag.  An entry writes its ``config`` to
+# bad.cfg, or sets up q5-k3 in inst/ and replaces (None: deletes) the files
+# named in ``instance``, then runs ``argv`` in that directory.
+REFUSAL_GOLDEN = json.loads((REPO / "tests" / "refusal_golden.json").read_text())
+
 VERDICT_RE = re.compile(
     r"^PROPERTY=(correctness|privacy) INSTANCE=\S+ VERDICT=(pass|fail) CASES=\d+$"
 )
@@ -162,7 +168,8 @@ class TestConfigEntriesProperty:
         text = f"{self.base}{key} = {self.nested(key, entries)!r}\n"
         with pytest.raises(CliError, match=f"key '{key}' entries must be integers") as exc:
             parse_config_text(text)
-        assert exc.value.exit_code == 2
+        # ``main`` reports every ValueError as one error line and exit 2
+        assert isinstance(exc.value, ValueError)
 
     @given(LIST_KEYS, st.lists(st.integers(-(10**12), 10**12), max_size=5))
     def test_integer_entries_kept(self, key, entries):
@@ -516,6 +523,40 @@ class TestVerify:
         assert "PATTERN_ANOMALY=yes" in out
         assert "MAX_STAT=- BOUND=-" in out
         assert "suspicious" in out
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("entry", REFUSAL_GOLDEN, ids=lambda e: e["name"])
+    def test_golden_refusals(self, capsys, monkeypatch, tmp_path, entry):
+        # stdout, stderr and exit code of each run; every byte must stay the
+        # same (CHANGES.md lists the entries that changed when the refusals
+        # were gathered in ``main``)
+        monkeypatch.delenv("PID_BUDGET", raising=False)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty").mkdir()
+        if "config" in entry:
+            (tmp_path / "bad.cfg").write_text(entry["config"])
+        if "instance" in entry:
+            assert run(capsys, "setup", "-c", str(Q5_CFG), "-o", "inst")[0] == 0
+            for name, text in entry["instance"].items():
+                if text is None:
+                    (tmp_path / "inst" / name).unlink()
+                else:
+                    (tmp_path / "inst" / name).write_text(text)
+        assert run(capsys, *entry["argv"]) == (
+            entry["exit"], entry["stdout"], entry["stderr"]
+        )
+
+    def test_short_message_rows_write_nothing(self, capsys, tmp_path, q5_dir):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(Q5_CFG.read_text() + "messages = [[1, 2], [3], [0, 1]]\n")
+        out = tmp_path / "out"
+        error = "error: message 2 has 1 symbols, expected 2\n"
+        assert run(capsys, "setup", "-c", str(cfg), "-o", str(out)) == (2, "", error)
+        assert not out.exists()
+        (q5_dir / "messages.txt").write_text("messages = [[1, 2], [3], [0, 1]]\n")
+        assert run(capsys, "deliver", "-i", str(q5_dir), "-d", "1") == (2, "", error)
+        assert not (q5_dir / "transcript.txt").exists()
 
 
 class TestSweep:

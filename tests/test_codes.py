@@ -113,7 +113,7 @@ class TestMdsInvariants:
             for _ in range(300):
                 mask = rng.integers(0, q, size=n - l)
                 shares = [
-                    int(sum(c * u for c, u in zip(pair.g_column(j), mask)) % q)
+                    int(sum(c * u for c, u in zip(pair.generator.column_tuple(j), mask)) % q)
                     for j in range(n)
                 ]
                 assert pair.decode_vector(shares) == (0,) * l
@@ -183,9 +183,9 @@ class TestCodePairApi:
 
     def test_plain_int_views(self):
         pair = build_vandermonde_pair(5, 3, 2, points=(1, 2, 3))
-        assert pair.h_rows() == ((1, 1, 1), (1, 2, 3))
-        assert pair.g_column(0) == (1,)
-        assert pair.g_column(1) == (3,)
+        assert pair.parity_check.row_tuples() == ((1, 1, 1), (1, 2, 3))
+        assert pair.generator.column_tuple(0) == (1,)
+        assert pair.generator.column_tuple(1) == (3,)
 
     def test_sub_inverse_matches_direct_inverse_and_caches(self):
         pair = build_vandermonde_pair(11, 6, 3, points=(1, 2, 3, 4, 5, 6))

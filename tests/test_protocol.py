@@ -229,7 +229,7 @@ def per_server_shares(code, mask):
     """Oracle for ``draw_randomness``: each share as its own dot product
     ``sum(c * u) % q`` over a generator column, in Python ints."""
     return tuple(
-        sum(c * u for c, u in zip(code.g_column(n), mask)) % code.modulus
+        sum(c * u for c, u in zip(code.generator.column_tuple(n), mask)) % code.modulus
         for n in range(code.n_servers)
     )
 

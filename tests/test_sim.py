@@ -318,6 +318,20 @@ REFUSALS = [
     (run_fully_distributed, simulate_fully_distributed_round,
      (msgs(7, (1, 2, 3), (4, 5, 6)), 2, 1),
      "message length 3 is not divisible by 2 servers"),
+    # counts are checked before anything divides by them
+    (run_subset_scheme, simulate_subset_round,
+     (0, 3, 1, 1, (), 1), "k_messages must be positive, got 0"),
+    (run_subset_scheme, simulate_subset_round,
+     (4, 0, 1, 1, msgs(5, (1,), (2,), (3,), (4,)), 1),
+     "n_servers must be positive, got 0"),
+    (run_fully_distributed, simulate_fully_distributed_round,
+     (msgs(7, (1, 2)), 0, 1), "n_servers must be positive, got 0"),
+    # raw slices bound their modulus as the coded layouts do
+    (run_fully_distributed, simulate_fully_distributed_round,
+     (msgs(2**41, (1, 2), (3, 4)), 2, 1),
+     "modulus 2199023255552 does not fit the 4-byte wire symbol: q must be below 2^32"),
+    (run_fully_distributed, simulate_fully_distributed_round,
+     (msgs(10, (1, 2), (3, 4)), 2, 1), "modulus 10 is not prime"),
 ]
 
 
@@ -328,6 +342,8 @@ REFUSALS = [
         "subset-coded-request", "subset-raw-request", "subset-short-list",
         "subset-no-messages", "subset-long-messages", "raw-ragged",
         "raw-mixed-moduli", "raw-misnumbered", "raw-indivisible",
+        "subset-no-k", "subset-no-n", "raw-no-n", "raw-modulus-too-large",
+        "raw-modulus-not-prime",
     ],
 )
 def test_library_and_simulator_refuse_alike(lib_fn, sim_fn, args, text):
@@ -408,13 +424,19 @@ class TestRouterAndActors:
 
     def test_server_answer_rule(self):
         server = ServerActor(1, 5)
+
+        def answer(d):
+            (frame,) = server.receive(Frame(DELIVER_CMD, 4, (d,)))
+            assert frame == (ANSWER, 1, frame.payload)
+            return frame.payload
+
         server.receive(Frame(SETUP_STORAGE, 0, (1, 2, 1, 3)))
         # no share: raw fragment for hosts, silence otherwise
-        assert server._answer(2) == (3,)
-        assert server._answer(1) == ()
+        assert answer(2) == (3,)
+        assert answer(1) == ()
         server.receive(Frame(SETUP_SHARE, 0, (4,)))
-        assert server._answer(2) == (2,)  # 3 + 4 mod 5
-        assert server._answer(1) == (4,)  # bare share
+        assert answer(2) == (2,)  # 3 + 4 mod 5
+        assert answer(1) == (4,)  # bare share
 
     def test_user_violations(self):
         user = UserActor(3, 2, decode_fn=lambda a: (0,), modulus=5)
@@ -1202,7 +1224,8 @@ class TestTrustedRoundFrames:
         def decode(ordered):
             return ()
 
-        # Checked before any actor is built, so no 65 535 servers are made.
+        # The user is built, and refused, before any server, so no 65 535
+        # servers are made.
         with pytest.raises(FrameError, match="sender id 65536 does not fit 2 bytes"):
             run(2**16 - 1, 5, (), None, 1, decode)
         for d in (2**32, -1):
@@ -1217,23 +1240,27 @@ class TestTrustedRoundFrames:
                     config, code, random_messages(config, seed=1), 1, randomness=bad
                 )
 
-    def test_actors_outside_the_bounds_validate_their_frames(self):
-        with pytest.raises(FrameError, match="2 bytes"):
-            ServerActor(2**16, 5).receive(Frame(DELIVER_CMD, 4, (1,)))
-        wide = ServerActor(1, 2**40)
-        wide.receive(Frame(SETUP_STORAGE, 0, (1, 1, 1, 2**32 - 1)))
+    def test_actors_outside_the_bounds_are_refused_when_built(self):
+        for sender in (2**16, -1):
+            refusal = f"sender id {sender} does not fit 2 bytes"
+            with pytest.raises(FrameError, match=refusal):
+                ServerActor(sender, 5)
+            with pytest.raises(FrameError, match=refusal):
+                UserActor(sender, 1, decode_fn=lambda _a: (0,), modulus=5)
+        for modulus in (2**32 + 1, 2**40, 0):
+            with pytest.raises(FrameError, match="do not fit 4 bytes"):
+                ServerActor(1, modulus)
+        # the largest modulus allowed answers 2^32 - 1, which fits
+        wide = ServerActor(1, 2**32)
+        wide.receive(Frame(SETUP_STORAGE, 0, (1, 1, 1, 2**32 - 2)))
         wide.receive(Frame(SETUP_SHARE, 0, (1,)))
-        with pytest.raises(FrameError, match="4 bytes"):
-            wide.receive(Frame(DELIVER_CMD, 4, (1,)))  # answers 2^32
+        assert wide.receive(Frame(DELIVER_CMD, 4, (1,)))[0].payload == (2**32 - 1,)
+        # the decoder is the caller's, so its symbols are still checked
         for decoded in ((-1,), (2**32,)):
             user = UserActor(3, 1, decode_fn=lambda _a, out=decoded: out, modulus=5)
             user.receive(Frame(ANSWER, 1, (1,)))
             with pytest.raises(FrameError, match="4 bytes"):
                 user.decode_result()
-        far = UserActor(2**16, 1, decode_fn=lambda _a: (0,), modulus=5)
-        far.receive(Frame(ANSWER, 1, (1,)))
-        with pytest.raises(FrameError, match="2 bytes"):
-            far.decode_result()
 
 
 # -- accounting against the per-term formulas ------------------------------------

@@ -628,7 +628,7 @@ class TestExactness:
         q = self.Q
         config, code = self.instance(q)
         # h = [[1, 1], [1, q-1]]: decoding multiplies residues near q
-        assert code.h_rows() == ((1, 1), (1, q - 1))
+        assert code.parity_check.row_tuples() == ((1, 1), (1, q - 1))
         scheme = masked_scheme(config, code, corrupt=(2, 1, 1, q - 1))
         # q^2 cases need a raised budget; the corrupted symbol fails case 1
         report = scheme_correctness(scheme, budget=10**19)
