@@ -15,8 +15,8 @@ exhaustive-audit budget.  ``main`` reports every refusal, the command line's
 cannot be read or written (``OSError``), as one ``error:`` line and exit 2.
 
 Config files are ``key = value`` lines; values are Python literals (lists,
-ints, quoted strings) with ``#`` comments.  Keys: q, K, N, L, mode,
-association, points, generator_override, seed, messages, name.  Numbers and
+ints, quoted strings) with ``#`` comments outside quotes.  Keys: q, K, N, L,
+mode, association, points, generator_override, seed, messages, name.  Numbers and
 list entries must be integers (not floats or bools), and q must lie below
 2^32, the 4-byte wire symbol; anything else exits 2.  Instance
 directories hold instance.cfg, code.txt, messages.txt, storage.txt and gain
@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,14 +112,22 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# A line's text before its first ``#`` outside a quoted string; a quote
+# that never closes is read as a plain character.
+_BEFORE_COMMENT = re.compile(
+    r"""(?:[^#'"]|'(?:\\.|[^'\\])*'|"(?:\\.|[^"\\])*"|['"])*"""
+)
+
+
 def _read_kv(text: str, known, where: str = "") -> dict[str, object]:
     """The ``key = value`` lines of a config, messages.txt or storage.txt:
     Python literals, else the bare text (e.g. mode names), ``#`` comments.
-    Refuses a line without ``=``, a key outside ``known`` and a repeated
-    key, naming the line after ``where``."""
+    A ``#`` inside a quoted value is part of it.  Refuses a line without
+    ``=``, a key outside ``known`` and a repeated key, naming the line after
+    ``where``."""
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _BEFORE_COMMENT.match(raw).group().strip()
         if not line:
             continue
         if "=" not in line:
@@ -360,8 +369,10 @@ def _seed(flag: int | None, cfg: InstanceConfig) -> int | None:
 def cmd_setup(args) -> int:
     cfg = load_config(args.config)
     config, code = build_instance(cfg)
-    seed = _seed(args.seed, cfg)
-    messages = instance_messages(cfg, config, seed)
+    # instance.cfg records the seed that drew the messages; a later
+    # ``pid deliver`` without --seed masks with it
+    cfg = replace(cfg, seed=_seed(args.seed, cfg))
+    messages = instance_messages(cfg, config, cfg.seed)
     out_dir = Path(args.output)
     write_instance_dir(out_dir, cfg, config, code, messages)
     print(f"instance '{cfg.name}' written to {out_dir}")

@@ -217,10 +217,11 @@ class FieldMatrix:
 
     # -- elimination ----------------------------------------------------------
 
-    def _rref(self) -> tuple[np.ndarray, list[int]]:
-        """Reduced row echelon form and its pivot columns (exact, mod q)."""
+    def _rref(self, right: np.ndarray | None = None) -> tuple[np.ndarray, list[int]]:
+        """Reduced row echelon form of the matrix, or of [matrix | right],
+        and its pivot columns (exact, mod q)."""
         q = self.modulus
-        m = _exact_copy(self._a, q)
+        m = _exact_copy(self._a if right is None else np.hstack([self._a, right]), q)
         n_rows, n_cols = m.shape
         pivots: list[int] = []
         r = 0
@@ -276,30 +277,21 @@ class FieldMatrix:
         return det
 
     def inverse(self) -> "FieldMatrix":
-        """Exact inverse by Gauss-Jordan elimination on [A | I]."""
+        """Exact inverse: the right half of the reduced [A | I]."""
         if self.rows != self.cols:
             raise ValueError(f"inverse needs a square matrix, got {self.shape}")
         q = self.modulus
         n = self.rows
-        aug = _exact_copy(np.hstack([self._a, np.eye(n, dtype=np.int64)]), q)
-        for c in range(n):
-            pivot_row = None
-            for rr in range(c, n):
-                if aug[rr, c] % q != 0:
-                    pivot_row = rr
-                    break
-            if pivot_row is None:
+        rref, pivots = self._rref(np.eye(n, dtype=np.int64))
+        # [A | I] has rank n; A is invertible exactly when its pivots are A's
+        # n columns, and the first column without one is where a column-by-
+        # column elimination of A stops.
+        for c, pivot in enumerate(pivots):
+            if pivot != c:
                 raise SingularMatrixError(
                     f"matrix is singular mod {q}: no pivot in column {c}"
                 )
-            if pivot_row != c:
-                aug[[c, pivot_row]] = aug[[pivot_row, c]]
-            inv = pow(int(aug[c, c]), -1, q)
-            aug[c] = (aug[c] * inv) % q
-            for rr in range(n):
-                if rr != c and aug[rr, c] != 0:
-                    aug[rr] = (aug[rr] - aug[rr, c] * aug[c]) % q
-        return FieldMatrix(aug[:, n:], q)
+        return FieldMatrix(rref[:, n:], q)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.determinant() != 0

@@ -136,15 +136,6 @@ class PidConfig:
                 raise ValueError(
                     f"host set for message {idx} must be sorted: {hosts}"
                 )
-        hosted: list[list[int]] = [[] for _ in range(n)]
-        for idx, hosts in enumerate(self.association, start=1):
-            for s in hosts:
-                hosted[s - 1].append(idx)
-        object.__setattr__(
-            self, "_hosted", tuple(tuple(m) for m in hosted)
-        )
-        loads = tuple(len(m) for m in hosted)
-        object.__setattr__(self, "_loads", loads)
 
     # -- association views ----------------------------------------------------
 
@@ -153,36 +144,19 @@ class PidConfig:
         self._check_message(k)
         return self.association[k - 1]
 
-    def server_at(self, k: int, pos: int) -> int:
-        """The server holding fragment symbol ``pos`` (1-based) of message k."""
-        hosts = self.servers_for(k)
-        if not 1 <= pos <= len(hosts):
-            raise ValueError(f"fragment position {pos} outside 1..{len(hosts)}")
-        return hosts[pos - 1]
-
-    def position_of(self, k: int, server: int) -> int:
-        """Which fragment symbol (1-based) of message k server ``server`` holds."""
-        hosts = self.servers_for(k)
-        try:
-            return hosts.index(server) + 1
-        except ValueError:
-            raise ValueError(
-                f"server {server} does not host message {k} (hosts: {hosts})"
-            ) from None
-
     def messages_for(self, server: int) -> tuple[int, ...]:
         """Sorted message ids hosted by a server (1-based)."""
         self._check_server(server)
-        return self._hosted[server - 1]  # type: ignore[attr-defined]
+        return tuple((np.flatnonzero(self.host_incidence[:, server - 1]) + 1).tolist())
 
     def server_load(self, server: int) -> int:
         self._check_server(server)
-        return self._loads[server - 1]  # type: ignore[attr-defined]
+        return int(self.host_incidence[:, server - 1].sum())
 
     @property
     def is_balanced(self) -> bool:
-        loads = self._loads  # type: ignore[attr-defined]
-        return min(loads) == max(loads)
+        loads = self.host_incidence.sum(axis=0)
+        return bool(loads.min() == loads.max())
 
     @property
     def storage_per_server(self) -> Fraction:
@@ -314,10 +288,6 @@ class ServerState:
     def symbols_for(self, k: int) -> tuple[int, ...]:
         """Stored symbols for message k; empty tuple when not hosted."""
         return self._by_message.get(k, ())  # type: ignore[attr-defined]
-
-    @property
-    def hosted_messages(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.fragments)
 
     @property
     def stored_symbol_count(self) -> int:

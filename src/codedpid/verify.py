@@ -27,10 +27,13 @@ stages are maps mod q applied to a whole block at once, so a case costs a
 share of a few numpy calls instead of its own Python work, and the arrays of
 one block stay well under 1 MB whatever the budget.  The mask digits vary
 fastest, so storage is built once per message tuple of a block and repeated
-over its masks.  The privacy census keeps one count per distinct answer
-vector, as any census must: in one dense array of K*(q+1)^N counters when
-(q+1)^N is at most ``DENSE_CENSUS_KEYS``, else as per-request maps from the
-keys seen.
+over its masks.  One order-free tally, ``_Census``, counts integer keys in
+groups: in one dense ``bincount`` array while a group has at most
+``DENSE_CENSUS_KEYS`` keys, else in per-group maps of the keys seen.  The
+privacy census is K groups of (q+1)^N answer keys (base-(q+1) digits, q for
+silence), the probe's marginals K*N groups of q+1 symbols.  A leak's
+witness is the smallest key whose count differs between two requests: the
+answer vector first server by server, symbols ascending, silence last.
 
 Exactness: all arithmetic is int64.  Every value a scheme's stages compute
 is at most n*(q-1)^2 + q with n = max(K*L, N): a sum of at most n products
@@ -103,10 +106,10 @@ BUDGET_ENV_VAR = "PID_BUDGET"
 # larger).  Large enough that numpy's per-call overhead is small against the
 # work, small enough that a block's arrays stay cache-sized.
 CHUNK_ROWS = 1024
-# Most answer keys per request, (q+1)^N, that the privacy census counts in a
-# dense array of K*(q+1)^N counters: below it, a block's bincount costs less
-# than merging the block's distinct keys in Python, and the array stays
-# small.  Past it, the keys seen are kept in per-request maps instead.
+# Most keys per group that a ``_Census`` counts in a dense array of
+# groups*keys counters: below it, a block's bincount costs less than merging
+# the block's distinct keys in Python, and the array stays small.  Past it,
+# the keys seen are kept in per-group maps instead.
 DENSE_CENSUS_KEYS = 4096
 _INT64_LIMIT = 2**63
 
@@ -434,70 +437,43 @@ def _first_failure(
 
 
 class _Census:
-    """Every answer vector of every request, counted block by block.
+    """Exact counts of keys 0..``keys``-1 in ``groups`` groups, added block
+    by block in no order (see the module docstring for its two stores).
 
-    ``counts`` gives, per request d, a map from each answer vector's key (its
-    base-(q+1) digits, q for silence) to its count, in order of first
-    occurrence; ``cases`` is the number of cases counted.  Construction
-    refuses answer vectors whose keys do not fit int64.
+    ``counts`` gives, per group, a map from each key seen to its count;
+    ``cases`` is the number of keys counted.
     """
 
-    def __init__(self, scheme: SchemeUnderTest):
-        q, k, n = scheme.modulus, scheme.k_messages, scheme.n_servers
-        base = q + 1
-        if base**n >= _INT64_LIMIT:
-            raise InexactArithmeticError(
-                f"answer vectors of {n} servers over q={q} cannot be keyed in int64"
-            )
-        self.k = k
-        self.weights = np.array([base**e for e in reversed(range(n))], dtype=np.int64)
+    def __init__(self, groups: int, keys: int):
         self.cases = 0
-        keys_per_request = base**n
-        self.dense = keys_per_request <= DENSE_CENSUS_KEYS
+        self.dense = keys <= DENSE_CENSUS_KEYS
         if self.dense:
-            # Request d's key x counts at (d-1)*base^n + x; ``first`` keeps the
-            # index of the input where that key first occurred.
-            self.size = k * keys_per_request
-            self.offsets = np.arange(0, self.size, keys_per_request, dtype=np.int64)
-            self.tally = np.zeros(self.size, dtype=np.int64)
-            self.first = np.zeros(self.size, dtype=np.int64)
+            # group g's key x counts at g*keys + x
+            self.offsets = np.arange(0, groups * keys, keys, dtype=np.int64)
+            self.tally = np.zeros(groups * keys, dtype=np.int64)
         else:
-            # per request: answer key -> count, in order of first occurrence
-            self.maps: list[dict[int, int]] = [dict() for _ in range(k)]
+            self.maps: list[dict[int, int]] = [dict() for _ in range(groups)]
 
-    def add(self, start: int, answers) -> None:
-        """Count a block's answers, shape (B, K, N), for inputs start.."""
-        keys = answers @ self.weights  # (B, K): input-major, as enumerated
+    def add(self, keys) -> None:
+        """Count a block's keys, shape (B, groups): column g is group g's."""
         self.cases += keys.size
-        if not self.dense:
-            for column, counts in zip(keys.T, self.maps):
-                seen, at, hits = np.unique(column, return_index=True, return_counts=True)
-                order = np.argsort(at)
-                for key, hit in zip(seen[order].tolist(), hits[order].tolist()):
-                    counts[key] = counts.get(key, 0) + hit
+        if self.dense:
+            self.tally += np.bincount(
+                (keys + self.offsets).ravel(), minlength=self.tally.size
+            )
             return
-        keys += self.offsets
-        block = np.bincount(keys.ravel(), minlength=self.size)
-        fresh = (block > 0) & (self.tally == 0)
-        if fresh.any():
-            # positions of the new keys' hits, in enumeration order; a
-            # request-offset key occurs in one column only
-            hits = np.flatnonzero(fresh[keys])
-            seen, at = np.unique(keys.ravel()[hits], return_index=True)
-            self.first[seen] = start + hits[at] // self.k
-        self.tally += block
+        for column, counts in zip(keys.T, self.maps):
+            seen, hits = np.unique(column, return_counts=True)
+            for key, hit in zip(seen.tolist(), hits.tolist()):
+                counts[key] = counts.get(key, 0) + hit
 
     def counts(self) -> list[dict[int, int]]:
         if not self.dense:
             return self.maps
-        census = []
-        for tally, first in zip(
-            self.tally.reshape(self.k, -1), self.first.reshape(self.k, -1)
-        ):
-            present = np.flatnonzero(tally)
-            present = present[np.argsort(first[present])]
-            census.append(dict(zip(present.tolist(), tally[present].tolist())))
-        return census
+        return [
+            dict(zip(np.flatnonzero(tally).tolist(), tally[tally > 0].tolist()))
+            for tally in self.tally.reshape(len(self.offsets), -1)
+        ]
 
 
 def _audit(
@@ -507,7 +483,16 @@ def _audit(
     and the filled census, or None."""
     k = scheme.k_messages
     inputs = _input_count(scheme, budget)
-    census = _Census(scheme) if privacy else None
+    census = None
+    if privacy:
+        q, n = scheme.modulus, scheme.n_servers
+        if (q + 1) ** n >= _INT64_LIMIT:
+            raise InexactArithmeticError(
+                f"answer vectors of {n} servers over q={q} cannot be keyed in int64"
+            )
+        # an answer vector's key: its base-(q+1) digits, q for silence
+        weights = (q + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        census = _Census(k, (q + 1) ** n)
     failure = None
     checked = 0
     for start, w, mask, storage in _inputs(scheme, inputs):
@@ -519,7 +504,7 @@ def _audit(
             elif census is None:
                 break
         if census is not None:
-            census.add(start, answers)
+            census.add(answers @ weights)
     if not correctness:
         return None, census
     if failure is None:
@@ -529,7 +514,9 @@ def _audit(
 
 @dataclass(frozen=True)
 class PrivacyMismatch:
-    """First answer vector whose occurrence count depends on the request."""
+    """The smallest answer vector whose occurrence count depends on the
+    request: ordered server by server, symbols ascending, silence after
+    every symbol (the order of its census key)."""
 
     answer: tuple[tuple[int, ...], ...]
     request_a: int
@@ -558,39 +545,28 @@ class PrivacyReport:
 
 
 def _privacy_report(scheme: SchemeUnderTest, census: _Census) -> PrivacyReport:
-    """Compare the K censuses: the first leaking answer vector, if any, and
+    """Compare the K censuses: the smallest leaking answer key, if any, and
     whether the answers are uniform."""
     q, k, l, n = scheme.modulus, scheme.k_messages, scheme.msg_len, scheme.n_servers
     counted = census.counts()
-    base = q + 1
-
-    def answer_tuple(key: int) -> tuple[tuple[int, ...], ...]:
-        symbols = []
-        for _ in range(n):
-            key, symbol = divmod(key, base)
-            symbols.append(() if symbol == q else (symbol,))
-        return tuple(reversed(symbols))
-
     reference = counted[0]
     mismatch = None
-    for d0 in range(1, k):
-        if counted[d0] == reference:
-            continue
-        # Keyed by answer tuples, in first-occurrence order, so the union
-        # below visits the keys in the same order as a per-case census.
-        ref = {answer_tuple(key): c for key, c in reference.items()}
-        other = {answer_tuple(key): c for key, c in counted[d0].items()}
-        for key in ref.keys() | other.keys():
-            if ref.get(key, 0) != other.get(key, 0):
-                mismatch = PrivacyMismatch(
-                    answer=key,
-                    request_a=1,
-                    count_a=ref.get(key, 0),
-                    request_b=d0 + 1,
-                    count_b=other.get(key, 0),
-                )
-                break
-        break
+    for d, other in enumerate(counted[1:], start=2):
+        if other != reference:
+            key = min(
+                x for x in reference.keys() | other.keys()
+                if reference.get(x, 0) != other.get(x, 0)
+            )
+            # the key's base-(q+1) digits, server 1 first; q is silence
+            digits = [key // (q + 1) ** e % (q + 1) for e in reversed(range(n))]
+            mismatch = PrivacyMismatch(
+                answer=tuple(() if a == q else (a,) for a in digits),
+                request_a=1,
+                count_a=reference.get(key, 0),
+                request_b=d,
+                count_b=other.get(key, 0),
+            )
+            break
 
     support = {key for counts in counted for key in counts}
     inputs_per_request = q ** (k * l + scheme.mask_len)
@@ -700,7 +676,10 @@ def randomized_privacy_probe(
 
     Tests the two observable fingerprints of a leak: request-dependent
     transmission patterns (flagged exactly) and non-uniform per-server
-    symbol marginals (flagged statistically).
+    symbol marginals (flagged statistically).  The marginals are counted
+    in the audits' ``_Census``, one group per (request, server); past
+    ``DENSE_CENSUS_KEYS`` symbols it keeps one count per symbol a trial
+    sent, so the probe's memory is set by its trials, not by q.
     """
     if trials < 0:
         raise ValueError(f"the probe needs a non-negative trial count, got {trials}")
@@ -719,9 +698,8 @@ def randomized_privacy_probe(
         )
     rng = np.random.default_rng(seed)
     patterns: list[set[tuple[int, ...]]] = [set() for _ in range(k)]
-    # marginals[d-1, j, s]: how often server j+1 sent s; column q counts silence
-    marginals = np.zeros(k * n * (q + 1), dtype=np.int64)
-    columns = np.arange(k * n).reshape(k, n) * (q + 1)
+    # group (d-1)*N + j counts what server j+1 sent for request d; q is silence
+    marginals = _Census(k * n, q + 1)
     for start in range(0, trials, CHUNK_ROWS):
         # one row per trial: its K messages, then its mask
         drawn = rng.integers(
@@ -732,22 +710,25 @@ def randomized_privacy_probe(
         for seen, sent in zip(patterns, (answers < q).transpose(1, 0, 2)):
             sent = np.unique(sent, axis=0).astype(np.int64)
             seen.update(map(tuple, sent.tolist()))
-        marginals += np.bincount((answers + columns).ravel(), minlength=marginals.size)
-    marginals = marginals.reshape(k, n, q + 1)[:, :, :q]
+        marginals.add(answers.reshape(len(drawn), k * n))
 
     pattern_sets = tuple(tuple(sorted(p)) for p in patterns)
     pattern_anomaly = len(set(pattern_sets)) > 1
 
     # Chi-square screen only where every server sent exactly one symbol per
-    # trial (otherwise the marginal totals differ by construction).
+    # trial (otherwise the marginal totals differ by construction).  Then
+    # each marginal's counts c sum to the trials T, and its statistic
+    # sum over all q symbols of (c - T/q)^2 / (T/q) is q*sum(c^2)/T - T,
+    # a sum over the symbols seen.
     max_stat = None
     bound = None
     if not pattern_anomaly and all(
         p == ((1,) * n,) for p in pattern_sets
     ):
-        expected = trials / q
-        stats = ((marginals - expected) ** 2 / expected).sum(axis=2)
-        max_stat = float(stats.max())
+        max_stat = max(
+            q * sum(c * c for c in counts.values()) / trials - trials
+            for counts in marginals.counts()
+        )
         bound = _chi_square_upper(q - 1)
     return ProbeReport(
         trials=trials,

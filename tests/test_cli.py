@@ -78,6 +78,19 @@ class TestConfigParsing:
         assert code == 2
         assert "missing required key 'L'" in err
 
+    def test_hash_inside_quoted_value(self, capsys, tmp_path):
+        # a quoted '#' belongs to the value; bare text ends at its first '#'
+        base = "q = 5\nK = 3\nN = 3\nL = 2\nassociation = [[1, 2], [2, 3], [1, 3]]\n"
+        cfg = parse_config_text(base + "name = 'q#5'  # note\nmode = explicit # x\n")
+        assert (cfg.name, cfg.mode) == ("q#5", "explicit")
+        assert parse_config_text(base + 'name = "a\\"#b" # c\nmode = explicit\n').name == 'a"#b'
+        path = self.write(tmp_path, base + "name = 'q#5'  # note\nmode = 'explicit'\n")
+        out = tmp_path / "o"
+        code, stdout, _ = run(capsys, "setup", "-c", str(path), "-o", str(out))
+        assert code == 0
+        assert stdout.startswith(f"instance 'q#5' written to {out}\n")
+        assert "name = 'q#5'\n" in (out / "instance.cfg").read_text()
+
     def test_non_integer_value(self, capsys, tmp_path):
         path = self.write(tmp_path, "q = 'five'\nK = 3\nN = 3\nL = 2\n")
         code, _, err = run(capsys, "setup", "-c", str(path), "-o", str(tmp_path / "o"))
@@ -238,6 +251,12 @@ class TestSetup:
         run(capsys, "setup", "-c", str(Q5_CFG), "-o", str(a), "--seed", "99")
         run(capsys, "setup", "-c", str(Q5_CFG), "-o", str(b))
         assert (a / "messages.txt").read_text() != (b / "messages.txt").read_text()
+        # instance.cfg names the seed that drew the messages, and a deliver
+        # without --seed masks with it
+        assert "seed = 99\n" in (a / "instance.cfg").read_text()
+        assert "seed = 11\n" in (b / "instance.cfg").read_text()
+        assert run(capsys, "deliver", "-i", str(a), "-d", "1")[0] == 0
+        assert "seed = 99\n" in (a / "transcript.txt").read_text()
 
 
     def test_canonical_round_trip(self, capsys, tmp_path):

@@ -96,13 +96,15 @@ class TestAssociation:
         config, _ = q5_instance()
         assert config.servers_for(1) == (1, 2)
         assert config.servers_for(3) == (1, 3)
-        assert config.server_at(3, 2) == 3
-        assert config.position_of(3, 3) == 2
         assert config.messages_for(1) == (1, 3)
         assert config.messages_for(2) == (1, 2)
         assert config.messages_for(3) == (2, 3)
-        with pytest.raises(ValueError):
-            config.position_of(1, 3)
+        # server 3 does not host message 1; each view inverts the other
+        assert 1 not in config.messages_for(3)
+        for k in (1, 2, 3):
+            for server in (1, 2, 3):
+                hosted = k in config.messages_for(server)
+                assert hosted == (server in config.servers_for(k)), (k, server)
         with pytest.raises(ValueError):
             config.servers_for(4)
         with pytest.raises(ValueError):
@@ -163,7 +165,7 @@ class TestEncoding:
         config, code = q11_instance()
         storage = encode_storage(config, code, random_messages(config, seed=8))
         for st in storage:
-            assert st.hosted_messages == config.messages_for(st.server_id)
+            assert tuple(k for k, _ in st.fragments) == config.messages_for(st.server_id)
             assert st.stored_symbol_count == config.server_load(st.server_id) == 4
 
     def test_fragments_solve_the_parity_system(self):

@@ -7,6 +7,10 @@ before pinning.
 
 import dataclasses
 import itertools
+import resource
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +195,10 @@ class TestSplitControl:
         assert leak.request_a != leak.request_b
         # silent vs transmitting servers distinguish the requests outright
         assert 0 in (leak.count_a, leak.count_b)
+        # the witness is the smallest leaking key: d=1 answers (0, 0, silence)
+        # 5^4 times and d=2 never; every smaller key has server 3 sending,
+        # which neither request does
+        assert leak == PrivacyMismatch(((0,), (0,), ()), 1, 625, 2, 0)
 
     def test_full_length_layout_is_private(self):
         # L = N: every server hosts every message and always transmits, so
@@ -315,8 +323,8 @@ def oracle_correctness(scheme):
 
 
 def oracle_census(scheme):
-    """Per-case census: per request, answer tuple -> count in order of first
-    occurrence; and the number of cases."""
+    """Per-case census: per request, answer tuple -> count; and the number
+    of cases."""
     q, k, l = scheme.modulus, scheme.k_messages, scheme.msg_len
     census = [{} for _ in range(k)]
     cases = 0
@@ -333,14 +341,17 @@ def oracle_census(scheme):
 
 def oracle_privacy(scheme, counted=None):
     """Per-case reference for ``scheme_privacy``, with tuple-keyed censuses;
-    ``counted`` is the scheme's ``oracle_census`` if already taken."""
+    ``counted`` is the scheme's ``oracle_census`` if already taken.  The
+    witness is the smallest differing answer tuple in census order."""
     q, k, l, n = scheme.modulus, scheme.k_messages, scheme.msg_len, scheme.n_servers
     census, cases = oracle_census(scheme) if counted is None else counted
     mismatch = None
     for d0 in range(1, k):
         a, b = census[0], census[d0]
         if a != b:
-            key = next(key for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0))
+            differing = [key for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0)]
+            # census order: server by server, symbols ascending, silence last
+            key = min(differing, key=lambda answer: [s[0] if s else q for s in answer])
             mismatch = PrivacyMismatch(key, 1, a.get(key, 0), d0 + 1, b.get(key, 0))
             break
     support = set().union(*census)
@@ -501,8 +512,8 @@ def answer_tuple(scheme, key):
 
 
 class TestCensusPaths:
-    """The dense census and the sparse one give identical reports, the leak
-    line's first-occurrence order included."""
+    """The dense census and the sparse one give identical reports and the
+    per-case counts, whatever the block size."""
 
     def schemes(self):
         config, code = q5_instance()
@@ -522,8 +533,7 @@ class TestCensusPaths:
 
     @pytest.mark.parametrize("bound", [0, 6**5])
     @pytest.mark.parametrize("rows", [5, CHUNK_ROWS])
-    def test_first_occurrence_order(self, monkeypatch, rows, bound):
-        # the leak search walks the censuses in this order
+    def test_counts_match_per_case_census(self, monkeypatch, rows, bound):
         monkeypatch.setattr(codedpid.verify, "CHUNK_ROWS", rows)
         monkeypatch.setattr(codedpid.verify, "DENSE_CENSUS_KEYS", bound)
         config, _ = q5_instance()
@@ -533,9 +543,9 @@ class TestCensusPaths:
             expected, expected_cases = oracle_runs(label, scheme)[1]
             assert census.cases == expected_cases, label
             assert [
-                [(answer_tuple(scheme, key), c) for key, c in counts.items()]
+                {answer_tuple(scheme, key): c for key, c in counts.items()}
                 for counts in census.counts()
-            ] == [list(counts.items()) for counts in expected], label
+            ] == expected, label
 
 
 class TestStorageOncePerMessageTuple:
@@ -717,6 +727,47 @@ class TestProbe:
         config, code = q5_instance()
         with pytest.raises(ValueError, match="non-negative trial count"):
             randomized_privacy_probe(config, code, trials=-5)
+
+    def test_memory_set_by_trials_not_q(self):
+        # a table of every (request, server, symbol) would hold 9 * 1000004
+        # counters; 200 trials send at most 1800 distinct symbols
+        q = 1000003
+        config = make_association(
+            q, 3, 3, 2, mode="explicit", association=[[1, 2], [2, 3], [1, 3]]
+        )
+        code = build_vandermonde_pair(q, 3, 2, points=(1, 2, 3))
+        tracemalloc.start()
+        try:
+            report = randomized_privacy_probe(config, code, trials=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.patterns_by_request == (((1, 1, 1),),) * 3
+        assert report.max_marginal_stat is not None
+        assert peak < 8 * 10**6
+
+    def test_cli_probe_on_a_large_modulus(self, tmp_path):
+        # the q5-k3 layout over q = 999999937, run in a child process capped
+        # at 2 GiB of address space: every server of every request sends 50
+        # distinct symbols in 50 trials, so each statistic is q - 50
+        text = Q5_CFG.read_text().replace("q = 5\n", "q = 999999937\n")
+        text = "\n".join(
+            line for line in text.splitlines() if not line.startswith("generator_override")
+        )
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text + "\n")
+        cap = 2**31
+        result = subprocess.run(
+            [sys.executable, "-m", "codedpid", "verify", "-c", str(cfg), "--probe", "50"],
+            capture_output=True,
+            text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == (
+            "PROBE INSTANCE=q5-k3 TRIALS=50 PATTERN_ANOMALY=no "
+            "MAX_STAT=999999887.00 BOUND=1000166263.28\n"
+        )
 
     def test_zero_trials(self):
         config, code = q5_instance()
