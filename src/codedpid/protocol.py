@@ -8,9 +8,12 @@ therefore hosts a share of K*L/N messages when the association is balanced.
 
 * ``encode_storage`` gives server n, for each hosted message k, one symbol of
   the fragment vector  inverse(parity_check restricted to k's host set) @ w_k.
-  Messages with the same host set share that inverse, so encoding is one
-  matrix product mod q per host set, not one per message: int64 when
-  L*(q-1)^2 + q < 2^63, exact Python ints above (``field.mod_matmul``).
+  One private encoder, ``_encoder``, computes it: one inverse per distinct
+  host set and one product mod q over the stacked per-message inverses,
+  int64 when L*(q-1)^2 + q < 2^63, exact Python ints above
+  (``field.mod_matmul``).  Its second caller is the auditor:
+  ``verify.masked_scheme`` builds the audited storage with it, so the audit
+  certifies the encoder that serves.
   Storage depends on the code pair, the config and the messages only, so it
   is encoded once per (code pair, config, messages) and reused, round after
   round, until a message changes; then only the changed messages are
@@ -310,10 +313,10 @@ def encode_storage(
 
     Message k becomes the fragment vector
     ``inverse(parity_check[:, hosts_of_k]) @ w_k``; its i-th entry is stored
-    at the i-th server of k's sorted host set.  The messages of one host set
-    are encoded together, as ``inverse @ [w_k ...]`` mod q: one inverse and
-    one product per host set.  The product runs in int64 when
-    L*(q-1)^2 + q < 2^63 and in exact Python ints otherwise.
+    at the i-th server of k's sorted host set.  The messages encoded go
+    through ``_encoder`` together: one inverse per distinct host set and one
+    product mod q, in int64 when L*(q-1)^2 + q < 2^63 and in exact Python
+    ints otherwise.
 
     The result is memoised in one slot per code pair: a call with a config
     and a messages tuple equal (by value) to the last ones encoded on
@@ -337,7 +340,14 @@ def encode_storage(
     else:
         base = (None,) * config.n_servers
         todo = messages
-    fragments = _encode_fragments(config, code, todo)
+    ids = [msg.index for msg in todo]
+    coded = _encoder(config, code, ids)(
+        np.array([msg.symbols for msg in todo], dtype=np.int64)
+    ).tolist()
+    fragments: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for k, row in zip(ids, coded):
+        for server, symbol in zip(config.association[k - 1], row):
+            fragments.setdefault(server, []).append((k, (symbol,)))
     storage = tuple(
         state
         if state is not None and n not in fragments
@@ -348,25 +358,24 @@ def encode_storage(
     return storage
 
 
-def _encode_fragments(
-    config: PidConfig, code: CodePair, messages
-) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
-    """Server id -> (message id, fragment symbols) of each of ``messages``
-    that the server hosts, for the servers that host any of them."""
-    q = config.modulus
-    groups: dict[tuple[int, ...], list[Message]] = {}
-    for msg in messages:
-        groups.setdefault(config.servers_for(msg.index), []).append(msg)
-    per_server: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for hosts, group in groups.items():
-        inv = np.array(code.h_sub_inverse(tuple(s - 1 for s in hosts)), dtype=np.int64)
-        words = np.array([msg.symbols for msg in group], dtype=np.int64)
-        # Row i holds the group's fragment symbols for server hosts[i].
-        coded = mod_matmul(inv, words.T, q).tolist()
-        ids = [msg.index for msg in group]
-        for server, row in zip(hosts, coded):
-            per_server.setdefault(server, []).extend(zip(ids, zip(row)))
-    return per_server
+def _encoder(config: PidConfig, code: CodePair, ids) -> Callable:
+    """The coded storage of messages ``ids`` as one batched map: their
+    symbols, shape (..., len(ids), L), to their fragments, same shape, whose
+    [..., j, i] is what the i-th server of message ids[j]'s sorted host set
+    stores: entry i of ``inverse(parity_check[:, hosts]) @ w``.
+
+    Each distinct host set's inverse is converted once, here; a call is one
+    ``mod_matmul`` over the stacked per-message inverses, int64 when
+    L*(q-1)^2 + q < 2^63 and exact Python ints otherwise.
+    """
+    hosts = [config.association[k - 1] for k in ids]
+    position = {cols: i for i, cols in enumerate(dict.fromkeys(hosts))}
+    inverses = np.array(
+        [code.h_sub_inverse(tuple(s - 1 for s in cols)) for cols in position],
+        dtype=np.int64,
+    ).reshape(len(position), config.msg_len, config.msg_len)
+    stacked = inverses[[position[cols] for cols in hosts]]
+    return lambda w: mod_matmul(stacked, w[..., None], config.modulus)[..., 0]
 
 
 def _with_fragments(

@@ -28,17 +28,19 @@ share of a few numpy calls instead of its own Python work, and the arrays of
 one block stay well under 1 MB whatever the budget.  The mask digits vary
 fastest, so storage is built once per message tuple of a block and repeated
 over its masks.  One order-free tally, ``_Census``, counts integer keys in
-groups: in one dense ``bincount`` array while a group has at most
-``DENSE_CENSUS_KEYS`` keys, else in per-group maps of the keys seen.  The
+groups: in one dense ``bincount`` array while groups times keys is at
+most ``DENSE_CENSUS_KEYS``, else in per-group maps of the keys seen.  The
 privacy census is K groups of (q+1)^N answer keys (base-(q+1) digits, q for
 silence), the probe's marginals K*N groups of q+1 symbols.  A leak's
 witness is the smallest key whose count differs between two requests: the
 answer vector first server by server, symbols ascending, silence last.
 
 Exactness: all arithmetic is int64.  Every value a scheme's stages compute
-is at most n*(q-1)^2 + q with n = max(K*L, N): a sum of at most n products
-of residues, plus one residue or the no-symbol marker q.  ``SchemeUnderTest``
-therefore refuses any instance with n*(q-1)^2 + q >= 2^63, raising
+is at most N*(q-1)^2 + q: a sum of products of residues, plus one residue
+or the no-symbol marker q.  Storage sums L products per symbol (in exact
+Python ints past int64, see ``field.mod_matmul``), the mask shares N-L and
+decoding N.  ``SchemeUnderTest`` therefore refuses any instance with
+N*(q-1)^2 + q >= 2^63, raising
 ``InexactArithmeticError`` (a ValueError) instead of wrapping around.  The
 exhaustive audit numbers its inputs in int64 and the privacy census keys
 an answer vector by its base-(q+1) digits, so it refuses in the same way
@@ -47,10 +49,11 @@ before any case is evaluated: the budget, then the input numbering, then
 (when privacy is audited) the census keys.
 
 Schemes plug in through ``SchemeUnderTest`` (build storage for a batch of
-message tuples, then answer every request per mask), so the real masked
-protocol, the unmasked split variant (a negative control: correct, and
-leaky whenever L < N) and fault-injected copies all run through the same
-enumerator.
+message tuples, then answer every request per mask).  The real masked
+protocol's storage comes from ``protocol``'s own encoder, the one that
+serves ``pid deliver``; it, the unmasked split variant (a negative control:
+correct, and leaky whenever L < N) and fault-injected copies all run
+through the same enumerator.
 
 Budgets: audits refuse to start when ``cases`` exceeds the budget, which
 defaults to 10**7 and can be overridden by the PID_BUDGET environment
@@ -72,7 +75,7 @@ import numpy as np
 
 from codedpid.codes import CodePair
 from codedpid.field import int64_exact
-from codedpid.protocol import PidConfig
+from codedpid.protocol import PidConfig, _encoder
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -106,11 +109,12 @@ BUDGET_ENV_VAR = "PID_BUDGET"
 # larger).  Large enough that numpy's per-call overhead is small against the
 # work, small enough that a block's arrays stay cache-sized.
 CHUNK_ROWS = 1024
-# Most keys per group that a ``_Census`` counts in a dense array of
-# groups*keys counters: below it, a block's bincount costs less than merging
-# the block's distinct keys in Python, and the array stays small.  Past it,
-# the keys seen are kept in per-group maps instead.
-DENSE_CENSUS_KEYS = 4096
+# Most counters, groups times keys per group, that a ``_Census`` keeps in
+# one dense array: 16 MiB of int64, and a block's bincount makes one more
+# array of that size.  Below it, that bincount costs less than merging the
+# block's distinct keys in Python; past it, the keys seen are kept in
+# per-group maps instead.
+DENSE_CENSUS_KEYS = 2**21
 _INT64_LIMIT = 2**63
 
 
@@ -183,8 +187,7 @@ class SchemeUnderTest:
     decode: Callable
 
     def __post_init__(self):
-        q = self.modulus
-        n = max(self.k_messages * self.msg_len, self.n_servers)
+        q, n = self.modulus, self.n_servers
         if not int64_exact(q, n):
             raise InexactArithmeticError(
                 f"q={q} is too large for exact int64 audits of this instance: "
@@ -192,32 +195,29 @@ class SchemeUnderTest:
             )
 
 
-def _linear_storage(q: int, n_servers: int, hosts, rows, corrupt=None) -> Callable:
-    """``build_storage`` for storage that is a linear map of the messages.
+def _storage_layout(config: PidConfig, encode: Callable, corrupt=None) -> Callable:
+    """``build_storage`` that lays out what ``encode`` stores in shape
+    (B, K, N): entry [b, k-1, j] is what server j+1 stores of message k, or
+    q if nothing, so each request's row of servers is contiguous.
 
-    Server ``hosts[k][i]`` (0-based) stores the dot product of ``rows[k][i]``
-    with message k+1; ``corrupt`` = (server, message, delta), 0-based, adds
-    delta to one stored symbol.  The storage has shape (B, K, N): entry
-    [b, k-1, j] is what server j+1 stores of message k, or q if nothing, so
-    each request's row of servers is contiguous.
+    ``encode`` maps message symbols, shape (B, K, L), to what each host
+    stores, same shape: [b, k-1, i] goes to the i-th server of k's sorted
+    host set.  ``corrupt`` = (server, message, delta), 1-based, adds delta
+    to one stored symbol mod q.
     """
-    k = len(hosts)
-    l = len(rows[0][0])
-    encode = np.zeros((k * l, k, n_servers), dtype=np.int64)
-    empty = np.full((k, n_servers), q, dtype=np.int64)
-    for k0, (cols, coeffs) in enumerate(zip(hosts, rows)):
-        for col, row in zip(cols, coeffs):
-            encode[k0 * l : (k0 + 1) * l, k0, col] = row
-            empty[k0, col] = 0
-    encode = encode.reshape(k * l, k * n_servers)
-    delta = np.zeros((k, n_servers), dtype=np.int64)
-    if corrupt is not None:
-        server, message, amount = corrupt
-        delta[message, server] = amount % q
+    q, k, n, l = config.modulus, config.k_messages, config.n_servers, config.msg_len
+    # where message k's i-th host sits in a row of K*N entries
+    cells = (np.arange(0, k * n, n)[:, None] + np.array(config.association) - 1).ravel()
 
     def build_storage(w):
-        stored = (w @ encode).reshape(len(w), k, n_servers)
-        return (stored + delta) % q + empty
+        b = len(w)
+        stored = np.full((b, k * n), q, dtype=np.int64)
+        stored[:, cells] = encode(w.reshape(b, k, l)).reshape(b, k * l)
+        if corrupt is not None:
+            server, message, delta = corrupt
+            cell = (message - 1) * n + server - 1
+            stored[:, cell] = (stored[:, cell] + delta) % q
+        return stored.reshape(b, k, n)
 
     return build_storage
 
@@ -227,7 +227,8 @@ def masked_scheme(
     code: CodePair,
     corrupt: tuple[int, int, int, int] | None = None,
 ) -> SchemeUnderTest:
-    """The real coded+masked protocol as a pluggable scheme.
+    """The real coded+masked protocol as a pluggable scheme, its storage
+    built by ``protocol``'s own encoder.
 
     ``corrupt`` optionally flips one stored symbol: (server, message,
     position, delta) with 1-based server/message, position indexing that
@@ -235,11 +236,6 @@ def masked_scheme(
     injection for audits; delta % q == 0 is rejected as a no-op.
     """
     q = code.modulus
-    n = config.n_servers
-    host_cols = [
-        tuple(s - 1 for s in config.servers_for(k))
-        for k in range(1, config.k_messages + 1)
-    ]
 
     if corrupt is not None:
         c_server, c_msg, c_pos, c_delta = corrupt
@@ -253,11 +249,9 @@ def masked_scheme(
             )
         if c_pos != 1:
             raise ValueError("each server stores one symbol per message here")
-        corrupt = (c_server - 1, c_msg - 1, c_delta)
+        corrupt = (c_server, c_msg, c_delta % q)
 
-    build_storage = _linear_storage(
-        q, n, host_cols, [code.h_sub_inverse(cols) for cols in host_cols], corrupt
-    )
+    encode = _encoder(config, code, range(1, config.k_messages + 1))
     g = code.generator.array
     h_t = code.parity_check.array.T
 
@@ -275,9 +269,9 @@ def masked_scheme(
         modulus=q,
         k_messages=config.k_messages,
         msg_len=config.msg_len,
-        n_servers=n,
+        n_servers=config.n_servers,
         mask_len=code.mask_len,
-        build_storage=build_storage,
+        build_storage=_storage_layout(config, encode, corrupt),
         answers=answers,
         decode=decode,
     )
@@ -296,13 +290,6 @@ def split_scheme(config: PidConfig) -> SchemeUnderTest:
     messages are uniform: that layout passes the privacy audit.
     """
     q = config.modulus
-    l = config.msg_len
-    hosts = [
-        tuple(s - 1 for s in config.servers_for(k))
-        for k in range(1, config.k_messages + 1)
-    ]
-    slices = [np.eye(l, dtype=np.int64)] * config.k_messages
-    build_storage = _linear_storage(q, config.n_servers, hosts, slices)
 
     def answers(storage, _mask):
         return storage
@@ -314,10 +301,10 @@ def split_scheme(config: PidConfig) -> SchemeUnderTest:
         name="unmasked-split",
         modulus=q,
         k_messages=config.k_messages,
-        msg_len=l,
+        msg_len=config.msg_len,
         n_servers=config.n_servers,
         mask_len=0,
-        build_storage=build_storage,
+        build_storage=_storage_layout(config, lambda w: w),
         answers=answers,
         decode=decode,
     )
@@ -446,7 +433,7 @@ class _Census:
 
     def __init__(self, groups: int, keys: int):
         self.cases = 0
-        self.dense = keys <= DENSE_CENSUS_KEYS
+        self.dense = groups * keys <= DENSE_CENSUS_KEYS
         if self.dense:
             # group g's key x counts at g*keys + x
             self.offsets = np.arange(0, groups * keys, keys, dtype=np.int64)
@@ -677,9 +664,10 @@ def randomized_privacy_probe(
     Tests the two observable fingerprints of a leak: request-dependent
     transmission patterns (flagged exactly) and non-uniform per-server
     symbol marginals (flagged statistically).  The marginals are counted
-    in the audits' ``_Census``, one group per (request, server); past
-    ``DENSE_CENSUS_KEYS`` symbols it keeps one count per symbol a trial
-    sent, so the probe's memory is set by its trials, not by q.
+    in the audits' ``_Census``, one group per (request, server); once its
+    K*N*(q+1) counters pass ``DENSE_CENSUS_KEYS`` it keeps one count per
+    symbol a trial sent, so the probe's memory is set by its trials, not
+    by q.
     """
     if trials < 0:
         raise ValueError(f"the probe needs a non-negative trial count, got {trials}")

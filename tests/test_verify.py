@@ -121,12 +121,23 @@ class TestBudget:
             exhaustive_correctness(config, code, budget=10)
 
 
+def k64_instance():
+    """The q=257, K=N=64, L=32 layout that the serve benchmark serves."""
+    return make_association(257, 64, 64, 32), build_vandermonde_pair(257, 64, 32)
+
+
 class TestSchemesAgree:
+    def instances(self):
+        yield q5_instance()
+        yield q11_instance()
+        for _, config, code in small_configs():
+            yield config, code
+        yield k64_instance()
+
     def test_masked_scheme_matches_protocol_module(self):
         # the pluggable scheme must reproduce the library's own storage,
         # answers and decoding exactly
-        for maker in (q5_instance, q11_instance):
-            config, code = maker()
+        for config, code in self.instances():
             scheme = masked_scheme(config, code)
             messages = random_messages(config, seed=77)
             q = config.modulus
@@ -148,6 +159,20 @@ class TestSchemesAgree:
                 a = answers[:, d - 1]
                 assert tuple((s,) for s in a[0].tolist()) == answer_vector(masked, d)
                 assert tuple(decoded[0, d - 1].tolist()) == messages[d - 1].symbols
+
+    def test_k64_storage_needs_no_dense_encode_matrix(self):
+        # A dense (K*L) x (K*N) int64 encode matrix of the K64 layout is
+        # 2048 * 4096 * 8 bytes = 67 MB; the 200 rows built here are 6.6 MB.
+        config, code = k64_instance()
+        w = np.random.default_rng(0).integers(0, 257, size=(200, 64 * 32))
+        tracemalloc.start()
+        try:
+            storage = masked_scheme(config, code).build_storage(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert storage.shape == (200, 64, 64)
+        assert peak < 25 * 10**6
 
 
 class TestExhaustiveQ5:
@@ -524,14 +549,23 @@ class TestCensusPaths:
         yield from q3_corrupt_cells()
 
     def test_sparse_matches_dense(self, monkeypatch):
-        # every census here has at most 6^5 keys per request
-        monkeypatch.setattr(codedpid.verify, "DENSE_CENSUS_KEYS", 6**5)
+        # every census here has at most 2 * 6^5 counters: 2 requests of 6^5
+        # keys (long-mask), else at most 3 of 6^3
+        monkeypatch.setattr(codedpid.verify, "DENSE_CENSUS_KEYS", 2 * 6**5)
         dense = [audit_reports(scheme) for _, scheme in self.schemes()]
         monkeypatch.setattr(codedpid.verify, "DENSE_CENSUS_KEYS", 0)
         for (label, scheme), reports in zip(self.schemes(), dense):
             assert audit_reports(scheme) == reports, label
 
-    @pytest.mark.parametrize("bound", [0, 6**5])
+    def test_dense_by_total_counters(self):
+        # the q5-k3 privacy census (3 requests of 6^3 answer keys) and the
+        # q11-k8 probe (8 * 6 marginals of 12 symbols) stay dense; the K64
+        # probe at q = 4093, 64 * 64 marginals of 4094 symbols, does not
+        assert codedpid.verify._Census(3, 6**3).dense
+        assert codedpid.verify._Census(48, 12).dense
+        assert not codedpid.verify._Census(64 * 64, 4094).dense
+
+    @pytest.mark.parametrize("bound", [0, 2 * 6**5])
     @pytest.mark.parametrize("rows", [5, CHUNK_ROWS])
     def test_counts_match_per_case_census(self, monkeypatch, rows, bound):
         monkeypatch.setattr(codedpid.verify, "CHUNK_ROWS", rows)
@@ -625,9 +659,22 @@ class TestStorageOncePerMessageTuple:
         assert sum(answered) == (5**6 if extra[:1] == ["--scheme"] else 5**7)
 
 
+def q5_layout(tmp_path, q):
+    """configs/q5-k3.cfg over ``q``, with the Vandermonde generator."""
+    text = Q5_CFG.read_text().replace("q = 5\n", f"q = {q}\n")
+    path = tmp_path / f"q5-{q}.cfg"
+    path.write_text(
+        "\n".join(
+            line for line in text.splitlines() if not line.startswith("generator_override")
+        )
+        + "\n"
+    )
+    return str(path)
+
+
 class TestExactness:
     # 2^31 - 1 is the largest prime with 2*(q-1)^2 + q < 2^63, the bound for
-    # instances with max(K*L, N) = 2
+    # instances with N = 2 servers
     Q = 2**31 - 1
 
     def instance(self, q):
@@ -666,6 +713,34 @@ class TestExactness:
             masked_scheme(config, code)
         with pytest.raises(InexactArithmeticError):
             split_scheme(config)
+
+    def test_bound_is_set_by_the_server_count(self, capsys, tmp_path):
+        # K*L = 6 but N = 3: 6*(q-1)^2 + q passes 2^63 at q = 1500000001,
+        # 3*(q-1)^2 + q does not, and no stage sums more than N products
+        cfg = q5_layout(tmp_path, 1500000001)
+        assert main(["verify", "-c", cfg, "--probe", "50"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == (
+            "PROBE INSTANCE=q5-k3 TRIALS=50 PATTERN_ANOMALY=no "
+            "MAX_STAT=1499999951.00 BOUND=1500203706.57\n"
+        )
+
+    def test_first_prime_past_the_server_bound_refused(self, capsys, tmp_path):
+        # 1753413037 is the largest prime with 3*(q-1)^2 + q < 2^63
+        config = make_association(
+            1753413037, 3, 3, 2, mode="explicit", association=[[1, 2], [2, 3], [1, 3]]
+        )
+        code = build_vandermonde_pair(1753413037, 3, 2, points=(1, 2, 3))
+        assert masked_scheme(config, code).n_servers == 3
+        cfg = q5_layout(tmp_path, 1753413059)
+        assert main(["verify", "-c", cfg, "--probe", "50"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: q=1753413059 is too large for exact int64 audits of this "
+            "instance: 3*(q-1)^2 + q must stay below 2^63\n"
+        )
 
     def test_input_count_past_int64_refused(self):
         config, code = q11_instance()
@@ -750,15 +825,10 @@ class TestProbe:
         # the q5-k3 layout over q = 999999937, run in a child process capped
         # at 2 GiB of address space: every server of every request sends 50
         # distinct symbols in 50 trials, so each statistic is q - 50
-        text = Q5_CFG.read_text().replace("q = 5\n", "q = 999999937\n")
-        text = "\n".join(
-            line for line in text.splitlines() if not line.startswith("generator_override")
-        )
-        cfg = tmp_path / "big.cfg"
-        cfg.write_text(text + "\n")
+        cfg = q5_layout(tmp_path, 999999937)
         cap = 2**31
         result = subprocess.run(
-            [sys.executable, "-m", "codedpid", "verify", "-c", str(cfg), "--probe", "50"],
+            [sys.executable, "-m", "codedpid", "verify", "-c", cfg, "--probe", "50"],
             capture_output=True,
             text=True,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
