@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -579,7 +580,9 @@ def cmd_table_l(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pid`` parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="pid",
         description="Private delivery of one of K messages from coded server storage.",

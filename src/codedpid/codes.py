@@ -19,14 +19,19 @@ rank computation, not a minor enumeration.  Both checks are exact.
 
 ``build_vandermonde_pair`` constructs the canonical instance from distinct
 evaluation points; ``override_generator`` swaps in a hand-picked generator
-and re-checks everything.
+and re-checks everything.  A pair keeps one cache of parity-check minor
+inverses: ``protocol``'s encoder asks it for all of an encode's host sets,
+the missing ones inverted in one stacked Gauss-Jordan, and
+``h_sub_inverse`` reads it one minor at a time, as plain-int rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from codedpid.field import FieldMatrix, is_prime
+import numpy as np
+
+from codedpid.field import FieldMatrix, _inverse_stack, int64_exact, is_prime, mod_matmul
 
 __all__ = [
     "MODULUS_LIMIT",
@@ -53,6 +58,7 @@ class CodePair:
     generator: FieldMatrix
     points: tuple[int, ...]
     modulus: int
+    # column set -> [read-only int64 inverse, its plain-int rows or None]
     _sub_inverse_cache: dict = dc_field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
@@ -81,15 +87,11 @@ class CodePair:
             raise ValueError(f"need {n} evaluation points, got {len(self.points)}")
         if len(set(self.points)) != n:
             raise ValueError("evaluation points must be distinct")
-        if g.rows > 0:
-            prod = h @ g.transpose()
-            if prod != FieldMatrix.zeros(h.rows, g.rows, q):
-                raise ValueError(
-                    "generator rows are not orthogonal to the parity check"
-                )
+        if mod_matmul(h.array, g.array.T, q).any():
+            raise ValueError("generator rows are not orthogonal to the parity check")
         if len({p % q for p in self.points}) != n:
             raise ValueError(f"evaluation points must be distinct mod {q}")
-        if h.to_lists() != [[pow(p, i, q) for p in self.points] for i in range(h.rows)]:
+        if (h.array != _vandermonde(self.points, h.rows, q)).any():
             raise ValueError(
                 f"parity check is not the Vandermonde matrix of points "
                 f"{self.points} mod {q}"
@@ -117,17 +119,27 @@ class CodePair:
         return self.generator.rows
 
     def h_sub_inverse(self, cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """Inverse of the square parity-check minor on these 0-based columns.
-
-        Cached: the delivery path inverts the same minor for every message
-        mapped to the same server set.
+        """Inverse of the square parity-check minor on these 0-based columns,
+        as plain-int rows: the same tuple on every call for the same columns.
         """
-        cached = self._sub_inverse_cache.get(cols)
-        if cached is None:
-            sub = self.parity_check.select_columns(cols)
-            cached = sub.inverse().row_tuples()
-            self._sub_inverse_cache[cols] = cached
-        return cached
+        self._minor_inverses([cols])
+        entry = self._sub_inverse_cache[cols]
+        if entry[1] is None:
+            entry[1] = tuple(map(tuple, entry[0].tolist()))
+        return entry[1]
+
+    def _minor_inverses(self, col_sets) -> list:
+        """Inverses of the parity-check minors on each of these 0-based
+        column sets, as read-only int64 arrays.  The sets not yet cached are
+        inverted together, in one stacked Gauss-Jordan."""
+        cache = self._sub_inverse_cache
+        missing = [cols for cols in dict.fromkeys(col_sets) if cols not in cache]
+        if missing:
+            minors = self.parity_check.array[:, missing].transpose(1, 0, 2)
+            for cols, inverse in zip(missing, _inverse_stack(minors, self.modulus)):
+                inverse.setflags(write=False)
+                cache[cols] = [inverse, None]
+        return [cache[cols][0] for cols in col_sets]
 
     def decode_vector(self, answers) -> tuple[int, ...]:
         """Apply the parity check to a length-N answer vector (plain ints)."""
@@ -173,14 +185,24 @@ def build_vandermonde_pair(
         raise ValueError(
             f"{n_servers} distinct points do not exist mod {q}"
         )
-    h = FieldMatrix(
-        [[pow(p, i, q) for p in points] for i in range(msg_len)], q
-    )
+    h = FieldMatrix(_vandermonde(points, msg_len, q), q)
     if msg_len == n_servers:
         g = FieldMatrix.zeros(0, n_servers, q)
     else:
         g = h.null_space_basis()
     return CodePair(parity_check=h, generator=g, points=points, modulus=q)
+
+
+def _vandermonde(points, rows: int, q: int) -> np.ndarray:
+    """Row i holds the points to the i-th power mod q, by the recurrence
+    row[i] = row[i-1] * points % q, in int64 while (q-1)^2 + q < 2^63."""
+    dtype = np.int64 if int64_exact(q, 1) else object
+    x = np.array([p % q for p in points], dtype=dtype)
+    v = np.empty((rows, len(x)), dtype=dtype)
+    v[:1] = 1
+    for i in range(1, rows):
+        v[i] = v[i - 1] * x % q
+    return v
 
 
 def override_generator(pair: CodePair, generator_rows) -> CodePair:

@@ -8,9 +8,14 @@ elimination: no floats ever enter the pipeline.
 Products go through ``mod_matmul``: a dot product of n residues mod q is at
 most n*(q-1)^2, so it runs in int64 when n*(q-1)^2 + q < 2^63
 (``int64_exact``) and in Python ints (``dtype=object``) otherwise.
-Elimination needs one product per entry, so it switches to Python ints
-when (q-1)^2 + q reaches 2^63.  Moduli that fill the 4-byte wire symbol take
-the Python-int paths.
+Elimination clears a whole column per pivot, from every other row, in one
+broadcast update ``m -= col * pivot_row; m %= q``: ``_rref`` (behind
+``rank`` and ``null_space_basis``) costs O(columns) numpy calls, and
+``_inverse_stack`` inverts a stack of square matrices at once, each with
+its own pivot rows (``inverse`` is a stack of one).  An update is one
+product plus one residue per entry, so elimination switches to Python ints
+when (q-1)^2 + q reaches 2^63.  Moduli that fill the 4-byte wire symbol
+take the Python-int paths.
 """
 
 from __future__ import annotations
@@ -217,34 +222,30 @@ class FieldMatrix:
 
     # -- elimination ----------------------------------------------------------
 
-    def _rref(self, right: np.ndarray | None = None) -> tuple[np.ndarray, list[int]]:
-        """Reduced row echelon form of the matrix, or of [matrix | right],
-        and its pivot columns (exact, mod q)."""
+    def _rref(self) -> tuple[np.ndarray, list[int]]:
+        """Reduced row echelon form and its pivot columns (exact, mod q)."""
         q = self.modulus
-        m = _exact_copy(self._a if right is None else np.hstack([self._a, right]), q)
+        m = _exact_copy(self._a, q)
         n_rows, n_cols = m.shape
         pivots: list[int] = []
-        r = 0
         for c in range(n_cols):
+            r = len(pivots)
             if r == n_rows:
                 break
-            pivot_row = None
-            for rr in range(r, n_rows):
-                if m[rr, c] % q != 0:
-                    pivot_row = rr
-                    break
-            if pivot_row is None:
+            # RREF is unique, so any nonzero entry may be the pivot.
+            p = r if m[r, c] else r + int(m[r:, c].argmax())
+            head = int(m[p, c])
+            if not head:
                 continue
-            if pivot_row != r:
-                m[[r, pivot_row]] = m[[pivot_row, r]]
-            inv = pow(int(m[r, c]), -1, q)
-            m[r] = (m[r] * inv) % q
-            for rr in range(n_rows):
-                if rr != r and m[rr, c] != 0:
-                    m[rr] = (m[rr] - m[rr, c] * m[r]) % q
+            # The update zeroes row p, which row r replaces.
+            pivot_row = m[p] * pow(head, -1, q) % q
+            m -= m[:, c, None] * pivot_row
+            m %= q
+            if p != r:
+                m[p] = m[r]
+            m[r] = pivot_row
             pivots.append(c)
-            r += 1
-        return m % q, pivots
+        return m, pivots
 
     def rank(self) -> int:
         _, pivots = self._rref()
@@ -277,21 +278,8 @@ class FieldMatrix:
         return det
 
     def inverse(self) -> "FieldMatrix":
-        """Exact inverse: the right half of the reduced [A | I]."""
-        if self.rows != self.cols:
-            raise ValueError(f"inverse needs a square matrix, got {self.shape}")
-        q = self.modulus
-        n = self.rows
-        rref, pivots = self._rref(np.eye(n, dtype=np.int64))
-        # [A | I] has rank n; A is invertible exactly when its pivots are A's
-        # n columns, and the first column without one is where a column-by-
-        # column elimination of A stops.
-        for c, pivot in enumerate(pivots):
-            if pivot != c:
-                raise SingularMatrixError(
-                    f"matrix is singular mod {q}: no pivot in column {c}"
-                )
-        return FieldMatrix(rref[:, n:], q)
+        """Exact inverse: ``_inverse_stack`` on a stack of one."""
+        return FieldMatrix(_inverse_stack(self._a[None], self.modulus)[0], self.modulus)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.determinant() != 0
@@ -309,13 +297,39 @@ class FieldMatrix:
             raise RankDeficientError(
                 f"matrix has rank {len(pivots)} < {self.rows} rows"
             )
-        q = self.modulus
-        n_cols = self.cols
-        free = [c for c in range(n_cols) if c not in set(pivots)]
-        basis = np.zeros((len(free), n_cols), dtype=np.int64)
-        for i, fc in enumerate(free):
-            basis[i, fc] = 1
-            for r, pc in enumerate(pivots):
-                basis[i, pc] = (-int(rref[r, fc])) % q
-        return FieldMatrix(basis, q)
+        # Subtract each RREF row from the identity row of its pivot: column f
+        # of the result is the basis vector of free column f, and the free
+        # columns are where the diagonal stays 1.
+        basis = np.eye(self.cols, dtype=np.int64)
+        basis[pivots] -= rref.astype(np.int64)
+        return FieldMatrix(basis.T[basis.diagonal() == 1], self.modulus)
 
+
+def _inverse_stack(a: np.ndarray, modulus: int) -> np.ndarray:
+    """Exact int64 inverses of a (B, n, n) stack of square matrices of
+    residues: Gauss-Jordan on every [A | I] at once, one broadcast update
+    per column.  A singular member raises ``SingularMatrixError`` naming the
+    first column where some member has no pivot."""
+    q = modulus
+    if a.shape[1] != a.shape[2]:
+        raise ValueError(f"inverse needs a square matrix, got {a.shape[1:]}")
+    b, n, _ = a.shape
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), (b, n, n))
+    m = _exact_copy(np.concatenate((a, eye), axis=2), q)
+    members = np.arange(b)
+    for c in range(n):
+        # Inverses are unique, so any nonzero entry may be the pivot.
+        p = c + m[:, c:, c].argmax(axis=1)
+        heads = m[members, p, c].tolist()
+        if not all(heads):
+            raise SingularMatrixError(
+                f"matrix is singular mod {q}: no pivot in column {c}"
+            )
+        # As in ``_rref``: the update zeroes each pivot row; row c moves there.
+        inverses = np.array([pow(h, -1, q) for h in heads], dtype=m.dtype)
+        pivot_rows = m[members, p] * inverses[:, None] % q
+        m -= m[:, :, c, None] * pivot_rows[:, None, :]
+        m %= q
+        m[members, p] = m[:, c]
+        m[:, c] = pivot_rows
+    return m[:, :, n:].astype(np.int64)

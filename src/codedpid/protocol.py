@@ -364,17 +364,15 @@ def _encoder(config: PidConfig, code: CodePair, ids) -> Callable:
     [..., j, i] is what the i-th server of message ids[j]'s sorted host set
     stores: entry i of ``inverse(parity_check[:, hosts]) @ w``.
 
-    Each distinct host set's inverse is converted once, here; a call is one
-    ``mod_matmul`` over the stacked per-message inverses, int64 when
-    L*(q-1)^2 + q < 2^63 and exact Python ints otherwise.
+    The host sets' inverses come from the code pair's minor-inverse cache,
+    the missing ones in one stacked call; a call is one ``mod_matmul`` over
+    the stacked per-message inverses, int64 when L*(q-1)^2 + q < 2^63 and
+    exact Python ints otherwise.
     """
-    hosts = [config.association[k - 1] for k in ids]
-    position = {cols: i for i, cols in enumerate(dict.fromkeys(hosts))}
-    inverses = np.array(
-        [code.h_sub_inverse(tuple(s - 1 for s in cols)) for cols in position],
-        dtype=np.int64,
-    ).reshape(len(position), config.msg_len, config.msg_len)
-    stacked = inverses[[position[cols] for cols in hosts]]
+    cols = [tuple(s - 1 for s in config.association[k - 1]) for k in ids]
+    stacked = np.array(code._minor_inverses(cols), dtype=np.int64).reshape(
+        len(cols), config.msg_len, config.msg_len
+    )
     return lambda w: mod_matmul(stacked, w[..., None], config.modulus)[..., 0]
 
 

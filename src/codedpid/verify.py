@@ -639,9 +639,9 @@ class ProbeReport:
 
     ``pattern_anomaly`` is a hard fail: some request produced a per-server
     transmission-length pattern another request never can.  The chi-square
-    screen compares each (request, server) symbol marginal to uniform;
-    ``suspicious`` flags stats beyond a p~1e-4 bound.  A clean probe is
-    evidence, not proof.
+    screen compares each (request, server) symbol marginal to uniform, when
+    trials >= 5q (else both stats are None); ``suspicious`` flags stats
+    beyond a p~1e-4 bound.  A clean probe is evidence, not proof.
     """
 
     trials: int
@@ -704,15 +704,14 @@ def randomized_privacy_probe(
     pattern_anomaly = len(set(pattern_sets)) > 1
 
     # Chi-square screen only where every server sent exactly one symbol per
-    # trial (otherwise the marginal totals differ by construction).  Then
-    # each marginal's counts c sum to the trials T, and its statistic
-    # sum over all q symbols of (c - T/q)^2 / (T/q) is q*sum(c^2)/T - T,
-    # a sum over the symbols seen.
+    # trial (otherwise the marginal totals differ by construction) and each
+    # symbol's expected count T/q is at least 5 (below that, one repeated
+    # symbol puts a uniform marginal past the bound).  Then each marginal's
+    # counts c sum to the trials T, and its statistic sum over all q symbols
+    # of (c - T/q)^2 / (T/q) is q*sum(c^2)/T - T, a sum over the symbols seen.
     max_stat = None
     bound = None
-    if not pattern_anomaly and all(
-        p == ((1,) * n,) for p in pattern_sets
-    ):
+    if trials >= 5 * q and all(p == ((1,) * n,) for p in pattern_sets):
         max_stat = max(
             q * sum(c * c for c in counts.values()) / trials - trials
             for counts in marginals.counts()

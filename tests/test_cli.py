@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from codedpid.cli import CliError, main, parse_config_text
+from codedpid.cli import CliError, build_parser, main, parse_config_text
 from codedpid.protocol import random_messages
 from codedpid.sim import read_frame_log
 
@@ -681,6 +681,19 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+    def test_parser_built_once_and_reused(self, capsys):
+        # one parser per process; a failed parse leaves it as it was
+        assert build_parser() is build_parser()
+        outputs = []
+        for argv in (["verify"], ["sweep", "--k", "3"], ["verify"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[2]
+        assert "one of the arguments -i/--instance -c/--config is required" in outputs[0].err
+        code, out, _ = run(capsys, "table-l", "--k-range", "3:3", "--n-range", "3:3")
+        assert code == 0 and out
 
     def test_module_invocation(self):
         result = subprocess.run(

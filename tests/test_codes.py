@@ -11,7 +11,7 @@ from codedpid.codes import (
     build_vandermonde_pair,
     override_generator,
 )
-from codedpid.field import FieldMatrix
+from codedpid.field import FieldMatrix, SingularMatrixError
 
 # Frozen: the parity check on points 1..6 over F_11 and a compatible
 # hand-picked generator (orthogonality and both MDS properties re-verified
@@ -193,6 +193,14 @@ class TestCodePairApi:
             direct = pair.parity_check.select_columns(cols).inverse().row_tuples()
             assert pair.h_sub_inverse(cols) == direct
             assert pair.h_sub_inverse(cols) is pair.h_sub_inverse(cols)
+
+    def test_sub_inverse_needs_msg_len_columns(self):
+        pair = build_vandermonde_pair(11, 6, 3)
+        for cols in ((0, 1), (0, 1, 2, 3)):
+            with pytest.raises(ValueError, match="square"):
+                pair.h_sub_inverse(cols)
+        with pytest.raises(SingularMatrixError):
+            pair.h_sub_inverse((0, 0, 1))
 
     def test_sub_inverse_goldens(self):
         pair = build_vandermonde_pair(11, 6, 3, points=(1, 2, 3, 4, 5, 6))

@@ -1,14 +1,17 @@
 """Field matrix arithmetic and primality, checked against brute-force oracles."""
 
+import itertools
 import time
 
 import numpy as np
 import pytest
 
+from codedpid.codes import build_vandermonde_pair
 from codedpid.field import (
     FieldMatrix,
     RankDeficientError,
     SingularMatrixError,
+    _inverse_stack,
     int64_exact,
     is_prime,
     mod_matmul,
@@ -285,3 +288,156 @@ class TestExactProducts:
             basis = wide.null_space_basis()
             assert basis.rows == 3 and basis.rank() == 3
             assert wide @ basis.transpose() == FieldMatrix.zeros(2, 3, q)
+
+
+def reference_rref(rows, n_cols: int, q: int):
+    """Oracle: scalar Gauss-Jordan in Python ints, one row update per
+    (pivot, row) pair; returns the reduced rows and the pivot columns."""
+    m = [[int(x) % q for x in row] for row in rows]
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot_row = next((rr for rr in range(r, len(m)) if m[rr][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = pow(m[r][c], -1, q)
+        m[r] = [x * inv % q for x in m[r]]
+        for rr in range(len(m)):
+            factor = m[rr][c]
+            if rr != r and factor:
+                m[rr] = [(x - factor * y) % q for x, y in zip(m[rr], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def reference_inverse(rows, q: int):
+    """Oracle: the right half of the reduced [A | I], or the first column
+    of A without a pivot when A is singular."""
+    n = len(rows)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    m, pivots = reference_rref(augmented, 2 * n, q)
+    for c in range(n):
+        if pivots[c] != c:
+            return c
+    return [row[n:] for row in m]
+
+
+def reference_null_space(rows, n_cols: int, q: int):
+    """Oracle: one basis row per free column, ascending, from the reference
+    RREF."""
+    m, pivots = reference_rref(rows, n_cols, q)
+    basis = []
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        vec = [0] * n_cols
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][fc] % q
+        basis.append(vec)
+    return basis
+
+
+# The object path starts at 3037000507; 4294967291 is the largest admitted.
+ELIMINATION_PRIMES = (2, 3, 5, 257, 3037000507, 4294967291)
+
+
+def elimination_cases(q: int):
+    """Seeded matrices of every shape elimination meets, as lists of rows
+    with their column count: square, wide, tall, rank-deficient, all-zero,
+    1 x 1 and 0-row."""
+    rng = np.random.default_rng(q % 1000)
+
+    def rand(r, c):
+        return [[int(x) for x in row] for row in rng.integers(0, q, size=(r, c))]
+
+    low = py_matmul(rand(4, 2), rand(2, 5), q)  # rank at most 2
+    cases = [rand(n, n) for n in (2, 3, 4, 5) for _ in range(3)]
+    cases += [rand(2, 5), rand(3, 7), rand(5, 2), rand(6, 3), low]
+    cases += [[[0] * 4 for _ in range(3)], [[0] * 3 for _ in range(3)]]
+    cases += [[[int(rng.integers(0, q))]], [[0]]]
+    return [(rows, len(rows[0])) for rows in cases] + [([], 3)]
+
+
+def as_matrix(rows, n_cols: int, q: int) -> FieldMatrix:
+    return FieldMatrix(np.array(rows, dtype=np.int64).reshape(len(rows), n_cols), q)
+
+
+class TestEliminationAgainstScalarReference:
+    def test_rref_and_rank(self):
+        for q in ELIMINATION_PRIMES:
+            for rows, n_cols in elimination_cases(q):
+                m = as_matrix(rows, n_cols, q)
+                rref, pivots = m._rref()
+                expected, expected_pivots = reference_rref(rows, n_cols, q)
+                assert pivots == expected_pivots, (q, rows)
+                assert rref.tolist() == expected, (q, rows)
+                assert m.rank() == len(expected_pivots)
+
+    def test_inverse_and_singular(self):
+        seen = set()
+        for q in ELIMINATION_PRIMES:
+            for rows, n_cols in elimination_cases(q):
+                if len(rows) != n_cols:
+                    continue
+                m = as_matrix(rows, n_cols, q)
+                expected = reference_inverse(rows, q)
+                if isinstance(expected, int):
+                    seen.add((q, "singular"))
+                    message = f"singular mod {q}: no pivot in column {expected}$"
+                    with pytest.raises(SingularMatrixError, match=message):
+                        m.inverse()
+                else:
+                    seen.add((q, "invertible"))
+                    assert m.inverse().to_lists() == expected, (q, rows)
+        kinds = ("singular", "invertible")
+        assert {(q, kind) for q in ELIMINATION_PRIMES for kind in kinds} <= seen
+
+    def test_null_space_basis(self):
+        for q in ELIMINATION_PRIMES:
+            for rows, n_cols in elimination_cases(q):
+                m = as_matrix(rows, n_cols, q)
+                if len(reference_rref(rows, n_cols, q)[1]) < len(rows):
+                    with pytest.raises(RankDeficientError):
+                        m.null_space_basis()
+                    continue
+                assert m.null_space_basis().to_lists() == reference_null_space(
+                    rows, n_cols, q
+                ), (q, rows)
+
+
+class TestInverseStack:
+    def test_every_minor_of_a_pair(self):
+        pair = build_vandermonde_pair(11, 6, 3)
+        h = pair.parity_check
+        subsets = list(itertools.combinations(range(6), 3))
+        minors = np.stack([h.array[:, cols] for cols in subsets])
+        stacked = _inverse_stack(minors, 11)
+        assert stacked.dtype == np.int64 and stacked.shape == (20, 3, 3)
+        for cols, inverse in zip(subsets, stacked):
+            assert inverse.tolist() == h.select_columns(cols).inverse().to_lists()
+
+    def test_members_pivot_on_their_own_rows(self):
+        # each member needs a different row swap, and one none at all
+        for q in (5, 4294967291):
+            members = [
+                [[0, 1, 2], [0, 0, 1], [1, 2, 3]],
+                [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                [[2, 0, 0], [0, 3, 0], [0, 0, 4]],
+                [[0, 0, 1], [q - 1, 0, 0], [0, 1, 1]],
+            ]
+            stacked = _inverse_stack(np.array(members, dtype=np.int64), q)
+            assert stacked.tolist() == [reference_inverse(rows, q) for rows in members]
+
+    def test_non_square_stack_raises(self):
+        h = build_vandermonde_pair(11, 6, 3).parity_check.array
+        for cols in ([0, 1], [0, 1, 2, 3]):
+            with pytest.raises(ValueError, match=r"square matrix, got \(3, \d\)$"):
+                _inverse_stack(h[:, cols][None], 11)
+
+    def test_one_singular_member_raises(self):
+        h = build_vandermonde_pair(11, 6, 3).parity_check.array
+        minors = np.stack([h[:, [0, 1, 2]], h[:, [0, 0, 1]], h[:, [3, 4, 5]]])
+        with pytest.raises(SingularMatrixError, match="singular mod 11: no pivot in column 1$"):
+            _inverse_stack(minors, 11)

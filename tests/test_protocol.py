@@ -5,6 +5,7 @@ tables in test_field.py and re-derived independently with numpy before being
 pinned here.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -509,30 +510,37 @@ BIG_Q = 4294967291
 BIG_POINTS = (123456789, 987654321, 2222222222, 3333333333)
 
 
-def per_symbol_storage(config, code, messages):
-    """Oracle for ``encode_storage``: each fragment symbol as its own dot
-    product ``sum(c * w) % q`` in Python ints, message by message."""
+def check_defining_equation(config, code, messages, storage):
+    """Oracle for ``encode_storage``, in Python ints and independent of any
+    inverse: each server stores one symbol for exactly the messages it
+    hosts, and message k's fragments f on its sorted host set satisfy
+    ``H[:, hosts] . f == w_k (mod q)``, with H rebuilt from the points.
+    Every L-column minor of H is invertible, so f is the only solution."""
     q = config.modulus
-    per_server = [[] for _ in range(config.n_servers)]
+    h = [[pow(p, i, q) for p in code.points] for i in range(config.msg_len)]
+    held = {}
+    for n, state in enumerate(storage, start=1):
+        assert state.server_id == n
+        assert [k for k, _ in state.fragments] == list(config.messages_for(n))
+        for k, symbols in state.fragments:
+            assert len(symbols) == 1 and type(symbols[0]) is int
+            assert 0 <= symbols[0] < q
+            held[n, k] = symbols[0]
     for msg in messages:
         hosts = config.servers_for(msg.index)
-        inv_rows = code.h_sub_inverse(tuple(s - 1 for s in hosts))
-        for row, server in zip(inv_rows, hosts):
-            symbol = sum(c * w for c, w in zip(row, msg.symbols)) % q
-            per_server[server - 1].append((msg.index, (symbol,)))
-    return tuple(tuple(sorted(frags)) for frags in per_server)
+        fragment = [held[n, msg.index] for n in hosts]
+        checked = [
+            sum(row[n - 1] * f for n, f in zip(hosts, fragment)) % q for row in h
+        ]
+        assert checked == list(msg.symbols), msg.index
 
 
 class TestEncodeMatchesPerSymbolFormula:
     def check(self, config, code, seed=0):
         messages = random_messages(config, seed=seed)
-        storage = encode_storage(config, code, messages)
-        assert tuple(st.fragments for st in storage) == per_symbol_storage(
-            config, code, messages
+        check_defining_equation(
+            config, code, messages, encode_storage(config, code, messages)
         )
-        for st in storage:
-            for _, symbols in st.fragments:
-                assert all(type(s) is int for s in symbols)
 
     def test_small_instances(self):
         from test_verify import small_configs
@@ -561,6 +569,16 @@ class TestEncodeMatchesPerSymbolFormula:
         config = make_association(BIG_Q, 2, 4, 2)
         code = build_vandermonde_pair(BIG_Q, 4, 2, points=BIG_POINTS)
         for seed in range(5):
+            self.check(config, code, seed)
+
+    def test_four_byte_modulus_many_host_sets(self):
+        # ten distinct 3-server host sets of 5 servers: one stacked inverse
+        # in Python ints pivots through all of them
+        hosts = list(itertools.combinations(range(1, 6), 3))
+        config = make_association(BIG_Q, 10, 5, 3, mode=EXPLICIT, association=hosts)
+        code = build_vandermonde_pair(BIG_Q, 5, 3, points=BIG_POINTS + (4294967290,))
+        assert len(set(config.association)) == 10
+        for seed in range(3):
             self.check(config, code, seed)
 
 
