@@ -59,5 +59,5 @@ for d in (2, 7):
 # Six symbols buy a three-symbol message: rate 1/2, which is the ceiling for
 # ANY private scheme at 4/3 messages of storage per server.  The full input
 # space here is 11^27-ish cases, far past exhaustive reach -- see
-# demos/privacy_audit.py for the sampled probe that covers instances this
+# demos/privacy_audit.py for the rank certificate that covers instances this
 # size.

@@ -8,11 +8,12 @@ Subcommands::
     pid sweep   --k K --m M --l L --n-range A:B    rate table as CSV
     pid table-l --k-range A:B --n-range A:B        valid message lengths
 
-Exit codes: 0 success, 2 bad input, 3 verification failure, 4 exhaustive
-budget exceeded.  The PID_BUDGET environment variable overrides the default
-exhaustive-audit budget.  ``main`` reports every refusal, the command line's
-(``CliError``) and the library's (any ``ValueError``), and any file that
-cannot be read or written (``OSError``), as one ``error:`` line and exit 2.
+Exit codes: 0 success, 2 bad input, 3 verification failure.  ``pid verify``
+enumerates every case within its budget (default 10^7, else PID_BUDGET or
+``--budget``) and certifies by rank past it, so it ends in a verdict or a
+refusal.  ``main`` reports every refusal, the command line's (``CliError``)
+and the library's (any ``ValueError``), and any file that cannot be read or
+written (``OSError``), as one ``error:`` line and exit 2.
 
 Config files are ``key = value`` lines; values are Python literals (lists,
 ints, quoted strings) with ``#`` comments outside quotes.  Keys: q, K, N, L,
@@ -66,7 +67,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERDICT_FAIL = 3
-EXIT_BUDGET = 4
 
 
 class CliError(ValueError):
@@ -456,46 +456,22 @@ def cmd_verify(args) -> int:
     else:
         scheme = verify_mod.masked_scheme(config, code, corrupt=corrupt)
     budget = verify_mod.resolve_budget(args.budget)
-
-    if args.probe is not None:
-        report = verify_mod.randomized_privacy_probe(
-            config, code, trials=args.probe, seed=args.seed, scheme=scheme
-        )
-        anomaly = "yes" if report.pattern_anomaly else "no"
-        stat = (
-            "-"
-            if report.max_marginal_stat is None
-            else f"{report.max_marginal_stat:.2f}"
-        )
-        bound = "-" if report.stat_bound is None else f"{report.stat_bound:.2f}"
-        print(
-            f"PROBE INSTANCE={cfg.name} TRIALS={report.trials} "
-            f"PATTERN_ANOMALY={anomaly} MAX_STAT={stat} BOUND={bound}"
-        )
-        if report.suspicious:
-            print("probe flagged the scheme as suspicious")
-            return EXIT_VERDICT_FAIL
-        return EXIT_OK
-
-    try:
-        c_report, p_report = verify_mod.scheme_audit(
-            scheme,
-            budget=budget,
-            correctness=args.property != "privacy",
-            privacy=args.property != "correctness",
-        )
-    except verify_mod.BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        print(
-            "hint: raise PID_BUDGET or use --probe TRIALS for a sampled audit",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
+    c_report, p_report = verify_mod.scheme_audit(
+        scheme,
+        budget=budget,
+        correctness=args.property != "privacy",
+        privacy=args.property != "correctness",
+    )
+    # A rank verdict decides all its cases at once; its counts are written
+    # as powers of q, which can run past the digits ``str`` writes.
+    rank = verify_mod.by_rank(scheme, budget)
+    count = functools.partial(verify_mod.power_text, q=config.modulus) if rank else str
     failed = False
     if c_report is not None:
         print(
             verify_mod.verdict_line(
-                "correctness", cfg.name, c_report.passed, c_report.cases
+                "correctness", cfg.name, c_report.passed,
+                verify_mod.case_text(scheme) if rank else c_report.cases,
             )
         )
         if not c_report.passed:
@@ -508,19 +484,20 @@ def cmd_verify(args) -> int:
     if p_report is not None:
         print(
             verify_mod.verdict_line(
-                "privacy", cfg.name, p_report.passed, p_report.cases
+                "privacy", cfg.name, p_report.passed,
+                verify_mod.case_text(scheme) if rank else p_report.cases,
             )
         )
         print(
-            f"  distinct answer vectors: {p_report.distinct_answers}; "
+            f"  distinct answer vectors: {count(p_report.distinct_answers)}; "
             f"uniform over them: {'yes' if p_report.uniform else 'no'}"
         )
         if not p_report.passed:
             failed = True
             mm = p_report.mismatch
             print(
-                f"  leak: answer {mm.answer} occurs {mm.count_a}x for "
-                f"d={mm.request_a} but {mm.count_b}x for d={mm.request_b}"
+                f"  leak: answer {mm.answer} occurs {count(mm.count_a)}x for "
+                f"d={mm.request_a} but {count(mm.count_b)}x for d={mm.request_b}"
             )
     return EXIT_VERDICT_FAIL if failed else EXIT_OK
 
@@ -608,15 +585,13 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("-c", "--config", help="config file")
     p_verify.add_argument("--property", choices=["correctness", "privacy", "both"],
                           default="both")
-    p_verify.add_argument("--probe", type=int, default=None, metavar="TRIALS",
-                          help="sampled audit instead of exhaustive")
     p_verify.add_argument("--budget", type=int, default=None,
-                          help="max exhaustive cases (default 10^7 or PID_BUDGET)")
+                          help="max exhaustive cases, past which the audit is by "
+                               "rank (default 10^7 or PID_BUDGET)")
     p_verify.add_argument("--scheme", choices=["masked", "split"], default="masked",
                           help="audit the real scheme or the unmasked negative control")
     p_verify.add_argument("--corrupt", default=None, metavar="N,K,POS,DELTA",
                           help="flip one stored symbol before the audit")
-    p_verify.add_argument("--seed", type=int, default=0, help="probe seed")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="rate vs server count, as CSV")

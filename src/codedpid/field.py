@@ -137,10 +137,6 @@ class FieldMatrix:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int, modulus: int) -> "FieldMatrix":
-        return cls(np.eye(n, dtype=np.int64), modulus)
-
-    @classmethod
     def zeros(cls, rows: int, cols: int, modulus: int) -> "FieldMatrix":
         return cls(np.zeros((rows, cols), dtype=np.int64), modulus)
 
@@ -160,10 +156,6 @@ class FieldMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return self._a.tolist()
-
-    def row_tuples(self) -> tuple[tuple[int, ...], ...]:
-        """Plain-int rows; handy for tight pure-Python loops."""
-        return tuple(tuple(int(x) for x in row) for row in self._a)
 
     def column_tuple(self, j: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self._a[:, j])
@@ -215,10 +207,6 @@ class FieldMatrix:
         if v.shape != (self.cols,):
             raise ValueError(f"vector length {v.shape} does not match {self.cols}")
         return tuple(mod_matmul(self._a, v % self.modulus, self.modulus).tolist())
-
-    def select_columns(self, cols) -> "FieldMatrix":
-        idx = list(cols)
-        return FieldMatrix(self._a[:, idx], self.modulus)
 
     # -- elimination ----------------------------------------------------------
 
@@ -280,9 +268,6 @@ class FieldMatrix:
     def inverse(self) -> "FieldMatrix":
         """Exact inverse: ``_inverse_stack`` on a stack of one."""
         return FieldMatrix(_inverse_stack(self._a[None], self.modulus)[0], self.modulus)
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.determinant() != 0
 
     def null_space_basis(self) -> "FieldMatrix":
         """Canonical basis of the right null space, one basis vector per row.

@@ -1,4 +1,5 @@
-"""Exhaustive certification of correctness and privacy on small instances.
+"""Exact certification of correctness and privacy: by enumerating every
+case within the budget, by rank past it.
 
 For a scheme with K messages of L symbols over F_q, N servers and an
 (N-L)-symbol mask, the joint input space has q^(K*L + N-L) points and each
@@ -31,36 +32,33 @@ over its masks.  One order-free tally, ``_Census``, counts integer keys in
 groups: in one dense ``bincount`` array while groups times keys is at
 most ``DENSE_CENSUS_KEYS``, else in per-group maps of the keys seen.  The
 privacy census is K groups of (q+1)^N answer keys (base-(q+1) digits, q for
-silence), the probe's marginals K*N groups of q+1 symbols.  A leak's
-witness is the smallest key whose count differs between two requests: the
-answer vector first server by server, symbols ascending, silence last.
+silence).  A leak's witness is the smallest key whose count differs between
+two requests: the answer vector first server by server, symbols ascending,
+silence last.
 
-Exactness: all arithmetic is int64.  Every value a scheme's stages compute
-is at most N*(q-1)^2 + q: a sum of products of residues, plus one residue
-or the no-symbol marker q.  Storage sums L products per symbol (in exact
-Python ints past int64, see ``field.mod_matmul``), the mask shares N-L and
-decoding N.  ``SchemeUnderTest`` therefore refuses any instance with
-N*(q-1)^2 + q >= 2^63, raising
-``InexactArithmeticError`` (a ValueError) instead of wrapping around.  The
-exhaustive audit numbers its inputs in int64 and the privacy census keys
-an answer vector by its base-(q+1) digits, so it refuses in the same way
-when q^(K*L + N-L) or (q+1)^N reaches 2^63.  Refusals come in a fixed order,
-before any case is evaluated: the budget, then the input numbering, then
-(when privacy is audited) the census keys.
+Exactness: every value a scheme's stages compute is at most N*(q-1)^2 + q,
+a sum of products of residues plus one residue or the no-symbol marker q
+(storage sums L products, in exact Python ints past int64, see
+``field.mod_matmul``; the mask shares N-L; decoding N).  The enumeration is
+int64, so it refuses (``InexactArithmeticError``, a ValueError) N*(q-1)^2 + q,
+q^(K*L + N-L) inputs or (q+1)^N answer keys reaching 2^63.  Refusals come
+before any case is evaluated: the budget, then the stages, the numbering and
+(when privacy is audited) the keys.  Schemes plug in through
+``SchemeUnderTest``: the real masked protocol, its storage built by the
+encoder that serves ``pid deliver``, the unmasked split variant (a negative
+control: correct, and leaky whenever L < N) and fault-injected copies.
 
-Schemes plug in through ``SchemeUnderTest`` (build storage for a batch of
-message tuples, then answer every request per mask).  The real masked
-protocol's storage comes from ``protocol``'s own encoder, the one that
-serves ``pid deliver``; it, the unmasked split variant (a negative control:
-correct, and leaky whenever L < N) and fault-injected copies all run
-through the same enumerator.
-
-Budgets: audits refuse to start when ``cases`` exceeds the budget, which
-defaults to 10**7 and can be overridden by the PID_BUDGET environment
-variable or a keyword argument.  For instances past the budget,
-``randomized_privacy_probe`` samples random inputs and flags observable
-leaks: transmission patterns that vary with d (a hard fail) and per-server
-symbol marginals far from uniform (a chi-square screen).
+The budget, 10**7 cases unless PID_BUDGET or a keyword argument says
+otherwise, bounds the enumeration.  Past it, a scheme that declares its
+``AffineMaps`` is certified by rank with the same reports, and any other
+is refused (``BudgetExceededError``).  Request d's answers are A_d*x + b_d
+on the servers that transmit, so they are uniform on the coset
+b_d + im A_d, each point hit q^(K*L + N-L - rank A_d) times.  Correctness
+holds exactly when D_d*A_d selects w_d and D_d*b_d = 0 for the decoder D_d
+of every d; privacy exactly when all requests share one silence pattern and
+one coset.  The counterexample is the one enumeration meets first, the leak
+witness an answer vector with its exact counts under two requests (not
+always the smallest).  ``field.FieldMatrix`` is exact for every q < 2^32.
 """
 
 from __future__ import annotations
@@ -69,12 +67,12 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from codedpid.codes import CodePair
-from codedpid.field import int64_exact
+from codedpid.field import FieldMatrix, int64_exact, mod_matmul
 from codedpid.protocol import PidConfig, _encoder
 
 __all__ = [
@@ -84,21 +82,21 @@ __all__ = [
     "BudgetExceededError",
     "InexactArithmeticError",
     "SchemeUnderTest",
+    "AffineMaps",
     "masked_scheme",
     "split_scheme",
     "case_count",
+    "case_text",
+    "power_text",
     "resolve_budget",
+    "by_rank",
     "scheme_audit",
     "scheme_correctness",
     "scheme_privacy",
-    "exhaustive_correctness",
-    "exhaustive_privacy",
     "CorrectnessReport",
     "Counterexample",
     "PrivacyReport",
     "PrivacyMismatch",
-    "randomized_privacy_probe",
-    "ProbeReport",
     "verdict_line",
 ]
 
@@ -151,6 +149,22 @@ def resolve_budget(budget: int | None = None) -> int:
     return budget
 
 
+class AffineMaps(NamedTuple):
+    """Every request's answers as an affine map of its inputs, in residues
+    mod q; entry d-1 of each array is request d's.  Server j transmits when
+    ``sends`` (K, N) says so, and answers (A_d [w_d; u] + b_d)[j], where
+    A_d is ``linear`` (K, N, L + mask_len), on message d's symbols and the
+    mask u (every other message's columns are zero), and b_d is ``offset``
+    (K, N).  Request d decodes to D_d = ``decoder`` (K, L, N) times the
+    answer vector, silence read as 0.
+    """
+
+    sends: np.ndarray
+    linear: np.ndarray
+    offset: np.ndarray
+    decoder: np.ndarray
+
+
 @dataclass(frozen=True)
 class SchemeUnderTest:
     """The three stages of a delivery scheme, as callables on batches.
@@ -172,8 +186,8 @@ class SchemeUnderTest:
     row b of a stage's output depends on row b of its inputs alone, so a
     batch gives the rows its inputs would give one at a time.  The audits
     rely on this to build storage once per message tuple and repeat its rows
-    over the masks.  Construction refuses moduli too large for exact int64
-    arithmetic (see the module docstring).
+    over the masks.  ``maps``, if given, returns the ``AffineMaps`` the
+    stages compute, read off the scheme's structure, for the rank path.
     """
 
     name: str
@@ -185,14 +199,7 @@ class SchemeUnderTest:
     build_storage: Callable
     answers: Callable
     decode: Callable
-
-    def __post_init__(self):
-        q, n = self.modulus, self.n_servers
-        if not int64_exact(q, n):
-            raise InexactArithmeticError(
-                f"q={q} is too large for exact int64 audits of this instance: "
-                f"{n}*(q-1)^2 + q must stay below 2^63"
-            )
+    maps: Callable[[], AffineMaps] | None = None
 
 
 def _storage_layout(config: PidConfig, encode: Callable, corrupt=None) -> Callable:
@@ -222,6 +229,15 @@ def _storage_layout(config: PidConfig, encode: Callable, corrupt=None) -> Callab
     return build_storage
 
 
+def _hosted(config: PidConfig, blocks) -> np.ndarray:
+    """A (K, N, L) array holding row i of ``blocks[d-1]`` at the i-th
+    server of d's sorted host set, zero on every other server."""
+    placed = np.zeros((config.k_messages, config.n_servers, config.msg_len), np.int64)
+    hosts = np.array(config.association) - 1
+    placed[np.arange(config.k_messages)[:, None], hosts] = blocks
+    return placed
+
+
 def masked_scheme(
     config: PidConfig,
     code: CodePair,
@@ -235,14 +251,14 @@ def masked_scheme(
     server's stored symbols for that message, and delta added mod q.  Fault
     injection for audits; delta % q == 0 is rejected as a no-op.
     """
-    q = code.modulus
+    q, k, n, l = code.modulus, config.k_messages, config.n_servers, config.msg_len
 
     if corrupt is not None:
         c_server, c_msg, c_pos, c_delta = corrupt
         if c_delta % q == 0:
             raise ValueError("corruption delta must be nonzero mod q")
-        if not 1 <= c_msg <= config.k_messages:
-            raise ValueError(f"corrupt message {c_msg} outside 1..{config.k_messages}")
+        if not 1 <= c_msg <= k:
+            raise ValueError(f"corrupt message {c_msg} outside 1..{k}")
         if c_server not in config.servers_for(c_msg):
             raise ValueError(
                 f"server {c_server} stores nothing for message {c_msg}"
@@ -251,9 +267,10 @@ def masked_scheme(
             raise ValueError("each server stores one symbol per message here")
         corrupt = (c_server, c_msg, c_delta % q)
 
-    encode = _encoder(config, code, range(1, config.k_messages + 1))
+    encode = _encoder(config, code, range(1, k + 1))
     g = code.generator.array
-    h_t = code.parity_check.array.T
+    h = code.parity_check.array
+    h_t = h.T
 
     def answers(storage, mask):
         # A server holding nothing of message d has the marker q there, which
@@ -264,16 +281,31 @@ def masked_scheme(
     def decode(answers):
         return answers @ h_t % q
 
+    def maps():
+        # A_d = [P_d*M_d | G^T]: the encoder's inverse M_d of the parity-check
+        # minor on d's hosts, placed at them, then the mask shares; every
+        # server sends, H decodes, and a corruption is its message's b_d
+        cols = [tuple(s - 1 for s in hosts) for hosts in config.association]
+        minors = code._minor_inverses(cols)
+        offset = np.zeros((k, n), np.int64)
+        if corrupt is not None:
+            offset[corrupt[1] - 1, corrupt[0] - 1] = corrupt[2]
+        shares = np.broadcast_to(g.T, (k, n, code.mask_len))
+        linear = np.concatenate((_hosted(config, minors), shares), axis=2)
+        decoder = np.broadcast_to(h, (k, l, n))
+        return AffineMaps(np.ones((k, n), bool), linear, offset, decoder)
+
     return SchemeUnderTest(
         name="masked-coded",
         modulus=q,
-        k_messages=config.k_messages,
-        msg_len=config.msg_len,
-        n_servers=config.n_servers,
+        k_messages=k,
+        msg_len=l,
+        n_servers=n,
         mask_len=code.mask_len,
         build_storage=_storage_layout(config, encode, corrupt),
         answers=answers,
         decode=decode,
+        maps=maps,
     )
 
 
@@ -297,6 +329,13 @@ def split_scheme(config: PidConfig) -> SchemeUnderTest:
     def decode(answers):
         return answers[answers < q].reshape(*answers.shape[:-1], -1)
 
+    def maps():
+        # w_d placed on d's hosts, which alone send and are read back in order
+        placed = _hosted(config, np.eye(config.msg_len, dtype=np.int64))
+        offset = np.zeros((config.k_messages, config.n_servers), np.int64)
+        sends = config.host_incidence.astype(bool)
+        return AffineMaps(sends, placed, offset, placed.transpose(0, 2, 1))
+
     return SchemeUnderTest(
         name="unmasked-split",
         modulus=q,
@@ -307,26 +346,59 @@ def split_scheme(config: PidConfig) -> SchemeUnderTest:
         build_storage=_storage_layout(config, lambda w: w),
         answers=answers,
         decode=decode,
+        maps=maps,
     )
+
+
+def _width(scheme: SchemeUnderTest) -> int:
+    """The symbols of one input: K*L message symbols, then the mask."""
+    return scheme.k_messages * scheme.msg_len + scheme.mask_len
 
 
 def case_count(scheme: SchemeUnderTest) -> int:
     """q^(K*L + mask_len) * K answer evaluations for a full audit."""
-    exponent = scheme.k_messages * scheme.msg_len + scheme.mask_len
-    return scheme.modulus**exponent * scheme.k_messages
+    return scheme.modulus ** _width(scheme) * scheme.k_messages
+
+
+def case_text(scheme: SchemeUnderTest) -> str:
+    """``case_count`` written as q^E*K: past the budget it can run to more
+    digits than ``str`` writes (257^2080*64 has 5012)."""
+    return f"{scheme.modulus}^{_width(scheme)}*{scheme.k_messages}"
+
+
+def power_text(count: int, q: int) -> str:
+    """``count`` written as q^e when it is a power of q, else in decimal:
+    the counts of a rank certificate are powers of q or sums of them."""
+    if count > 0:
+        e = round(math.log(count, q))
+        if q**e == count:
+            return f"{q}^{e}"
+    return str(count)
+
+
+def by_rank(scheme: SchemeUnderTest, budget: int | None = None) -> bool:
+    """Whether ``scheme_audit`` certifies ``scheme`` by rank: it declares
+    its maps and its cases exceed the budget."""
+    return scheme.maps is not None and case_count(scheme) > resolve_budget(budget)
 
 
 def _input_count(scheme: SchemeUnderTest, budget: int | None) -> int:
     """The number of inputs an exhaustive audit of ``scheme`` walks.
 
-    Refuses if the audit is over budget, then if the inputs cannot be
-    numbered in int64.
+    Refuses if the audit is over budget, then if its stages cannot compute
+    in exact int64, then if the inputs cannot be numbered in int64.
     """
     total = case_count(scheme)
     allowed = resolve_budget(budget)
     if total > allowed:
         raise BudgetExceededError(total, allowed)
-    inputs = scheme.modulus ** (scheme.k_messages * scheme.msg_len + scheme.mask_len)
+    q, n = scheme.modulus, scheme.n_servers
+    if not int64_exact(q, n):
+        raise InexactArithmeticError(
+            f"q={q} is too large for exact int64 audits of this instance: "
+            f"{n}*(q-1)^2 + q must stay below 2^63"
+        )
+    inputs = scheme.modulus ** _width(scheme)
     if inputs >= _INT64_LIMIT:
         raise InexactArithmeticError(
             f"{inputs} inputs cannot be numbered in int64"
@@ -350,7 +422,7 @@ def _inputs(scheme: SchemeUnderTest, inputs: int):
     """
     q = scheme.modulus
     msg_width = scheme.k_messages * scheme.msg_len
-    width = msg_width + scheme.mask_len
+    width = _width(scheme)
     powers = np.array([q**e for e in reversed(range(width))], dtype=np.int64)
     t = 0
     while t < width and q ** (t + 1) <= CHUNK_ROWS:
@@ -393,6 +465,25 @@ class CorrectnessReport:
     counterexample: Counterexample | None
 
 
+def _failed(scheme: SchemeUnderTest, cases: int, x, d0: int, decoded):
+    """The failed report of request d0+1 on input ``x``, its message symbols
+    then its mask, decoded to ``decoded``."""
+    k, l = scheme.k_messages, scheme.msg_len
+    symbols = x.tolist()
+    messages = tuple(tuple(symbols[i * l : (i + 1) * l]) for i in range(k))
+    return CorrectnessReport(
+        passed=False,
+        cases=cases,
+        counterexample=Counterexample(
+            messages=messages,
+            mask=tuple(symbols[k * l :]),
+            requested=d0 + 1,
+            decoded=tuple(decoded.tolist()),
+            expected=messages[d0],
+        ),
+    )
+
+
 def _first_failure(
     scheme: SchemeUnderTest, start: int, w, mask, answers
 ) -> CorrectnessReport | None:
@@ -408,19 +499,8 @@ def _first_failure(
     # Row-major order is enumeration order, so argmax finds the first failure.
     first = int(wrong.reshape(len(w), k, l).any(axis=2).argmax())
     row, d0 = divmod(first, k)
-    symbols = w[row].tolist()
-    messages = tuple(tuple(symbols[i * l : (i + 1) * l]) for i in range(k))
-    return CorrectnessReport(
-        passed=False,
-        cases=start * k + first + 1,
-        counterexample=Counterexample(
-            messages=messages,
-            mask=tuple(mask[row].tolist()),
-            requested=d0 + 1,
-            decoded=tuple(decoded[row, d0].tolist()),
-            expected=messages[d0],
-        ),
-    )
+    x = np.concatenate((w[row], mask[row]))
+    return _failed(scheme, start * k + first + 1, x, d0, decoded[row, d0])
 
 
 class _Census:
@@ -534,7 +614,7 @@ class PrivacyReport:
 def _privacy_report(scheme: SchemeUnderTest, census: _Census) -> PrivacyReport:
     """Compare the K censuses: the smallest leaking answer key, if any, and
     whether the answers are uniform."""
-    q, k, l, n = scheme.modulus, scheme.k_messages, scheme.msg_len, scheme.n_servers
+    q, n = scheme.modulus, scheme.n_servers
     counted = census.counts()
     reference = counted[0]
     mismatch = None
@@ -556,7 +636,7 @@ def _privacy_report(scheme: SchemeUnderTest, census: _Census) -> PrivacyReport:
             break
 
     support = {key for counts in counted for key in counts}
-    inputs_per_request = q ** (k * l + scheme.mask_len)
+    inputs_per_request = q ** _width(scheme)
     full_space = q**n
     uniform = (
         mismatch is None
@@ -578,13 +658,82 @@ def _privacy_report(scheme: SchemeUnderTest, census: _Census) -> PrivacyReport:
     )
 
 
+# -- the rank certificate, for schemes that declare their maps ----------------
+
+
+def _rank_correctness(scheme: SchemeUnderTest, maps: AffineMaps) -> CorrectnessReport:
+    """The first failing case in enumeration order: the zero input, for the
+    first d with D_d*b_d != 0; else the unit input at the last coordinate
+    where some D_d*A_d differs from selecting w_d, for the first such d."""
+    q, k, l = scheme.modulus, scheme.k_messages, scheme.msg_len
+    sends = maps.sends[..., None]
+    through = mod_matmul(maps.decoder, maps.linear * sends, q)  # D_d*A_d
+    shift = mod_matmul(maps.decoder, maps.offset[..., None] * sends, q)[..., 0]
+    wrong = (through != np.eye(l, through.shape[2], dtype=np.int64)).any(axis=1)
+    x = np.zeros(_width(scheme), dtype=np.int64)
+    if shift.any():
+        d0 = int(shift.any(axis=1).argmax())
+        return _failed(scheme, case_count(scheme), x, d0, shift[d0])
+    if not wrong.any():
+        return CorrectnessReport(True, case_count(scheme), counterexample=None)
+    # request d's column c is input coordinate (d-1)*L + c, or K*L + c-L (mask)
+    c = np.arange(through.shape[2])
+    coordinate = np.where(c < l, np.arange(k)[:, None] * l + c, k * l + c - l)
+    last = coordinate[wrong].max()
+    x[last] = 1
+    d0, c0 = np.argwhere(wrong & (coordinate == last))[0]
+    return _failed(scheme, case_count(scheme), x, int(d0), through[d0, :, c0])
+
+
+def _rank_privacy(scheme: SchemeUnderTest, maps: AffineMaps) -> PrivacyReport:
+    """The census figures from the cosets b_d + im A_d, each in a form equal
+    for equal cosets: the silence pattern, the reduced row echelon basis of
+    the image, and b_d reduced against it.  Cosets with one pattern and one
+    image are equal or disjoint, so a point of request 1's is a witness
+    against any other; a pattern with two images is refused, as the overlap
+    of its cosets is not counted."""
+    q, k, n, width = scheme.modulus, scheme.k_messages, scheme.n_servers, _width(scheme)
+    images: dict[bytes, bytes] = {}  # silence pattern -> basis of its image
+    ranks: dict[tuple[bytes, bytes], int] = {}  # each distinct coset's rank
+    mismatch = None
+    for d in range(k):
+        sends = maps.sends[d]
+        rref, pivots = FieldMatrix(maps.linear[d][sends].T, q)._rref()
+        basis = rref[: len(pivots)].astype(np.int64)
+        offset = maps.offset[d][sends] % q
+        offset = (offset - mod_matmul(offset[pivots], basis, q)) % q
+        if images.setdefault(sends.tobytes(), basis.tobytes()) != basis.tobytes():
+            raise ValueError(
+                f"request {d + 1} answers on another image than an earlier "
+                f"request with its silence pattern: not counted by rank"
+            )
+        coset = (sends.tobytes(), offset.tobytes())
+        ranks.setdefault(coset, len(pivots))
+        if d == 0:
+            first, symbols = coset, iter(offset.tolist())
+            answer = tuple((next(symbols),) if s else () for s in sends)
+        elif coset != first and mismatch is None:
+            mismatch = PrivacyMismatch(answer, 1, q ** (width - ranks[first]), d + 1, 0)
+    # rank N needs every server to send: the answers are all q^N vectors
+    uniform = mismatch is None and ranks[first] == n
+    return PrivacyReport(
+        passed=mismatch is None,
+        cases=case_count(scheme),
+        distinct_answers=sum(q**rank for rank in ranks.values()),
+        uniform=uniform,
+        uniform_count=q ** (width - n) if uniform else None,
+        mismatch=mismatch,
+    )
+
+
 def scheme_audit(
     scheme: SchemeUnderTest,
     budget: int | None = None,
     correctness: bool = True,
     privacy: bool = True,
 ) -> tuple[CorrectnessReport | None, PrivacyReport | None]:
-    """Audit correctness and privacy in one pass over the inputs.
+    """Audit correctness and privacy in one pass over the inputs, or by
+    rank past the budget (``by_rank``).
 
     Returns the correctness and privacy reports, None for a property not
     audited.  Each block's answers to all K requests come from one
@@ -592,6 +741,12 @@ def scheme_audit(
     Decoding stops at the first failure; the census still counts every
     case, and a correctness-only audit stops there.
     """
+    if by_rank(scheme, budget):
+        maps = scheme.maps()
+        return (
+            _rank_correctness(scheme, maps) if correctness else None,
+            _rank_privacy(scheme, maps) if privacy else None,
+        )
     c_report, census = _audit(scheme, budget, correctness, privacy)
     return c_report, None if census is None else _privacy_report(scheme, census)
 
@@ -608,124 +763,6 @@ def scheme_privacy(
 ) -> PrivacyReport:
     """Count every answer vector for every request and compare the censuses."""
     return scheme_audit(scheme, budget, correctness=False)[1]
-
-
-def exhaustive_correctness(
-    config: PidConfig, code: CodePair, budget: int | None = None
-) -> CorrectnessReport:
-    """Full correctness audit of the real masked protocol."""
-    return scheme_correctness(masked_scheme(config, code), budget=budget)
-
-
-def exhaustive_privacy(
-    config: PidConfig, code: CodePair, budget: int | None = None
-) -> PrivacyReport:
-    """Full privacy audit of the real masked protocol."""
-    return scheme_privacy(masked_scheme(config, code), budget=budget)
-
-
-# -- randomized probe for instances beyond the exhaustive budget -------------
-
-
-def _chi_square_upper(df: int, z: float = 3.719) -> float:
-    """Wilson-Hilferty upper quantile approximation (z=3.719 ~ p=1e-4)."""
-    t = 2.0 / (9.0 * df)
-    return df * (1.0 - t + z * math.sqrt(t)) ** 3
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """What a sampled audit can see.
-
-    ``pattern_anomaly`` is a hard fail: some request produced a per-server
-    transmission-length pattern another request never can.  The chi-square
-    screen compares each (request, server) symbol marginal to uniform, when
-    trials >= 5q (else both stats are None); ``suspicious`` flags stats
-    beyond a p~1e-4 bound.  A clean probe is evidence, not proof.
-    """
-
-    trials: int
-    patterns_by_request: tuple[tuple[tuple[int, ...], ...], ...]
-    pattern_anomaly: bool
-    max_marginal_stat: float | None
-    stat_bound: float | None
-    suspicious: bool
-
-
-def randomized_privacy_probe(
-    config: PidConfig,
-    code: CodePair,
-    trials: int,
-    seed: int | None = 0,
-    scheme: SchemeUnderTest | None = None,
-) -> ProbeReport:
-    """Sample random (messages, mask) inputs and answer all K requests on each.
-
-    Tests the two observable fingerprints of a leak: request-dependent
-    transmission patterns (flagged exactly) and non-uniform per-server
-    symbol marginals (flagged statistically).  The marginals are counted
-    in the audits' ``_Census``, one group per (request, server); once its
-    K*N*(q+1) counters pass ``DENSE_CENSUS_KEYS`` it keeps one count per
-    symbol a trial sent, so the probe's memory is set by its trials, not
-    by q.
-    """
-    if trials < 0:
-        raise ValueError(f"the probe needs a non-negative trial count, got {trials}")
-    if scheme is None:
-        scheme = masked_scheme(config, code)
-    q, k, l = scheme.modulus, scheme.k_messages, scheme.msg_len
-    n = scheme.n_servers
-    if trials == 0:
-        return ProbeReport(
-            trials=0,
-            patterns_by_request=tuple(() for _ in range(k)),
-            pattern_anomaly=False,
-            max_marginal_stat=None,
-            stat_bound=None,
-            suspicious=False,
-        )
-    rng = np.random.default_rng(seed)
-    patterns: list[set[tuple[int, ...]]] = [set() for _ in range(k)]
-    # group (d-1)*N + j counts what server j+1 sent for request d; q is silence
-    marginals = _Census(k * n, q + 1)
-    for start in range(0, trials, CHUNK_ROWS):
-        # one row per trial: its K messages, then its mask
-        drawn = rng.integers(
-            0, q, size=(min(CHUNK_ROWS, trials - start), k * l + scheme.mask_len)
-        )
-        storage = scheme.build_storage(drawn[:, : k * l])
-        answers = scheme.answers(storage, drawn[:, k * l :])
-        for seen, sent in zip(patterns, (answers < q).transpose(1, 0, 2)):
-            sent = np.unique(sent, axis=0).astype(np.int64)
-            seen.update(map(tuple, sent.tolist()))
-        marginals.add(answers.reshape(len(drawn), k * n))
-
-    pattern_sets = tuple(tuple(sorted(p)) for p in patterns)
-    pattern_anomaly = len(set(pattern_sets)) > 1
-
-    # Chi-square screen only where every server sent exactly one symbol per
-    # trial (otherwise the marginal totals differ by construction) and each
-    # symbol's expected count T/q is at least 5 (below that, one repeated
-    # symbol puts a uniform marginal past the bound).  Then each marginal's
-    # counts c sum to the trials T, and its statistic sum over all q symbols
-    # of (c - T/q)^2 / (T/q) is q*sum(c^2)/T - T, a sum over the symbols seen.
-    max_stat = None
-    bound = None
-    if trials >= 5 * q and all(p == ((1,) * n,) for p in pattern_sets):
-        max_stat = max(
-            q * sum(c * c for c in counts.values()) / trials - trials
-            for counts in marginals.counts()
-        )
-        bound = _chi_square_upper(q - 1)
-    return ProbeReport(
-        trials=trials,
-        patterns_by_request=pattern_sets,
-        pattern_anomaly=pattern_anomaly,
-        max_marginal_stat=max_stat,
-        stat_bound=bound,
-        suspicious=pattern_anomaly
-        or (max_stat is not None and bound is not None and max_stat > bound),
-    )
 
 
 def verdict_line(property_name: str, instance: str, passed: bool, cases: int) -> str:

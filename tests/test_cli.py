@@ -414,22 +414,22 @@ class TestVerify:
         assert "stores nothing" in err
 
     def test_q11_exceeds_budget(self, capsys, monkeypatch):
+        # 11^27 * 8 = 104879953531999442936491682968 cases: certified by rank
         monkeypatch.delenv("PID_BUDGET", raising=False)
-        code, _, err = run(capsys, "verify", "-c", str(Q11_CFG))
-        assert code == 4
-        assert "budget exceeded: exhaustive audit needs" in err
-        assert "104879953531999442936491682968" in err
-        assert "--probe" in err  # the hint
+        code, out, err = run(capsys, "verify", "-c", str(Q11_CFG))
+        assert (code, err) == (0, "")
+        assert out.count("VERDICT=pass CASES=11^27*8\n") == 2
 
     def test_budget_flag(self, capsys):
-        code, _, err = run(capsys, "verify", "-c", str(Q5_CFG), "--budget", "100")
-        assert code == 4
-        assert "budget is 100" in err
+        code, out, err = run(capsys, "verify", "-c", str(Q5_CFG), "--budget", "100")
+        assert (code, err) == (0, "")
+        assert out.count("CASES=5^7*3\n") == 2
 
     def test_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PID_BUDGET", "100")
-        code, _, _ = run(capsys, "verify", "-c", str(Q5_CFG))
-        assert code == 4
+        code, out, _ = run(capsys, "verify", "-c", str(Q5_CFG))
+        assert code == 0
+        assert out.count("CASES=5^7*3\n") == 2
 
     def test_budget_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PID_BUDGET", "100")
@@ -456,10 +456,14 @@ class TestVerify:
         assert "budget must be non-negative, got -1" in err
 
     def test_negative_probe_is_bad_input(self, capsys):
-        code, out, err = run(capsys, "verify", "-c", str(Q5_CFG), "--probe", "-5")
-        assert code == 2
-        assert out == ""
-        assert "non-negative trial count, got -5" in err
+        # the sampled probe is gone with its options
+        for extra in (["--probe", "-5"], ["--seed", "3"]):
+            with pytest.raises(SystemExit) as info:
+                main(["verify", "-c", str(Q5_CFG), *extra])
+            assert info.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"unrecognized arguments: {' '.join(extra)}" in err
 
     def test_modulus_too_large_for_exact_audit(self, capsys, tmp_path):
         # 2147483659 is the first prime past 2^31 - 1, the largest modulus
@@ -488,14 +492,14 @@ class TestVerify:
         return str(path)
 
     def test_refusal_order(self, capsys, monkeypatch, tmp_path):
-        # budget first (exit 4), then the input numbering, then the census
-        # keys (exit 2), all before any verdict line
+        # past the budget, a rank verdict; within it, the input numbering,
+        # then the census keys (exit 2), both before any verdict line
         monkeypatch.delenv("PID_BUDGET", raising=False)
         both = ("--scheme", "split", "--property", "both")
         wide = self.split_cfg(tmp_path, 16)
         code, out, err = run(capsys, "verify", "-c", wide, *both)
-        assert (code, out) == (4, "")
-        assert "budget exceeded" in err
+        assert (code, err) == (3, "")
+        assert "PROPERTY=privacy INSTANCE=split-k16 VERDICT=fail CASES=17^16*16\n" in out
         code, out, err = run(
             capsys, "verify", "-c", wide, *both, "--budget", str(10**21)
         )
@@ -515,33 +519,60 @@ class TestVerify:
 
     def test_golden_outputs(self, capsys, monkeypatch):
         # stdout and exit code of each run, recorded before the audits were
-        # batched; every byte must stay the same
+        # batched (the last four, past the budget, when the rank certificate
+        # came); every byte must stay the same
+        monkeypatch.delenv("PID_BUDGET", raising=False)
         monkeypatch.chdir(REPO)
         golden = json.loads((Path(__file__).parent / "verify_golden.json").read_text())
-        assert len(golden) == 18
+        assert len(golden) == 20
         for entry in golden:
             code, out, _ = run(capsys, *entry["argv"])
             assert (code, out) == (entry["exit"], entry["stdout"]), entry["argv"]
 
     def test_probe_clean_on_q11(self, capsys):
-        code, out, _ = run(capsys, "verify", "-c", str(Q11_CFG), "--probe", "100")
+        # the instance the sampled probe was for gets exact verdicts by rank
+        code, out, _ = run(capsys, "verify", "-c", str(Q11_CFG), "--property", "privacy")
         assert code == 0
-        assert re.search(
-            r"^PROBE INSTANCE=q11-k8 TRIALS=100 PATTERN_ANOMALY=no "
-            r"MAX_STAT=\d+\.\d\d BOUND=35\.97$",
-            out,
-            re.M,
+        assert out == (
+            "PROPERTY=privacy INSTANCE=q11-k8 VERDICT=pass CASES=11^27*8\n"
+            "  distinct answer vectors: 11^6; uniform over them: yes\n"
         )
 
     def test_probe_flags_split(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "-c", str(Q5_CFG), "--scheme", "split",
-            "--probe", "30"
-        )
+        code, out, _ = run(capsys, "verify", "-c", str(Q11_CFG), "--scheme", "split")
         assert code == 3
-        assert "PATTERN_ANOMALY=yes" in out
-        assert "MAX_STAT=- BOUND=-" in out
-        assert "suspicious" in out
+        assert out == (
+            "PROPERTY=correctness INSTANCE=q11-k8 VERDICT=pass CASES=11^24*8\n"
+            "PROPERTY=privacy INSTANCE=q11-k8 VERDICT=fail CASES=11^24*8\n"
+            "  distinct answer vectors: 2662; uniform over them: no\n"
+            "  leak: answer ((0,), (0,), (0,), (), (), ()) occurs 11^21x for d=1 "
+            "but 0x for d=5\n"
+        )
+
+    def k64_cfg(self, tmp_path):
+        # the layout the serve benchmark serves: 257^2080 * 64 cases, a
+        # number of 5012 digits, past the 4300 that ``str`` writes
+        path = tmp_path / "k64.cfg"
+        path.write_text("name = 'k64'\nq = 257\nK = 64\nN = 64\nL = 32\n")
+        return str(path)
+
+    def test_k64_certified_by_rank(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "-c", self.k64_cfg(tmp_path))
+        assert (code, err) == (0, "")
+        assert out == (
+            "PROPERTY=correctness INSTANCE=k64 VERDICT=pass CASES=257^2080*64\n"
+            "PROPERTY=privacy INSTANCE=k64 VERDICT=pass CASES=257^2080*64\n"
+            "  distinct answer vectors: 257^64; uniform over them: yes\n"
+        )
+
+    def test_k64_split_leak_counts_in_power_form(self, capsys, tmp_path):
+        # the leak is counted 257^2016 times, 4858 digits
+        cfg = self.k64_cfg(tmp_path)
+        code, out, err = run(capsys, "verify", "-c", cfg, "--scheme", "split")
+        assert (code, err) == (3, "")
+        leak = out.splitlines()[-1]
+        assert leak.startswith("  leak: answer ((0,), (0,), ")
+        assert leak.endswith(" occurs 257^2016x for d=1 but 0x for d=2")
 
 
 class TestRefusals:

@@ -89,21 +89,21 @@ class TestMdsInvariants:
     def test_every_parity_minor_invertible_q11(self):
         h = FieldMatrix(H_Q11, 11)
         for cols in itertools.combinations(range(6), 3):
-            assert int(h.select_columns(cols).determinant()) != 0, cols
+            assert int(FieldMatrix(h.array[:, cols], 11).determinant()) != 0, cols
 
     def test_every_generator_minor_invertible_q11(self):
         g = FieldMatrix(G_Q11, 11)
         for cols in itertools.combinations(range(6), 3):
-            assert int(g.select_columns(cols).determinant()) != 0, cols
+            assert int(FieldMatrix(g.array[:, cols], 11).determinant()) != 0, cols
 
     def test_constructed_pairs_satisfy_both_mds_sides(self):
         for q, n, l in [(5, 4, 2), (7, 6, 3), (11, 8, 3), (13, 9, 5)]:
             pair = build_vandermonde_pair(q, n, l)
             h, g = pair.parity_check, pair.generator
             for cols in itertools.combinations(range(n), l):
-                assert int(h.select_columns(cols).determinant()) != 0
+                assert int(FieldMatrix(h.array[:, cols], q).determinant()) != 0
             for cols in itertools.combinations(range(n), n - l):
-                assert int(g.select_columns(cols).determinant()) != 0
+                assert int(FieldMatrix(g.array[:, cols], q).determinant()) != 0
 
     def test_mask_shares_are_invisible_to_decoder(self):
         # every share vector produced from the generator decodes to zero
@@ -183,14 +183,15 @@ class TestCodePairApi:
 
     def test_plain_int_views(self):
         pair = build_vandermonde_pair(5, 3, 2, points=(1, 2, 3))
-        assert pair.parity_check.row_tuples() == ((1, 1, 1), (1, 2, 3))
+        assert pair.parity_check.to_lists() == [[1, 1, 1], [1, 2, 3]]
         assert pair.generator.column_tuple(0) == (1,)
         assert pair.generator.column_tuple(1) == (3,)
 
     def test_sub_inverse_matches_direct_inverse_and_caches(self):
         pair = build_vandermonde_pair(11, 6, 3, points=(1, 2, 3, 4, 5, 6))
         for cols in itertools.combinations(range(6), 3):
-            direct = pair.parity_check.select_columns(cols).inverse().row_tuples()
+            minor = FieldMatrix(pair.parity_check.array[:, cols], 11)
+            direct = tuple(map(tuple, minor.inverse().to_lists()))
             assert pair.h_sub_inverse(cols) == direct
             assert pair.h_sub_inverse(cols) is pair.h_sub_inverse(cols)
 

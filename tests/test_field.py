@@ -103,7 +103,7 @@ class TestFieldMatrix:
         for rows, q, expected in INVERSE_GOLDENS:
             n = len(rows)
             product = FieldMatrix(rows, q) @ FieldMatrix(expected, q)
-            assert product == FieldMatrix.identity(n, q)
+            assert product == FieldMatrix(np.eye(n, dtype=np.int64), q)
 
     def test_inverse_random_matrices(self):
         rng = np.random.default_rng(42)
@@ -112,11 +112,12 @@ class TestFieldMatrix:
                 found = 0
                 while found < 5:
                     m = FieldMatrix(rng.integers(0, q, size=(size, size)), q)
-                    if not m.is_invertible():
+                    if m.determinant() == 0:
                         continue
                     found += 1
-                    assert m @ m.inverse() == FieldMatrix.identity(size, q)
-                    assert m.inverse() @ m == FieldMatrix.identity(size, q)
+                    identity = FieldMatrix(np.eye(size, dtype=np.int64), q)
+                    assert m @ m.inverse() == identity
+                    assert m.inverse() @ m == identity
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
@@ -171,9 +172,9 @@ class TestFieldMatrix:
 
     def test_selection_and_views(self):
         m = FieldMatrix([[1, 2, 3], [4, 5, 6]], 7)
-        assert m.select_columns((0, 2)).to_lists() == [[1, 3], [4, 6]]
+        assert m.array[:, [0, 2]].tolist() == [[1, 3], [4, 6]]
         assert m.transpose().to_lists() == [[1, 4], [2, 5], [3, 6]]
-        assert m.row_tuples() == ((1, 2, 3), (4, 5, 6))
+        assert m.to_lists() == [[1, 2, 3], [4, 5, 6]]
         assert m.column_tuple(1) == (2, 5)
         assert int(m[1, 2]) == 6
         assert m.shape == (2, 3)
@@ -281,7 +282,7 @@ class TestExactProducts:
             for size in (2, 3, 4):
                 rows = residues(rng, q, (size, size))
                 m = FieldMatrix(rows, q)
-                assert m @ m.inverse() == FieldMatrix.identity(size, q)
+                assert m @ m.inverse() == FieldMatrix(np.eye(size, dtype=np.int64), q)
                 if size == 3:
                     assert int(m.determinant()) == det3_oracle(rows, q)
             wide = FieldMatrix(residues(rng, q, (2, 5)), q)
@@ -416,7 +417,7 @@ class TestInverseStack:
         stacked = _inverse_stack(minors, 11)
         assert stacked.dtype == np.int64 and stacked.shape == (20, 3, 3)
         for cols, inverse in zip(subsets, stacked):
-            assert inverse.tolist() == h.select_columns(cols).inverse().to_lists()
+            assert inverse.tolist() == reference_inverse(h.array[:, cols].tolist(), 11)
 
     def test_members_pivot_on_their_own_rows(self):
         # each member needs a different row swap, and one none at all

@@ -10,11 +10,13 @@ import itertools
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import codedpid.verify
 from codedpid.cli import main
@@ -38,11 +40,11 @@ from codedpid.verify import (
     InexactArithmeticError,
     PrivacyMismatch,
     PrivacyReport,
+    by_rank,
     case_count,
-    exhaustive_correctness,
-    exhaustive_privacy,
+    case_text,
     masked_scheme,
-    randomized_privacy_probe,
+    power_text,
     resolve_budget,
     scheme_audit,
     scheme_correctness,
@@ -98,27 +100,39 @@ class TestBudget:
         with pytest.raises(ValueError, match="non-negative"):
             resolve_budget()
 
+    # Schemes that declare their maps are certified by rank past the
+    # budget; one without maps is refused there.
+
     def test_audit_refuses_over_budget(self, monkeypatch):
         monkeypatch.delenv("PID_BUDGET", raising=False)
-        config, code = q11_instance()
+        scheme = without_maps(masked_scheme(*q11_instance()))
         with pytest.raises(BudgetExceededError) as info:
-            exhaustive_correctness(config, code)
+            scheme_correctness(scheme)
         assert info.value.needed == Q11_CASES
         assert info.value.budget == DEFAULT_BUDGET
         assert "exhaustive audit needs" in str(info.value)
 
     def test_env_budget_reaches_audits(self, monkeypatch):
         monkeypatch.setenv("PID_BUDGET", "1000")
-        config, code = q5_instance()
+        scheme = masked_scheme(*q5_instance())
         with pytest.raises(BudgetExceededError) as info:
-            exhaustive_privacy(config, code)
+            scheme_privacy(without_maps(scheme))
         assert info.value.needed == Q5_CASES
         assert info.value.budget == 1000
+        assert by_rank(scheme)
+        assert scheme_privacy(scheme).cases == Q5_CASES
 
     def test_explicit_budget_argument(self):
-        config, code = q5_instance()
+        scheme = masked_scheme(*q5_instance())
         with pytest.raises(BudgetExceededError):
-            exhaustive_correctness(config, code, budget=10)
+            scheme_correctness(without_maps(scheme), budget=10)
+        assert by_rank(scheme, budget=10)
+        assert not by_rank(scheme, budget=Q5_CASES)
+
+
+def without_maps(scheme):
+    """``scheme`` with no declared maps: refused past the budget."""
+    return dataclasses.replace(scheme, maps=None)
 
 
 def k64_instance():
@@ -178,14 +192,14 @@ class TestSchemesAgree:
 class TestExhaustiveQ5:
     def test_correctness(self):
         config, code = q5_instance()
-        report = exhaustive_correctness(config, code)
+        report = scheme_correctness(masked_scheme(config, code))
         assert report.passed
         assert report.cases == Q5_CASES
         assert report.counterexample is None
 
     def test_privacy(self):
         config, code = q5_instance()
-        report = exhaustive_privacy(config, code)
+        report = scheme_privacy(masked_scheme(config, code))
         assert report.passed
         assert report.cases == Q5_CASES
         # every one of the 5^3 single-symbol answer vectors shows up,
@@ -558,9 +572,8 @@ class TestCensusPaths:
             assert audit_reports(scheme) == reports, label
 
     def test_dense_by_total_counters(self):
-        # the q5-k3 privacy census (3 requests of 6^3 answer keys) and the
-        # q11-k8 probe (8 * 6 marginals of 12 symbols) stay dense; the K64
-        # probe at q = 4093, 64 * 64 marginals of 4094 symbols, does not
+        # 3 groups of 6^3 keys (the q5-k3 privacy census) and 48 groups of
+        # 12 stay dense; 64 * 64 groups of 4094 keys do not
         assert codedpid.verify._Census(3, 6**3).dense
         assert codedpid.verify._Census(48, 12).dense
         assert not codedpid.verify._Census(64 * 64, 4094).dense
@@ -685,7 +698,7 @@ class TestExactness:
         q = self.Q
         config, code = self.instance(q)
         # h = [[1, 1], [1, q-1]]: decoding multiplies residues near q
-        assert code.parity_check.row_tuples() == ((1, 1), (1, q - 1))
+        assert code.parity_check.to_lists() == [[1, 1], [1, q - 1]]
         scheme = masked_scheme(config, code, corrupt=(2, 1, 1, q - 1))
         # q^2 cases need a raised budget; the corrupted symbol fails case 1
         report = scheme_correctness(scheme, budget=10**19)
@@ -707,24 +720,30 @@ class TestExactness:
         assert decoded[:, 0].tolist() == w.tolist()
 
     def test_next_prime_refused(self):
-        q = 2147483659  # the first prime past 2^31 - 1
+        # 2147483659 is the first prime past 2^31 - 1: its q^2 cases fit a
+        # raised budget, and the exhaustive path refuses its int64 stages
+        q = 2147483659
         config, code = self.instance(q)
-        with pytest.raises(InexactArithmeticError, match=r"2\*\(q-1\)\^2 \+ q"):
-            masked_scheme(config, code)
-        with pytest.raises(InexactArithmeticError):
-            split_scheme(config)
+        for scheme in (masked_scheme(config, code), split_scheme(config)):
+            with pytest.raises(InexactArithmeticError, match=r"2\*\(q-1\)\^2 \+ q"):
+                scheme_correctness(scheme, budget=10**19)
+            # within the default budget's reach only by rank, which is exact
+            assert all(report.passed for report in scheme_audit(scheme))
 
     def test_bound_is_set_by_the_server_count(self, capsys, tmp_path):
         # K*L = 6 but N = 3: 6*(q-1)^2 + q passes 2^63 at q = 1500000001,
-        # 3*(q-1)^2 + q does not, and no stage sums more than N products
+        # 3*(q-1)^2 + q does not, and no stage sums more than N products;
+        # the exhaustive path gets as far as numbering its inputs
         cfg = q5_layout(tmp_path, 1500000001)
-        assert main(["verify", "-c", cfg, "--probe", "50"]) == 0
+        assert main(["verify", "-c", cfg, "--budget", str(10**70)]) == 2
         out, err = capsys.readouterr()
-        assert err == ""
-        # 50 trials give each symbol an expected count far below 5: no screen
-        assert out == (
-            "PROBE INSTANCE=q5-k3 TRIALS=50 PATTERN_ANOMALY=no "
-            "MAX_STAT=- BOUND=-\n"
+        assert out == ""
+        assert err.endswith(" inputs cannot be numbered in int64\n")
+        assert main(["verify", "-c", cfg]) == 0
+        assert capsys.readouterr().out == (
+            "PROPERTY=correctness INSTANCE=q5-k3 VERDICT=pass CASES=1500000001^7*3\n"
+            "PROPERTY=privacy INSTANCE=q5-k3 VERDICT=pass CASES=1500000001^7*3\n"
+            "  distinct answer vectors: 1500000001^3; uniform over them: yes\n"
         )
 
     def test_first_prime_past_the_server_bound_refused(self, capsys, tmp_path):
@@ -735,7 +754,11 @@ class TestExactness:
         code = build_vandermonde_pair(1753413037, 3, 2, points=(1, 2, 3))
         assert masked_scheme(config, code).n_servers == 3
         cfg = q5_layout(tmp_path, 1753413059)
-        assert main(["verify", "-c", cfg, "--probe", "50"]) == 2
+        # past the default budget, by rank
+        assert main(["verify", "-c", cfg]) == 0
+        assert capsys.readouterr().out.count("VERDICT=pass CASES=1753413059^7*3\n") == 2
+        # within a raised budget, refused before any case is evaluated
+        assert main(["verify", "-c", cfg, "--budget", str(10**70)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
@@ -746,7 +769,7 @@ class TestExactness:
     def test_input_count_past_int64_refused(self):
         config, code = q11_instance()
         with pytest.raises(InexactArithmeticError, match="int64"):
-            exhaustive_correctness(config, code, budget=Q11_CASES)
+            scheme_correctness(masked_scheme(config, code), budget=Q11_CASES)
 
     def test_census_key_past_int64_refused(self):
         # 16 servers, 15 of them idle: 17 split cases, but 18^16 > 2^63
@@ -758,55 +781,27 @@ class TestExactness:
 
 
 class TestProbe:
+    """The instances a sampled probe once covered past the budget, each now
+    decided exactly by the rank certificate."""
+
     def test_clean_on_masked_q11(self):
         config, code = q11_instance()
-        report = randomized_privacy_probe(config, code, trials=200, seed=0)
-        assert report.trials == 200
-        assert not report.pattern_anomaly
-        assert not report.suspicious
-        assert report.patterns_by_request == (((1,) * 6,),) * 8
-        assert report.max_marginal_stat is not None
-        assert report.stat_bound is not None
-        assert report.max_marginal_stat <= report.stat_bound
-
-    def test_one_answers_call_per_chunk(self):
-        # every request of a chunk of trials comes from one answers call
-        config, code = q11_instance()
-        scheme = masked_scheme(config, code)
-        answered = []
-
-        def answers(storage, mask):
-            answered.append(len(storage))
-            return scheme.answers(storage, mask)
-
-        counted = dataclasses.replace(scheme, answers=answers)
-        report = randomized_privacy_probe(config, code, 2500, seed=4, scheme=counted)
-        assert answered == [CHUNK_ROWS, CHUNK_ROWS, 2500 - 2 * CHUNK_ROWS]
-        assert report == randomized_privacy_probe(config, code, 2500, seed=4)
-
-    def test_deterministic_for_a_seed(self):
-        config, code = q11_instance()
-        a = randomized_privacy_probe(config, code, trials=50, seed=9)
-        b = randomized_privacy_probe(config, code, trials=50, seed=9)
-        assert a == b
+        assert scheme_audit(masked_scheme(config, code)) == (
+            CorrectnessReport(passed=True, cases=Q11_CASES, counterexample=None),
+            # every request's answers are all 11^6 vectors, each 11^21 times
+            PrivacyReport(True, Q11_CASES, 11**6, True, 11**21, None),
+        )
 
     def test_flags_split_scheme_pattern(self):
-        config, code = q5_instance()
-        report = randomized_privacy_probe(
-            config, code, trials=30, seed=1, scheme=split_scheme(config)
-        )
-        assert report.pattern_anomaly
-        assert report.suspicious
-        assert report.max_marginal_stat is None
-
-    def test_negative_trials_rejected(self):
-        config, code = q5_instance()
-        with pytest.raises(ValueError, match="non-negative trial count"):
-            randomized_privacy_probe(config, code, trials=-5)
+        # request 1's silence pattern never occurs for request 2
+        config, _ = q5_instance()
+        report = scheme_privacy(split_scheme(config), budget=0)
+        assert not report.passed and not report.uniform
+        assert report.mismatch == PrivacyMismatch(((0,), (0,), ()), 1, 625, 2, 0)
 
     def test_memory_set_by_trials_not_q(self):
         # a table of every (request, server, symbol) would hold 9 * 1000004
-        # counters; 200 trials send at most 1800 distinct symbols
+        # counters; the certificate holds K maps of N x N residues
         q = 1000003
         config = make_association(
             q, 3, 3, 2, mode="explicit", association=[[1, 2], [2, 3], [1, 3]]
@@ -814,57 +809,198 @@ class TestProbe:
         code = build_vandermonde_pair(q, 3, 2, points=(1, 2, 3))
         tracemalloc.start()
         try:
-            report = randomized_privacy_probe(config, code, trials=200)
+            _, report = scheme_audit(masked_scheme(config, code))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.patterns_by_request == (((1, 1, 1),),) * 3
-        # T/q is far below 5, so the marginals are counted but not screened
-        assert report.max_marginal_stat is None and not report.suspicious
-        assert peak < 8 * 10**6
+        assert report.passed and report.distinct_answers == q**3
+        assert peak < 10**6
 
     def test_cli_probe_on_a_large_modulus(self, tmp_path):
         # the q5-k3 layout over q = 999999937, run in a child process capped
-        # at 2 GiB of address space: 50 trials give each symbol an expected
-        # count far below 5, so there is no chi-square screen
+        # at 2 GiB of address space
         cfg = q5_layout(tmp_path, 999999937)
         cap = 2**31
         result = subprocess.run(
-            [sys.executable, "-m", "codedpid", "verify", "-c", cfg, "--probe", "50"],
+            [sys.executable, "-m", "codedpid", "verify", "-c", cfg],
             capture_output=True,
             text=True,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         )
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == (
-            "PROBE INSTANCE=q5-k3 TRIALS=50 PATTERN_ANOMALY=no "
-            "MAX_STAT=- BOUND=-\n"
+            "PROPERTY=correctness INSTANCE=q5-k3 VERDICT=pass CASES=999999937^7*3\n"
+            "PROPERTY=privacy INSTANCE=q5-k3 VERDICT=pass CASES=999999937^7*3\n"
+            "  distinct answer vectors: 999999937^3; uniform over them: yes\n"
         )
 
     def test_honest_scheme_passes_when_trials_are_few_against_q(self, capsys, tmp_path):
-        # at T/q << 5 the chi-square statistic of a uniform marginal is
-        # about q - T plus 2q/T per repeated symbol: one repeat passes the
-        # bound, and seeds 0, 1, 9, 12, 13, 17, 24, 28, 29 and 35 failed with
-        # the screen on; with it off, the honest scheme passes on every seed
+        # the sampled screen failed the honest scheme at q = 1000003 on 10 of
+        # 40 seeds; the certificate draws nothing and decides every case
         cfg = q5_layout(tmp_path, 1000003)
-        for seed in range(40):
-            assert main(["verify", "-c", cfg, "--probe", "200", "--seed", str(seed)]) == 0
-            out, err = capsys.readouterr()
-            assert err == ""
-            assert out == (
-                "PROBE INSTANCE=q5-k3 TRIALS=200 PATTERN_ANOMALY=no "
-                "MAX_STAT=- BOUND=-\n"
-            ), seed
+        assert main(["verify", "-c", cfg]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.count("VERDICT=pass CASES=1000003^7*3\n") == 2
 
-    def test_zero_trials(self):
+
+def census_key(scheme, answer):
+    """The census key of an answer vector: its base-(q+1) digits, q for
+    silence."""
+    q = scheme.modulus
+    return sum((a[0] if a else q) * (q + 1) ** e for e, a in zip(reversed(range(len(answer))), answer))
+
+
+def assert_rank_matches_enumeration(scheme):
+    """The rank certificate (forced by a zero budget) gives the exhaustive
+    audit's verdicts, counterexample and census figures, and a leak witness
+    whose counts are the exhaustive census counts of its answer vector."""
+    (c_enum, p_enum), (c_rank, p_rank) = scheme_audit(scheme), scheme_audit(scheme, budget=0)
+    assert (c_rank.passed, c_rank.counterexample) == (c_enum.passed, c_enum.counterexample)
+    assert c_rank.cases == p_rank.cases == case_count(scheme)
+    figures = lambda p: (p.passed, p.distinct_answers, p.uniform, p.uniform_count)  # noqa: E731
+    assert figures(p_rank) == figures(p_enum)
+    leak = p_rank.mismatch
+    if leak is not None:
+        counts = codedpid.verify._audit(scheme, None, False, True)[1].counts()
+        key = census_key(scheme, leak.answer)
+        assert counts[leak.request_a - 1].get(key, 0) == leak.count_a
+        assert counts[leak.request_b - 1].get(key, 0) == leak.count_b != leak.count_a
+
+
+@st.composite
+def random_small_schemes(draw):
+    """A masked, split or corrupted scheme on random explicit host sets and
+    evaluation points, small enough to enumerate."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, min(q, 4)))
+    l = draw(st.integers(1, n))
+    k = draw(st.integers(1, 3))
+    hosts = [
+        draw(st.lists(st.integers(1, n), min_size=l, max_size=l, unique=True))
+        for _ in range(k)
+    ]
+    config = make_association(q, k, n, l, mode="explicit", association=hosts)
+    points = draw(st.permutations(range(q)))[:n]
+    code = build_vandermonde_pair(q, n, l, points=points)
+    kind = draw(st.sampled_from(("masked", "split", "corrupt")))
+    if kind == "split":
+        scheme = split_scheme(config)
+    elif kind == "masked":
+        scheme = masked_scheme(config, code)
+    else:
+        message = draw(st.integers(1, k))
+        server = draw(st.sampled_from(config.servers_for(message)))
+        scheme = masked_scheme(
+            config, code, corrupt=(server, message, 1, draw(st.integers(1, q - 1)))
+        )
+    assume(case_count(scheme) <= 50_000)
+    return scheme
+
+
+class TestRankCertificate:
+    def test_small_instances(self):
+        for params, scheme in small_instances():
+            assert_rank_matches_enumeration(scheme)
+
+    def test_split_control(self):
+        config, _ = q5_instance()
+        assert_rank_matches_enumeration(split_scheme(config))
+        assert_rank_matches_enumeration(long_mask_scheme())
+
+    def test_every_q5_corrupt_cell(self):
+        cells = list(corrupt_cells(*q5_instance(), deltas=(1, 4)))
+        assert len(cells) == 12
+        for _, scheme in cells:
+            assert_rank_matches_enumeration(scheme)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(random_small_schemes())
+    def test_random_small_instances(self, scheme):
+        assert_rank_matches_enumeration(scheme)
+
+    def test_maps_describe_the_served_encoder(self):
+        # A_d [w_d; u] + b_d is what the scheme's own stages answer, silence
+        # wherever d's pattern is silent, and D_d decodes as its decode does
+        rng = np.random.default_rng(3)
         config, code = q5_instance()
-        report = randomized_privacy_probe(config, code, trials=0)
-        assert report.trials == 0
-        assert not report.suspicious
-        assert report.max_marginal_stat is None
+        schemes = [scheme for _, scheme in small_instances()]
+        schemes += [split_scheme(config), long_mask_scheme()]
+        schemes += [scheme for _, scheme in corrupt_cells(config, code, deltas=(1, 4))]
+        for scheme in schemes:
+            q, k, l = scheme.modulus, scheme.k_messages, scheme.msg_len
+            maps = scheme.maps()
+            x = rng.integers(0, q, size=(20, k * l + scheme.mask_len))
+            answers = scheme.answers(scheme.build_storage(x[:, : k * l]), x[:, k * l :])
+            for d in range(k):
+                local = np.concatenate((x[:, d * l : (d + 1) * l], x[:, k * l :]), axis=1)
+                expected = (local @ maps.linear[d].T + maps.offset[d]) % q
+                expected[:, ~maps.sends[d]] = q
+                assert (answers[:, d] == expected).all(), scheme.name
+                heard = np.where(maps.sends[d], answers[:, d], 0)
+                assert (heard @ maps.decoder[d].T % q == scheme.decode(answers[:, d])).all()
+
+    def test_rank_path_evaluates_no_case(self):
+        # past the budget the stages never run and the maps are read once;
+        # within it the maps are never built
+        built = []
+        scheme = masked_scheme(*q11_instance())
+        counted = dataclasses.replace(
+            scheme,
+            build_storage=None,
+            answers=None,
+            decode=None,
+            maps=lambda: built.append(1) or scheme.maps(),
+        )
+        assert all(report.passed for report in scheme_audit(counted))
+        assert built == [1]
+        small = masked_scheme(*q5_instance())
+        assert scheme_audit(dataclasses.replace(small, maps=None)) == scheme_audit(small)
+
+    def test_k64_certified_by_rank(self):
+        scheme = masked_scheme(*k64_instance())
+        assert case_text(scheme) == "257^2080*64"
+        start = time.perf_counter()
+        correct, private = scheme_audit(scheme)
+        elapsed = time.perf_counter() - start
+        assert correct.passed and private.passed and private.uniform
+        assert private.distinct_answers == 257**64
+        assert private.uniform_count == 257 ** (2080 - 64)
+        assert elapsed < 5.0  # about 0.2 s on 2 vCPU; loose for shared machines
+
+    def test_largest_wire_modulus(self, capsys, tmp_path):
+        cfg = q5_layout(tmp_path, 4294967291)
+        assert main(["verify", "-c", cfg, "--corrupt", "1,1,1,1"]) == 3
+        assert capsys.readouterr().out == (
+            "PROPERTY=correctness INSTANCE=q5-k3 VERDICT=fail CASES=4294967291^7*3\n"
+            "  counterexample: messages=((0, 0), (0, 0), (0, 0)) mask=(0,) d=1 "
+            "decoded=(1, 1) expected=(0, 0)\n"
+            "PROPERTY=privacy INSTANCE=q5-k3 VERDICT=pass CASES=4294967291^7*3\n"
+            "  distinct answer vectors: 4294967291^3; uniform over them: yes\n"
+        )
+        assert main(["verify", "-c", cfg]) == 0
+
+    def test_overlapping_cosets_are_refused(self):
+        # two requests whose answers are the lines x2 = 0 and x1 = 0 of F_3^2:
+        # they share the point (0, 0), which a sum of sizes would count twice
+        config = make_association(3, 2, 2, 1, mode="explicit", association=[[1], [2]])
+        scheme = split_scheme(config)
+        maps = scheme.maps()
+        overlapping = dataclasses.replace(
+            scheme, maps=lambda: maps._replace(sends=np.ones((2, 2), bool))
+        )
+        with pytest.raises(ValueError, match="not counted by rank"):
+            scheme_privacy(overlapping, budget=0)
 
 
 class TestVerdictLine:
+    def test_power_forms(self):
+        assert power_text(5**4, 5) == "5^4"
+        assert power_text(0, 5) == "0"
+        assert power_text(75, 5) == "75"
+        assert power_text(257**2016, 257) == "257^2016"
+        assert case_text(split_scheme(q5_instance()[0])) == "5^6*3"
+
     def test_format_frozen(self):
         assert (
             verdict_line("correctness", "q5-k3", True, 234375)
