@@ -10,10 +10,11 @@ Subcommands::
 
 Exit codes: 0 success, 2 bad input, 3 verification failure.  ``pid verify``
 enumerates every case within its budget (default 10^7, else PID_BUDGET or
-``--budget``) and certifies by rank past it, so it ends in a verdict or a
-refusal.  ``main`` reports every refusal, the command line's (``CliError``)
-and the library's (any ``ValueError``), and any file that cannot be read or
-written (``OSError``), as one ``error:`` line and exit 2.
+``--budget``) where int64 holds the audit exactly, and certifies by rank
+otherwise, so a valid config ends in a verdict, 0 or 3.  ``main`` reports
+every refusal, the command line's (``CliError``) and the library's (any
+``ValueError``), and any file that cannot be read or written (``OSError``),
+as one ``error:`` line and exit 2.
 
 Config files are ``key = value`` lines; values are Python literals (lists,
 ints, quoted strings) with ``#`` comments outside quotes.  Keys: q, K, N, L,
@@ -456,15 +457,16 @@ def cmd_verify(args) -> int:
     else:
         scheme = verify_mod.masked_scheme(config, code, corrupt=corrupt)
     budget = verify_mod.resolve_budget(args.budget)
+    privacy = args.property != "correctness"
     c_report, p_report = verify_mod.scheme_audit(
         scheme,
         budget=budget,
         correctness=args.property != "privacy",
-        privacy=args.property != "correctness",
+        privacy=privacy,
     )
     # A rank verdict decides all its cases at once; its counts are written
     # as powers of q, which can run past the digits ``str`` writes.
-    rank = verify_mod.by_rank(scheme, budget)
+    rank = verify_mod.by_rank(scheme, budget, privacy)
     count = functools.partial(verify_mod.power_text, q=config.modulus) if rank else str
     failed = False
     if c_report is not None:

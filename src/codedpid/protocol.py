@@ -8,11 +8,11 @@ therefore hosts a share of K*L/N messages when the association is balanced.
 
 * ``encode_storage`` gives server n, for each hosted message k, one symbol of
   the fragment vector  inverse(parity_check restricted to k's host set) @ w_k.
-  One private encoder, ``_encoder``, computes it: one inverse per distinct
-  host set and one product mod q over the stacked per-message inverses,
-  int64 when L*(q-1)^2 + q < 2^63, exact Python ints above
-  (``field.mod_matmul``).  Its second caller is the auditor:
-  ``verify.masked_scheme`` builds the audited storage with it, so the audit
+  One private encoder, ``_encoder``, stacks those inverses, one per distinct
+  host set, and has two callers, each multiplying the stack itself mod q
+  (``field.mod_matmul``: int64 when L*(q-1)^2 + q < 2^63, exact Python ints
+  above): ``encode_storage``, and the auditor's ``verify.masked_scheme``,
+  which builds the audited storage and the rank maps from it, so the audit
   certifies the encoder that serves.
   Storage depends on the code pair, the config and the messages only, so it
   is encoded once per (code pair, config, messages) and reused, round after
@@ -341,9 +341,11 @@ def encode_storage(
         base = (None,) * config.n_servers
         todo = messages
     ids = [msg.index for msg in todo]
-    coded = _encoder(config, code, ids)(
-        np.array([msg.symbols for msg in todo], dtype=np.int64)
-    ).tolist()
+    coded = mod_matmul(
+        _encoder(config, code, ids),
+        np.array([msg.symbols for msg in todo], dtype=np.int64)[..., None],
+        config.modulus,
+    )[..., 0].tolist()
     fragments: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for k, row in zip(ids, coded):
         for server, symbol in zip(config.association[k - 1], row):
@@ -358,22 +360,17 @@ def encode_storage(
     return storage
 
 
-def _encoder(config: PidConfig, code: CodePair, ids) -> Callable:
-    """The coded storage of messages ``ids`` as one batched map: their
-    symbols, shape (..., len(ids), L), to their fragments, same shape, whose
-    [..., j, i] is what the i-th server of message ids[j]'s sorted host set
-    stores: entry i of ``inverse(parity_check[:, hosts]) @ w``.
-
-    The host sets' inverses come from the code pair's minor-inverse cache,
-    the missing ones in one stacked call; a call is one ``mod_matmul`` over
-    the stacked per-message inverses, int64 when L*(q-1)^2 + q < 2^63 and
-    exact Python ints otherwise.
+def _encoder(config: PidConfig, code: CodePair, ids) -> np.ndarray:
+    """The coded storage of messages ``ids`` as one stacked array, shape
+    (len(ids), L, L): entry j is ``inverse(parity_check[:, hosts])`` for
+    message ids[j]'s sorted host set, whose row i times the message's
+    symbols is what the i-th host stores.  The inverses come from the code
+    pair's minor-inverse cache, the missing ones in one stacked call.
     """
     cols = [tuple(s - 1 for s in config.association[k - 1]) for k in ids]
-    stacked = np.array(code._minor_inverses(cols), dtype=np.int64).reshape(
+    return np.array(code._minor_inverses(cols), dtype=np.int64).reshape(
         len(cols), config.msg_len, config.msg_len
     )
-    return lambda w: mod_matmul(stacked, w[..., None], config.modulus)[..., 0]
 
 
 def _with_fragments(

@@ -1,5 +1,5 @@
 """Exact certification of correctness and privacy: by enumerating every
-case within the budget, by rank past it.
+case where that is exact and within the budget, by rank everywhere else.
 
 For a scheme with K messages of L symbols over F_q, N servers and an
 (N-L)-symbol mask, the joint input space has q^(K*L + N-L) points and each
@@ -33,32 +33,32 @@ groups: in one dense ``bincount`` array while groups times keys is at
 most ``DENSE_CENSUS_KEYS``, else in per-group maps of the keys seen.  The
 privacy census is K groups of (q+1)^N answer keys (base-(q+1) digits, q for
 silence).  A leak's witness is the smallest key whose count differs between
-two requests: the answer vector first server by server, symbols ascending,
-silence last.
+request 1 and the first request that differs: the answer vector first
+server by server, symbols ascending, silence last.
 
-Exactness: every value a scheme's stages compute is at most N*(q-1)^2 + q,
-a sum of products of residues plus one residue or the no-symbol marker q
-(storage sums L products, in exact Python ints past int64, see
-``field.mod_matmul``; the mask shares N-L; decoding N).  The enumeration is
-int64, so it refuses (``InexactArithmeticError``, a ValueError) N*(q-1)^2 + q,
-q^(K*L + N-L) inputs or (q+1)^N answer keys reaching 2^63.  Refusals come
-before any case is evaluated: the budget, then the stages, the numbering and
-(when privacy is audited) the keys.  Schemes plug in through
-``SchemeUnderTest``: the real masked protocol, its storage built by the
-encoder that serves ``pid deliver``, the unmasked split variant (a negative
-control: correct, and leaky whenever L < N) and fault-injected copies.
+Every scheme here is affine and described once, by one private
+constructor: request d answers A_d*[w_d; u] + b_d on the servers its
+silence pattern lets send, A_d = [P_d*E_d | G^T] with d's encoder E_d (none
+for raw symbols) placed at its hosts and the share generator G (no rows
+when unmasked), b_d a corruption offset and D_d its decoder; the stages and
+the ``AffineMaps`` are read from those arrays.  The schemes are the real
+masked protocol, with the encoder that serves ``pid deliver``, the unmasked
+split variant (a negative control: correct, and leaky whenever L < N) and
+fault-injected copies.
 
-The budget, 10**7 cases unless PID_BUDGET or a keyword argument says
-otherwise, bounds the enumeration.  Past it, a scheme that declares its
-``AffineMaps`` is certified by rank with the same reports, and any other
-is refused (``BudgetExceededError``).  Request d's answers are A_d*x + b_d
-on the servers that transmit, so they are uniform on the coset
-b_d + im A_d, each point hit q^(K*L + N-L - rank A_d) times.  Correctness
-holds exactly when D_d*A_d selects w_d and D_d*b_d = 0 for the decoder D_d
-of every d; privacy exactly when all requests share one silence pattern and
-one coset.  The counterexample is the one enumeration meets first, the leak
-witness an answer vector with its exact counts under two requests (not
-always the smallest).  ``field.FieldMatrix`` is exact for every q < 2^32.
+The method follows from the input alone.  ``scheme_audit`` enumerates when
+the cases fit the budget (10**7 unless PID_BUDGET or a keyword argument says
+otherwise) and its int64 arithmetic is exact: a stage's values stay at most
+N*(q-1)^2 + q (storage sums L products of residues, the shares N-L, decoding
+N, plus a residue or the no-symbol marker q), the inputs are numbered below
+q^(K*L + N-L) and, when privacy is audited, the answer vectors are keyed
+below (q+1)^N; all three must be below 2^63.  Otherwise it certifies by rank
+(``by_rank``), exact for every q < 2^32 (``field.FieldMatrix``).  Request
+d's answers are uniform on the coset b_d + im A_d, each point hit
+q^(K*L + N-L - rank A_d) times.  Correctness holds exactly when D_d*A_d
+selects w_d and D_d*b_d = 0 for every d; privacy exactly when all requests
+share one silence pattern and one coset.  The counterexample and the witness
+are the ones enumeration finds.
 """
 
 from __future__ import annotations
@@ -79,8 +79,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "CHUNK_ROWS",
     "DENSE_CENSUS_KEYS",
-    "BudgetExceededError",
-    "InexactArithmeticError",
     "SchemeUnderTest",
     "AffineMaps",
     "masked_scheme",
@@ -114,21 +112,6 @@ CHUNK_ROWS = 1024
 # per-group maps instead.
 DENSE_CENSUS_KEYS = 2**21
 _INT64_LIMIT = 2**63
-
-
-class BudgetExceededError(RuntimeError):
-    """An exhaustive audit would exceed the allowed number of cases."""
-
-    def __init__(self, needed: int, budget: int):
-        super().__init__(
-            f"exhaustive audit needs {needed} cases, budget is {budget}"
-        )
-        self.needed = needed
-        self.budget = budget
-
-
-class InexactArithmeticError(ValueError):
-    """The instance's values would not fit the audit's int64 arithmetic."""
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -167,7 +150,8 @@ class AffineMaps(NamedTuple):
 
 @dataclass(frozen=True)
 class SchemeUnderTest:
-    """The three stages of a delivery scheme, as callables on batches.
+    """The three stages of a delivery scheme, as callables on batches, and
+    the affine maps they compute.
 
     Each stage maps int64 arrays with one row per input to the same; the
     value q, outside F_q, marks "no symbol".
@@ -179,15 +163,15 @@ class SchemeUnderTest:
       (B, mask_len), to every server's answer to every request, shape
       (B, K, N): entry [b, d-1, j] is server j+1's answer to request d, or q
       for a server that sends nothing.
-    * ``decode(answers)``: answer vectors, shape (..., N), to the decoded
-      symbols, shape (..., L), row by row over all leading axes.
+    * ``decode(answers)``: answers of that shape to the decoded symbols,
+      shape (B, K, L): entry [b, d-1] is what request d decodes to.
 
     Stages are called with positional arguments only and must be row-wise:
     row b of a stage's output depends on row b of its inputs alone, so a
     batch gives the rows its inputs would give one at a time.  The audits
     rely on this to build storage once per message tuple and repeat its rows
-    over the masks.  ``maps``, if given, returns the ``AffineMaps`` the
-    stages compute, read off the scheme's structure, for the rank path.
+    over the masks.  ``maps`` are the ``AffineMaps`` the stages compute, the
+    rank path's whole input; enumeration never reads them.
     """
 
     name: str
@@ -199,43 +183,72 @@ class SchemeUnderTest:
     build_storage: Callable
     answers: Callable
     decode: Callable
-    maps: Callable[[], AffineMaps] | None = None
+    maps: AffineMaps
 
 
-def _storage_layout(config: PidConfig, encode: Callable, corrupt=None) -> Callable:
-    """``build_storage`` that lays out what ``encode`` stores in shape
-    (B, K, N): entry [b, k-1, j] is what server j+1 stores of message k, or
-    q if nothing, so each request's row of servers is contiguous.
-
-    ``encode`` maps message symbols, shape (B, K, L), to what each host
-    stores, same shape: [b, k-1, i] goes to the i-th server of k's sorted
-    host set.  ``corrupt`` = (server, message, delta), 1-based, adds delta
-    to one stored symbol mod q.
+def _affine_scheme(
+    name: str, config: PidConfig, encoders, shares, sends, decoder, offset
+) -> SchemeUnderTest:
+    """The scheme of the module docstring's A_d, b_d and D_d: ``encoders``
+    (K, L, L) stacks each E_d, None for raw symbols; ``shares`` is G,
+    (mask_len, N); ``sends`` (K, N), ``decoder`` (K, L, N) and ``offset``
+    (K, N).  Storage [b, k-1, j] is what server j+1 holds of message k, or q.
+    The shares and the decoding are int64, exact within the stage bound of
+    ``by_rank``; storage is exact at every q (``mod_matmul``).
     """
     q, k, n, l = config.modulus, config.k_messages, config.n_servers, config.msg_len
-    # where message k's i-th host sits in a row of K*N entries
-    cells = (np.arange(0, k * n, n)[:, None] + np.array(config.association) - 1).ravel()
+    hosts = np.array(config.association) - 1
+    # P_d: column i is a unit vector at the i-th server of d's sorted hosts
+    placed = np.eye(n, dtype=np.int64)[hosts].transpose(0, 2, 1)
+    if encoders is not None:
+        placed = mod_matmul(placed, encoders, q)
+    # where message k's i-th host sits in a row of K*N storage cells
+    cells = (np.arange(0, k * n, n)[:, None] + hosts).ravel()
+    hit = np.flatnonzero(offset)
+    # silence read as 0: D_d is zero on the servers d silences
+    decoder = decoder * sends[:, None, :]
+    decoder_t = np.ascontiguousarray(decoder.transpose(0, 2, 1))
+    mask_columns = np.broadcast_to(shares.T, (k, n, len(shares)))
+    # every request's row of shares at once, columns in (d, server) order
+    all_shares = mask_columns.reshape(k * n, -1).T
 
     def build_storage(w):
         b = len(w)
+        coded = w.reshape(b, k, l)
+        if encoders is not None:
+            coded = mod_matmul(encoders, coded[..., None], q)[..., 0]
         stored = np.full((b, k * n), q, dtype=np.int64)
-        stored[:, cells] = encode(w.reshape(b, k, l)).reshape(b, k * l)
-        if corrupt is not None:
-            server, message, delta = corrupt
-            cell = (message - 1) * n + server - 1
-            stored[:, cell] = (stored[:, cell] + delta) % q
+        stored[:, cells] = coded.reshape(b, k * l)
+        if hit.size:  # a corrupted cell
+            stored[:, hit] = (stored[:, hit] + offset.ravel()[hit]) % q
         return stored.reshape(b, k, n)
 
-    return build_storage
+    def answers(storage, mask):
+        # A server holding nothing of message d has the marker q there, which
+        # is 0 mod q: it sends its mask share alone.
+        heard = (storage + (mask @ all_shares).reshape(storage.shape)) % q
+        heard[:, ~sends] = q
+        return heard
 
+    def decode(answers):
+        # one product per request over all B rows, written in (B, K, L) order
+        decoded = np.empty((len(answers), k, l), np.int64)
+        np.matmul(answers.transpose(1, 0, 2), decoder_t, out=decoded.transpose(1, 0, 2))
+        return decoded % q
 
-def _hosted(config: PidConfig, blocks) -> np.ndarray:
-    """A (K, N, L) array holding row i of ``blocks[d-1]`` at the i-th
-    server of d's sorted host set, zero on every other server."""
-    placed = np.zeros((config.k_messages, config.n_servers, config.msg_len), np.int64)
-    hosts = np.array(config.association) - 1
-    placed[np.arange(config.k_messages)[:, None], hosts] = blocks
-    return placed
+    linear = np.concatenate((placed, mask_columns), axis=2)
+    return SchemeUnderTest(
+        name=name,
+        modulus=q,
+        k_messages=k,
+        msg_len=l,
+        n_servers=n,
+        mask_len=len(shares),
+        build_storage=build_storage,
+        answers=answers,
+        decode=decode,
+        maps=AffineMaps(sends, linear, offset, decoder),
+    )
 
 
 def masked_scheme(
@@ -252,7 +265,7 @@ def masked_scheme(
     injection for audits; delta % q == 0 is rejected as a no-op.
     """
     q, k, n, l = code.modulus, config.k_messages, config.n_servers, config.msg_len
-
+    offset = np.zeros((k, n), np.int64)
     if corrupt is not None:
         c_server, c_msg, c_pos, c_delta = corrupt
         if c_delta % q == 0:
@@ -265,47 +278,16 @@ def masked_scheme(
             )
         if c_pos != 1:
             raise ValueError("each server stores one symbol per message here")
-        corrupt = (c_server, c_msg, c_delta % q)
-
-    encode = _encoder(config, code, range(1, k + 1))
-    g = code.generator.array
-    h = code.parity_check.array
-    h_t = h.T
-
-    def answers(storage, mask):
-        # A server holding nothing of message d has the marker q there, which
-        # is 0 mod q: it sends its mask share alone.  The shares do not
-        # depend on d, so they are computed once for all K requests.
-        return (storage + (mask @ g)[:, None, :]) % q
-
-    def decode(answers):
-        return answers @ h_t % q
-
-    def maps():
-        # A_d = [P_d*M_d | G^T]: the encoder's inverse M_d of the parity-check
-        # minor on d's hosts, placed at them, then the mask shares; every
-        # server sends, H decodes, and a corruption is its message's b_d
-        cols = [tuple(s - 1 for s in hosts) for hosts in config.association]
-        minors = code._minor_inverses(cols)
-        offset = np.zeros((k, n), np.int64)
-        if corrupt is not None:
-            offset[corrupt[1] - 1, corrupt[0] - 1] = corrupt[2]
-        shares = np.broadcast_to(g.T, (k, n, code.mask_len))
-        linear = np.concatenate((_hosted(config, minors), shares), axis=2)
-        decoder = np.broadcast_to(h, (k, l, n))
-        return AffineMaps(np.ones((k, n), bool), linear, offset, decoder)
-
-    return SchemeUnderTest(
-        name="masked-coded",
-        modulus=q,
-        k_messages=k,
-        msg_len=l,
-        n_servers=n,
-        mask_len=code.mask_len,
-        build_storage=_storage_layout(config, encode, corrupt),
-        answers=answers,
-        decode=decode,
-        maps=maps,
+        offset[c_msg - 1, c_server - 1] = c_delta % q
+    # every server sends its share on every request, and H decodes
+    return _affine_scheme(
+        "masked-coded",
+        config,
+        _encoder(config, code, range(1, k + 1)),
+        code.generator.array,
+        np.ones((k, n), bool),
+        np.broadcast_to(code.parity_check.array, (k, l, n)),
+        offset,
     )
 
 
@@ -321,32 +303,16 @@ def split_scheme(config: PidConfig) -> SchemeUnderTest:
     answers are d's raw symbols, distributed alike for every d when the
     messages are uniform: that layout passes the privacy audit.
     """
-    q = config.modulus
-
-    def answers(storage, _mask):
-        return storage
-
-    def decode(answers):
-        return answers[answers < q].reshape(*answers.shape[:-1], -1)
-
-    def maps():
-        # w_d placed on d's hosts, which alone send and are read back in order
-        placed = _hosted(config, np.eye(config.msg_len, dtype=np.int64))
-        offset = np.zeros((config.k_messages, config.n_servers), np.int64)
-        sends = config.host_incidence.astype(bool)
-        return AffineMaps(sends, placed, offset, placed.transpose(0, 2, 1))
-
-    return SchemeUnderTest(
-        name="unmasked-split",
-        modulus=q,
-        k_messages=config.k_messages,
-        msg_len=config.msg_len,
-        n_servers=config.n_servers,
-        mask_len=0,
-        build_storage=_storage_layout(config, lambda w: w),
-        answers=answers,
-        decode=decode,
-        maps=maps,
+    k, n = config.k_messages, config.n_servers
+    # d's hosts alone send, and are read back in order: D_d = P_d^T
+    return _affine_scheme(
+        "unmasked-split",
+        config,
+        None,
+        np.zeros((0, n), np.int64),
+        config.host_incidence.astype(bool),
+        np.eye(n, dtype=np.int64)[np.array(config.association) - 1],
+        np.zeros((k, n), np.int64),
     )
 
 
@@ -376,37 +342,23 @@ def power_text(count: int, q: int) -> str:
     return str(count)
 
 
-def by_rank(scheme: SchemeUnderTest, budget: int | None = None) -> bool:
-    """Whether ``scheme_audit`` certifies ``scheme`` by rank: it declares
-    its maps and its cases exceed the budget."""
-    return scheme.maps is not None and case_count(scheme) > resolve_budget(budget)
-
-
-def _input_count(scheme: SchemeUnderTest, budget: int | None) -> int:
-    """The number of inputs an exhaustive audit of ``scheme`` walks.
-
-    Refuses if the audit is over budget, then if its stages cannot compute
-    in exact int64, then if the inputs cannot be numbered in int64.
-    """
-    total = case_count(scheme)
-    allowed = resolve_budget(budget)
-    if total > allowed:
-        raise BudgetExceededError(total, allowed)
+def by_rank(
+    scheme: SchemeUnderTest, budget: int | None = None, privacy: bool = True
+) -> bool:
+    """Whether ``scheme_audit`` certifies ``scheme`` by rank: its cases
+    exceed the budget, or enumerating them would leave int64 for a stage's
+    values, the input numbers or (when ``privacy`` is audited) the census
+    keys."""
     q, n = scheme.modulus, scheme.n_servers
-    if not int64_exact(q, n):
-        raise InexactArithmeticError(
-            f"q={q} is too large for exact int64 audits of this instance: "
-            f"{n}*(q-1)^2 + q must stay below 2^63"
-        )
-    inputs = scheme.modulus ** _width(scheme)
-    if inputs >= _INT64_LIMIT:
-        raise InexactArithmeticError(
-            f"{inputs} inputs cannot be numbered in int64"
-        )
-    return inputs
+    return (
+        case_count(scheme) > resolve_budget(budget)
+        or not int64_exact(q, n)
+        or q ** _width(scheme) >= _INT64_LIMIT
+        or (privacy and (q + 1) ** n >= _INT64_LIMIT)
+    )
 
 
-def _inputs(scheme: SchemeUnderTest, inputs: int):
+def _inputs(scheme: SchemeUnderTest):
     """Yield (index of the first input, message symbols, mask symbols,
     storage) for every block of consecutive inputs, in ``itertools.product``
     order.
@@ -428,6 +380,7 @@ def _inputs(scheme: SchemeUnderTest, inputs: int):
     while t < width and q ** (t + 1) <= CHUNK_ROWS:
         t += 1
     if t == 0:
+        inputs = q**width
         for start in range(0, inputs, CHUNK_ROWS):
             index = np.arange(start, min(start + CHUNK_ROWS, inputs), dtype=np.int64)
             digits = index[:, None] // powers % q
@@ -544,25 +497,20 @@ class _Census:
 
 
 def _audit(
-    scheme: SchemeUnderTest, budget: int | None, correctness: bool, privacy: bool
+    scheme: SchemeUnderTest, correctness: bool, privacy: bool
 ) -> tuple[CorrectnessReport | None, _Census | None]:
     """The one pass behind ``scheme_audit``: the correctness report, or None,
     and the filled census, or None."""
     k = scheme.k_messages
-    inputs = _input_count(scheme, budget)
     census = None
     if privacy:
         q, n = scheme.modulus, scheme.n_servers
-        if (q + 1) ** n >= _INT64_LIMIT:
-            raise InexactArithmeticError(
-                f"answer vectors of {n} servers over q={q} cannot be keyed in int64"
-            )
         # an answer vector's key: its base-(q+1) digits, q for silence
         weights = (q + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
         census = _Census(k, (q + 1) ** n)
     failure = None
     checked = 0
-    for start, w, mask, storage in _inputs(scheme, inputs):
+    for start, w, mask, storage in _inputs(scheme):
         answers = scheme.answers(storage, mask)
         if correctness and failure is None:
             failure = _first_failure(scheme, start, w, mask, answers)
@@ -658,7 +606,7 @@ def _privacy_report(scheme: SchemeUnderTest, census: _Census) -> PrivacyReport:
     )
 
 
-# -- the rank certificate, for schemes that declare their maps ----------------
+# -- the rank certificate -----------------------------------------------------
 
 
 def _rank_correctness(scheme: SchemeUnderTest, maps: AffineMaps) -> CorrectnessReport:
@@ -689,9 +637,11 @@ def _rank_privacy(scheme: SchemeUnderTest, maps: AffineMaps) -> PrivacyReport:
     """The census figures from the cosets b_d + im A_d, each in a form equal
     for equal cosets: the silence pattern, the reduced row echelon basis of
     the image, and b_d reduced against it.  Cosets with one pattern and one
-    image are equal or disjoint, so a point of request 1's is a witness
-    against any other; a pattern with two images is refused, as the overlap
-    of its cosets is not counted."""
+    image are equal or disjoint, so the witness against the first request
+    whose coset differs from request 1's is the smaller of the two cosets'
+    smallest points: their reduced offsets, silence read as q.  A pattern
+    with two images is refused, as the overlap of its cosets is not
+    counted."""
     q, k, n, width = scheme.modulus, scheme.k_messages, scheme.n_servers, _width(scheme)
     images: dict[bytes, bytes] = {}  # silence pattern -> basis of its image
     ranks: dict[tuple[bytes, bytes], int] = {}  # each distinct coset's rank
@@ -709,11 +659,18 @@ def _rank_privacy(scheme: SchemeUnderTest, maps: AffineMaps) -> PrivacyReport:
             )
         coset = (sends.tobytes(), offset.tobytes())
         ranks.setdefault(coset, len(pivots))
+        point = np.full(n, q, dtype=np.int64)
+        point[sends] = offset
+        point = point.tolist()
         if d == 0:
-            first, symbols = coset, iter(offset.tolist())
-            answer = tuple((next(symbols),) if s else () for s in sends)
+            first, least = coset, point
         elif coset != first and mismatch is None:
-            mismatch = PrivacyMismatch(answer, 1, q ** (width - ranks[first]), d + 1, 0)
+            if least < point:
+                counts = (q ** (width - ranks[first]), 0)
+            else:
+                counts = (0, q ** (width - len(pivots)))
+            answer = tuple(() if a == q else (a,) for a in min(least, point))
+            mismatch = PrivacyMismatch(answer, 1, counts[0], d + 1, counts[1])
     # rank N needs every server to send: the answers are all q^N vectors
     uniform = mismatch is None and ranks[first] == n
     return PrivacyReport(
@@ -733,7 +690,7 @@ def scheme_audit(
     privacy: bool = True,
 ) -> tuple[CorrectnessReport | None, PrivacyReport | None]:
     """Audit correctness and privacy in one pass over the inputs, or by
-    rank past the budget (``by_rank``).
+    rank where ``by_rank`` says so.
 
     Returns the correctness and privacy reports, None for a property not
     audited.  Each block's answers to all K requests come from one
@@ -741,13 +698,12 @@ def scheme_audit(
     Decoding stops at the first failure; the census still counts every
     case, and a correctness-only audit stops there.
     """
-    if by_rank(scheme, budget):
-        maps = scheme.maps()
+    if by_rank(scheme, budget, privacy):
         return (
-            _rank_correctness(scheme, maps) if correctness else None,
-            _rank_privacy(scheme, maps) if privacy else None,
+            _rank_correctness(scheme, scheme.maps) if correctness else None,
+            _rank_privacy(scheme, scheme.maps) if privacy else None,
         )
-    c_report, census = _audit(scheme, budget, correctness, privacy)
+    c_report, census = _audit(scheme, correctness, privacy)
     return c_report, None if census is None else _privacy_report(scheme, census)
 
 

@@ -44,11 +44,13 @@ def test_every_traced_name_exists(monkeypatch, tracing):
     [
         (lambda config, code: masked_scheme(config, code), (True, True)),
         (lambda config, code: split_scheme(config), (True, False)),
+        (lambda config, code: masked_scheme(config, code, corrupt=(1, 1, 1, 2)), (False, True)),
     ],
-    ids=["masked", "split"],
+    ids=["masked", "split", "corrupt"],
 )
 def test_traced_schemes_audit(tracing, make, passed):
-    # the tracer's scheme wrap replaces every stage field and tallies each
+    # the tracer's scheme wrap replaces every stage field and tallies each,
+    # and keeps the maps that the rank path reads
     config, code = q5_instance()
     tracer = tracing.Tracer()
     scheme = tracer.scheme_factory(make)(config, code)
@@ -58,3 +60,7 @@ def test_traced_schemes_audit(tracing, make, passed):
     assert tracer.calls["verify.build_storage"] > 0
     assert tracer.calls["verify.answers"] > 0
     assert tracer.calls["verify.decode"] > 0
+    # by rank, no stage runs
+    calls = dict(tracer.calls)
+    assert scheme_audit(scheme, budget=0) == scheme_audit(make(config, code), budget=0)
+    assert dict(tracer.calls) == calls

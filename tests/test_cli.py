@@ -467,7 +467,8 @@ class TestVerify:
 
     def test_modulus_too_large_for_exact_audit(self, capsys, tmp_path):
         # 2147483659 is the first prime past 2^31 - 1, the largest modulus
-        # whose N=2 instances keep 2*(q-1)^2 + q below 2^63
+        # whose N=2 instances keep 2*(q-1)^2 + q below 2^63: its q^2 cases
+        # fit the raised budget, and rank decides them exactly
         path = tmp_path / "big.cfg"
         path.write_text(
             "q = 2147483659\nK = 1\nN = 2\nL = 2\n"
@@ -476,9 +477,12 @@ class TestVerify:
         code, out, err = run(
             capsys, "verify", "-c", str(path), "--budget", str(10**19)
         )
-        assert code == 2
-        assert out == ""
-        assert "too large for exact int64 audits" in err
+        assert (code, err) == (0, "")
+        assert out == (
+            "PROPERTY=correctness INSTANCE=big VERDICT=pass CASES=2147483659^2*1\n"
+            "PROPERTY=privacy INSTANCE=big VERDICT=pass CASES=2147483659^2*1\n"
+            "  distinct answer vectors: 2147483659^2; uniform over them: yes\n"
+        )
 
     def split_cfg(self, tmp_path, k):
         # q=17 with 16 servers and K one-host messages: split answers are
@@ -492,23 +496,25 @@ class TestVerify:
         return str(path)
 
     def test_refusal_order(self, capsys, monkeypatch, tmp_path):
-        # past the budget, a rank verdict; within it, the input numbering,
-        # then the census keys (exit 2), both before any verdict line
+        # past the budget, or past an int64 bound of the properties audited,
+        # a rank verdict; no config is refused
         monkeypatch.delenv("PID_BUDGET", raising=False)
         both = ("--scheme", "split", "--property", "both")
         wide = self.split_cfg(tmp_path, 16)
-        code, out, err = run(capsys, "verify", "-c", wide, *both)
-        assert (code, err) == (3, "")
-        assert "PROPERTY=privacy INSTANCE=split-k16 VERDICT=fail CASES=17^16*16\n" in out
-        code, out, err = run(
-            capsys, "verify", "-c", wide, *both, "--budget", str(10**21)
-        )
-        assert (code, out) == (2, "")
-        assert "inputs cannot be numbered in int64" in err
+        for budget in ((), ("--budget", str(10**21))):
+            # 17^16 inputs cannot be numbered in int64 whatever the budget
+            code, out, err = run(capsys, "verify", "-c", wide, *both, *budget)
+            assert (code, err) == (3, "")
+            assert "PROPERTY=privacy INSTANCE=split-k16 VERDICT=fail CASES=17^16*16\n" in out
+        # 17 cases, but 18^16 census keys: privacy takes rank
         narrow = self.split_cfg(tmp_path, 1)
         code, out, err = run(capsys, "verify", "-c", narrow, *both)
-        assert (code, out) == (2, "")
-        assert "cannot be keyed in int64" in err
+        assert (code, err) == (0, "")
+        assert out == (
+            "PROPERTY=correctness INSTANCE=split-k1 VERDICT=pass CASES=17^1*1\n"
+            "PROPERTY=privacy INSTANCE=split-k1 VERDICT=pass CASES=17^1*1\n"
+            "  distinct answer vectors: 17^1; uniform over them: no\n"
+        )
         # the keys matter only to the census
         code, out, _ = run(
             capsys, "verify", "-c", narrow, "--scheme", "split",

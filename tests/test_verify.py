@@ -34,10 +34,8 @@ from codedpid.protocol import (
 from codedpid.verify import (
     CHUNK_ROWS,
     DEFAULT_BUDGET,
-    BudgetExceededError,
     CorrectnessReport,
     Counterexample,
-    InexactArithmeticError,
     PrivacyMismatch,
     PrivacyReport,
     by_rank,
@@ -100,39 +98,33 @@ class TestBudget:
         with pytest.raises(ValueError, match="non-negative"):
             resolve_budget()
 
-    # Schemes that declare their maps are certified by rank past the
-    # budget; one without maps is refused there.
+    # Past the budget every scheme is certified by rank: the stages never
+    # run, and the reports are the enumeration's.
 
     def test_audit_refuses_over_budget(self, monkeypatch):
         monkeypatch.delenv("PID_BUDGET", raising=False)
-        scheme = without_maps(masked_scheme(*q11_instance()))
-        with pytest.raises(BudgetExceededError) as info:
-            scheme_correctness(scheme)
-        assert info.value.needed == Q11_CASES
-        assert info.value.budget == DEFAULT_BUDGET
-        assert "exhaustive audit needs" in str(info.value)
+        scheme = stageless(masked_scheme(*q11_instance()))
+        assert by_rank(scheme)
+        assert scheme_correctness(scheme) == CorrectnessReport(True, Q11_CASES, None)
 
     def test_env_budget_reaches_audits(self, monkeypatch):
-        monkeypatch.setenv("PID_BUDGET", "1000")
         scheme = masked_scheme(*q5_instance())
-        with pytest.raises(BudgetExceededError) as info:
-            scheme_privacy(without_maps(scheme))
-        assert info.value.needed == Q5_CASES
-        assert info.value.budget == 1000
+        enumerated = scheme_privacy(scheme)
+        monkeypatch.setenv("PID_BUDGET", "1000")
         assert by_rank(scheme)
-        assert scheme_privacy(scheme).cases == Q5_CASES
+        assert scheme_privacy(stageless(scheme)) == enumerated
+        assert enumerated.cases == Q5_CASES
 
     def test_explicit_budget_argument(self):
         scheme = masked_scheme(*q5_instance())
-        with pytest.raises(BudgetExceededError):
-            scheme_correctness(without_maps(scheme), budget=10)
         assert by_rank(scheme, budget=10)
         assert not by_rank(scheme, budget=Q5_CASES)
+        assert scheme_correctness(stageless(scheme), budget=10) == scheme_correctness(scheme)
 
 
-def without_maps(scheme):
-    """``scheme`` with no declared maps: refused past the budget."""
-    return dataclasses.replace(scheme, maps=None)
+def stageless(scheme):
+    """``scheme`` with no stages: only the rank path can audit it."""
+    return dataclasses.replace(scheme, build_storage=None, answers=None, decode=None)
 
 
 def k64_instance():
@@ -166,7 +158,7 @@ class TestSchemesAgree:
                 }
             rnd = draw_randomness(code, seed=3)
             masked = attach_shares(states, rnd)
-            mask = np.array([rnd.mask_vector])
+            mask = np.array([rnd.mask_vector], dtype=np.int64)
             answers = scheme.answers(storage, mask)
             decoded = scheme.decode(answers)
             for d in range(1, config.k_messages + 1):
@@ -349,10 +341,10 @@ def oracle_correctness(scheme):
     q, k, l = scheme.modulus, scheme.k_messages, scheme.msg_len
     cases = 0
     for x in itertools.product(range(q), repeat=k * l + scheme.mask_len):
-        storage = scheme.build_storage(np.array([x[: k * l]]))
-        answers = scheme.answers(storage, np.array([x[k * l :]]))
+        storage = scheme.build_storage(np.array([x[: k * l]], dtype=np.int64))
+        answers = scheme.answers(storage, np.array([x[k * l :]], dtype=np.int64))
         for d in range(1, k + 1):
-            decoded = tuple(scheme.decode(answers[0, d - 1]).tolist())
+            decoded = tuple(scheme.decode(answers)[0, d - 1].tolist())
             cases += 1
             if decoded != x[(d - 1) * l : d * l]:
                 messages = tuple(x[i * l : (i + 1) * l] for i in range(k))
@@ -368,8 +360,8 @@ def oracle_census(scheme):
     census = [{} for _ in range(k)]
     cases = 0
     for x in itertools.product(range(q), repeat=k * l + scheme.mask_len):
-        storage = scheme.build_storage(np.array([x[: k * l]]))
-        answers = scheme.answers(storage, np.array([x[k * l :]]))
+        storage = scheme.build_storage(np.array([x[: k * l]], dtype=np.int64))
+        answers = scheme.answers(storage, np.array([x[k * l :]], dtype=np.int64))
         for d in range(1, k + 1):
             row = answers[0, d - 1].tolist()
             key = tuple(() if a == q else (a,) for a in row)
@@ -586,7 +578,7 @@ class TestCensusPaths:
         config, _ = q5_instance()
         labelled = [("q5-split", split_scheme(config)), ("long-mask", long_mask_scheme())]
         for label, scheme in labelled + list(small_instances()):
-            _, census = codedpid.verify._audit(scheme, None, True, True)
+            _, census = codedpid.verify._audit(scheme, True, True)
             expected, expected_cases = oracle_runs(label, scheme)[1]
             assert census.cases == expected_cases, label
             assert [
@@ -686,13 +678,26 @@ def q5_layout(tmp_path, q):
 
 
 class TestExactness:
-    # 2^31 - 1 is the largest prime with 2*(q-1)^2 + q < 2^63, the bound for
-    # instances with N = 2 servers
+    """Each int64 bound of the enumeration, just inside (enumerated, CASES in
+    decimal) and just past (by rank, CASES=q^E*K): the verdicts agree, and
+    no instance is refused."""
+
+    # 2^31 - 1 is the largest prime with 2*(q-1)^2 + q < 2^63, the stage
+    # bound for instances with N = 2 servers
     Q = 2**31 - 1
 
     def instance(self, q):
         config = make_association(q, 1, 2, 2, mode="explicit", association=[[1, 2]])
         return config, build_vandermonde_pair(q, 2, 2, points=[1, q - 1])
+
+    def verify(self, capsys, path, text, *argv):
+        """``pid verify`` on a config of ``text``: its exit code and stdout,
+        after checking that it wrote nothing to stderr."""
+        path.write_text(text)
+        code = main(["verify", "-c", str(path), *argv])
+        out, err = capsys.readouterr()
+        assert err == ""
+        return code, out
 
     def test_largest_admitted_prime(self):
         q = self.Q
@@ -721,63 +726,111 @@ class TestExactness:
 
     def test_next_prime_refused(self):
         # 2147483659 is the first prime past 2^31 - 1: its q^2 cases fit a
-        # raised budget, and the exhaustive path refuses its int64 stages
-        q = 2147483659
-        config, code = self.instance(q)
-        for scheme in (masked_scheme(config, code), split_scheme(config)):
-            with pytest.raises(InexactArithmeticError, match=r"2\*\(q-1\)\^2 \+ q"):
-                scheme_correctness(scheme, budget=10**19)
-            # within the default budget's reach only by rank, which is exact
-            assert all(report.passed for report in scheme_audit(scheme))
+        # raised budget, and rank decides them as enumeration does inside
+        reports = []
+        for q in (self.Q, 2147483659):
+            config, code = self.instance(q)
+            scheme = masked_scheme(config, code, corrupt=(2, 1, 1, q - 1))
+            assert by_rank(scheme, budget=10**19, privacy=False) == (q != self.Q)
+            report = scheme_correctness(scheme, budget=10**19)
+            assert report.counterexample.decoded == (q - 1, 1)
+            reports.append(report)
+            if q != self.Q:
+                for honest in (masked_scheme(config, code), split_scheme(config)):
+                    assert all(r.passed for r in scheme_audit(honest, budget=10**19))
+        inside, past = reports
+        assert (inside.cases, past.cases) == (1, 2147483659**2)
+        assert dataclasses.replace(past.counterexample, decoded=None) == dataclasses.replace(
+            inside.counterexample, decoded=None
+        )
+
+    def test_stage_bound_in_pid_verify(self, capsys, tmp_path):
+        for q, cases in ((self.Q, "1"), (2147483659, "2147483659^2*1")):
+            text = (
+                f"q = {q}\nK = 1\nN = 2\nL = 2\nname = 'n2'\n"
+                f"mode = 'explicit'\nassociation = [[1, 2]]\npoints = [1, {q - 1}]\n"
+            )
+            argv = ("--property", "correctness", "--corrupt", f"2,1,1,{q - 1}")
+            argv += ("--budget", str(10**19))
+            code, out = self.verify(capsys, tmp_path / "n2.cfg", text, *argv)
+            assert code == 3
+            assert out == (
+                f"PROPERTY=correctness INSTANCE=n2 VERDICT=fail CASES={cases}\n"
+                f"  counterexample: messages=((0, 0),) mask=() d=1 "
+                f"decoded=({q - 1}, 1) expected=(0, 0)\n"
+            )
+
+    def test_input_bound_in_pid_verify(self, capsys, tmp_path):
+        # the q5-k3 layout numbers 509^7 < 2^63 inputs but not 521^7; a
+        # corrupted symbol fails case 1 either way
+        for q, cases in ((509, "1"), (521, "521^7*3")):
+            argv = ["verify", "-c", q5_layout(tmp_path, q), "--property", "correctness"]
+            assert main([*argv, "--corrupt", "1,1,1,1", "--budget", str(10**70)]) == 3
+            out, err = capsys.readouterr()
+            assert err == ""
+            verdict, counterexample = out.splitlines()
+            assert verdict == f"PROPERTY=correctness INSTANCE=q5-k3 VERDICT=fail CASES={cases}"
+            assert counterexample.startswith(
+                "  counterexample: messages=((0, 0), (0, 0), (0, 0)) mask=(0,) d=1 "
+            )
+
+    def test_key_bound_in_pid_verify(self, capsys, tmp_path):
+        # one message on server 1 of N over q = 17: 18^15 < 2^63 census keys,
+        # 18^16 past it
+        for n, cases, distinct in ((15, "17", "17"), (16, "17^1*1", "17^1")):
+            text = f"q = 17\nK = 1\nN = {n}\nL = 1\nmode = 'explicit'\nassociation = [[1]]\n"
+            code, out = self.verify(capsys, tmp_path / "one.cfg", text, "--scheme", "split")
+            assert code == 0
+            assert out == (
+                f"PROPERTY=correctness INSTANCE=one VERDICT=pass CASES={cases}\n"
+                f"PROPERTY=privacy INSTANCE=one VERDICT=pass CASES={cases}\n"
+                f"  distinct answer vectors: {distinct}; uniform over them: no\n"
+            )
 
     def test_bound_is_set_by_the_server_count(self, capsys, tmp_path):
         # K*L = 6 but N = 3: 6*(q-1)^2 + q passes 2^63 at q = 1500000001,
         # 3*(q-1)^2 + q does not, and no stage sums more than N products;
-        # the exhaustive path gets as far as numbering its inputs
+        # its 1500000001^7 inputs cannot be numbered in int64, so even a
+        # raised budget is decided by rank
         cfg = q5_layout(tmp_path, 1500000001)
-        assert main(["verify", "-c", cfg, "--budget", str(10**70)]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.endswith(" inputs cannot be numbered in int64\n")
-        assert main(["verify", "-c", cfg]) == 0
-        assert capsys.readouterr().out == (
-            "PROPERTY=correctness INSTANCE=q5-k3 VERDICT=pass CASES=1500000001^7*3\n"
-            "PROPERTY=privacy INSTANCE=q5-k3 VERDICT=pass CASES=1500000001^7*3\n"
-            "  distinct answer vectors: 1500000001^3; uniform over them: yes\n"
-        )
+        for budget in ([], ["--budget", str(10**70)]):
+            assert main(["verify", "-c", cfg, *budget]) == 0
+            assert capsys.readouterr() == (
+                "PROPERTY=correctness INSTANCE=q5-k3 VERDICT=pass CASES=1500000001^7*3\n"
+                "PROPERTY=privacy INSTANCE=q5-k3 VERDICT=pass CASES=1500000001^7*3\n"
+                "  distinct answer vectors: 1500000001^3; uniform over them: yes\n",
+                "",
+            )
 
     def test_first_prime_past_the_server_bound_refused(self, capsys, tmp_path):
-        # 1753413037 is the largest prime with 3*(q-1)^2 + q < 2^63
+        # 1753413037 is the largest prime with 3*(q-1)^2 + q < 2^63; past it
+        # rank decides, whatever the budget
         config = make_association(
             1753413037, 3, 3, 2, mode="explicit", association=[[1, 2], [2, 3], [1, 3]]
         )
         code = build_vandermonde_pair(1753413037, 3, 2, points=(1, 2, 3))
         assert masked_scheme(config, code).n_servers == 3
         cfg = q5_layout(tmp_path, 1753413059)
-        # past the default budget, by rank
-        assert main(["verify", "-c", cfg]) == 0
-        assert capsys.readouterr().out.count("VERDICT=pass CASES=1753413059^7*3\n") == 2
-        # within a raised budget, refused before any case is evaluated
-        assert main(["verify", "-c", cfg, "--budget", str(10**70)]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == (
-            "error: q=1753413059 is too large for exact int64 audits of this "
-            "instance: 3*(q-1)^2 + q must stay below 2^63\n"
-        )
+        for budget in ([], ["--budget", str(10**70)]):
+            assert main(["verify", "-c", cfg, *budget]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert out.count("VERDICT=pass CASES=1753413059^7*3\n") == 2
 
     def test_input_count_past_int64_refused(self):
         config, code = q11_instance()
-        with pytest.raises(InexactArithmeticError, match="int64"):
-            scheme_correctness(masked_scheme(config, code), budget=Q11_CASES)
+        scheme = masked_scheme(config, code)
+        assert by_rank(scheme, budget=Q11_CASES)
+        assert scheme_correctness(scheme, budget=Q11_CASES).passed
 
     def test_census_key_past_int64_refused(self):
-        # 16 servers, 15 of them idle: 17 split cases, but 18^16 > 2^63
+        # 16 servers, 15 of them idle: 17 split cases, but 18^16 > 2^63 keys,
+        # so privacy alone is decided by rank
         config = make_association(17, 1, 16, 1, mode="explicit", association=[[1]])
         scheme = split_scheme(config)
-        assert scheme_correctness(scheme).passed
-        with pytest.raises(InexactArithmeticError, match="keyed in int64"):
-            scheme_privacy(scheme)
+        assert not by_rank(scheme, privacy=False) and by_rank(scheme)
+        assert scheme_correctness(scheme) == CorrectnessReport(True, 17, None)
+        assert scheme_privacy(scheme) == PrivacyReport(True, 17, 17, False, None, None)
 
 
 class TestProbe:
@@ -844,28 +897,14 @@ class TestProbe:
         assert out.count("VERDICT=pass CASES=1000003^7*3\n") == 2
 
 
-def census_key(scheme, answer):
-    """The census key of an answer vector: its base-(q+1) digits, q for
-    silence."""
-    q = scheme.modulus
-    return sum((a[0] if a else q) * (q + 1) ** e for e, a in zip(reversed(range(len(answer))), answer))
-
-
 def assert_rank_matches_enumeration(scheme):
     """The rank certificate (forced by a zero budget) gives the exhaustive
-    audit's verdicts, counterexample and census figures, and a leak witness
-    whose counts are the exhaustive census counts of its answer vector."""
+    audit's reports, all but the cases a failed correctness audit counts:
+    rank decides them all at once."""
     (c_enum, p_enum), (c_rank, p_rank) = scheme_audit(scheme), scheme_audit(scheme, budget=0)
-    assert (c_rank.passed, c_rank.counterexample) == (c_enum.passed, c_enum.counterexample)
-    assert c_rank.cases == p_rank.cases == case_count(scheme)
-    figures = lambda p: (p.passed, p.distinct_answers, p.uniform, p.uniform_count)  # noqa: E731
-    assert figures(p_rank) == figures(p_enum)
-    leak = p_rank.mismatch
-    if leak is not None:
-        counts = codedpid.verify._audit(scheme, None, False, True)[1].counts()
-        key = census_key(scheme, leak.answer)
-        assert counts[leak.request_a - 1].get(key, 0) == leak.count_a
-        assert counts[leak.request_b - 1].get(key, 0) == leak.count_b != leak.count_a
+    assert c_rank == dataclasses.replace(c_enum, cases=case_count(scheme))
+    assert p_rank == p_enum
+    assert p_rank.cases == case_count(scheme)
 
 
 @st.composite
@@ -921,7 +960,8 @@ class TestRankCertificate:
 
     def test_maps_describe_the_served_encoder(self):
         # A_d [w_d; u] + b_d is what the scheme's own stages answer, silence
-        # wherever d's pattern is silent, and D_d decodes as its decode does
+        # wherever d's pattern is silent, and D_d decodes as its decode does:
+        # both are read from one description
         rng = np.random.default_rng(3)
         config, code = q5_instance()
         schemes = [scheme for _, scheme in small_instances()]
@@ -929,7 +969,7 @@ class TestRankCertificate:
         schemes += [scheme for _, scheme in corrupt_cells(config, code, deltas=(1, 4))]
         for scheme in schemes:
             q, k, l = scheme.modulus, scheme.k_messages, scheme.msg_len
-            maps = scheme.maps()
+            maps = scheme.maps
             x = rng.integers(0, q, size=(20, k * l + scheme.mask_len))
             answers = scheme.answers(scheme.build_storage(x[:, : k * l]), x[:, k * l :])
             for d in range(k):
@@ -938,24 +978,28 @@ class TestRankCertificate:
                 expected[:, ~maps.sends[d]] = q
                 assert (answers[:, d] == expected).all(), scheme.name
                 heard = np.where(maps.sends[d], answers[:, d], 0)
-                assert (heard @ maps.decoder[d].T % q == scheme.decode(answers[:, d])).all()
+                assert (heard @ maps.decoder[d].T % q == scheme.decode(answers)[:, d]).all()
 
     def test_rank_path_evaluates_no_case(self):
-        # past the budget the stages never run and the maps are read once;
-        # within it the maps are never built
-        built = []
-        scheme = masked_scheme(*q11_instance())
-        counted = dataclasses.replace(
-            scheme,
-            build_storage=None,
-            answers=None,
-            decode=None,
-            maps=lambda: built.append(1) or scheme.maps(),
-        )
-        assert all(report.passed for report in scheme_audit(counted))
-        assert built == [1]
-        small = masked_scheme(*q5_instance())
-        assert scheme_audit(dataclasses.replace(small, maps=None)) == scheme_audit(small)
+        # past the budget the stages never run; within it the maps are never
+        # read, so the split control's maps leave the masked audit as it is
+        reports = scheme_audit(stageless(masked_scheme(*q11_instance())))
+        assert all(report.passed for report in reports)
+        config, code = q5_instance()
+        small = masked_scheme(config, code)
+        misdescribed = dataclasses.replace(small, maps=split_scheme(config).maps)
+        assert scheme_audit(misdescribed) == scheme_audit(small)
+        assert not scheme_privacy(misdescribed, budget=0).passed
+
+    def test_witness_is_the_smallest_differing_answer(self):
+        # request 1 answers only on server 2, request 2 only on server 1: the
+        # smallest differing vector is request 2's (0, silence), not a point
+        # of request 1's coset
+        config = make_association(3, 2, 2, 1, mode="explicit", association=[[2], [1]])
+        scheme = split_scheme(config)
+        witness = PrivacyMismatch(((0,), ()), 1, 0, 2, 3)
+        assert scheme_privacy(scheme).mismatch == witness
+        assert scheme_privacy(scheme, budget=0).mismatch == witness
 
     def test_k64_certified_by_rank(self):
         scheme = masked_scheme(*k64_instance())
@@ -985,9 +1029,8 @@ class TestRankCertificate:
         # they share the point (0, 0), which a sum of sizes would count twice
         config = make_association(3, 2, 2, 1, mode="explicit", association=[[1], [2]])
         scheme = split_scheme(config)
-        maps = scheme.maps()
         overlapping = dataclasses.replace(
-            scheme, maps=lambda: maps._replace(sends=np.ones((2, 2), bool))
+            scheme, maps=scheme.maps._replace(sends=np.ones((2, 2), bool))
         )
         with pytest.raises(ValueError, match="not counted by rank"):
             scheme_privacy(overlapping, budget=0)
