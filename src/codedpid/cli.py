@@ -456,19 +456,16 @@ def cmd_verify(args) -> int:
         scheme = verify_mod.split_scheme(config)
     else:
         scheme = verify_mod.masked_scheme(config, code, corrupt=corrupt)
-    budget = verify_mod.resolve_budget(args.budget)
-    privacy = args.property != "correctness"
     c_report, p_report = verify_mod.scheme_audit(
         scheme,
-        budget=budget,
+        budget=args.budget,
         correctness=args.property != "privacy",
-        privacy=privacy,
+        privacy=args.property != "correctness",
     )
     # A rank verdict decides all its cases at once; its counts are written
     # as powers of q, which can run past the digits ``str`` writes.
-    rank = verify_mod.by_rank(scheme, budget, privacy)
+    rank = (c_report or p_report).ranked
     count = functools.partial(verify_mod.power_text, q=config.modulus) if rank else str
-    failed = False
     if c_report is not None:
         print(
             verify_mod.verdict_line(
@@ -477,7 +474,6 @@ def cmd_verify(args) -> int:
             )
         )
         if not c_report.passed:
-            failed = True
             ce = c_report.counterexample
             print(
                 f"  counterexample: messages={ce.messages} mask={ce.mask} "
@@ -495,13 +491,13 @@ def cmd_verify(args) -> int:
             f"uniform over them: {'yes' if p_report.uniform else 'no'}"
         )
         if not p_report.passed:
-            failed = True
             mm = p_report.mismatch
             print(
                 f"  leak: answer {mm.answer} occurs {count(mm.count_a)}x for "
                 f"d={mm.request_a} but {count(mm.count_b)}x for d={mm.request_b}"
             )
-    return EXIT_VERDICT_FAIL if failed else EXIT_OK
+    passed = all(r.passed for r in (c_report, p_report) if r is not None)
+    return EXIT_OK if passed else EXIT_VERDICT_FAIL
 
 
 def _parse_range(text: str) -> range:

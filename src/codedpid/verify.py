@@ -58,7 +58,7 @@ d's answers are uniform on the coset b_d + im A_d, each point hit
 q^(K*L + N-L - rank A_d) times.  Correctness holds exactly when D_d*A_d
 selects w_d and D_d*b_d = 0 for every d; privacy exactly when all requests
 share one silence pattern and one coset.  The counterexample and the witness
-are the ones enumeration finds.
+are the ones enumeration finds; such reports are flagged ``ranked``.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -202,40 +202,36 @@ def _affine_scheme(
     placed = np.eye(n, dtype=np.int64)[hosts].transpose(0, 2, 1)
     if encoders is not None:
         placed = mod_matmul(placed, encoders, q)
-    # where message k's i-th host sits in a row of K*N storage cells
+    # where message k's i-th host sits in a row of K*N storage cells, and
+    # the corruption there
     cells = (np.arange(0, k * n, n)[:, None] + hosts).ravel()
-    hit = np.flatnonzero(offset)
+    shift = offset.ravel()[cells]
     # silence read as 0: D_d is zero on the servers d silences
     decoder = decoder * sends[:, None, :]
     decoder_t = np.ascontiguousarray(decoder.transpose(0, 2, 1))
-    mask_columns = np.broadcast_to(shares.T, (k, n, len(shares)))
-    # every request's row of shares at once, columns in (d, server) order
-    all_shares = mask_columns.reshape(k * n, -1).T
 
     def build_storage(w):
         b = len(w)
-        coded = w.reshape(b, k, l)
         if encoders is not None:
-            coded = mod_matmul(encoders, coded[..., None], q)[..., 0]
+            w = mod_matmul(encoders, w.reshape(b, k, l, 1), q).reshape(b, k * l)
         stored = np.full((b, k * n), q, dtype=np.int64)
-        stored[:, cells] = coded.reshape(b, k * l)
-        if hit.size:  # a corrupted cell
-            stored[:, hit] = (stored[:, hit] + offset.ravel()[hit]) % q
+        stored[:, cells] = (w + shift) % q if shift.any() else w
         return stored.reshape(b, k, n)
 
     def answers(storage, mask):
         # A server holding nothing of message d has the marker q there, which
         # is 0 mod q: it sends its mask share alone.
-        heard = (storage + (mask @ all_shares).reshape(storage.shape)) % q
+        heard = (storage + (mask @ shares)[:, None, :]) % q
         heard[:, ~sends] = q
         return heard
 
     def decode(answers):
-        # one product per request over all B rows, written in (B, K, L) order
+        # one product per request, written in (B, K, L) order: no copy later
         decoded = np.empty((len(answers), k, l), np.int64)
         np.matmul(answers.transpose(1, 0, 2), decoder_t, out=decoded.transpose(1, 0, 2))
         return decoded % q
 
+    mask_columns = np.broadcast_to(shares.T, (k, n, len(shares)))
     linear = np.concatenate((placed, mask_columns), axis=2)
     return SchemeUnderTest(
         name=name,
@@ -333,18 +329,16 @@ def case_text(scheme: SchemeUnderTest) -> str:
 
 
 def power_text(count: int, q: int) -> str:
-    """``count`` written as q^e when it is a power of q, else in decimal:
+    """``count`` as q^e when it is a power of q with e >= 2, else in decimal:
     the counts of a rank certificate are powers of q or sums of them."""
     if count > 0:
         e = round(math.log(count, q))
-        if q**e == count:
+        if e > 1 and q**e == count:
             return f"{q}^{e}"
     return str(count)
 
 
-def by_rank(
-    scheme: SchemeUnderTest, budget: int | None = None, privacy: bool = True
-) -> bool:
+def by_rank(scheme: SchemeUnderTest, budget: int | None, privacy: bool) -> bool:
     """Whether ``scheme_audit`` certifies ``scheme`` by rank: its cases
     exceed the budget, or enumerating them would leave int64 for a stage's
     values, the input numbers or (when ``privacy`` is audited) the census
@@ -416,9 +410,10 @@ class CorrectnessReport:
     passed: bool
     cases: int
     counterexample: Counterexample | None
+    ranked: bool = field(default=False, compare=False)  # decided by rank
 
 
-def _failed(scheme: SchemeUnderTest, cases: int, x, d0: int, decoded):
+def _failed(scheme: SchemeUnderTest, cases: int, x, d0: int, decoded, ranked=False):
     """The failed report of request d0+1 on input ``x``, its message symbols
     then its mask, decoded to ``decoded``."""
     k, l = scheme.k_messages, scheme.msg_len
@@ -434,6 +429,7 @@ def _failed(scheme: SchemeUnderTest, cases: int, x, d0: int, decoded):
             decoded=tuple(decoded.tolist()),
             expected=messages[d0],
         ),
+        ranked=ranked,
     )
 
 
@@ -508,23 +504,21 @@ def _audit(
         # an answer vector's key: its base-(q+1) digits, q for silence
         weights = (q + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
         census = _Census(k, (q + 1) ** n)
-    failure = None
+    report = None
     checked = 0
     for start, w, mask, storage in _inputs(scheme):
         answers = scheme.answers(storage, mask)
-        if correctness and failure is None:
-            failure = _first_failure(scheme, start, w, mask, answers)
-            if failure is None:
+        if correctness and report is None:
+            report = _first_failure(scheme, start, w, mask, answers)
+            if report is None:
                 checked += len(w) * k
             elif census is None:
                 break
         if census is not None:
             census.add(answers @ weights)
-    if not correctness:
-        return None, census
-    if failure is None:
-        return CorrectnessReport(passed=True, cases=checked, counterexample=None), census
-    return failure, census
+    if correctness and report is None:
+        report = CorrectnessReport(passed=True, cases=checked, counterexample=None)
+    return report, census
 
 
 @dataclass(frozen=True)
@@ -557,6 +551,7 @@ class PrivacyReport:
     uniform: bool
     uniform_count: int | None
     mismatch: PrivacyMismatch | None
+    ranked: bool = field(default=False, compare=False)  # decided by rank
 
 
 def _privacy_report(scheme: SchemeUnderTest, census: _Census) -> PrivacyReport:
@@ -584,24 +579,17 @@ def _privacy_report(scheme: SchemeUnderTest, census: _Census) -> PrivacyReport:
             break
 
     support = {key for counts in counted for key in counts}
-    inputs_per_request = q ** _width(scheme)
-    full_space = q**n
-    uniform = (
-        mismatch is None
-        and len(support) == full_space
-        and inputs_per_request % full_space == 0
-        and all(
-            count == inputs_per_request // full_space
-            for counts in counted
-            for count in counts.values()
-        )
-    )
+    # with one census for every request, its q^(K*L + N-L) inputs hit all
+    # q^N answer vectors alike exactly when there are q^N of them, each
+    # counted as often as the others
+    alike = len(set(reference.values())) == 1
+    uniform = mismatch is None and len(support) == q**n and alike
     return PrivacyReport(
         passed=mismatch is None,
         cases=census.cases,
         distinct_answers=len(support),
         uniform=uniform,
-        uniform_count=inputs_per_request // full_space if uniform else None,
+        uniform_count=q ** (_width(scheme) - n) if uniform else None,
         mismatch=mismatch,
     )
 
@@ -621,16 +609,16 @@ def _rank_correctness(scheme: SchemeUnderTest, maps: AffineMaps) -> CorrectnessR
     x = np.zeros(_width(scheme), dtype=np.int64)
     if shift.any():
         d0 = int(shift.any(axis=1).argmax())
-        return _failed(scheme, case_count(scheme), x, d0, shift[d0])
+        return _failed(scheme, case_count(scheme), x, d0, shift[d0], ranked=True)
     if not wrong.any():
-        return CorrectnessReport(True, case_count(scheme), counterexample=None)
+        return CorrectnessReport(True, case_count(scheme), None, ranked=True)
     # request d's column c is input coordinate (d-1)*L + c, or K*L + c-L (mask)
     c = np.arange(through.shape[2])
     coordinate = np.where(c < l, np.arange(k)[:, None] * l + c, k * l + c - l)
     last = coordinate[wrong].max()
     x[last] = 1
     d0, c0 = np.argwhere(wrong & (coordinate == last))[0]
-    return _failed(scheme, case_count(scheme), x, int(d0), through[d0, :, c0])
+    return _failed(scheme, case_count(scheme), x, int(d0), through[d0, :, c0], True)
 
 
 def _rank_privacy(scheme: SchemeUnderTest, maps: AffineMaps) -> PrivacyReport:
@@ -680,6 +668,7 @@ def _rank_privacy(scheme: SchemeUnderTest, maps: AffineMaps) -> PrivacyReport:
         uniform=uniform,
         uniform_count=q ** (width - n) if uniform else None,
         mismatch=mismatch,
+        ranked=True,
     )
 
 

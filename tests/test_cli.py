@@ -513,7 +513,7 @@ class TestVerify:
         assert out == (
             "PROPERTY=correctness INSTANCE=split-k1 VERDICT=pass CASES=17^1*1\n"
             "PROPERTY=privacy INSTANCE=split-k1 VERDICT=pass CASES=17^1*1\n"
-            "  distinct answer vectors: 17^1; uniform over them: no\n"
+            "  distinct answer vectors: 17; uniform over them: no\n"
         )
         # the keys matter only to the census
         code, out, _ = run(

@@ -104,21 +104,22 @@ class TestBudget:
     def test_audit_refuses_over_budget(self, monkeypatch):
         monkeypatch.delenv("PID_BUDGET", raising=False)
         scheme = stageless(masked_scheme(*q11_instance()))
-        assert by_rank(scheme)
-        assert scheme_correctness(scheme) == CorrectnessReport(True, Q11_CASES, None)
+        assert by_rank(scheme, None, privacy=False)
+        report = scheme_correctness(scheme)
+        assert report == CorrectnessReport(True, Q11_CASES, None) and report.ranked
 
     def test_env_budget_reaches_audits(self, monkeypatch):
         scheme = masked_scheme(*q5_instance())
         enumerated = scheme_privacy(scheme)
         monkeypatch.setenv("PID_BUDGET", "1000")
-        assert by_rank(scheme)
+        assert by_rank(scheme, None, privacy=True)
         assert scheme_privacy(stageless(scheme)) == enumerated
         assert enumerated.cases == Q5_CASES
 
     def test_explicit_budget_argument(self):
         scheme = masked_scheme(*q5_instance())
-        assert by_rank(scheme, budget=10)
-        assert not by_rank(scheme, budget=Q5_CASES)
+        assert by_rank(scheme, budget=10, privacy=False)
+        assert not by_rank(scheme, budget=Q5_CASES, privacy=False)
         assert scheme_correctness(stageless(scheme), budget=10) == scheme_correctness(scheme)
 
 
@@ -777,7 +778,7 @@ class TestExactness:
     def test_key_bound_in_pid_verify(self, capsys, tmp_path):
         # one message on server 1 of N over q = 17: 18^15 < 2^63 census keys,
         # 18^16 past it
-        for n, cases, distinct in ((15, "17", "17"), (16, "17^1*1", "17^1")):
+        for n, cases, distinct in ((15, "17", "17"), (16, "17^1*1", "17")):
             text = f"q = 17\nK = 1\nN = {n}\nL = 1\nmode = 'explicit'\nassociation = [[1]]\n"
             code, out = self.verify(capsys, tmp_path / "one.cfg", text, "--scheme", "split")
             assert code == 0
@@ -820,7 +821,7 @@ class TestExactness:
     def test_input_count_past_int64_refused(self):
         config, code = q11_instance()
         scheme = masked_scheme(config, code)
-        assert by_rank(scheme, budget=Q11_CASES)
+        assert by_rank(scheme, budget=Q11_CASES, privacy=False)
         assert scheme_correctness(scheme, budget=Q11_CASES).passed
 
     def test_census_key_past_int64_refused(self):
@@ -828,9 +829,10 @@ class TestExactness:
         # so privacy alone is decided by rank
         config = make_association(17, 1, 16, 1, mode="explicit", association=[[1]])
         scheme = split_scheme(config)
-        assert not by_rank(scheme, privacy=False) and by_rank(scheme)
-        assert scheme_correctness(scheme) == CorrectnessReport(True, 17, None)
-        assert scheme_privacy(scheme) == PrivacyReport(True, 17, 17, False, None, None)
+        assert not by_rank(scheme, None, privacy=False) and by_rank(scheme, None, True)
+        correct, private = scheme_correctness(scheme), scheme_privacy(scheme)
+        assert correct == CorrectnessReport(True, 17, None) and not correct.ranked
+        assert private == PrivacyReport(True, 17, 17, False, None, None) and private.ranked
 
 
 class TestProbe:
@@ -1040,6 +1042,8 @@ class TestVerdictLine:
     def test_power_forms(self):
         assert power_text(5**4, 5) == "5^4"
         assert power_text(0, 5) == "0"
+        # q itself in decimal, as enumeration counts it
+        assert power_text(5, 5) == "5"
         assert power_text(75, 5) == "75"
         assert power_text(257**2016, 257) == "257^2016"
         assert case_text(split_scheme(q5_instance()[0])) == "5^6*3"
