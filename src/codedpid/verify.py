@@ -18,23 +18,25 @@ property.  All counting is exact integer arithmetic; no entropies, no
 floats.
 
 Evaluation is batched.  The audit walks the inputs in ``itertools.product``
-order (message symbols, then mask symbols) as rows of int64 digits, one
-aligned block at a time: the q^t inputs that share all but their last t
-digits, for the largest q^t <= ``CHUNK_ROWS``.  The table of trailing digits
-is built once per audit; a block fills in only its leading digits.  One
-``answers`` call gives every request d = 1..K for each row of a block, and
-that one array feeds both the decode check and the census keys.  A scheme's
-stages are maps mod q applied to a whole block at once, so a case costs a
-share of a few numpy calls instead of its own Python work, and the arrays of
-one block stay well under 1 MB whatever the budget.  The mask digits vary
-fastest, so storage is built once per message tuple of a block and repeated
-over its masks.  One order-free tally, ``_Census``, counts integer keys in
-groups: in one dense ``bincount`` array while groups times keys is at
-most ``DENSE_CENSUS_KEYS``, else in per-group maps of the keys seen.  The
-privacy census is K groups of (q+1)^N answer keys (base-(q+1) digits, q for
-silence).  A leak's witness is the smallest key whose count differs between
-request 1 and the first request that differs: the answer vector first
-server by server, symbols ascending, silence last.
+order (message symbols, then mask symbols) one aligned block at a time: the
+q^t inputs that share all but their last t digits, for the largest q^t <=
+``CHUNK_ROWS``.  A block is a (width, B) table of int64 digits, its B rows
+(one per input) on the last axis: the trailing digits are built once per
+audit, and a block fills in only its leading digits, one broadcast column.
+One ``answers`` call gives every request d = 1..K for each row of a block,
+and that one array feeds both the decode check and the census keys.  A
+scheme's stages are maps mod q applied to a whole block at once, with the
+block's rows innermost, so each numpy call runs one contiguous loop over
+them and a case costs a share of a few calls instead of its own Python
+work; the arrays of one block stay well under 1 MB whatever the budget.  The
+mask digits vary fastest, so storage is built once per message tuple of a
+block and repeated over its masks.  One order-free tally, ``_Census``,
+counts integer keys in groups: in one dense ``bincount`` array while groups
+times keys is at most ``DENSE_CENSUS_KEYS``, else in per-group maps of the
+keys seen.  The privacy census is K groups of (q+1)^N answer keys
+(base-(q+1) digits, q for silence).  A leak's witness is the smallest key
+whose count differs between request 1 and the first request that differs:
+the answer vector first server by server, symbols ascending, silence last.
 
 Every scheme here is affine and described once, by one private
 constructor: request d answers A_d*[w_d; u] + b_d on the servers its
@@ -153,18 +155,18 @@ class SchemeUnderTest:
     """The three stages of a delivery scheme, as callables on batches, and
     the affine maps they compute.
 
-    Each stage maps int64 arrays with one row per input to the same; the
-    value q, outside F_q, marks "no symbol".
+    Each stage maps int64 arrays of B rows, one per input and on the last
+    axis, to the same; the value q, outside F_q, marks "no symbol".
 
-    * ``build_storage(w)``: message symbols, shape (B, K*L) with message k in
-      columns (k-1)*L .. k*L-1, to the storage of each row, an array of B
-      rows in whatever layout ``answers`` reads.
+    * ``build_storage(w)``: message symbols, shape (K*L, B) with message k
+      at (k-1)*L .. k*L-1 on the first axis, to the storage of each row, an
+      array with its B rows last in whatever layout ``answers`` reads.
     * ``answers(storage, mask)``: storage and mask symbols, shape
-      (B, mask_len), to every server's answer to every request, shape
-      (B, K, N): entry [b, d-1, j] is server j+1's answer to request d, or q
+      (mask_len, B), to every server's answer to every request, shape
+      (K, N, B): entry [d-1, j, b] is server j+1's answer to request d, or q
       for a server that sends nothing.
     * ``decode(answers)``: answers of that shape to the decoded symbols,
-      shape (B, K, L): entry [b, d-1] is what request d decodes to.
+      shape (K, L, B): entry [d-1, :, b] is what request d decodes to.
 
     Stages are called with positional arguments only and must be row-wise:
     row b of a stage's output depends on row b of its inputs alone, so a
@@ -186,15 +188,21 @@ class SchemeUnderTest:
     maps: AffineMaps
 
 
+def _mod(x, q: int):
+    """``x % q`` for non-negative int64 ``x``: numpy divides by a scalar
+    through a fast path that its remainder does not take."""
+    return x - x // q * q
+
+
 def _affine_scheme(
     name: str, config: PidConfig, encoders, shares, sends, decoder, offset
 ) -> SchemeUnderTest:
     """The scheme of the module docstring's A_d, b_d and D_d: ``encoders``
     (K, L, L) stacks each E_d, None for raw symbols; ``shares`` is G,
     (mask_len, N); ``sends`` (K, N), ``decoder`` (K, L, N) and ``offset``
-    (K, N).  Storage [b, k-1, j] is what server j+1 holds of message k, or q.
-    The shares and the decoding are int64, exact within the stage bound of
-    ``by_rank``; storage is exact at every q (``mod_matmul``).
+    (K, N).  Storage [k-1, j, b] is what server j+1 holds of message k, or
+    q.  The shares and the decoding are int64, exact within the stage bound
+    of ``by_rank``; storage is exact at every q (``mod_matmul``).
     """
     q, k, n, l = config.modulus, config.k_messages, config.n_servers, config.msg_len
     hosts = np.array(config.association) - 1
@@ -202,34 +210,29 @@ def _affine_scheme(
     placed = np.eye(n, dtype=np.int64)[hosts].transpose(0, 2, 1)
     if encoders is not None:
         placed = mod_matmul(placed, encoders, q)
-    # where message k's i-th host sits in a row of K*N storage cells, and
-    # the corruption there
+    # where message k's i-th host sits among the K*N storage cells, and the
+    # corruption there
     cells = (np.arange(0, k * n, n)[:, None] + hosts).ravel()
-    shift = offset.ravel()[cells]
+    shift = offset.ravel()[cells, None]
     # silence read as 0: D_d is zero on the servers d silences
     decoder = decoder * sends[:, None, :]
-    decoder_t = np.ascontiguousarray(decoder.transpose(0, 2, 1))
 
     def build_storage(w):
-        b = len(w)
         if encoders is not None:
-            w = mod_matmul(encoders, w.reshape(b, k, l, 1), q).reshape(b, k * l)
-        stored = np.full((b, k * n), q, dtype=np.int64)
-        stored[:, cells] = (w + shift) % q if shift.any() else w
-        return stored.reshape(b, k, n)
+            w = mod_matmul(encoders, w.reshape(k, l, -1), q).reshape(k * l, -1)
+        stored = np.full((k * n, w.shape[1]), q, dtype=np.int64)
+        stored[cells] = _mod(w + shift, q) if shift.any() else w
+        return stored.reshape(k, n, -1)
 
     def answers(storage, mask):
         # A server holding nothing of message d has the marker q there, which
         # is 0 mod q: it sends its mask share alone.
-        heard = (storage + (mask @ shares)[:, None, :]) % q
-        heard[:, ~sends] = q
+        heard = _mod(storage + shares.T @ mask, q)
+        heard[~sends] = q
         return heard
 
     def decode(answers):
-        # one product per request, written in (B, K, L) order: no copy later
-        decoded = np.empty((len(answers), k, l), np.int64)
-        np.matmul(answers.transpose(1, 0, 2), decoder_t, out=decoded.transpose(1, 0, 2))
-        return decoded % q
+        return _mod(decoder @ answers, q)
 
     mask_columns = np.broadcast_to(shares.T, (k, n, len(shares)))
     linear = np.concatenate((placed, mask_columns), axis=2)
@@ -355,7 +358,7 @@ def by_rank(scheme: SchemeUnderTest, budget: int | None, privacy: bool) -> bool:
 def _inputs(scheme: SchemeUnderTest):
     """Yield (index of the first input, message symbols, mask symbols,
     storage) for every block of consecutive inputs, in ``itertools.product``
-    order.
+    order, each with its rows (one per input) on the last axis.
 
     A block is the q^t inputs that share all but their last t digits, with
     q^t <= ``CHUNK_ROWS``: the trailing-digit table is built once and each
@@ -369,7 +372,7 @@ def _inputs(scheme: SchemeUnderTest):
     q = scheme.modulus
     msg_width = scheme.k_messages * scheme.msg_len
     width = _width(scheme)
-    powers = np.array([q**e for e in reversed(range(width))], dtype=np.int64)
+    powers = np.array([[q**e] for e in reversed(range(width))], dtype=np.int64)
     t = 0
     while t < width and q ** (t + 1) <= CHUNK_ROWS:
         t += 1
@@ -377,20 +380,20 @@ def _inputs(scheme: SchemeUnderTest):
         inputs = q**width
         for start in range(0, inputs, CHUNK_ROWS):
             index = np.arange(start, min(start + CHUNK_ROWS, inputs), dtype=np.int64)
-            digits = index[:, None] // powers % q
-            w = digits[:, :msg_width]
-            yield start, w, digits[:, msg_width:], scheme.build_storage(w)
+            digits = _mod(index // powers, q)
+            w = digits[:msg_width]
+            yield start, w, digits[msg_width:], scheme.build_storage(w)
         return
     rows, lead = q**t, width - t
-    digits = np.empty((rows, width), dtype=np.int64)
-    digits[:, lead:] = np.arange(rows, dtype=np.int64)[:, None] // powers[lead:] % q
-    w, mask = digits[:, :msg_width], digits[:, msg_width:]
+    digits = np.empty((width, rows), dtype=np.int64)
+    digits[lead:] = _mod(np.arange(rows, dtype=np.int64) // powers[lead:], q)
+    w, mask = digits[:msg_width], digits[msg_width:]
     stride = q ** min(scheme.mask_len, t)
     for block, leading in enumerate(itertools.product(range(q), repeat=lead)):
-        digits[:, :lead] = leading
-        storage = scheme.build_storage(w[::stride])
+        digits[:lead] = np.reshape(leading, (lead, 1))
+        storage = scheme.build_storage(w[:, ::stride])
         if stride > 1:
-            storage = np.repeat(storage, stride, axis=0)
+            storage = np.repeat(storage, stride, axis=2)
         yield block * rows, w, mask, storage
 
 
@@ -440,16 +443,16 @@ def _first_failure(
     when every case of the block decodes."""
     k, l = scheme.k_messages, scheme.msg_len
     decoded = scheme.decode(answers)
-    # Message d's columns of w are what request d must decode to.
-    wrong = decoded.reshape(len(w), k * l) != w
+    # w[(d-1)*L : d*L] is what request d must decode to.
+    wrong = decoded.reshape(k * l, -1) != w
     if not wrong.any():
         return None
-    # wrong[i, (d-1)*L : d*L]: input start+i decodes request d wrongly.
-    # Row-major order is enumeration order, so argmax finds the first failure.
-    first = int(wrong.reshape(len(w), k, l).any(axis=2).argmax())
+    # wrong[(d-1)*L : d*L, i]: input start+i decodes request d wrongly.
+    # (input, request) order is enumeration order: argmax finds the first.
+    first = int(wrong.reshape(k, l, -1).any(axis=1).T.argmax())
     row, d0 = divmod(first, k)
-    x = np.concatenate((w[row], mask[row]))
-    return _failed(scheme, start * k + first + 1, x, d0, decoded[row, d0])
+    x = np.concatenate((w[:, row], mask[:, row]))
+    return _failed(scheme, start * k + first + 1, x, d0, decoded[d0, :, row])
 
 
 class _Census:
@@ -465,21 +468,21 @@ class _Census:
         self.dense = groups * keys <= DENSE_CENSUS_KEYS
         if self.dense:
             # group g's key x counts at g*keys + x
-            self.offsets = np.arange(0, groups * keys, keys, dtype=np.int64)
+            self.offsets = np.arange(0, groups * keys, keys, dtype=np.int64)[:, None]
             self.tally = np.zeros(groups * keys, dtype=np.int64)
         else:
             self.maps: list[dict[int, int]] = [dict() for _ in range(groups)]
 
     def add(self, keys) -> None:
-        """Count a block's keys, shape (B, groups): column g is group g's."""
+        """Count a block's keys, shape (groups, B): keys[g] are group g's."""
         self.cases += keys.size
         if self.dense:
             self.tally += np.bincount(
                 (keys + self.offsets).ravel(), minlength=self.tally.size
             )
             return
-        for column, counts in zip(keys.T, self.maps):
-            seen, hits = np.unique(column, return_counts=True)
+        for row, counts in zip(keys, self.maps):
+            seen, hits = np.unique(row, return_counts=True)
             for key, hit in zip(seen.tolist(), hits.tolist()):
                 counts[key] = counts.get(key, 0) + hit
 
@@ -511,11 +514,11 @@ def _audit(
         if correctness and report is None:
             report = _first_failure(scheme, start, w, mask, answers)
             if report is None:
-                checked += len(w) * k
+                checked += w.shape[1] * k
             elif census is None:
                 break
         if census is not None:
-            census.add(answers @ weights)
+            census.add(weights @ answers)
     if correctness and report is None:
         report = CorrectnessReport(passed=True, cases=checked, counterexample=None)
     return report, census

@@ -501,12 +501,12 @@ class TestWireCensus:
             return got
 
         census = [Counter() for _ in range(k)]
-        w = np.array(list(itertools.product(range(q), repeat=k * l)))
+        w = np.array(list(itertools.product(range(q), repeat=k * l))).T
         storage = scheme.build_storage(w)
         for u in range(q):
-            answers = scheme.answers(storage, np.full((len(w), 1), u))
+            answers = scheme.answers(storage, np.full((1, w.shape[1]), u))
             for d in range(1, k + 1):
-                for row in answers[:, d - 1].tolist():
+                for row in answers[d - 1].T.tolist():
                     census[d - 1][answer_bytes(tuple((a,) for a in row))] += 1
 
         assert census[0] == census[1] == census[2]

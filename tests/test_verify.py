@@ -148,38 +148,77 @@ class TestSchemesAgree:
             scheme = masked_scheme(config, code)
             messages = random_messages(config, seed=77)
             q = config.modulus
-            w = np.array([[s for m in messages for s in m.symbols]])
+            w = np.array([[s for m in messages for s in m.symbols]]).T
             storage = scheme.build_storage(w)
             states = encode_storage(config, code, messages)
             for st in states:
-                # the masked scheme stores message k of server j at [b, k-1, j-1]
-                stored = storage[0, :, st.server_id - 1].tolist()
+                # the masked scheme stores message k of server j at [k-1, j-1, b]
+                stored = storage[:, st.server_id - 1, 0].tolist()
                 assert {k + 1: s for k, s in enumerate(stored) if s != q} == {
                     k: syms[0] for k, syms in st.fragments
                 }
             rnd = draw_randomness(code, seed=3)
             masked = attach_shares(states, rnd)
-            mask = np.array([rnd.mask_vector], dtype=np.int64)
+            mask = np.array([rnd.mask_vector], dtype=np.int64).T
             answers = scheme.answers(storage, mask)
             decoded = scheme.decode(answers)
             for d in range(1, config.k_messages + 1):
-                a = answers[:, d - 1]
-                assert tuple((s,) for s in a[0].tolist()) == answer_vector(masked, d)
-                assert tuple(decoded[0, d - 1].tolist()) == messages[d - 1].symbols
+                a = answers[d - 1, :, 0]
+                assert tuple((s,) for s in a.tolist()) == answer_vector(masked, d)
+                assert tuple(decoded[d - 1, :, 0].tolist()) == messages[d - 1].symbols
 
     def test_k64_storage_needs_no_dense_encode_matrix(self):
         # A dense (K*L) x (K*N) int64 encode matrix of the K64 layout is
         # 2048 * 4096 * 8 bytes = 67 MB; the 200 rows built here are 6.6 MB.
         config, code = k64_instance()
-        w = np.random.default_rng(0).integers(0, 257, size=(200, 64 * 32))
+        w = np.random.default_rng(0).integers(0, 257, size=(64 * 32, 200))
         tracemalloc.start()
         try:
             storage = masked_scheme(config, code).build_storage(w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert storage.shape == (200, 64, 64)
+        assert storage.shape == (64, 64, 200)
         assert peak < 25 * 10**6
+
+
+class TestRowsLast:
+    """Every stage takes a block's inputs on its last axis and is row-wise:
+    a random block gives, column by column, what each input gives alone."""
+
+    def schemes(self):
+        config, code = q5_instance()
+        yield masked_scheme(config, code)
+        yield split_scheme(config)
+        yield long_mask_scheme()
+        for _, scheme in corrupt_cells(config, code, deltas=(1, 4)):
+            yield scheme
+
+    def test_block_equals_its_columns(self):
+        rng = np.random.default_rng(18)
+        schemes = list(self.schemes())
+        assert len(schemes) == 15
+        for scheme in schemes:
+            q, k, l, n = scheme.modulus, scheme.k_messages, scheme.msg_len, scheme.n_servers
+            x = rng.integers(0, q, size=(k * l + scheme.mask_len, 37))
+            storage = scheme.build_storage(x[: k * l])
+            answers = scheme.answers(storage, x[k * l :])
+            decoded = scheme.decode(answers)
+            assert (answers.shape, decoded.shape) == ((k, n, 37), (k, l, 37))
+            for b in range(37):
+                one = x[:, b : b + 1]
+                alone = scheme.build_storage(one[: k * l])
+                heard = scheme.answers(alone, one[k * l :])
+                assert (alone[..., 0] == storage[..., b]).all(), scheme.name
+                assert (heard[..., 0] == answers[..., b]).all(), scheme.name
+                assert (scheme.decode(heard)[..., 0] == decoded[..., b]).all(), scheme.name
+
+    def test_reduction_matches_remainder(self):
+        # the stage bound N*(q-1)^2 + q - 1 at N = 2 and the largest
+        # admitted q, and the largest int64
+        q = 2**31 - 1
+        x = np.array([0, q - 1, q, 2 * (q - 1) ** 2 + q - 1, 2**63 - 1], dtype=np.int64)
+        assert (codedpid.verify._mod(x, q) == np.remainder(x, q)).all()
 
 
 class TestExhaustiveQ5:
@@ -244,7 +283,7 @@ class TestSplitControl:
         config, code = q5_instance()
         masked = masked_scheme(config, code)
         split = split_scheme(config)
-        w = np.array([[s for m in random_messages(config, seed=5) for s in m.symbols]])
+        w = np.array([[s for m in random_messages(config, seed=5) for s in m.symbols]]).T
         # the marker q (= 5) stands for "stores nothing"
         masked_cost = int((masked.build_storage(w) != 5).sum())
         split_cost = int((split.build_storage(w) != 5).sum())
@@ -342,10 +381,10 @@ def oracle_correctness(scheme):
     q, k, l = scheme.modulus, scheme.k_messages, scheme.msg_len
     cases = 0
     for x in itertools.product(range(q), repeat=k * l + scheme.mask_len):
-        storage = scheme.build_storage(np.array([x[: k * l]], dtype=np.int64))
-        answers = scheme.answers(storage, np.array([x[k * l :]], dtype=np.int64))
+        storage = scheme.build_storage(np.array([x[: k * l]], dtype=np.int64).T)
+        answers = scheme.answers(storage, np.array([x[k * l :]], dtype=np.int64).T)
         for d in range(1, k + 1):
-            decoded = tuple(scheme.decode(answers)[0, d - 1].tolist())
+            decoded = tuple(scheme.decode(answers)[d - 1, :, 0].tolist())
             cases += 1
             if decoded != x[(d - 1) * l : d * l]:
                 messages = tuple(x[i * l : (i + 1) * l] for i in range(k))
@@ -361,10 +400,10 @@ def oracle_census(scheme):
     census = [{} for _ in range(k)]
     cases = 0
     for x in itertools.product(range(q), repeat=k * l + scheme.mask_len):
-        storage = scheme.build_storage(np.array([x[: k * l]], dtype=np.int64))
-        answers = scheme.answers(storage, np.array([x[k * l :]], dtype=np.int64))
+        storage = scheme.build_storage(np.array([x[: k * l]], dtype=np.int64).T)
+        answers = scheme.answers(storage, np.array([x[k * l :]], dtype=np.int64).T)
         for d in range(1, k + 1):
-            row = answers[0, d - 1].tolist()
+            row = answers[d - 1, :, 0].tolist()
             key = tuple(() if a == q else (a,) for a in row)
             census[d - 1][key] = census[d - 1].get(key, 0) + 1
             cases += 1
@@ -468,7 +507,7 @@ class TestBatchedMatchesPerCase:
         late = dataclasses.replace(
             honest,
             build_storage=lambda w: np.where(
-                w[:, 1, None, None] > 0, corrupt.build_storage(w), honest.build_storage(w)
+                w[1] > 0, corrupt.build_storage(w), honest.build_storage(w)
             ),
         )
         report = scheme_correctness(late)
@@ -596,11 +635,11 @@ class TestStorageOncePerMessageTuple:
         build, answer = scheme.build_storage, scheme.answers
 
         def build_storage(w):
-            rows.append(len(w))
+            rows.append(w.shape[1])
             return build(w)
 
         def answers(storage, mask):
-            answered.append(len(storage))
+            answered.append(storage.shape[2])
             return answer(storage, mask)
 
         if answered is not None:
@@ -715,15 +754,15 @@ class TestExactness:
 
         honest = masked_scheme(config, code)
         w = np.array([[q - 1, q - 1], [q - 1, 0], [12345, q - 2]])
-        storage = honest.build_storage(w)
+        storage = honest.build_storage(w.T)
         inverse = code.h_sub_inverse((0, 1))
         # the one message's symbols on servers 1 and 2
-        for row, stored in zip(w.tolist(), storage[:, 0].tolist()):
+        for row, stored in zip(w.tolist(), storage[0].T.tolist()):
             assert stored == [
                 sum(c * x for c, x in zip(inv_row, row)) % q for inv_row in inverse
             ]
-        decoded = honest.decode(honest.answers(storage, np.zeros((3, 0), np.int64)))
-        assert decoded[:, 0].tolist() == w.tolist()
+        decoded = honest.decode(honest.answers(storage, np.zeros((0, 3), np.int64)))
+        assert decoded[0].T.tolist() == w.tolist()
 
     def test_next_prime_refused(self):
         # 2147483659 is the first prime past 2^31 - 1: its q^2 cases fit a
@@ -972,15 +1011,15 @@ class TestRankCertificate:
         for scheme in schemes:
             q, k, l = scheme.modulus, scheme.k_messages, scheme.msg_len
             maps = scheme.maps
-            x = rng.integers(0, q, size=(20, k * l + scheme.mask_len))
-            answers = scheme.answers(scheme.build_storage(x[:, : k * l]), x[:, k * l :])
+            x = rng.integers(0, q, size=(k * l + scheme.mask_len, 20))
+            answers = scheme.answers(scheme.build_storage(x[: k * l]), x[k * l :])
             for d in range(k):
-                local = np.concatenate((x[:, d * l : (d + 1) * l], x[:, k * l :]), axis=1)
-                expected = (local @ maps.linear[d].T + maps.offset[d]) % q
-                expected[:, ~maps.sends[d]] = q
-                assert (answers[:, d] == expected).all(), scheme.name
-                heard = np.where(maps.sends[d], answers[:, d], 0)
-                assert (heard @ maps.decoder[d].T % q == scheme.decode(answers)[:, d]).all()
+                local = np.concatenate((x[d * l : (d + 1) * l], x[k * l :]))
+                expected = (maps.linear[d] @ local + maps.offset[d][:, None]) % q
+                expected[~maps.sends[d]] = q
+                assert (answers[d] == expected).all(), scheme.name
+                heard = np.where(maps.sends[d][:, None], answers[d], 0)
+                assert (maps.decoder[d] @ heard % q == scheme.decode(answers)[d]).all()
 
     def test_rank_path_evaluates_no_case(self):
         # past the budget the stages never run; within it the maps are never
