@@ -17,11 +17,11 @@ Past enumeration, the same verdicts come exactly from ranks.
 
 from codedpid.instances import q5_instance, q11_instance
 from codedpid.verify import (
+    DEFAULT_BUDGET,
     case_count,
     case_text,
     masked_scheme,
     power_text,
-    resolve_budget,
     scheme_audit,
     scheme_correctness,
     scheme_privacy,
@@ -82,7 +82,7 @@ config11, code11 = q11_instance()
 scheme11 = masked_scheme(config11, code11)
 c, p = scheme_audit(scheme11)
 print("\n6-server instance, %d cases > budget %d: certified by rank" % (
-    case_count(scheme11), resolve_budget()))
+    case_count(scheme11), DEFAULT_BUDGET))
 print(verdict_line("correctness", "q11-k8", c.passed, case_text(scheme11)))
 print(verdict_line("privacy", "q11-k8", p.passed, case_text(scheme11)))
 print("  every request's answers cover all %s vectors, each %s times" % (

@@ -142,13 +142,14 @@ def randomness_overheads(
 
     The dealer draws N-L mask symbols per delivery of L symbols: total
     overhead (N-L)/L = N/L - 1, of which each server holds a 1/L share.
+    With L = N no mask is drawn, so a server holds no share of it.
     """
     _check_positive(k_messages=k_messages, n_servers=n_servers, msg_len=msg_len)
     if msg_len > n_servers:
         raise ValueError(f"message length {msg_len} exceeds {n_servers} servers")
     return RandomnessReport(
         total=Fraction(n_servers, msg_len) - 1,
-        per_server=Fraction(1, msg_len),
+        per_server=Fraction(1 if msg_len < n_servers else 0, msg_len),
     )
 
 

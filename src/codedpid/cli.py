@@ -9,12 +9,13 @@ Subcommands::
     pid table-l --k-range A:B --n-range A:B        valid message lengths
 
 Exit codes: 0 success, 2 bad input, 3 verification failure.  ``pid verify``
-enumerates every case within its budget (default 10^7, else PID_BUDGET or
-``--budget``) where int64 holds the audit exactly, and certifies by rank
-otherwise, so a valid config ends in a verdict, 0 or 3.  ``main`` reports
-every refusal, the command line's (``CliError``) and the library's (any
-``ValueError``), and any file that cannot be read or written (``OSError``),
-as one ``error:`` line and exit 2.
+enumerates every case of a small instance (at most 10^7 cases, q <= 1024
+and, for privacy, a census of at most 2^21 counters) and certifies by rank
+otherwise, as ``verify.by_rank`` decides from the instance alone, so a
+valid config ends in a verdict, 0 or 3.  ``main`` reports every refusal,
+the command line's (``CliError``) and the library's (any ``ValueError``),
+and any file that cannot be read or written (``OSError``), as one
+``error:`` line and exit 2.
 
 Config files are ``key = value`` lines; values are Python literals (lists,
 ints, quoted strings) with ``#`` comments outside quotes.  Keys: q, K, N, L,
@@ -458,7 +459,6 @@ def cmd_verify(args) -> int:
         scheme = verify_mod.masked_scheme(config, code, corrupt=corrupt)
     c_report, p_report = verify_mod.scheme_audit(
         scheme,
-        budget=args.budget,
         correctness=args.property != "privacy",
         privacy=args.property != "correctness",
     )
@@ -583,9 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("-c", "--config", help="config file")
     p_verify.add_argument("--property", choices=["correctness", "privacy", "both"],
                           default="both")
-    p_verify.add_argument("--budget", type=int, default=None,
-                          help="max exhaustive cases, past which the audit is by "
-                               "rank (default 10^7 or PID_BUDGET)")
     p_verify.add_argument("--scheme", choices=["masked", "split"], default="masked",
                           help="audit the real scheme or the unmasked negative control")
     p_verify.add_argument("--corrupt", default=None, metavar="N,K,POS,DELTA",

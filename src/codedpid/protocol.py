@@ -529,14 +529,23 @@ def _coded_layout(
     draw=draw_randomness,
 ) -> _Layout:
     """The coded scheme on all N servers.  The wire round passes as
-    ``encode`` and ``draw`` the names it looks up in its own module."""
+    ``encode`` and ``draw`` the names it looks up in its own module.
+    ``randomness``, when given, must be what ``draw_randomness`` makes of
+    its mask vector: N shares, each in F_q, that the decoder cancels."""
     config._check_message(d)
     storage = encode(config, code, messages)
     if randomness is None:
         randomness = draw(code, seed)
-    if len(randomness.shares) != config.n_servers:
+    elif len(randomness.shares) != config.n_servers:
         raise ValueError(
             f"{len(randomness.shares)} shares for {config.n_servers} servers"
+        )
+    elif len(randomness.mask_vector) != code.mask_len or randomness != draw_randomness(
+        code, mask=randomness.mask_vector
+    ):
+        raise ValueError(
+            "randomness is not this code's: its shares must be its mask vector "
+            f"times the generator mod {config.modulus}"
         )
     transcript = functools.partial(
         DeliveryTranscript,

@@ -38,9 +38,10 @@ their fields are bounded where they enter: the wire format bounds what is
 parsed; every layout's modulus is a prime below 2^32
 (``codes.check_modulus``); an actor refuses, when it is built, an id that
 does not fit 2 bytes and a server a modulus above 2^32, so every symbol it
-sends, reduced mod q, fits 4 bytes; ``_run_phases`` checks once per round
-that the shares and the request fit 4 bytes; and the user checks the
-symbols its decoder returns.
+sends, reduced mod q, fits 4 bytes; the shares are residues mod q
+(``protocol`` refuses randomness that is not the code's); ``_run_phases``
+checks once per round that the request fits 4 bytes; and the user checks
+the symbols its decoder returns.
 
 The router forwards every frame and enforces the topology: servers never
 talk to each other.  Actors validate every frame they receive and raise
@@ -482,15 +483,13 @@ def _run_phases(
 
     The storage frames were validated when they were built.  The share and
     deliver-command frames are built here without re-validation, after one
-    check per round: the shares and ``d`` must fit 4 bytes each, and the
-    user, built before the servers, refuses an id N+1 (the largest sender
-    of the round) that does not fit 2 bytes (``FrameError`` either way, as
-    ``Frame`` would raise).  One command frame goes to every server: frames
-    are immutable.
+    check per round: ``d`` must fit 4 bytes (the shares are residues mod
+    q, see ``protocol._coded_layout``), and the user, built before the
+    servers, refuses an id N+1 (the largest sender of the round) that does
+    not fit 2 bytes (``FrameError`` either way, as ``Frame`` would raise).
+    One command frame goes to every server: frames are immutable.
     """
     user_id = n_servers + 1
-    if shares:
-        _check_symbols(shares[:n_servers])
     _check_symbols((d,))
     user = UserActor(user_id, n_servers, decode_fn, modulus)
     router = Router(n_servers)

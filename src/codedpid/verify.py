@@ -1,5 +1,5 @@
 """Exact certification of correctness and privacy: by enumerating every
-case where that is exact and within the budget, by rank everywhere else.
+case of a small instance, by rank everywhere else.
 
 For a scheme with K messages of L symbols over F_q, N servers and an
 (N-L)-symbol mask, the joint input space has q^(K*L + N-L) points and each
@@ -28,15 +28,14 @@ and that one array feeds both the decode check and the census keys.  A
 scheme's stages are maps mod q applied to a whole block at once, with the
 block's rows innermost, so each numpy call runs one contiguous loop over
 them and a case costs a share of a few calls instead of its own Python
-work; the arrays of one block stay well under 1 MB whatever the budget.  The
+work; a block's answers are K*N*B int64, 8 MB for a split at N = 1024.  The
 mask digits vary fastest, so storage is built once per message tuple of a
-block and repeated over its masks.  One order-free tally, ``_Census``,
-counts integer keys in groups: in one dense ``bincount`` array while groups
-times keys is at most ``DENSE_CENSUS_KEYS``, else in per-group maps of the
-keys seen.  The privacy census is K groups of (q+1)^N answer keys
-(base-(q+1) digits, q for silence).  A leak's witness is the smallest key
-whose count differs between request 1 and the first request that differs:
-the answer vector first server by server, symbols ascending, silence last.
+block and repeated over its masks.  The privacy census is one order-free
+tally, a dense ``bincount`` array of K rows of (q+1)^N answer keys
+(base-(q+1) digits, q for silence).  A leak's witness is the smallest
+key whose count differs between request 1 and the first request that
+differs: the answer vector first server by server, symbols ascending,
+silence last.
 
 Every scheme here is affine and described once, by one private
 constructor: request d answers A_d*[w_d; u] + b_d on the servers its
@@ -48,33 +47,34 @@ masked protocol, with the encoder that serves ``pid deliver``, the unmasked
 split variant (a negative control: correct, and leaky whenever L < N) and
 fault-injected copies.
 
-The method follows from the input alone.  ``scheme_audit`` enumerates when
-the cases fit the budget (10**7 unless PID_BUDGET or a keyword argument says
-otherwise) and its int64 arithmetic is exact: a stage's values stay at most
-N*(q-1)^2 + q (storage sums L products of residues, the shares N-L, decoding
-N, plus a residue or the no-symbol marker q), the inputs are numbered below
-q^(K*L + N-L) and, when privacy is audited, the answer vectors are keyed
-below (q+1)^N; all three must be below 2^63.  Otherwise it certifies by rank
-(``by_rank``), exact for every q < 2^32 (``field.FieldMatrix``).  Request
-d's answers are uniform on the coset b_d + im A_d, each point hit
-q^(K*L + N-L - rank A_d) times.  Correctness holds exactly when D_d*A_d
-selects w_d and D_d*b_d = 0 for every d; privacy exactly when all requests
-share one silence pattern and one coset.  The counterexample and the witness
-are the ones enumeration finds; such reports are flagged ``ranked``.
+The method follows from the input alone (``by_rank``).  ``scheme_audit``
+enumerates when the cases are at most ``DEFAULT_BUDGET`` (10**7), a block
+holds the q inputs of at least one digit (q <= ``CHUNK_ROWS``) and, when
+privacy is audited, the census fits ``DENSE_CENSUS_KEYS`` counters.  Within those
+limits the int64 arithmetic is exact by construction: the inputs are
+numbered below 10**7, the census keys below 2**21, and a stage's values stay
+at most N*(q-1)^2 + q (storage sums L products of residues, the shares N-L,
+decoding N, plus a residue or the no-symbol marker q), below 2^63 for any N
+under 8*10**12.  Otherwise it certifies by rank, exact for every q < 2^32
+(``field.FieldMatrix``).  Request d's answers are uniform on the coset
+b_d + im A_d, each point hit q^(K*L + N-L - rank A_d) times.  Correctness
+holds exactly when D_d*A_d selects w_d and D_d*b_d = 0 for every d; privacy
+exactly when all requests share one silence pattern and one coset.  The
+counterexample and the witness are the ones enumeration finds; such reports
+are flagged ``ranked``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from codedpid.codes import CodePair
-from codedpid.field import FieldMatrix, int64_exact, mod_matmul
+from codedpid.field import FieldMatrix, mod_matmul
 from codedpid.protocol import PidConfig, _encoder
 
 __all__ = [
@@ -88,7 +88,6 @@ __all__ = [
     "case_count",
     "case_text",
     "power_text",
-    "resolve_budget",
     "by_rank",
     "scheme_audit",
     "scheme_correctness",
@@ -100,38 +99,17 @@ __all__ = [
     "verdict_line",
 ]
 
+# Most cases an audit enumerates; past it, the audit is by rank.
 DEFAULT_BUDGET = 10**7
-BUDGET_ENV_VAR = "PID_BUDGET"
 # Most inputs evaluated at once: an audit's blocks hold q^t inputs, the
-# largest power of q not above this (chunks of this many inputs when q is
-# larger).  Large enough that numpy's per-call overhead is small against the
-# work, small enough that a block's arrays stay cache-sized.
+# largest power of q not above this, and a larger q is audited by rank.
+# Large enough that numpy's per-call overhead is small against the work,
+# small enough that a block's arrays stay cache-sized.
 CHUNK_ROWS = 1024
-# Most counters, groups times keys per group, that a ``_Census`` keeps in
-# one dense array: 16 MiB of int64, and a block's bincount makes one more
-# array of that size.  Below it, that bincount costs less than merging the
-# block's distinct keys in Python; past it, the keys seen are kept in
-# per-group maps instead.
+# Most counters, groups times keys per group, that a privacy census keeps in
+# its one dense array: 16 MiB of int64, and a block's bincount makes one
+# more array of that size.  A wider census is audited by rank.
 DENSE_CENSUS_KEYS = 2**21
-_INT64_LIMIT = 2**63
-
-
-def resolve_budget(budget: int | None = None) -> int:
-    """Explicit argument, else PID_BUDGET from the environment, else default."""
-    if budget is None:
-        env = os.environ.get(BUDGET_ENV_VAR)
-        if env is None:
-            return DEFAULT_BUDGET
-        try:
-            budget = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    budget = int(budget)
-    if budget < 0:
-        raise ValueError(f"the exhaustive budget must be non-negative, got {budget}")
-    return budget
 
 
 class AffineMaps(NamedTuple):
@@ -201,8 +179,9 @@ def _affine_scheme(
     (K, L, L) stacks each E_d, None for raw symbols; ``shares`` is G,
     (mask_len, N); ``sends`` (K, N), ``decoder`` (K, L, N) and ``offset``
     (K, N).  Storage [k-1, j, b] is what server j+1 holds of message k, or
-    q.  The shares and the decoding are int64, exact within the stage bound
-    of ``by_rank``; storage is exact at every q (``mod_matmul``).
+    q.  The shares and the decoding are int64, exact while N*(q-1)^2 + q <
+    2^63, as at every q an audit enumerates; storage is exact at every q
+    (``mod_matmul``).
     """
     q, k, n, l = config.modulus, config.k_messages, config.n_servers, config.msg_len
     hosts = np.array(config.association) - 1
@@ -326,8 +305,8 @@ def case_count(scheme: SchemeUnderTest) -> int:
 
 
 def case_text(scheme: SchemeUnderTest) -> str:
-    """``case_count`` written as q^E*K: past the budget it can run to more
-    digits than ``str`` writes (257^2080*64 has 5012)."""
+    """``case_count`` written as q^E*K: past ``DEFAULT_BUDGET`` it can run
+    to more digits than ``str`` writes (257^2080*64 has 5012)."""
     return f"{scheme.modulus}^{_width(scheme)}*{scheme.k_messages}"
 
 
@@ -341,17 +320,17 @@ def power_text(count: int, q: int) -> str:
     return str(count)
 
 
-def by_rank(scheme: SchemeUnderTest, budget: int | None, privacy: bool) -> bool:
+def by_rank(scheme: SchemeUnderTest, privacy: bool) -> bool:
     """Whether ``scheme_audit`` certifies ``scheme`` by rank: its cases
-    exceed the budget, or enumerating them would leave int64 for a stage's
-    values, the input numbers or (when ``privacy`` is audited) the census
-    keys."""
-    q, n = scheme.modulus, scheme.n_servers
+    exceed ``DEFAULT_BUDGET``, q exceeds ``CHUNK_ROWS`` (a block could not
+    hold the q inputs of one digit) or, when ``privacy`` is audited, its
+    census needs more than ``DENSE_CENSUS_KEYS`` counters."""
+    q = scheme.modulus
+    counters = scheme.k_messages * (q + 1) ** scheme.n_servers
     return (
-        case_count(scheme) > resolve_budget(budget)
-        or not int64_exact(q, n)
-        or q ** _width(scheme) >= _INT64_LIMIT
-        or (privacy and (q + 1) ** n >= _INT64_LIMIT)
+        case_count(scheme) > DEFAULT_BUDGET
+        or q > CHUNK_ROWS
+        or (privacy and counters > DENSE_CENSUS_KEYS)
     )
 
 
@@ -361,29 +340,20 @@ def _inputs(scheme: SchemeUnderTest):
     order, each with its rows (one per input) on the last axis.
 
     A block is the q^t inputs that share all but their last t digits, with
-    q^t <= ``CHUNK_ROWS``: the trailing-digit table is built once and each
-    block fills in only its leading digits, in one buffer reused from block
-    to block.  The mask digits vary fastest, so a block holds each of its
-    message tuples q^min(mask_len, t) times in a row; ``build_storage`` runs
-    on one row per tuple and its rows are repeated (sound because it is
-    row-wise).  When q > ``CHUNK_ROWS`` (t = 0) the inputs come in chunks of
-    ``CHUNK_ROWS`` numbered inputs instead, with storage built for every row.
+    q <= q^t <= ``CHUNK_ROWS``: the trailing-digit table is built once and
+    each block fills in only its leading digits, in one buffer reused from
+    block to block.  The mask digits vary fastest, so a block holds each of
+    its message tuples q^min(mask_len, t) times in a row; ``build_storage``
+    runs on one row per tuple and its rows are repeated (sound because it is
+    row-wise).
     """
     q = scheme.modulus
     msg_width = scheme.k_messages * scheme.msg_len
     width = _width(scheme)
     powers = np.array([[q**e] for e in reversed(range(width))], dtype=np.int64)
-    t = 0
+    t = 1
     while t < width and q ** (t + 1) <= CHUNK_ROWS:
         t += 1
-    if t == 0:
-        inputs = q**width
-        for start in range(0, inputs, CHUNK_ROWS):
-            index = np.arange(start, min(start + CHUNK_ROWS, inputs), dtype=np.int64)
-            digits = _mod(index // powers, q)
-            w = digits[:msg_width]
-            yield start, w, digits[msg_width:], scheme.build_storage(w)
-        return
     rows, lead = q**t, width - t
     digits = np.empty((width, rows), dtype=np.int64)
     digits[lead:] = _mod(np.arange(rows, dtype=np.int64) // powers[lead:], q)
@@ -455,58 +425,22 @@ def _first_failure(
     return _failed(scheme, start * k + first + 1, x, d0, decoded[d0, :, row])
 
 
-class _Census:
-    """Exact counts of keys 0..``keys``-1 in ``groups`` groups, added block
-    by block in no order (see the module docstring for its two stores).
-
-    ``counts`` gives, per group, a map from each key seen to its count;
-    ``cases`` is the number of keys counted.
-    """
-
-    def __init__(self, groups: int, keys: int):
-        self.cases = 0
-        self.dense = groups * keys <= DENSE_CENSUS_KEYS
-        if self.dense:
-            # group g's key x counts at g*keys + x
-            self.offsets = np.arange(0, groups * keys, keys, dtype=np.int64)[:, None]
-            self.tally = np.zeros(groups * keys, dtype=np.int64)
-        else:
-            self.maps: list[dict[int, int]] = [dict() for _ in range(groups)]
-
-    def add(self, keys) -> None:
-        """Count a block's keys, shape (groups, B): keys[g] are group g's."""
-        self.cases += keys.size
-        if self.dense:
-            self.tally += np.bincount(
-                (keys + self.offsets).ravel(), minlength=self.tally.size
-            )
-            return
-        for row, counts in zip(keys, self.maps):
-            seen, hits = np.unique(row, return_counts=True)
-            for key, hit in zip(seen.tolist(), hits.tolist()):
-                counts[key] = counts.get(key, 0) + hit
-
-    def counts(self) -> list[dict[int, int]]:
-        if not self.dense:
-            return self.maps
-        return [
-            dict(zip(np.flatnonzero(tally).tolist(), tally[tally > 0].tolist()))
-            for tally in self.tally.reshape(len(self.offsets), -1)
-        ]
-
-
 def _audit(
     scheme: SchemeUnderTest, correctness: bool, privacy: bool
-) -> tuple[CorrectnessReport | None, _Census | None]:
+) -> tuple[CorrectnessReport | None, np.ndarray | None]:
     """The one pass behind ``scheme_audit``: the correctness report, or None,
-    and the filled census, or None."""
+    and the census, or None: a (K, (q+1)^N) array whose [d-1, x] counts the
+    inputs on which request d's answer vector has key x."""
     k = scheme.k_messages
     census = None
     if privacy:
         q, n = scheme.modulus, scheme.n_servers
-        # an answer vector's key: its base-(q+1) digits, q for silence
+        keys = (q + 1) ** n
+        # an answer vector's key: its base-(q+1) digits, q for silence;
+        # request d's keys are counted at (d-1)*keys + key
         weights = (q + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        census = _Census(k, (q + 1) ** n)
+        offsets = np.arange(0, k * keys, keys, dtype=np.int64)[:, None]
+        census = np.zeros(k * keys, dtype=np.int64)
     report = None
     checked = 0
     for start, w, mask, storage in _inputs(scheme):
@@ -518,10 +452,12 @@ def _audit(
             elif census is None:
                 break
         if census is not None:
-            census.add(weights @ answers)
+            census += np.bincount(
+                (weights @ answers + offsets).ravel(), minlength=census.size
+            )
     if correctness and report is None:
         report = CorrectnessReport(passed=True, cases=checked, counterexample=None)
-    return report, census
+    return report, None if census is None else census.reshape(k, -1)
 
 
 @dataclass(frozen=True)
@@ -557,40 +493,37 @@ class PrivacyReport:
     ranked: bool = field(default=False, compare=False)  # decided by rank
 
 
-def _privacy_report(scheme: SchemeUnderTest, census: _Census) -> PrivacyReport:
+def _privacy_report(scheme: SchemeUnderTest, census: np.ndarray) -> PrivacyReport:
     """Compare the K censuses: the smallest leaking answer key, if any, and
     whether the answers are uniform."""
     q, n = scheme.modulus, scheme.n_servers
-    counted = census.counts()
-    reference = counted[0]
+    reference = census[0]
+    differs = census != reference
     mismatch = None
-    for d, other in enumerate(counted[1:], start=2):
-        if other != reference:
-            key = min(
-                x for x in reference.keys() | other.keys()
-                if reference.get(x, 0) != other.get(x, 0)
-            )
-            # the key's base-(q+1) digits, server 1 first; q is silence
-            digits = [key // (q + 1) ** e % (q + 1) for e in reversed(range(n))]
-            mismatch = PrivacyMismatch(
-                answer=tuple(() if a == q else (a,) for a in digits),
-                request_a=1,
-                count_a=reference.get(key, 0),
-                request_b=d,
-                count_b=other.get(key, 0),
-            )
-            break
+    if differs.any():
+        # the first request whose census differs, at its smallest such key
+        d0 = int(differs.any(axis=1).argmax())
+        key = int(differs[d0].argmax())
+        # the key's base-(q+1) digits, server 1 first; q is silence
+        digits = [key // (q + 1) ** e % (q + 1) for e in reversed(range(n))]
+        mismatch = PrivacyMismatch(
+            answer=tuple(() if a == q else (a,) for a in digits),
+            request_a=1,
+            count_a=int(reference[key]),
+            request_b=d0 + 1,
+            count_b=int(census[d0, key]),
+        )
 
-    support = {key for counts in counted for key in counts}
+    support = int(census.any(axis=0).sum())
     # with one census for every request, its q^(K*L + N-L) inputs hit all
     # q^N answer vectors alike exactly when there are q^N of them, each
     # counted as often as the others
-    alike = len(set(reference.values())) == 1
-    uniform = mismatch is None and len(support) == q**n and alike
+    seen = reference[reference > 0]
+    uniform = mismatch is None and support == q**n and bool((seen == seen[0]).all())
     return PrivacyReport(
         passed=mismatch is None,
-        cases=census.cases,
-        distinct_answers=len(support),
+        cases=int(census.sum()),
+        distinct_answers=support,
         uniform=uniform,
         uniform_count=q ** (_width(scheme) - n) if uniform else None,
         mismatch=mismatch,
@@ -676,10 +609,7 @@ def _rank_privacy(scheme: SchemeUnderTest, maps: AffineMaps) -> PrivacyReport:
 
 
 def scheme_audit(
-    scheme: SchemeUnderTest,
-    budget: int | None = None,
-    correctness: bool = True,
-    privacy: bool = True,
+    scheme: SchemeUnderTest, *, correctness: bool = True, privacy: bool = True
 ) -> tuple[CorrectnessReport | None, PrivacyReport | None]:
     """Audit correctness and privacy in one pass over the inputs, or by
     rank where ``by_rank`` says so.
@@ -690,7 +620,7 @@ def scheme_audit(
     Decoding stops at the first failure; the census still counts every
     case, and a correctness-only audit stops there.
     """
-    if by_rank(scheme, budget, privacy):
+    if by_rank(scheme, privacy):
         return (
             _rank_correctness(scheme, scheme.maps) if correctness else None,
             _rank_privacy(scheme, scheme.maps) if privacy else None,
@@ -699,18 +629,14 @@ def scheme_audit(
     return c_report, None if census is None else _privacy_report(scheme, census)
 
 
-def scheme_correctness(
-    scheme: SchemeUnderTest, budget: int | None = None
-) -> CorrectnessReport:
+def scheme_correctness(scheme: SchemeUnderTest) -> CorrectnessReport:
     """Decode every (messages, mask, request) case; stop at the first failure."""
-    return scheme_audit(scheme, budget, privacy=False)[0]
+    return scheme_audit(scheme, privacy=False)[0]
 
 
-def scheme_privacy(
-    scheme: SchemeUnderTest, budget: int | None = None
-) -> PrivacyReport:
+def scheme_privacy(scheme: SchemeUnderTest) -> PrivacyReport:
     """Count every answer vector for every request and compare the censuses."""
-    return scheme_audit(scheme, budget, correctness=False)[1]
+    return scheme_audit(scheme, correctness=False)[1]
 
 
 def verdict_line(property_name: str, instance: str, passed: bool, cases: int) -> str:

@@ -125,7 +125,9 @@ class TestRandomnessOverheads:
         assert (r.total, r.per_server) == (Fraction(1, 2), Fraction(1, 4))
 
     def test_no_mask_when_l_equals_n(self):
-        assert randomness_overheads(2, 2, 2).total == 0
+        # no mask is drawn, so no server holds a share of one
+        r = randomness_overheads(2, 2, 2)
+        assert (r.total, r.per_server) == (0, 0)
 
     def test_uncoded_analogue(self):
         assert uncoded_randomness_overhead(8, 3) == Fraction(5, 3)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import codedpid.verify
 from codedpid.instances import q5_instance
 from codedpid.verify import masked_scheme, scheme_audit, split_scheme
 
@@ -48,7 +49,7 @@ def test_every_traced_name_exists(monkeypatch, tracing):
     ],
     ids=["masked", "split", "corrupt"],
 )
-def test_traced_schemes_audit(tracing, make, passed):
+def test_traced_schemes_audit(monkeypatch, tracing, make, passed):
     # the tracer's scheme wrap replaces every stage field and tallies each,
     # and keeps the maps that the rank path reads
     config, code = q5_instance()
@@ -62,5 +63,6 @@ def test_traced_schemes_audit(tracing, make, passed):
     assert tracer.calls["verify.decode"] > 0
     # by rank, no stage runs
     calls = dict(tracer.calls)
-    assert scheme_audit(scheme, budget=0) == scheme_audit(make(config, code), budget=0)
+    monkeypatch.setattr(codedpid.verify, "DEFAULT_BUDGET", 0)
+    assert scheme_audit(scheme) == scheme_audit(make(config, code))
     assert dict(tracer.calls) == calls

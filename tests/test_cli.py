@@ -292,6 +292,15 @@ class TestDeliver:
         frames = read_frame_log(q5_dir / "frames.log")
         assert len(frames) == 13
 
+    def test_no_mask_overhead_when_l_equals_n(self, capsys, tmp_path):
+        # K = N = L = 2 over F_2: no mask is drawn, so no server holds a share
+        cfg, inst = tmp_path / "full.cfg", str(tmp_path / "inst")
+        cfg.write_text("q = 2\nK = 2\nN = 2\nL = 2\n")
+        assert run(capsys, "setup", "-c", str(cfg), "-o", inst)[0] == 0
+        code, out, _ = run(capsys, "deliver", "-i", inst, "-d", "1")
+        assert code == 0
+        assert "mask overhead: total 0, per server 0\n" in out
+
     def test_transcript_content_and_reproducibility(self, capsys, q5_dir):
         run(capsys, "deliver", "-i", str(q5_dir), "-d", "1", "--seed", "7")
         first = (q5_dir / "transcript.txt").read_bytes()
@@ -413,47 +422,42 @@ class TestVerify:
         assert code == 2
         assert "stores nothing" in err
 
-    def test_q11_exceeds_budget(self, capsys, monkeypatch):
+    def test_q11_exceeds_budget(self, capsys):
         # 11^27 * 8 = 104879953531999442936491682968 cases: certified by rank
-        monkeypatch.delenv("PID_BUDGET", raising=False)
         code, out, err = run(capsys, "verify", "-c", str(Q11_CFG))
         assert (code, err) == (0, "")
         assert out.count("VERDICT=pass CASES=11^27*8\n") == 2
 
     def test_budget_flag(self, capsys):
-        code, out, err = run(capsys, "verify", "-c", str(Q5_CFG), "--budget", "100")
-        assert (code, err) == (0, "")
-        assert out.count("CASES=5^7*3\n") == 2
+        # the method follows from the instance: there is no budget to set
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "-c", str(Q5_CFG), "--budget", "100"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --budget 100" in err
 
     def test_budget_env(self, capsys, monkeypatch):
+        # PID_BUDGET is not read: q5 is still enumerated
         monkeypatch.setenv("PID_BUDGET", "100")
         code, out, _ = run(capsys, "verify", "-c", str(Q5_CFG))
         assert code == 0
-        assert out.count("CASES=5^7*3\n") == 2
-
-    def test_budget_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PID_BUDGET", "100")
-        code, _, _ = run(
-            capsys, "verify", "-c", str(Q5_CFG), "--budget", "300000",
-            "--property", "correctness"
-        )
-        assert code == 0
+        assert out.count("CASES=234375\n") == 2
 
     def test_garbage_budget_env(self, capsys, monkeypatch):
+        # nor refused
         monkeypatch.setenv("PID_BUDGET", "unlimited")
-        code, _, err = run(capsys, "verify", "-c", str(Q5_CFG))
-        assert code == 2
-        assert "PID_BUDGET must be an integer" in err
+        code, out, err = run(capsys, "verify", "-c", str(Q5_CFG))
+        assert (code, err) == (0, "")
+        assert out.count("CASES=234375\n") == 2
 
-    def test_negative_budget_is_bad_input(self, capsys, monkeypatch):
-        code, out, err = run(capsys, "verify", "-c", str(Q5_CFG), "--budget", "-1")
-        assert code == 2
+    def test_negative_budget_is_bad_input(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "-c", str(Q5_CFG), "--budget", "-1"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert "budget must be non-negative, got -1" in err
-        monkeypatch.setenv("PID_BUDGET", "-1")
-        code, _, err = run(capsys, "verify", "-c", str(Q5_CFG))
-        assert code == 2
-        assert "budget must be non-negative, got -1" in err
+        assert "unrecognized arguments: --budget -1" in err
 
     def test_negative_probe_is_bad_input(self, capsys):
         # the sampled probe is gone with its options
@@ -467,16 +471,15 @@ class TestVerify:
 
     def test_modulus_too_large_for_exact_audit(self, capsys, tmp_path):
         # 2147483659 is the first prime past 2^31 - 1, the largest modulus
-        # whose N=2 instances keep 2*(q-1)^2 + q below 2^63: its q^2 cases
-        # fit the raised budget, and rank decides them exactly
+        # whose N=2 stages keep 2*(q-1)^2 + q below 2^63; its q^2 cases are
+        # past the q <= 1024 that a block holds, and rank decides them
+        # exactly
         path = tmp_path / "big.cfg"
         path.write_text(
             "q = 2147483659\nK = 1\nN = 2\nL = 2\n"
             "mode = 'explicit'\nassociation = [[1, 2]]\n"
         )
-        code, out, err = run(
-            capsys, "verify", "-c", str(path), "--budget", str(10**19)
-        )
+        code, out, err = run(capsys, "verify", "-c", str(path))
         assert (code, err) == (0, "")
         assert out == (
             "PROPERTY=correctness INSTANCE=big VERDICT=pass CASES=2147483659^2*1\n"
@@ -486,7 +489,8 @@ class TestVerify:
 
     def split_cfg(self, tmp_path, k):
         # q=17 with 16 servers and K one-host messages: split answers are
-        # keyed by 18^16 > 2^63 values; K = 16 also makes 17^16 > 2^63 inputs
+        # keyed by 18^16 values, far past the 2^21 counters of a census;
+        # K = 16 also makes 17^16 * 16 cases, far past 10^7
         path = tmp_path / f"split-k{k}.cfg"
         hosts = [[j] for j in range(1, k + 1)]
         path.write_text(
@@ -495,17 +499,14 @@ class TestVerify:
         )
         return str(path)
 
-    def test_refusal_order(self, capsys, monkeypatch, tmp_path):
-        # past the budget, or past an int64 bound of the properties audited,
-        # a rank verdict; no config is refused
-        monkeypatch.delenv("PID_BUDGET", raising=False)
+    def test_refusal_order(self, capsys, tmp_path):
+        # past the case limit, or past the census bound when privacy is
+        # audited, a rank verdict; no config is refused
         both = ("--scheme", "split", "--property", "both")
         wide = self.split_cfg(tmp_path, 16)
-        for budget in ((), ("--budget", str(10**21))):
-            # 17^16 inputs cannot be numbered in int64 whatever the budget
-            code, out, err = run(capsys, "verify", "-c", wide, *both, *budget)
-            assert (code, err) == (3, "")
-            assert "PROPERTY=privacy INSTANCE=split-k16 VERDICT=fail CASES=17^16*16\n" in out
+        code, out, err = run(capsys, "verify", "-c", wide, *both)
+        assert (code, err) == (3, "")
+        assert "PROPERTY=privacy INSTANCE=split-k16 VERDICT=fail CASES=17^16*16\n" in out
         # 17 cases, but 18^16 census keys: privacy takes rank
         narrow = self.split_cfg(tmp_path, 1)
         code, out, err = run(capsys, "verify", "-c", narrow, *both)
@@ -525,12 +526,11 @@ class TestVerify:
 
     def test_golden_outputs(self, capsys, monkeypatch):
         # stdout and exit code of each run, recorded before the audits were
-        # batched (the last four, past the budget, when the rank certificate
-        # came); every byte must stay the same
-        monkeypatch.delenv("PID_BUDGET", raising=False)
+        # batched (the last three, on q11-k8 and by rank, when the rank
+        # certificate came); every byte must stay the same
         monkeypatch.chdir(REPO)
         golden = json.loads((Path(__file__).parent / "verify_golden.json").read_text())
-        assert len(golden) == 20
+        assert len(golden) == 19
         for entry in golden:
             code, out, _ = run(capsys, *entry["argv"])
             assert (code, out) == (entry["exit"], entry["stdout"]), entry["argv"]
@@ -587,7 +587,6 @@ class TestRefusals:
         # stdout, stderr and exit code of each run; every byte must stay the
         # same (CHANGES.md lists the entries that changed when the refusals
         # were gathered in ``main``)
-        monkeypatch.delenv("PID_BUDGET", raising=False)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "empty").mkdir()
         if "config" in entry:

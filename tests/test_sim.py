@@ -208,6 +208,37 @@ class TestRoundStructure:
                 simulate_round(config, code, messages, d, randomness=randomness)
             assert str(sim.value) == str(lib.value) == f"{count} shares for 3 servers"
 
+    @pytest.mark.parametrize(
+        "randomness",
+        [
+            # another modulus: q5-k3 once decoded (1, 2) for message 1 here
+            SharedRandomness((3,), (7, 8, 9), 11),
+            # N shares in F_5 that are not the mask times the generator
+            SharedRandomness((3,), (1, 2, 3), 5),
+            # a mask outside F_5, or of the wrong length, with the shares of 3
+            SharedRandomness((8,), (3, 4, 3), 5),
+            SharedRandomness((3, 0), (3, 4, 3), 5),
+        ],
+    )
+    def test_randomness_must_be_the_codes(self, randomness):
+        # randomness that is not what the code draws once gave a wrong answer
+        # on both transports, and a different one on each
+        config, code = q5_instance()
+        messages = random_messages(config, seed=1)
+        with pytest.raises(ValueError) as lib:
+            run_delivery(config, code, messages, 1, randomness=randomness)
+        with pytest.raises(ValueError) as sim:
+            simulate_round(config, code, messages, 1, randomness=randomness)
+        assert str(sim.value) == str(lib.value) == (
+            "randomness is not this code's: its shares must be its mask "
+            "vector times the generator mod 5"
+        )
+        own = draw_randomness(code, mask=(3,))
+        lib = run_delivery(config, code, messages, 1, randomness=own)
+        sim = simulate_round(config, code, messages, 1, randomness=own)
+        assert lib.decoded == sim.transcript.decoded == messages[0].symbols
+        assert lib.answers == sim.transcript.answers
+
 
 class TestSubsetRound:
     def test_coded_branch_structure(self):
@@ -1231,14 +1262,21 @@ class TestTrustedRoundFrames:
         for d in (2**32, -1):
             with pytest.raises(FrameError, match="4 bytes"):
                 run(2, 5, (), None, d, decode)
+        # shares outside F_q are refused before any frame is built, as the
+        # library refuses them
         config, code = q5_instance()
+        messages = random_messages(config, seed=1)
         good = draw_randomness(code, seed=1)
         for share in (2**32, -1):
             bad = SharedRandomness(good.mask_vector, (share,) + good.shares[1:], 5)
-            with pytest.raises(FrameError, match="4 bytes"):
-                simulate_round(
-                    config, code, random_messages(config, seed=1), 1, randomness=bad
-                )
+            with pytest.raises(ValueError) as lib:
+                run_delivery(config, code, messages, 1, randomness=bad)
+            with pytest.raises(ValueError) as sim:
+                simulate_round(config, code, messages, 1, randomness=bad)
+            assert str(sim.value) == str(lib.value) == (
+                "randomness is not this code's: its shares must be its mask "
+                "vector times the generator mod 5"
+            )
 
     def test_actors_outside_the_bounds_are_refused_when_built(self):
         for sender in (2**16, -1):

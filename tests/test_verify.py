@@ -1,4 +1,4 @@
-"""Exhaustive audit machinery: counts, censuses, budgets, fault injection.
+"""Exhaustive audit machinery: counts, censuses, the method rule, fault injection.
 
 Case counts are arithmetic facts (q^(K*L+mask) * K) and are frozen below;
 census sizes were derived by hand (answer supports and per-vector counts)
@@ -34,6 +34,7 @@ from codedpid.protocol import (
 from codedpid.verify import (
     CHUNK_ROWS,
     DEFAULT_BUDGET,
+    DENSE_CENSUS_KEYS,
     CorrectnessReport,
     Counterexample,
     PrivacyMismatch,
@@ -43,7 +44,6 @@ from codedpid.verify import (
     case_text,
     masked_scheme,
     power_text,
-    resolve_budget,
     scheme_audit,
     scheme_correctness,
     scheme_privacy,
@@ -74,53 +74,95 @@ class TestCaseCounts:
 
 
 class TestBudget:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("PID_BUDGET", raising=False)
-        assert resolve_budget() == DEFAULT_BUDGET == 10**7
+    """``by_rank`` reads the scheme and the properties audited, nothing
+    else: a fixed case limit, the block bound q <= CHUNK_ROWS and, for
+    privacy, the census bound."""
+
+    def test_default(self):
+        # the case limit is 10^7: a split of one 23-symbol message over F_2
+        # has 2^23 = 8388608 cases and is enumerated, one of 24 symbols has
+        # 2^24 = 16777216 and is ranked
+        assert DEFAULT_BUDGET == 10**7
+        for l, ranked in ((23, False), (24, True)):
+            scheme = split_scheme(make_association(2, 1, l, l))
+            assert case_count(scheme) == 2**l
+            assert by_rank(scheme, privacy=False) == ranked
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PID_BUDGET", "123456")
-        assert resolve_budget() == 123456
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("PID_BUDGET", "123456")
-        assert resolve_budget(99) == 99
+        # PID_BUDGET is not read: q5 is still enumerated under a tiny one
+        # and q11 still ranked under a huge one
+        monkeypatch.setenv("PID_BUDGET", "100")
+        report = scheme_correctness(masked_scheme(*q5_instance()))
+        assert report.cases == Q5_CASES and not report.ranked
+        monkeypatch.setenv("PID_BUDGET", str(10**40))
+        assert by_rank(masked_scheme(*q11_instance()), privacy=False)
 
     def test_invalid_env(self, monkeypatch):
+        # nor refused
         monkeypatch.setenv("PID_BUDGET", "lots")
-        with pytest.raises(ValueError, match="PID_BUDGET"):
-            resolve_budget()
+        assert scheme_privacy(masked_scheme(*q5_instance())).passed
 
-    def test_negative_budget_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="non-negative"):
-            resolve_budget(-1)
-        monkeypatch.setenv("PID_BUDGET", "-3")
-        with pytest.raises(ValueError, match="non-negative"):
-            resolve_budget()
+    def test_negative_budget_rejected(self):
+        # no audit takes a budget, negative or not
+        scheme = masked_scheme(*q5_instance())
+        for audit in (scheme_audit, scheme_correctness, scheme_privacy):
+            with pytest.raises(TypeError, match="budget"):
+                audit(scheme, budget=-1)
 
-    # Past the budget every scheme is certified by rank: the stages never
+    # Past the limit every scheme is certified by rank: the stages never
     # run, and the reports are the enumeration's.
 
-    def test_audit_refuses_over_budget(self, monkeypatch):
-        monkeypatch.delenv("PID_BUDGET", raising=False)
+    def test_audit_refuses_over_budget(self):
         scheme = stageless(masked_scheme(*q11_instance()))
-        assert by_rank(scheme, None, privacy=False)
+        assert by_rank(scheme, privacy=False)
         report = scheme_correctness(scheme)
         assert report == CorrectnessReport(True, Q11_CASES, None) and report.ranked
 
-    def test_env_budget_reaches_audits(self, monkeypatch):
+    def test_explicit_budget_argument(self, monkeypatch):
+        # ``by_rank`` takes no budget; the limit it reads is inclusive
         scheme = masked_scheme(*q5_instance())
-        enumerated = scheme_privacy(scheme)
-        monkeypatch.setenv("PID_BUDGET", "1000")
-        assert by_rank(scheme, None, privacy=True)
-        assert scheme_privacy(stageless(scheme)) == enumerated
-        assert enumerated.cases == Q5_CASES
+        with pytest.raises(TypeError):
+            by_rank(scheme, 10, privacy=False)
+        monkeypatch.setattr(codedpid.verify, "DEFAULT_BUDGET", Q5_CASES)
+        assert not by_rank(scheme, privacy=True)
+        monkeypatch.setattr(codedpid.verify, "DEFAULT_BUDGET", Q5_CASES - 1)
+        assert by_rank(scheme, privacy=True)
+        assert scheme_audit(stageless(scheme)) == scheme_audit(
+            masked_scheme(*q5_instance())
+        )
 
-    def test_explicit_budget_argument(self):
-        scheme = masked_scheme(*q5_instance())
-        assert by_rank(scheme, budget=10, privacy=False)
-        assert not by_rank(scheme, budget=Q5_CASES, privacy=False)
-        assert scheme_correctness(stageless(scheme), budget=10) == scheme_correctness(scheme)
+    def test_block_bound(self):
+        # 1021 is the largest prime a block of CHUNK_ROWS = 1024 inputs
+        # holds; past it, the next prime 1031 is ranked at 1031^2 cases
+        assert CHUNK_ROWS == 1024
+        for q, ranked in ((1021, False), (1031, True)):
+            config = make_association(q, 1, 2, 2)
+            scheme = masked_scheme(config, build_vandermonde_pair(q, 2, 2))
+            assert case_count(scheme) == q**2 < DEFAULT_BUDGET
+            assert by_rank(scheme, privacy=False) == ranked
+            assert by_rank(scheme, privacy=True) == ranked
+
+    def test_census_bound(self):
+        # one message on server 1 of N over F_17: 17 cases, and a census of
+        # 18^N keys, within DENSE_CENSUS_KEYS = 2^21 up to N = 5; past it
+        # privacy alone is ranked
+        assert DENSE_CENSUS_KEYS == 2**21 and 18**5 < 2**21 < 18**6
+        for n, ranked in ((5, False), (6, True)):
+            config = make_association(17, 1, n, 1, mode="explicit", association=[[1]])
+            scheme = split_scheme(config)
+            assert not by_rank(scheme, privacy=False)
+            assert by_rank(scheme, privacy=True) == ranked
+            correct, private = scheme_correctness(scheme), scheme_privacy(scheme)
+            assert correct == CorrectnessReport(True, 17, None) and not correct.ranked
+            assert private == PrivacyReport(True, 17, 17, False, None, None)
+            assert private.ranked == ranked
+
+
+def rank_audit(scheme, **properties):
+    """``scheme_audit`` sent down the rank path by a zero case limit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codedpid.verify, "DEFAULT_BUDGET", 0)
+        return scheme_audit(scheme, **properties)
 
 
 def stageless(scheme):
@@ -540,11 +582,11 @@ def long_mask_scheme():
     return scheme
 
 
-@pytest.mark.parametrize("rows", [1, 5, 7, 30, 10**6])
+@pytest.mark.parametrize("rows", [5, 7, 30, 10**6])
 class TestBlockShapes:
-    """Every block size gives the per-case reports: one-row chunks (t = 0),
-    blocks of q^t inputs shorter or longer than the mask, and the whole input
-    space as one block."""
+    """Every block size gives the per-case reports: blocks of q^t inputs
+    shorter or longer than the mask, and the whole input space as one
+    block."""
 
     @pytest.fixture(autouse=True)
     def block_rows(self, monkeypatch, rows):
@@ -583,48 +625,32 @@ def answer_tuple(scheme, key):
 
 
 class TestCensusPaths:
-    """The dense census and the sparse one give identical reports and the
-    per-case counts, whatever the block size."""
-
-    def schemes(self):
-        config, code = q5_instance()
-        yield "q5", masked_scheme(config, code)
-        yield "q5-split", split_scheme(config)
-        yield "long-mask", long_mask_scheme()
-        yield from small_instances()
-        yield from q3_corrupt_cells()
-
-    def test_sparse_matches_dense(self, monkeypatch):
-        # every census here has at most 2 * 6^5 counters: 2 requests of 6^5
-        # keys (long-mask), else at most 3 of 6^3
-        monkeypatch.setattr(codedpid.verify, "DENSE_CENSUS_KEYS", 2 * 6**5)
-        dense = [audit_reports(scheme) for _, scheme in self.schemes()]
-        monkeypatch.setattr(codedpid.verify, "DENSE_CENSUS_KEYS", 0)
-        for (label, scheme), reports in zip(self.schemes(), dense):
-            assert audit_reports(scheme) == reports, label
+    """The one census store gives the per-case counts, whatever the block
+    size, and is only used while its counters fit ``DENSE_CENSUS_KEYS``."""
 
     def test_dense_by_total_counters(self):
-        # 3 groups of 6^3 keys (the q5-k3 privacy census) and 48 groups of
-        # 12 stay dense; 64 * 64 groups of 4094 keys do not
-        assert codedpid.verify._Census(3, 6**3).dense
-        assert codedpid.verify._Census(48, 12).dense
-        assert not codedpid.verify._Census(64 * 64, 4094).dense
+        # the bound counts requests times keys: one request of 3^13 keys fits
+        # 2^21 counters, two do not; the q5-k3 census is 3 rows of 6^3
+        for k, ranked in ((1, False), (2, True)):
+            hosts = [[j] for j in range(1, k + 1)]
+            config = make_association(2, k, 13, 1, mode="explicit", association=hosts)
+            assert by_rank(split_scheme(config), privacy=True) == ranked
+        assert not by_rank(masked_scheme(*q5_instance()), privacy=True)
 
-    @pytest.mark.parametrize("bound", [0, 2 * 6**5])
     @pytest.mark.parametrize("rows", [5, CHUNK_ROWS])
-    def test_counts_match_per_case_census(self, monkeypatch, rows, bound):
+    def test_counts_match_per_case_census(self, monkeypatch, rows):
         monkeypatch.setattr(codedpid.verify, "CHUNK_ROWS", rows)
-        monkeypatch.setattr(codedpid.verify, "DENSE_CENSUS_KEYS", bound)
         config, _ = q5_instance()
         labelled = [("q5-split", split_scheme(config)), ("long-mask", long_mask_scheme())]
         for label, scheme in labelled + list(small_instances()):
             _, census = codedpid.verify._audit(scheme, True, True)
             expected, expected_cases = oracle_runs(label, scheme)[1]
-            assert census.cases == expected_cases, label
-            assert [
-                {answer_tuple(scheme, key): c for key, c in counts.items()}
-                for counts in census.counts()
-            ] == expected, label
+            assert census.sum() == expected_cases, label
+            counted = [
+                {answer_tuple(scheme, key): int(row[key]) for key in np.flatnonzero(row)}
+                for row in census
+            ]
+            assert counted == expected, label
 
 
 class TestStorageOncePerMessageTuple:
@@ -718,13 +744,14 @@ def q5_layout(tmp_path, q):
 
 
 class TestExactness:
-    """Each int64 bound of the enumeration, just inside (enumerated, CASES in
-    decimal) and just past (by rank, CASES=q^E*K): the verdicts agree, and
-    no instance is refused."""
+    """The enumeration's bounds, just inside (enumerated, CASES in decimal)
+    and just past (by rank, CASES=q^E*K): the verdicts agree, and no
+    instance is refused.  Inside them every stage value, input number and
+    census key is exact in int64 by construction."""
 
-    # 2^31 - 1 is the largest prime with 2*(q-1)^2 + q < 2^63, the stage
-    # bound for instances with N = 2 servers
-    Q = 2**31 - 1
+    # 1021 is the largest prime a block of CHUNK_ROWS = 1024 inputs holds,
+    # 1031 the next one
+    Q, NEXT = 1021, 1031
 
     def instance(self, q):
         config = make_association(q, 1, 2, 2, mode="explicit", association=[[1, 2]])
@@ -745,13 +772,18 @@ class TestExactness:
         # h = [[1, 1], [1, q-1]]: decoding multiplies residues near q
         assert code.parity_check.to_lists() == [[1, 1], [1, q - 1]]
         scheme = masked_scheme(config, code, corrupt=(2, 1, 1, q - 1))
-        # q^2 cases need a raised budget; the corrupted symbol fails case 1
-        report = scheme_correctness(scheme, budget=10**19)
-        assert report.cases == 1
+        # enumerated: the corrupted symbol fails case 1
+        report = scheme_correctness(scheme)
+        assert report.cases == 1 and not report.ranked
         ce = report.counterexample
         assert ce.messages == ((0, 0),) and ce.mask == () and ce.requested == 1
         assert ce.decoded == (q - 1, (q - 1) * (q - 1) % q) == (q - 1, 1)
+        assert scheme_correctness(masked_scheme(config, code)).cases == q**2
 
+        # the stages alone stay exact up to 2^31 - 1, the largest prime with
+        # 2*(q-1)^2 + q < 2^63 (a rank audit never runs them)
+        q = 2**31 - 1
+        config, code = self.instance(q)
         honest = masked_scheme(config, code)
         w = np.array([[q - 1, q - 1], [q - 1, 0], [12345, q - 2]])
         storage = honest.build_storage(w.T)
@@ -765,33 +797,31 @@ class TestExactness:
         assert decoded[0].T.tolist() == w.tolist()
 
     def test_next_prime_refused(self):
-        # 2147483659 is the first prime past 2^31 - 1: its q^2 cases fit a
-        # raised budget, and rank decides them as enumeration does inside
+        # past the block bound rank decides, with enumeration's counterexample
         reports = []
-        for q in (self.Q, 2147483659):
+        for q in (self.Q, self.NEXT):
             config, code = self.instance(q)
             scheme = masked_scheme(config, code, corrupt=(2, 1, 1, q - 1))
-            assert by_rank(scheme, budget=10**19, privacy=False) == (q != self.Q)
-            report = scheme_correctness(scheme, budget=10**19)
+            assert by_rank(scheme, privacy=False) == (q == self.NEXT)
+            report = scheme_correctness(scheme)
             assert report.counterexample.decoded == (q - 1, 1)
             reports.append(report)
-            if q != self.Q:
-                for honest in (masked_scheme(config, code), split_scheme(config)):
-                    assert all(r.passed for r in scheme_audit(honest, budget=10**19))
+        config, code = self.instance(self.NEXT)
+        for honest in (masked_scheme(config, code), split_scheme(config)):
+            assert all(r.passed for r in scheme_audit(honest))
         inside, past = reports
-        assert (inside.cases, past.cases) == (1, 2147483659**2)
+        assert (inside.cases, past.cases) == (1, self.NEXT**2)
         assert dataclasses.replace(past.counterexample, decoded=None) == dataclasses.replace(
             inside.counterexample, decoded=None
         )
 
     def test_stage_bound_in_pid_verify(self, capsys, tmp_path):
-        for q, cases in ((self.Q, "1"), (2147483659, "2147483659^2*1")):
+        for q, cases in ((self.Q, "1"), (self.NEXT, f"{self.NEXT}^2*1")):
             text = (
                 f"q = {q}\nK = 1\nN = 2\nL = 2\nname = 'n2'\n"
                 f"mode = 'explicit'\nassociation = [[1, 2]]\npoints = [1, {q - 1}]\n"
             )
             argv = ("--property", "correctness", "--corrupt", f"2,1,1,{q - 1}")
-            argv += ("--budget", str(10**19))
             code, out = self.verify(capsys, tmp_path / "n2.cfg", text, *argv)
             assert code == 3
             assert out == (
@@ -801,11 +831,12 @@ class TestExactness:
             )
 
     def test_input_bound_in_pid_verify(self, capsys, tmp_path):
-        # the q5-k3 layout numbers 509^7 < 2^63 inputs but not 521^7; a
-        # corrupted symbol fails case 1 either way
-        for q, cases in ((509, "1"), (521, "521^7*3")):
+        # the q5-k3 layout has 7^7 * 3 = 2470629 cases over F_7, within the
+        # 10^7 limit, and 11^7 * 3 = 58461513 over F_11, past it; a corrupted
+        # symbol fails case 1 either way
+        for q, cases in ((7, "1"), (11, "11^7*3")):
             argv = ["verify", "-c", q5_layout(tmp_path, q), "--property", "correctness"]
-            assert main([*argv, "--corrupt", "1,1,1,1", "--budget", str(10**70)]) == 3
+            assert main([*argv, "--corrupt", "1,1,1,1"]) == 3
             out, err = capsys.readouterr()
             assert err == ""
             verdict, counterexample = out.splitlines()
@@ -815,60 +846,38 @@ class TestExactness:
             )
 
     def test_key_bound_in_pid_verify(self, capsys, tmp_path):
-        # one message on server 1 of N over q = 17: 18^15 < 2^63 census keys,
-        # 18^16 past it
-        for n, cases, distinct in ((15, "17", "17"), (16, "17^1*1", "17")):
+        # one message on server 1 of N over q = 17: 18^15 and 18^16 census
+        # keys are both past DENSE_CENSUS_KEYS, so privacy is ranked and
+        # correctness, audited alone, is enumerated
+        for n in (15, 16):
             text = f"q = 17\nK = 1\nN = {n}\nL = 1\nmode = 'explicit'\nassociation = [[1]]\n"
-            code, out = self.verify(capsys, tmp_path / "one.cfg", text, "--scheme", "split")
+            path = tmp_path / "one.cfg"
+            code, out = self.verify(capsys, path, text, "--scheme", "split")
             assert code == 0
             assert out == (
-                f"PROPERTY=correctness INSTANCE=one VERDICT=pass CASES={cases}\n"
-                f"PROPERTY=privacy INSTANCE=one VERDICT=pass CASES={cases}\n"
-                f"  distinct answer vectors: {distinct}; uniform over them: no\n"
+                "PROPERTY=correctness INSTANCE=one VERDICT=pass CASES=17^1*1\n"
+                "PROPERTY=privacy INSTANCE=one VERDICT=pass CASES=17^1*1\n"
+                "  distinct answer vectors: 17; uniform over them: no\n"
             )
-
-    def test_bound_is_set_by_the_server_count(self, capsys, tmp_path):
-        # K*L = 6 but N = 3: 6*(q-1)^2 + q passes 2^63 at q = 1500000001,
-        # 3*(q-1)^2 + q does not, and no stage sums more than N products;
-        # its 1500000001^7 inputs cannot be numbered in int64, so even a
-        # raised budget is decided by rank
-        cfg = q5_layout(tmp_path, 1500000001)
-        for budget in ([], ["--budget", str(10**70)]):
-            assert main(["verify", "-c", cfg, *budget]) == 0
-            assert capsys.readouterr() == (
-                "PROPERTY=correctness INSTANCE=q5-k3 VERDICT=pass CASES=1500000001^7*3\n"
-                "PROPERTY=privacy INSTANCE=q5-k3 VERDICT=pass CASES=1500000001^7*3\n"
-                "  distinct answer vectors: 1500000001^3; uniform over them: yes\n",
-                "",
+            code, out = self.verify(
+                capsys, path, text, "--scheme", "split", "--property", "correctness"
             )
-
-    def test_first_prime_past_the_server_bound_refused(self, capsys, tmp_path):
-        # 1753413037 is the largest prime with 3*(q-1)^2 + q < 2^63; past it
-        # rank decides, whatever the budget
-        config = make_association(
-            1753413037, 3, 3, 2, mode="explicit", association=[[1, 2], [2, 3], [1, 3]]
-        )
-        code = build_vandermonde_pair(1753413037, 3, 2, points=(1, 2, 3))
-        assert masked_scheme(config, code).n_servers == 3
-        cfg = q5_layout(tmp_path, 1753413059)
-        for budget in ([], ["--budget", str(10**70)]):
-            assert main(["verify", "-c", cfg, *budget]) == 0
-            out, err = capsys.readouterr()
-            assert err == ""
-            assert out.count("VERDICT=pass CASES=1753413059^7*3\n") == 2
+            assert code == 0
+            assert out == "PROPERTY=correctness INSTANCE=one VERDICT=pass CASES=17\n"
 
     def test_input_count_past_int64_refused(self):
+        # 11^27 inputs cannot be numbered in int64, and are far past 10^7
         config, code = q11_instance()
-        scheme = masked_scheme(config, code)
-        assert by_rank(scheme, budget=Q11_CASES, privacy=False)
-        assert scheme_correctness(scheme, budget=Q11_CASES).passed
+        scheme = stageless(masked_scheme(config, code))
+        assert by_rank(scheme, privacy=False)
+        assert scheme_correctness(scheme).passed
 
     def test_census_key_past_int64_refused(self):
         # 16 servers, 15 of them idle: 17 split cases, but 18^16 > 2^63 keys,
         # so privacy alone is decided by rank
         config = make_association(17, 1, 16, 1, mode="explicit", association=[[1]])
         scheme = split_scheme(config)
-        assert not by_rank(scheme, None, privacy=False) and by_rank(scheme, None, True)
+        assert not by_rank(scheme, privacy=False) and by_rank(scheme, privacy=True)
         correct, private = scheme_correctness(scheme), scheme_privacy(scheme)
         assert correct == CorrectnessReport(True, 17, None) and not correct.ranked
         assert private == PrivacyReport(True, 17, 17, False, None, None) and private.ranked
@@ -889,7 +898,7 @@ class TestProbe:
     def test_flags_split_scheme_pattern(self):
         # request 1's silence pattern never occurs for request 2
         config, _ = q5_instance()
-        report = scheme_privacy(split_scheme(config), budget=0)
+        _, report = rank_audit(split_scheme(config))
         assert not report.passed and not report.uniform
         assert report.mismatch == PrivacyMismatch(((0,), (0,), ()), 1, 625, 2, 0)
 
@@ -939,10 +948,10 @@ class TestProbe:
 
 
 def assert_rank_matches_enumeration(scheme):
-    """The rank certificate (forced by a zero budget) gives the exhaustive
-    audit's reports, all but the cases a failed correctness audit counts:
-    rank decides them all at once."""
-    (c_enum, p_enum), (c_rank, p_rank) = scheme_audit(scheme), scheme_audit(scheme, budget=0)
+    """The rank certificate (forced by a zero case limit) gives the
+    exhaustive audit's reports, all but the cases a failed correctness audit
+    counts: rank decides them all at once."""
+    (c_enum, p_enum), (c_rank, p_rank) = scheme_audit(scheme), rank_audit(scheme)
     assert c_rank == dataclasses.replace(c_enum, cases=case_count(scheme))
     assert p_rank == p_enum
     assert p_rank.cases == case_count(scheme)
@@ -1022,7 +1031,7 @@ class TestRankCertificate:
                 assert (maps.decoder[d] @ heard % q == scheme.decode(answers)[d]).all()
 
     def test_rank_path_evaluates_no_case(self):
-        # past the budget the stages never run; within it the maps are never
+        # past the case limit the stages never run; within it the maps are never
         # read, so the split control's maps leave the masked audit as it is
         reports = scheme_audit(stageless(masked_scheme(*q11_instance())))
         assert all(report.passed for report in reports)
@@ -1030,7 +1039,7 @@ class TestRankCertificate:
         small = masked_scheme(config, code)
         misdescribed = dataclasses.replace(small, maps=split_scheme(config).maps)
         assert scheme_audit(misdescribed) == scheme_audit(small)
-        assert not scheme_privacy(misdescribed, budget=0).passed
+        assert not rank_audit(misdescribed)[1].passed
 
     def test_witness_is_the_smallest_differing_answer(self):
         # request 1 answers only on server 2, request 2 only on server 1: the
@@ -1040,7 +1049,7 @@ class TestRankCertificate:
         scheme = split_scheme(config)
         witness = PrivacyMismatch(((0,), ()), 1, 0, 2, 3)
         assert scheme_privacy(scheme).mismatch == witness
-        assert scheme_privacy(scheme, budget=0).mismatch == witness
+        assert rank_audit(scheme)[1].mismatch == witness
 
     def test_k64_certified_by_rank(self):
         scheme = masked_scheme(*k64_instance())
@@ -1074,7 +1083,7 @@ class TestRankCertificate:
             scheme, maps=scheme.maps._replace(sends=np.ones((2, 2), bool))
         )
         with pytest.raises(ValueError, match="not counted by rank"):
-            scheme_privacy(overlapping, budget=0)
+            rank_audit(overlapping, correctness=False)
 
 
 class TestVerdictLine:
