@@ -32,8 +32,8 @@ print("mask spreading matrix (3 generator rows, orthogonal to the above):")
 for row in code.generator.to_lists():
     print("  %s" % row)
 print("server j's share is column j of the generator, dotted with the mask:")
-for j in range(6):
-    print("  server %d share coefficients %s" % (j + 1, code.generator.column_tuple(j)))
+for j, column in enumerate(code.generator.array.T.tolist()):
+    print("  server %d share coefficients %s" % (j + 1, tuple(column)))
 
 # -- one delivery from each host group --------------------------------------
 

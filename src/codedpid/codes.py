@@ -20,9 +20,9 @@ rank computation, not a minor enumeration.  Both checks are exact.
 ``build_vandermonde_pair`` constructs the canonical instance from distinct
 evaluation points; ``override_generator`` swaps in a hand-picked generator
 and re-checks everything.  A pair keeps one cache of parity-check minor
-inverses: ``protocol``'s encoder asks it for all of an encode's host sets,
-the missing ones inverted in one stacked Gauss-Jordan, and
-``h_sub_inverse`` reads it one minor at a time, as plain-int rows.
+inverses, as read-only int64 arrays: ``protocol``'s encoder asks it for all
+of an encode's host sets, the missing ones inverted in one stacked
+Gauss-Jordan, and ``h_sub_inverse`` builds one minor's plain-int rows.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class CodePair:
     generator: FieldMatrix
     points: tuple[int, ...]
     modulus: int
-    # column set -> [read-only int64 inverse, its plain-int rows or None]
+    # column set -> read-only int64 inverse of that parity-check minor
     _sub_inverse_cache: dict = dc_field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
@@ -120,13 +120,8 @@ class CodePair:
 
     def h_sub_inverse(self, cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """Inverse of the square parity-check minor on these 0-based columns,
-        as plain-int rows: the same tuple on every call for the same columns.
-        """
-        self._minor_inverses([cols])
-        entry = self._sub_inverse_cache[cols]
-        if entry[1] is None:
-            entry[1] = tuple(map(tuple, entry[0].tolist()))
-        return entry[1]
+        as plain-int rows built from the cached array on each call."""
+        return tuple(map(tuple, self._minor_inverses([cols])[0].tolist()))
 
     def _minor_inverses(self, col_sets) -> list:
         """Inverses of the parity-check minors on each of these 0-based
@@ -138,8 +133,8 @@ class CodePair:
             minors = self.parity_check.array[:, missing].transpose(1, 0, 2)
             for cols, inverse in zip(missing, _inverse_stack(minors, self.modulus)):
                 inverse.setflags(write=False)
-                cache[cols] = [inverse, None]
-        return [cache[cols][0] for cols in col_sets]
+                cache[cols] = inverse
+        return [cache[cols] for cols in col_sets]
 
     def decode_vector(self, answers) -> tuple[int, ...]:
         """Apply the parity check to a length-N answer vector (plain ints)."""

@@ -1,8 +1,8 @@
 """Exact arithmetic over prime fields.
 
 Scalars are plain Python ints reduced mod q; matrices are ``FieldMatrix``
-objects backed by int64 numpy arrays that are reduced mod q after every
-operation.  The matrix routines deliberately stick to integer Gauss-Jordan
+objects, read-only int64 arrays of residues mod q that callers multiply
+with ``mod_matmul``.  The matrix routines stick to integer Gauss-Jordan
 elimination: no floats ever enter the pipeline.
 
 Products go through ``mod_matmul``: a dot product of n residues mod q is at
@@ -117,10 +117,10 @@ def _as_array(rows, q: int) -> np.ndarray:
 class FieldMatrix:
     """A dense matrix over the prime field with q elements.
 
-    Entries live in an int64 numpy array reduced mod q.  Equality, products
-    and elimination are all exact.  Use ``inverse`` for square systems and
-    ``null_space_basis`` for the canonical right kernel of a full-row-rank
-    matrix.
+    Entries live in a read-only int64 array reduced mod q (``array``);
+    equality, ``mat_vec`` and elimination are exact.  Use ``inverse`` for
+    square systems and ``null_space_basis`` for the canonical right kernel
+    of a full-row-rank matrix; multiply arrays with ``mod_matmul``.
     """
 
     __slots__ = ("_a", "modulus")
@@ -157,17 +157,10 @@ class FieldMatrix:
     def to_lists(self) -> list[list[int]]:
         return self._a.tolist()
 
-    def column_tuple(self, j: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self._a[:, j])
-
     @property
     def array(self) -> np.ndarray:
         """The entries as a read-only int64 array."""
         return self._a
-
-    def __getitem__(self, key) -> int:
-        i, j = key
-        return int(self._a[i, j])
 
     def __eq__(self, other):
         if not isinstance(other, FieldMatrix):
@@ -185,21 +178,6 @@ class FieldMatrix:
         return f"FieldMatrix({self.to_lists()}, mod {self.modulus})"
 
     # -- arithmetic -----------------------------------------------------------
-
-    def _check_same_field(self, other: "FieldMatrix") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(f"mixed moduli: {self.modulus} vs {other.modulus}")
-
-    def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same_field(other)
-        if self.cols != other.rows:
-            raise ValueError(
-                f"inner dimensions differ: {self.shape} @ {other.shape}"
-            )
-        return FieldMatrix(mod_matmul(self._a, other._a, self.modulus), self.modulus)
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self._a.T, self.modulus)
 
     def mat_vec(self, vec) -> tuple[int, ...]:
         """Matrix times plain-int vector, returned as a plain-int tuple."""

@@ -20,7 +20,8 @@ therefore hosts a share of K*L/N messages when the association is balanced.
   encoded again, and only their host servers get new states.
 * ``draw_randomness`` picks a uniform mask vector of length N-L and hands
   server n the scalar share  generator_column_n . mask: all N shares are one
-  product  mask @ generator  mod q.
+  product  mask @ generator  mod q.  Every coded round draws its own, from
+  the round's seed; no caller hands a round its shares.
 * On a request for message d, servers in d's host set answer their stored
   fragment symbol plus their mask share; all other servers answer the mask
   share alone.  Every server sends exactly one symbol, so the transmission
@@ -146,11 +147,6 @@ class PidConfig:
         """Sorted 1-based host set of message k."""
         self._check_message(k)
         return self.association[k - 1]
-
-    def messages_for(self, server: int) -> tuple[int, ...]:
-        """Sorted message ids hosted by a server (1-based)."""
-        self._check_server(server)
-        return tuple((np.flatnonzero(self.host_incidence[:, server - 1]) + 1).tolist())
 
     def server_load(self, server: int) -> int:
         self._check_server(server)
@@ -462,14 +458,9 @@ def decode_answers(code: CodePair, answers) -> tuple[int, ...]:
     """
     flat: list[int] = []
     for a in answers:
-        if isinstance(a, int):
-            flat.append(a)
-        else:
-            if len(a) != 1:
-                raise ValueError(
-                    f"expected one symbol per server, got {len(a)}"
-                )
-            flat.append(a[0])
+        if len(a) != 1:
+            raise ValueError(f"expected one symbol per server, got {len(a)}")
+        flat.append(a[0])
     return code.decode_vector(flat)
 
 
@@ -524,29 +515,16 @@ def _coded_layout(
     messages,
     d: int,
     seed: int | None = None,
-    randomness: SharedRandomness | None = None,
     encode=encode_storage,
     draw=draw_randomness,
 ) -> _Layout:
-    """The coded scheme on all N servers.  The wire round passes as
-    ``encode`` and ``draw`` the names it looks up in its own module.
-    ``randomness``, when given, must be what ``draw_randomness`` makes of
-    its mask vector: N shares, each in F_q, that the decoder cancels."""
+    """The coded scheme on all N servers, masked by a fresh draw of
+    ``draw(code, seed)``: N shares, each in F_q, that the decoder cancels.
+    The wire round passes as ``encode`` and ``draw`` the names it looks up
+    in its own module."""
     config._check_message(d)
     storage = encode(config, code, messages)
-    if randomness is None:
-        randomness = draw(code, seed)
-    elif len(randomness.shares) != config.n_servers:
-        raise ValueError(
-            f"{len(randomness.shares)} shares for {config.n_servers} servers"
-        )
-    elif len(randomness.mask_vector) != code.mask_len or randomness != draw_randomness(
-        code, mask=randomness.mask_vector
-    ):
-        raise ValueError(
-            "randomness is not this code's: its shares must be its mask vector "
-            f"times the generator mod {config.modulus}"
-        )
+    randomness = draw(code, seed)
     transcript = functools.partial(
         DeliveryTranscript,
         requested=d,
@@ -679,12 +657,10 @@ def run_delivery(
     messages,
     d: int,
     seed: int | None = None,
-    randomness: SharedRandomness | None = None,
 ) -> DeliveryTranscript:
-    """One full coded delivery round: encode, mask, answer, decode."""
-    return _answer_locally(
-        _coded_layout(config, code, messages, d, seed, randomness)
-    )
+    """One full coded delivery round: encode, mask with a fresh draw from
+    ``seed`` (OS entropy when None), answer, decode."""
+    return _answer_locally(_coded_layout(config, code, messages, d, seed))
 
 
 def run_fully_distributed(messages, n_servers: int, d: int) -> DeliveryTranscript:

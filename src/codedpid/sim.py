@@ -39,7 +39,7 @@ parsed; every layout's modulus is a prime below 2^32
 (``codes.check_modulus``); an actor refuses, when it is built, an id that
 does not fit 2 bytes and a server a modulus above 2^32, so every symbol it
 sends, reduced mod q, fits 4 bytes; the shares are residues mod q
-(``protocol`` refuses randomness that is not the code's); ``_run_phases``
+(``protocol`` draws them itself, every round); ``_run_phases``
 checks once per round that the request fits 4 bytes; and the user checks
 the symbols its decoder returns.
 
@@ -66,7 +66,6 @@ from codedpid.protocol import (  # noqa: F401
     DeliveryTranscript,
     PidConfig,
     ServerState,
-    SharedRandomness,
     _coded_layout,
     _Layout,
     _answer,
@@ -545,7 +544,6 @@ def simulate_round(
     messages,
     d: int,
     seed: int | None = None,
-    randomness: SharedRandomness | None = None,
 ) -> SimResult:
     """One coded delivery round as message-passing actors.
 
@@ -553,15 +551,11 @@ def simulate_round(
     the same inputs, plus the frame log.  Storage is reused from the
     previous round on ``code`` while the instance and the messages are
     unchanged, and each server state's SETUP_STORAGE frame is built once;
-    the shares travel in their own frames.
-    ``randomness`` must hold one share per server, as in ``run_delivery``.
+    the shares, drawn from ``seed`` as in ``run_delivery``, travel apart.
     """
     # Pass the names as looked up in this module, where tracers wrap them.
     return _serve(
-        _coded_layout(
-            config, code, messages, d, seed, randomness,
-            encode_storage, draw_randomness,
-        )
+        _coded_layout(config, code, messages, d, seed, encode_storage, draw_randomness)
     )
 
 

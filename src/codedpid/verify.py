@@ -430,9 +430,12 @@ def _audit(
 ) -> tuple[CorrectnessReport | None, np.ndarray | None]:
     """The one pass behind ``scheme_audit``: the correctness report, or None,
     and the census, or None: a (K, (q+1)^N) array whose [d-1, x] counts the
-    inputs on which request d's answer vector has key x."""
+    inputs on which request d's answer vector has key x.  Keys are held
+    until there are as many as the census has counters, then counted by one
+    ``bincount``: the count costs cases, not blocks times counters."""
     k = scheme.k_messages
     census = None
+    held, held_keys = [], 0
     if privacy:
         q, n = scheme.modulus, scheme.n_servers
         keys = (q + 1) ** n
@@ -452,9 +455,13 @@ def _audit(
             elif census is None:
                 break
         if census is not None:
-            census += np.bincount(
-                (weights @ answers + offsets).ravel(), minlength=census.size
-            )
+            held.append((weights @ answers + offsets).ravel())
+            held_keys += held[-1].size
+            if held_keys >= census.size:
+                census += np.bincount(np.concatenate(held), minlength=census.size)
+                held, held_keys = [], 0
+    if held:
+        census += np.bincount(np.concatenate(held), minlength=census.size)
     if correctness and report is None:
         report = CorrectnessReport(passed=True, cases=checked, counterexample=None)
     return report, None if census is None else census.reshape(k, -1)

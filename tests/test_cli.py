@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from codedpid.cli import CliError, build_parser, main, parse_config_text
+from codedpid.cli import (
+    CliError,
+    build_instance,
+    build_parser,
+    load_config,
+    main,
+    parse_config_text,
+)
+from codedpid.instances import q5_instance, q11_instance
 from codedpid.protocol import random_messages
 from codedpid.sim import read_frame_log
 
@@ -59,6 +67,14 @@ class TestConfigParsing:
         assert "instance 'q11-k8' written" in out
         assert "q=11 K=8 N=6 L=3 mode=explicit" in out
         assert "storage per server: 4/3 messages" in out
+
+    @pytest.mark.parametrize(
+        "cfg, instance", [(Q5_CFG, q5_instance), (Q11_CFG, q11_instance)]
+    )
+    def test_shipped_configs_are_the_worked_instances(self, cfg, instance):
+        # the demos audit ``instances``; ``pid verify`` and the benchmark
+        # audit the shipped configs under the same names
+        assert build_instance(load_config(cfg)) == instance()
 
     def test_unknown_key(self, capsys, tmp_path):
         path = self.write(tmp_path, "q = 5\nK = 3\nN = 3\nL = 2\nbogus = 1\n")

@@ -36,6 +36,11 @@ def det3_oracle(m, q: int) -> int:
     return (a * e * i + b * f * g + c * d * h - c * e * g - b * d * i - a * f * h) % q
 
 
+def times(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
+    """The product of two matrices over one field, through ``mod_matmul``."""
+    return FieldMatrix(mod_matmul(a.array, b.array, a.modulus), a.modulus)
+
+
 def trial_division_prime(n: int) -> bool:
     """Oracle: n >= 2 with no divisor in 2..sqrt(n)."""
     return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
@@ -90,7 +95,7 @@ class TestFieldMatrix:
         for q in SMALL_PRIMES:
             for v in range(1, q):
                 inverse = FieldMatrix([[v]], q).inverse()
-                assert inverse[0, 0] == brute_force_inverse(v, q)
+                assert inverse.array[0, 0] == brute_force_inverse(v, q)
             with pytest.raises(SingularMatrixError):
                 FieldMatrix([[0]], q).inverse()
 
@@ -102,7 +107,7 @@ class TestFieldMatrix:
     def test_goldens_are_actual_inverses(self):
         for rows, q, expected in INVERSE_GOLDENS:
             n = len(rows)
-            product = FieldMatrix(rows, q) @ FieldMatrix(expected, q)
+            product = times(FieldMatrix(rows, q), FieldMatrix(expected, q))
             assert product == FieldMatrix(np.eye(n, dtype=np.int64), q)
 
     def test_inverse_random_matrices(self):
@@ -116,8 +121,8 @@ class TestFieldMatrix:
                         continue
                     found += 1
                     identity = FieldMatrix(np.eye(size, dtype=np.int64), q)
-                    assert m @ m.inverse() == identity
-                    assert m.inverse() @ m == identity
+                    assert times(m, m.inverse()) == identity
+                    assert times(m.inverse(), m) == identity
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
@@ -152,8 +157,17 @@ class TestFieldMatrix:
         rng = np.random.default_rng(12)
         a = rng.integers(0, 7, size=(3, 4))
         b = rng.integers(0, 7, size=(4, 2))
-        got = FieldMatrix(a, 7) @ FieldMatrix(b, 7)
-        assert got.to_lists() == ((a @ b) % 7).tolist()
+        got = mod_matmul(FieldMatrix(a, 7).array, FieldMatrix(b, 7).array, 7)
+        assert got.tolist() == ((a @ b) % 7).tolist()
+
+    def test_shape_checks(self):
+        # mod_matmul refuses unequal inner dimensions on both of its paths
+        a = FieldMatrix([[1, 2]], 5).array
+        b = FieldMatrix([[1], [2]], 5).array
+        for q in (5, BIG_PRIMES[-1]):
+            with pytest.raises(ValueError):
+                mod_matmul(a, a, q)
+            assert mod_matmul(a, b, q).shape == (1, 1)
 
     def test_mat_vec(self):
         m = FieldMatrix([[1, 2], [3, 4]], 5)
@@ -161,22 +175,14 @@ class TestFieldMatrix:
         with pytest.raises(ValueError):
             m.mat_vec((1, 2, 3))
 
-    def test_shape_checks(self):
-        a = FieldMatrix([[1, 2]], 5)
-        b = FieldMatrix([[1], [2]], 5)
-        with pytest.raises(ValueError):
-            a @ a
-        with pytest.raises(ValueError, match="mixed moduli"):
-            a @ FieldMatrix([[1], [2]], 7)
-        assert (a @ b).shape == (1, 1)
-
     def test_selection_and_views(self):
         m = FieldMatrix([[1, 2, 3], [4, 5, 6]], 7)
         assert m.array[:, [0, 2]].tolist() == [[1, 3], [4, 6]]
-        assert m.transpose().to_lists() == [[1, 4], [2, 5], [3, 6]]
+        assert m.array.T.tolist() == [[1, 4], [2, 5], [3, 6]]
         assert m.to_lists() == [[1, 2, 3], [4, 5, 6]]
-        assert m.column_tuple(1) == (2, 5)
-        assert int(m[1, 2]) == 6
+        assert m.array[:, 1].tolist() == [2, 5]
+        assert int(m.array[1, 2]) == 6
+        assert not m.array.flags.writeable
         assert m.shape == (2, 3)
 
     def test_immutability(self):
@@ -202,7 +208,7 @@ class TestNullSpace:
                     basis = h.null_space_basis()
                     assert basis.shape == (n - l, n)
                     assert basis.rank() == n - l
-                    prod = h @ basis.transpose()
+                    prod = times(h, FieldMatrix(basis.array.T, q))
                     assert prod == FieldMatrix.zeros(l, n - l, q)
 
     def test_canonical_form(self):
@@ -215,7 +221,7 @@ class TestNullSpace:
         assert free == sorted(free)
         for i, fc in enumerate(free):
             for j, other in enumerate(free):
-                assert int(basis[i, other]) == (1 if i == j else 0), (i, fc)
+                assert int(basis.array[i, other]) == (1 if i == j else 0), (i, fc)
 
     def test_deterministic(self):
         h = FieldMatrix([[1, 1, 1, 1], [1, 2, 4, 3]], 7)
@@ -271,7 +277,8 @@ class TestExactProducts:
             a = residues(rng, q, (4, 5))
             b = residues(rng, q, (5, 3))
             v = [row[0] for row in b]
-            assert (FieldMatrix(a, q) @ FieldMatrix(b, q)).to_lists() == py_matmul(a, b, q)
+            got = mod_matmul(FieldMatrix(a, q).array, FieldMatrix(b, q).array, q)
+            assert got.tolist() == py_matmul(a, b, q)
             assert FieldMatrix(a, q).mat_vec(v) == tuple(
                 row[0] for row in py_matmul(a, [[x] for x in v], q)
             )
@@ -282,13 +289,14 @@ class TestExactProducts:
             for size in (2, 3, 4):
                 rows = residues(rng, q, (size, size))
                 m = FieldMatrix(rows, q)
-                assert m @ m.inverse() == FieldMatrix(np.eye(size, dtype=np.int64), q)
+                product = mod_matmul(m.array, m.inverse().array, q)
+                assert product.tolist() == np.eye(size, dtype=np.int64).tolist()
                 if size == 3:
                     assert int(m.determinant()) == det3_oracle(rows, q)
             wide = FieldMatrix(residues(rng, q, (2, 5)), q)
             basis = wide.null_space_basis()
             assert basis.rows == 3 and basis.rank() == 3
-            assert wide @ basis.transpose() == FieldMatrix.zeros(2, 3, q)
+            assert mod_matmul(wide.array, basis.array.T, q).tolist() == [[0] * 3] * 2
 
 
 def reference_rref(rows, n_cols: int, q: int):

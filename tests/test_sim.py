@@ -29,7 +29,6 @@ from codedpid.protocol import (
     EXPLICIT,
     DeliveryTranscript,
     Message,
-    SharedRandomness,
     draw_randomness,
     encode_storage,
     make_association,
@@ -177,6 +176,23 @@ class TestRoundStructure:
                 lib = run_delivery(config, code, messages, d, seed=d)
                 assert sim.transcript == lib
 
+    def test_every_server_gets_the_codes_share(self):
+        # a round draws its own mask: every server receives its share of
+        # ``draw_randomness(code, seed)``, and no caller can hand one in
+        for maker in (q5_instance, q11_instance):
+            config, code = maker()
+            messages = random_messages(config, seed=3)
+            for seed in range(5):
+                sim = simulate_round(config, code, messages, 1, seed=seed)
+                drawn = draw_randomness(code, seed)
+                shares = [f for f in sim.frames if f.kind == SETUP_SHARE]
+                assert [f.sender for f in shares] == [COORDINATOR_ID] * config.n_servers
+                assert tuple(f.payload[0] for f in shares) == drawn.shares
+                assert sim.transcript.mask_vector == drawn.mask_vector
+            for round_ in (run_delivery, simulate_round):
+                with pytest.raises(TypeError):
+                    round_(config, code, messages, 1, randomness=drawn)
+
     def test_replay_is_byte_identical(self):
         config, code = q11_instance()
         messages = random_messages(config, seed=1)
@@ -191,53 +207,6 @@ class TestRoundStructure:
             d = seed % 3 + 1
             sim = simulate_round(config, code, messages, d, seed=seed + 100)
             assert sim.transcript.decoded == messages[d - 1].symbols
-
-
-    @pytest.mark.parametrize("count", [2, 4])
-    def test_share_count_must_match_servers(self, count):
-        # a round with too few shares used to leave servers unmasked
-        config, code = q5_instance()
-        messages = random_messages(config, seed=8)
-        full = draw_randomness(code, seed=2)
-        shares = (full.shares + (1,))[:count]
-        randomness = SharedRandomness(full.mask_vector, shares, full.modulus)
-        for d in range(1, config.k_messages + 1):
-            with pytest.raises(ValueError) as lib:
-                run_delivery(config, code, messages, d, randomness=randomness)
-            with pytest.raises(ValueError) as sim:
-                simulate_round(config, code, messages, d, randomness=randomness)
-            assert str(sim.value) == str(lib.value) == f"{count} shares for 3 servers"
-
-    @pytest.mark.parametrize(
-        "randomness",
-        [
-            # another modulus: q5-k3 once decoded (1, 2) for message 1 here
-            SharedRandomness((3,), (7, 8, 9), 11),
-            # N shares in F_5 that are not the mask times the generator
-            SharedRandomness((3,), (1, 2, 3), 5),
-            # a mask outside F_5, or of the wrong length, with the shares of 3
-            SharedRandomness((8,), (3, 4, 3), 5),
-            SharedRandomness((3, 0), (3, 4, 3), 5),
-        ],
-    )
-    def test_randomness_must_be_the_codes(self, randomness):
-        # randomness that is not what the code draws once gave a wrong answer
-        # on both transports, and a different one on each
-        config, code = q5_instance()
-        messages = random_messages(config, seed=1)
-        with pytest.raises(ValueError) as lib:
-            run_delivery(config, code, messages, 1, randomness=randomness)
-        with pytest.raises(ValueError) as sim:
-            simulate_round(config, code, messages, 1, randomness=randomness)
-        assert str(sim.value) == str(lib.value) == (
-            "randomness is not this code's: its shares must be its mask "
-            "vector times the generator mod 5"
-        )
-        own = draw_randomness(code, mask=(3,))
-        lib = run_delivery(config, code, messages, 1, randomness=own)
-        sim = simulate_round(config, code, messages, 1, randomness=own)
-        assert lib.decoded == sim.transcript.decoded == messages[0].symbols
-        assert lib.answers == sim.transcript.answers
 
 
 class TestSubsetRound:
@@ -1262,21 +1231,6 @@ class TestTrustedRoundFrames:
         for d in (2**32, -1):
             with pytest.raises(FrameError, match="4 bytes"):
                 run(2, 5, (), None, d, decode)
-        # shares outside F_q are refused before any frame is built, as the
-        # library refuses them
-        config, code = q5_instance()
-        messages = random_messages(config, seed=1)
-        good = draw_randomness(code, seed=1)
-        for share in (2**32, -1):
-            bad = SharedRandomness(good.mask_vector, (share,) + good.shares[1:], 5)
-            with pytest.raises(ValueError) as lib:
-                run_delivery(config, code, messages, 1, randomness=bad)
-            with pytest.raises(ValueError) as sim:
-                simulate_round(config, code, messages, 1, randomness=bad)
-            assert str(sim.value) == str(lib.value) == (
-                "randomness is not this code's: its shares must be its mask "
-                "vector times the generator mod 5"
-            )
 
     def test_actors_outside_the_bounds_are_refused_when_built(self):
         for sender in (2**16, -1):

@@ -653,6 +653,21 @@ class TestCensusPaths:
             assert counted == expected, label
 
 
+    def test_census_costs_cases_not_blocks_times_counters(self):
+        # one message on server 1 of 3 over F_127: 127^3 cases in blocks of
+        # 127 inputs, and a census of 128^3 = 2^21 counters.  A bincount of
+        # the whole census per block made this audit take 41 s.
+        config = make_association(127, 1, 3, 1, mode="explicit", association=[[1]])
+        scheme = masked_scheme(config, build_vandermonde_pair(127, 3, 1))
+        assert not by_rank(scheme, privacy=True)
+        start = time.perf_counter()
+        private = scheme_privacy(scheme)
+        elapsed = time.perf_counter() - start
+        assert not private.ranked
+        assert private == rank_audit(scheme, correctness=False)[1]
+        assert elapsed < 10, f"privacy audit took {elapsed:.1f} s"
+
+
 class TestStorageOncePerMessageTuple:
     def counted(self, scheme, answered=None):
         """``scheme`` with its storage rows counted, and its answered rows
