@@ -26,7 +26,6 @@ from codedpid.protocol import (
     make_association,
     random_messages,
     run_delivery,
-    run_fully_distributed,
     run_subset_scheme,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "answer_vector",
     "decode_answers",
     "run_delivery",
-    "run_fully_distributed",
     "run_subset_scheme",
     "__version__",
 ]

@@ -4,7 +4,7 @@ Everything here is a ``fractions.Fraction``; no floats.  The quantities:
 
 * ``coded_capacity``: with minimal balanced storage (K/N messages per
   server), the best possible download rate is L/N, and the coded scheme
-  meets it.
+  meets it.  ``rate_report`` claims it for balanced associations only.
 * ``subset_scheme_rate``: with room for M messages per server, running the
   scheme on only ceil(K/M) servers lifts the rate to L/ceil(K/M), and to 1
   once L reaches that count.
@@ -202,16 +202,22 @@ def download_floor_check(
 
 @dataclass(frozen=True)
 class RateReport:
-    """A transcript's achieved rate against the instance capacity."""
+    """A transcript's achieved rate against the instance capacity, which is
+    None where it is not characterized."""
 
     achieved: Fraction
-    capacity: Fraction
+    capacity: Fraction | None
     meets_capacity: bool
     randomness: RandomnessReport
 
 
 def rate_report(config: PidConfig, transcript: DeliveryTranscript) -> RateReport:
-    capacity = coded_capacity(config.k_messages, config.n_servers, config.msg_len)
+    """The capacity L/N is proved for balanced associations only (every
+    server hosting as many fragments); an unbalanced one can beat it, so its
+    capacity is reported as not characterized (None)."""
+    capacity = None
+    if config.is_balanced:
+        capacity = coded_capacity(config.k_messages, config.n_servers, config.msg_len)
     achieved = transcript.rate
     return RateReport(
         achieved=achieved,

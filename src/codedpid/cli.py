@@ -45,12 +45,8 @@ from codedpid.analysis import (
     sweep_to_csv,
     valid_msg_lens,
 )
-from codedpid.codes import (
-    MODULUS_LIMIT,
-    CodePair,
-    build_vandermonde_pair,
-    override_generator,
-)
+from codedpid.codes import CodePair, build_vandermonde_pair, override_generator
+from codedpid.field import MODULUS_LIMIT
 from codedpid.protocol import (
     CANONICAL,
     EXPLICIT,
@@ -415,8 +411,12 @@ def cmd_deliver(args) -> int:
     ok = transcript.decoded == messages[d - 1].symbols
     print(f"delivered message {d}: {'ok' if ok else 'MISMATCH'}")
     print(f"downloaded symbols per server: {list(transcript.transmission_counts)}")
-    print(f"rate = {report.achieved} (capacity {report.capacity}, "
-          f"{'met' if report.meets_capacity else 'NOT met'})")
+    if report.capacity is None:
+        print(f"rate = {report.achieved} (capacity not characterized: "
+              f"storage is not balanced)")
+    else:
+        print(f"rate = {report.achieved} (capacity {report.capacity}, "
+              f"{'met' if report.meets_capacity else 'NOT met'})")
     print(f"mask overhead: total {report.randomness.total}, "
           f"per server {report.randomness.per_server}")
     print(f"host-set download sums: {list(floor_check.sums)} (floor {floor_check.floor}, "

@@ -1,28 +1,29 @@
 """MDS code pairs: a parity-check matrix and a matching mask generator.
 
-A ``CodePair`` bundles an L x N parity-check matrix ``h`` and an (N-L) x N
-generator ``g`` over a prime field, with three structural guarantees checked
-at construction time:
+A ``CodePair`` is its N distinct evaluation points, its message length L,
+its prime modulus q (``field.check_modulus``) and an (N-L) x N generator
+``g``.  It derives the L x N parity check ``h`` from the points, row i
+holding their i-th powers mod q, and checks at construction time:
 
 * every set of L columns of ``h`` is invertible (so any L servers can host a
-  decodable fragment set),
+  decodable fragment set): by the Vandermonde determinant, exactly when the
+  points are distinct mod q,
 * every set of N-L columns of ``g`` is invertible (so any N-L mask shares
   determine the rest, which is what makes single-server views uniform),
 * ``h @ g.T == 0`` (so the masks vanish under decoding).
 
-The parity check must be the Vandermonde matrix of the pair's distinct
-points mod q, so every L-column minor is invertible by the Vandermonde
-determinant; any other parity check is refused.  Given that and
-orthogonality, the generator has the MDS property exactly when it has full
-rank N-L (its rows then generate the MDS code ``h`` checks), so it needs one
-rank computation, not a minor enumeration.  Both checks are exact.
+Given an MDS ``h`` and orthogonality, the generator has the MDS property
+exactly when it has full rank N-L (its rows then generate the MDS code
+``h`` checks), so it needs one rank computation, not a minor enumeration.
+Both checks are exact.
 
 ``build_vandermonde_pair`` constructs the canonical instance from distinct
 evaluation points; ``override_generator`` swaps in a hand-picked generator
 and re-checks everything.  A pair keeps one cache of parity-check minor
 inverses, as read-only int64 arrays: ``protocol``'s encoder asks it for all
 of an encode's host sets, the missing ones inverted in one stacked
-Gauss-Jordan, and ``h_sub_inverse`` builds one minor's plain-int rows.
+Gauss-Jordan (``field.inverse_stack``), and ``h_sub_inverse`` builds one
+minor's plain-int rows.
 """
 
 from __future__ import annotations
@@ -31,33 +32,36 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from codedpid.field import FieldMatrix, _inverse_stack, int64_exact, is_prime, mod_matmul
+from codedpid.field import (
+    FieldMatrix,
+    check_modulus,
+    int64_exact,
+    inverse_stack,
+    mod_matmul,
+)
 
 __all__ = [
-    "MODULUS_LIMIT",
     "CodePair",
     "build_vandermonde_pair",
-    "check_modulus",
     "override_generator",
 ]
 
-# Every field symbol travels as one 4-byte wire symbol, so a modulus must lie
-# below 2^32; the largest prime allowed is 4294967291.
-MODULUS_LIMIT = 2**32
 
 @dataclass(frozen=True)
 class CodePair:
     """A parity-check / mask-generator pair over a prime field.
 
-    ``parity_check`` has shape (msg_len, n_servers) and must be the
-    Vandermonde matrix of ``points``: row i holds the points to the i-th
-    power mod q.  ``generator`` has shape (n_servers - msg_len, n_servers).
+    ``generator`` is given as N - L rows of N integers, an array or nested
+    lists, and kept as a ``FieldMatrix`` mod q.  ``parity_check`` is derived,
+    shape (msg_len, N): the Vandermonde matrix of ``points``, row i holding
+    the points to the i-th power mod q.
     """
 
-    parity_check: FieldMatrix
-    generator: FieldMatrix
     points: tuple[int, ...]
+    msg_len: int
     modulus: int
+    generator: FieldMatrix
+    parity_check: FieldMatrix = dc_field(init=False)
     # column set -> read-only int64 inverse of that parity-check minor
     _sub_inverse_cache: dict = dc_field(
         default_factory=dict, repr=False, compare=False, hash=False
@@ -69,12 +73,18 @@ class CodePair:
     )
 
     def __post_init__(self):
-        q = self.modulus
+        q, n = self.modulus, len(self.points)
         check_modulus(q)
-        h, g = self.parity_check, self.generator
-        if h.modulus != q or g.modulus != q:
-            raise ValueError("matrix moduli do not match the code modulus")
-        n = h.cols
+        if not 1 <= self.msg_len <= n:
+            raise ValueError(f"message length {self.msg_len} must be between 1 and {n}")
+        if len(set(self.points)) != n:
+            raise ValueError("evaluation points must be distinct")
+        if len({p % q for p in self.points}) != n:
+            raise ValueError(f"evaluation points must be distinct mod {q}")
+        h = FieldMatrix(_vandermonde(self.points, self.msg_len, q), q)
+        g = FieldMatrix(self.generator, q)
+        object.__setattr__(self, "parity_check", h)
+        object.__setattr__(self, "generator", g)
         if g.cols != n:
             raise ValueError(
                 f"parity check has {n} columns but generator has {g.cols}"
@@ -83,19 +93,8 @@ class CodePair:
             raise ValueError(
                 f"row counts {h.rows}+{g.rows} do not sum to {n} columns"
             )
-        if len(self.points) != n:
-            raise ValueError(f"need {n} evaluation points, got {len(self.points)}")
-        if len(set(self.points)) != n:
-            raise ValueError("evaluation points must be distinct")
         if mod_matmul(h.array, g.array.T, q).any():
             raise ValueError("generator rows are not orthogonal to the parity check")
-        if len({p % q for p in self.points}) != n:
-            raise ValueError(f"evaluation points must be distinct mod {q}")
-        if (h.array != _vandermonde(self.points, h.rows, q)).any():
-            raise ValueError(
-                f"parity check is not the Vandermonde matrix of points "
-                f"{self.points} mod {q}"
-            )
         # h is MDS, so the code it checks is MDS; orthogonal rows of g lie in
         # that code and generate it, making g MDS, exactly when rank g = N-L.
         # A rank-deficient g has every (N-L)-column minor singular, so its
@@ -109,10 +108,6 @@ class CodePair:
     @property
     def n_servers(self) -> int:
         return self.parity_check.cols
-
-    @property
-    def msg_len(self) -> int:
-        return self.parity_check.rows
 
     @property
     def mask_len(self) -> int:
@@ -131,7 +126,7 @@ class CodePair:
         missing = [cols for cols in dict.fromkeys(col_sets) if cols not in cache]
         if missing:
             minors = self.parity_check.array[:, missing].transpose(1, 0, 2)
-            for cols, inverse in zip(missing, _inverse_stack(minors, self.modulus)):
+            for cols, inverse in zip(missing, inverse_stack(minors, self.modulus)):
                 inverse.setflags(write=False)
                 cache[cols] = inverse
         return [cache[cols] for cols in col_sets]
@@ -139,17 +134,6 @@ class CodePair:
     def decode_vector(self, answers) -> tuple[int, ...]:
         """Apply the parity check to a length-N answer vector (plain ints)."""
         return self.parity_check.mat_vec(answers)
-
-
-def check_modulus(q: int) -> None:
-    """Refuse a modulus that is not a prime below ``MODULUS_LIMIT``."""
-    if q >= MODULUS_LIMIT:
-        raise ValueError(
-            f"modulus {q} does not fit the 4-byte wire symbol: q must be "
-            f"below 2^32"
-        )
-    if not is_prime(q):
-        raise ValueError(f"modulus {q} is not prime")
 
 
 def build_vandermonde_pair(
@@ -180,12 +164,8 @@ def build_vandermonde_pair(
         raise ValueError(
             f"{n_servers} distinct points do not exist mod {q}"
         )
-    h = FieldMatrix(_vandermonde(points, msg_len, q), q)
-    if msg_len == n_servers:
-        g = FieldMatrix.zeros(0, n_servers, q)
-    else:
-        g = h.null_space_basis()
-    return CodePair(parity_check=h, generator=g, points=points, modulus=q)
+    g = FieldMatrix(_vandermonde(points, msg_len, q), q).null_space_basis()
+    return CodePair(points, msg_len, q, g.array)
 
 
 def _vandermonde(points, rows: int, q: int) -> np.ndarray:
@@ -205,10 +185,5 @@ def override_generator(pair: CodePair, generator_rows) -> CodePair:
     Entries are reduced mod q first, as ``build_vandermonde_pair`` reduces
     its points, so an integer of any size is accepted."""
     q = pair.modulus
-    g = FieldMatrix([[entry % q for entry in row] for row in generator_rows], q)
-    return CodePair(
-        parity_check=pair.parity_check,
-        generator=g,
-        points=pair.points,
-        modulus=q,
-    )
+    rows = [[entry % q for entry in row] for row in generator_rows]
+    return CodePair(pair.points, pair.msg_len, q, rows)

@@ -5,17 +5,22 @@ objects, read-only int64 arrays of residues mod q that callers multiply
 with ``mod_matmul``.  The matrix routines stick to integer Gauss-Jordan
 elimination: no floats ever enter the pipeline.
 
+``check_modulus`` is the one modulus rule of the package: q is an int, a
+prime, and below ``MODULUS_LIMIT`` = 2^32, so that every residue travels as
+one 4-byte wire symbol.  ``FieldMatrix``, ``codes.CodePair``,
+``protocol.PidConfig`` and the raw-slice layout all refuse through it.
+
 Products go through ``mod_matmul``: a dot product of n residues mod q is at
 most n*(q-1)^2, so it runs in int64 when n*(q-1)^2 + q < 2^63
 (``int64_exact``) and in Python ints (``dtype=object``) otherwise.
 Elimination clears a whole column per pivot, from every other row, in one
-broadcast update ``m -= col * pivot_row; m %= q``: ``_rref`` (behind
-``rank`` and ``null_space_basis``) costs O(columns) numpy calls, and
-``_inverse_stack`` inverts a stack of square matrices at once, each with
-its own pivot rows (``inverse`` is a stack of one).  An update is one
-product plus one residue per entry, so elimination switches to Python ints
-when (q-1)^2 + q reaches 2^63.  Moduli that fill the 4-byte wire symbol
-take the Python-int paths.
+broadcast update ``m -= col * pivot_row; m %= q``: ``rref`` (behind
+``rank``, ``determinant`` and ``null_space_basis``) costs O(columns) numpy
+calls, and ``inverse_stack`` inverts a stack of square matrices at once,
+each with its own pivot rows (``inverse`` is a stack of one).  An update is
+one product plus one residue per entry, so elimination switches to Python
+ints when (q-1)^2 + q reaches 2^63.  Moduli that fill the 4-byte wire
+symbol take the Python-int paths.
 """
 
 from __future__ import annotations
@@ -23,14 +28,21 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "MODULUS_LIMIT",
     "FieldMatrix",
     "SingularMatrixError",
     "RankDeficientError",
+    "check_modulus",
     "is_prime",
     "int64_exact",
     "mod_matmul",
+    "rref",
+    "inverse_stack",
 ]
 
+# Every field symbol travels as one 4-byte wire symbol, so a modulus must lie
+# below 2^32; the largest prime allowed is 4294967291.
+MODULUS_LIMIT = 2**32
 _INT64_LIMIT = 2**63
 # Miller-Rabin with these bases has no strong pseudoprime below
 # 3.3 * 10^24, so it decides every 64-bit n exactly.
@@ -68,12 +80,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_modulus(q: int) -> int:
+def check_modulus(q: int) -> None:
+    """Refuse a modulus that is not an int (``TypeError``), or not a prime
+    below ``MODULUS_LIMIT`` (``ValueError``)."""
     if not isinstance(q, int) or isinstance(q, bool):
         raise TypeError(f"modulus must be an int, got {type(q).__name__}")
+    if q >= MODULUS_LIMIT:
+        raise ValueError(
+            f"modulus {q} does not fit the 4-byte wire symbol: q must be "
+            f"below 2^32"
+        )
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
-    return q
 
 
 def int64_exact(modulus: int, inner: int) -> bool:
@@ -126,19 +144,13 @@ class FieldMatrix:
     __slots__ = ("_a", "modulus")
 
     def __init__(self, rows, modulus: int):
-        _check_modulus(modulus)
+        check_modulus(modulus)
         object.__setattr__(self, "_a", _as_array(rows, modulus))
         object.__setattr__(self, "modulus", modulus)
         self._a.setflags(write=False)
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"FieldMatrix is immutable, cannot set {name!r}")
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, modulus: int) -> "FieldMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), modulus)
 
     # -- views ----------------------------------------------------------------
 
@@ -188,64 +200,20 @@ class FieldMatrix:
 
     # -- elimination ----------------------------------------------------------
 
-    def _rref(self) -> tuple[np.ndarray, list[int]]:
-        """Reduced row echelon form and its pivot columns (exact, mod q)."""
-        q = self.modulus
-        m = _exact_copy(self._a, q)
-        n_rows, n_cols = m.shape
-        pivots: list[int] = []
-        for c in range(n_cols):
-            r = len(pivots)
-            if r == n_rows:
-                break
-            # RREF is unique, so any nonzero entry may be the pivot.
-            p = r if m[r, c] else r + int(m[r:, c].argmax())
-            head = int(m[p, c])
-            if not head:
-                continue
-            # The update zeroes row p, which row r replaces.
-            pivot_row = m[p] * pow(head, -1, q) % q
-            m -= m[:, c, None] * pivot_row
-            m %= q
-            if p != r:
-                m[p] = m[r]
-            m[r] = pivot_row
-            pivots.append(c)
-        return m, pivots
-
     def rank(self) -> int:
-        _, pivots = self._rref()
-        return len(pivots)
+        return len(rref(self._a, self.modulus)[1])
 
     def determinant(self) -> int:
+        """The determinant mod q, read from the ``rref`` pass: 0 when a
+        column has no pivot, else the pivots' scale."""
         if self.rows != self.cols:
             raise ValueError(f"determinant needs a square matrix, got {self.shape}")
-        q = self.modulus
-        m = _exact_copy(self._a, q)
-        n = self.rows
-        det = 1
-        for c in range(n):
-            pivot_row = None
-            for rr in range(c, n):
-                if m[rr, c] % q != 0:
-                    pivot_row = rr
-                    break
-            if pivot_row is None:
-                return 0
-            if pivot_row != c:
-                m[[c, pivot_row]] = m[[pivot_row, c]]
-                det = -det
-            det = det * int(m[c, c]) % q
-            inv = pow(int(m[c, c]), -1, q)
-            for rr in range(c + 1, n):
-                if m[rr, c] != 0:
-                    factor = int(m[rr, c]) * inv % q
-                    m[rr] = (m[rr] - factor * m[c]) % q
-        return det
+        _, pivots, scale = rref(self._a, self.modulus)
+        return scale if len(pivots) == self.rows else 0
 
     def inverse(self) -> "FieldMatrix":
-        """Exact inverse: ``_inverse_stack`` on a stack of one."""
-        return FieldMatrix(_inverse_stack(self._a[None], self.modulus)[0], self.modulus)
+        """Exact inverse: ``inverse_stack`` on a stack of one."""
+        return FieldMatrix(inverse_stack(self._a[None], self.modulus)[0], self.modulus)
 
     def null_space_basis(self) -> "FieldMatrix":
         """Canonical basis of the right null space, one basis vector per row.
@@ -255,7 +223,7 @@ class FieldMatrix:
         basis vector i has a 1 in the i-th free column, 0 in the other free
         columns, and the negated RREF entries in the pivot columns.
         """
-        rref, pivots = self._rref()
+        reduced, pivots, _ = rref(self._a, self.modulus)
         if len(pivots) < self.rows:
             raise RankDeficientError(
                 f"matrix has rank {len(pivots)} < {self.rows} rows"
@@ -264,11 +232,45 @@ class FieldMatrix:
         # of the result is the basis vector of free column f, and the free
         # columns are where the diagonal stays 1.
         basis = np.eye(self.cols, dtype=np.int64)
-        basis[pivots] -= rref.astype(np.int64)
+        basis[pivots] -= reduced
         return FieldMatrix(basis.T[basis.diagonal() == 1], self.modulus)
 
 
-def _inverse_stack(a: np.ndarray, modulus: int) -> np.ndarray:
+def rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, list[int], int]:
+    """Reduced row echelon form of a 2-d int64 array of residues mod
+    ``modulus``, as int64, with its pivot columns and the pivots' scale: the
+    product of the pivots, negated once per row exchange, which is the
+    determinant of a square ``a`` of full rank (its form is then I)."""
+    q = modulus
+    m = _exact_copy(a, q)
+    n_rows, n_cols = m.shape
+    pivots: list[int] = []
+    scale = 1
+    for c in range(n_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        # RREF is unique, so any nonzero entry may be the pivot.
+        p = r if m[r, c] else r + int(m[r:, c].argmax())
+        head = int(m[p, c])
+        if not head:
+            continue
+        # Dividing row p by its head divides the determinant by the head,
+        # clearing column c from the other rows keeps it, and moving row r
+        # to row p, which the update zeroes, is an exchange: it negates it.
+        scale = scale * head % q
+        pivot_row = m[p] * pow(head, -1, q) % q
+        m -= m[:, c, None] * pivot_row
+        m %= q
+        if p != r:
+            m[p] = m[r]
+            scale = -scale % q
+        m[r] = pivot_row
+        pivots.append(c)
+    return m.astype(np.int64, copy=False), pivots, scale
+
+
+def inverse_stack(a: np.ndarray, modulus: int) -> np.ndarray:
     """Exact int64 inverses of a (B, n, n) stack of square matrices of
     residues: Gauss-Jordan on every [A | I] at once, one broadcast update
     per column.  A singular member raises ``SingularMatrixError`` naming the
@@ -288,7 +290,7 @@ def _inverse_stack(a: np.ndarray, modulus: int) -> np.ndarray:
             raise SingularMatrixError(
                 f"matrix is singular mod {q}: no pivot in column {c}"
             )
-        # As in ``_rref``: the update zeroes each pivot row; row c moves there.
+        # As in ``rref``: the update zeroes each pivot row; row c moves there.
         inverses = np.array([pow(h, -1, q) for h in heads], dtype=m.dtype)
         pivot_rows = m[members, p] * inverses[:, None] % q
         m -= m[:, :, c, None] * pivot_rows[:, None, :]

@@ -36,12 +36,12 @@ Each variant is laid out once, by a private function that checks the
 request, the messages and the parameters and returns the server states,
 the randomness (None when unmasked) and the decoder: ``_coded_layout``,
 ``_raw_slice_layout`` (every server stores a raw slice of every message,
-rate 1) and ``_subset_layout`` (M > K/N: a coded or raw-slice layout on
+rate 1) and ``_subset_layout`` (M >= K/N: a coded or raw-slice layout on
 ceil(K/M) servers, the rest silent; ``analysis.achievable_coded_rate``
-shares its checks).  ``run_delivery``, ``run_fully_distributed`` and
-``run_subset_scheme`` answer a layout locally; ``sim.simulate_round``,
-``simulate_fully_distributed_round`` and ``simulate_subset_round`` answer
-the same layout over the wire.
+shares its checks).  With M = K/N and N dividing L, the subset layout is
+the raw-slice layout on all N servers.  ``run_delivery`` and
+``run_subset_scheme`` answer a layout locally; ``sim.simulate_round`` and
+``simulate_subset_round`` answer the same layout over the wire.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from codedpid.codes import CodePair, build_vandermonde_pair, check_modulus
-from codedpid.field import mod_matmul
+from codedpid.codes import CodePair, build_vandermonde_pair
+from codedpid.field import check_modulus, mod_matmul
 
 __all__ = [
     "CANONICAL",
@@ -76,7 +76,6 @@ __all__ = [
     "answer_vector",
     "decode_answers",
     "run_delivery",
-    "run_fully_distributed",
     "run_subset_scheme",
 ]
 
@@ -152,8 +151,10 @@ class PidConfig:
         self._check_server(server)
         return int(self.host_incidence[:, server - 1].sum())
 
-    @property
+    @functools.cached_property
     def is_balanced(self) -> bool:
+        """Whether every server hosts as many fragments: worked out on first
+        use and kept for the life of the config, as ``host_incidence`` is."""
         loads = self.host_incidence.sum(axis=0)
         return bool(loads.min() == loads.max())
 
@@ -537,24 +538,17 @@ def _coded_layout(
     return _Layout(d, storage, randomness, decode, config.modulus, transcript)
 
 
-def _raw_slice_layout(messages, n_servers: int, d: int, msg_len=None) -> _Layout:
+def _raw_slice_layout(messages, n_servers: int, d: int, msg_len: int) -> _Layout:
     """Raw slices, unmasked: server n stores the n-th of N equal slices of
-    every message.  Messages 1..K in order, all with message 1's modulus
-    (a prime below 2^32, as every layout's) and length (``msg_len`` when
-    given), which N must divide."""
-    messages = tuple(messages)
-    _check_positive(k_messages=len(messages), n_servers=n_servers)
+    every message.  Messages 1..K in order, K > 0, all with message 1's
+    modulus (a prime below 2^32, as every layout's) and length ``msg_len``,
+    which N must divide (``_subset_active`` checks both counts)."""
     q = messages[0].modulus
     check_modulus(q)
-    l = len(messages[0].symbols) if msg_len is None else msg_len
-    _check_messages(messages, len(messages), q, l)
-    if l % n_servers != 0:
-        raise ValueError(
-            f"message length {l} is not divisible by {n_servers} servers"
-        )
+    _check_messages(messages, len(messages), q, msg_len)
     if not 1 <= d <= len(messages):
         raise ValueError(f"message id {d} outside 1..{len(messages)}")
-    part = l // n_servers
+    part = msg_len // n_servers
     storage = tuple(
         ServerState(
             server_id=n + 1,
@@ -568,7 +562,9 @@ def _raw_slice_layout(messages, n_servers: int, d: int, msg_len=None) -> _Layout
         for n in range(n_servers)
     )
     decode = lambda answers: tuple(s for a in answers for s in a)  # noqa: E731
-    transcript = functools.partial(DeliveryTranscript, requested=d, modulus=q, msg_len=l)
+    transcript = functools.partial(
+        DeliveryTranscript, requested=d, modulus=q, msg_len=msg_len
+    )
     return _Layout(d, storage, None, decode, q, transcript)
 
 
@@ -663,20 +659,6 @@ def run_delivery(
     return _answer_locally(_coded_layout(config, code, messages, d, seed))
 
 
-def run_fully_distributed(messages, n_servers: int, d: int) -> DeliveryTranscript:
-    """Reference point: every server stores a raw slice of every message.
-
-    Requires N to divide L.  The requested message is downloaded slice by
-    slice, nothing else is sent, so the rate is exactly 1.  Every server
-    holds a slice of every message and answers every request with the same
-    number of raw symbols, distributed alike for every d when the messages
-    are uniform, so the user learns nothing of d from the answers; only
-    raw-slice layouts with L < N, where d's host set alone transmits, leak
-    d (see ``verify.split_scheme``).
-    """
-    return _answer_locally(_raw_slice_layout(messages, n_servers, d))
-
-
 def run_subset_scheme(
     k_messages: int,
     n_servers: int,
@@ -692,6 +674,11 @@ def run_subset_scheme(
     silence is d-independent, so privacy is preserved).  With L below the
     active count the coded scheme runs on the active servers at rate
     L/ceil(K/M); once L reaches the active count, raw slices achieve rate 1.
+    At M = K/N with N dividing L, every server stores a raw slice of every
+    message and answers every request with as many raw symbols, distributed
+    alike for every d when the messages are uniform; only raw-slice layouts
+    with L < N, where d's host set alone transmits, leak d (see
+    ``verify.split_scheme``).
     """
     return _answer_locally(
         _subset_layout(k_messages, n_servers, storage_limit, msg_len, messages, d, seed)

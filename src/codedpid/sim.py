@@ -36,7 +36,7 @@ fields (``FrameError``).  A parsed frame, and the share, command, answer and
 decode-result frames of a round, are built without that check, because
 their fields are bounded where they enter: the wire format bounds what is
 parsed; every layout's modulus is a prime below 2^32
-(``codes.check_modulus``); an actor refuses, when it is built, an id that
+(``field.check_modulus``); an actor refuses, when it is built, an id that
 does not fit 2 bytes and a server a modulus above 2^32, so every symbol it
 sends, reduced mod q, fits 4 bytes; the shares are residues mod q
 (``protocol`` draws them itself, every round); ``_run_phases``
@@ -69,7 +69,6 @@ from codedpid.protocol import (  # noqa: F401
     _coded_layout,
     _Layout,
     _answer,
-    _raw_slice_layout,
     _subset_layout,
     attach_shares,
     draw_randomness,
@@ -95,7 +94,6 @@ __all__ = [
     "decode_frames",
     "simulate_round",
     "simulate_subset_round",
-    "simulate_fully_distributed_round",
     "write_frame_log",
     "read_frame_log",
     "frames_to_bytes",
@@ -557,15 +555,6 @@ def simulate_round(
     return _serve(
         _coded_layout(config, code, messages, d, seed, encode_storage, draw_randomness)
     )
-
-
-def simulate_fully_distributed_round(
-    messages, n_servers: int, d: int
-) -> SimResult:
-    """Raw-slice reference variant over the wire (rate 1): the layout of
-    ``protocol.run_fully_distributed``, answered by actors, with the same
-    transcript."""
-    return _serve(_raw_slice_layout(messages, n_servers, d))
 
 
 def simulate_subset_round(

@@ -56,7 +56,7 @@ numbered below 10**7, the census keys below 2**21, and a stage's values stay
 at most N*(q-1)^2 + q (storage sums L products of residues, the shares N-L,
 decoding N, plus a residue or the no-symbol marker q), below 2^63 for any N
 under 8*10**12.  Otherwise it certifies by rank, exact for every q < 2^32
-(``field.FieldMatrix``).  Request d's answers are uniform on the coset
+(``field.rref``).  Request d's answers are uniform on the coset
 b_d + im A_d, each point hit q^(K*L + N-L - rank A_d) times.  Correctness
 holds exactly when D_d*A_d selects w_d and D_d*b_d = 0 for every d; privacy
 exactly when all requests share one silence pattern and one coset.  The
@@ -74,7 +74,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from codedpid.codes import CodePair
-from codedpid.field import FieldMatrix, mod_matmul
+from codedpid.field import mod_matmul, rref
 from codedpid.protocol import PidConfig, _encoder
 
 __all__ = [
@@ -579,8 +579,8 @@ def _rank_privacy(scheme: SchemeUnderTest, maps: AffineMaps) -> PrivacyReport:
     mismatch = None
     for d in range(k):
         sends = maps.sends[d]
-        rref, pivots = FieldMatrix(maps.linear[d][sends].T, q)._rref()
-        basis = rref[: len(pivots)].astype(np.int64)
+        reduced, pivots, _ = rref(maps.linear[d][sends].T, q)
+        basis = reduced[: len(pivots)]
         offset = maps.offset[d][sends] % q
         offset = (offset - mod_matmul(offset[pivots], basis, q)) % q
         if images.setdefault(sends.tobytes(), basis.tobytes()) != basis.tobytes():

@@ -68,7 +68,7 @@ def test_01_six_server_instance_structure():
     ]
     # generator rows orthogonal to the parity check
     product = mod_matmul(code.parity_check.array, code.generator.array.T, 11)
-    assert FieldMatrix(product, 11) == FieldMatrix.zeros(3, 3, 11)
+    assert FieldMatrix(product, 11) == FieldMatrix(np.zeros((3, 3), dtype=np.int64), 11)
     # every 3-column minor of both matrices is invertible (20 each)
     from itertools import combinations
 

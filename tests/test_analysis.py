@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codedpid.analysis import (
     CSV_HEADER,
@@ -22,9 +23,12 @@ from codedpid.analysis import (
     uncoded_randomness_overhead,
     valid_msg_lens,
 )
+from codedpid.codes import build_vandermonde_pair
 from codedpid.instances import q5_instance, q11_instance
 from codedpid.protocol import (
+    EXPLICIT,
     DeliveryTranscript,
+    make_association,
     random_messages,
     run_delivery,
 )
@@ -224,6 +228,25 @@ class TestRateReport:
         report = rate_report(config, t)
         assert report.achieved == report.capacity == Fraction(1, 2)
         assert report.randomness.total == Fraction(1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_capacity_claimed_exactly_when_balanced(self, data):
+        n = data.draw(st.integers(1, 5), label="N")
+        l = data.draw(st.integers(1, n), label="L")
+        k = data.draw(st.integers(1, 5), label="K")
+        hosts = st.sets(st.integers(1, n), min_size=l, max_size=l).map(sorted)
+        association = data.draw(st.lists(hosts, min_size=k, max_size=k))
+        config = make_association(7, k, n, l, EXPLICIT, association)
+        code = build_vandermonde_pair(7, n, l)
+        t = run_delivery(config, code, random_messages(config, seed=k), k, seed=n)
+        loads = [sum(s in h for h in association) for s in range(1, n + 1)]
+        report = rate_report(config, t)
+        assert report.achieved == Fraction(l, n)
+        if len(set(loads)) == 1:
+            assert report.capacity == Fraction(l, n) and report.meets_capacity
+        else:
+            assert report.capacity is None and not report.meets_capacity
 
 
 class TestSweep:

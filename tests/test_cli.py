@@ -308,6 +308,17 @@ class TestDeliver:
         frames = read_frame_log(q5_dir / "frames.log")
         assert len(frames) == 13
 
+    def test_unbalanced_capacity_is_not_claimed(self, capsys, tmp_path):
+        # servers 1-2 could send message d's fragments alone, at rate 1 and
+        # privately, so L/N = 2/3 is not this instance's capacity
+        cfg = tmp_path / "unbalanced.cfg"
+        cfg.write_text("q = 5\nK = 2\nN = 3\nL = 2\nassociation = [[1, 2], [1, 2]]\n")
+        out = tmp_path / "inst"
+        assert run(capsys, "setup", "-c", str(cfg), "-o", str(out))[0] == 0
+        code, stdout, _ = run(capsys, "deliver", "-i", str(out), "-d", "1", "--seed", "3")
+        assert code == 0
+        assert "rate = 2/3 (capacity not characterized: storage is not balanced)\n" in stdout
+
     def test_no_mask_overhead_when_l_equals_n(self, capsys, tmp_path):
         # K = N = L = 2 over F_2: no mask is drawn, so no server holds a share
         cfg, inst = tmp_path / "full.cfg", str(tmp_path / "inst")

@@ -5,13 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from codedpid.codes import (
-    MODULUS_LIMIT,
-    CodePair,
-    build_vandermonde_pair,
-    override_generator,
-)
-from codedpid.field import FieldMatrix, SingularMatrixError, mod_matmul
+from codedpid.codes import CodePair, build_vandermonde_pair, override_generator
+from codedpid.field import MODULUS_LIMIT, FieldMatrix, SingularMatrixError, mod_matmul
 
 # Frozen: the parity check on points 1..6 over F_11 and a compatible
 # hand-picked generator (orthogonality and both MDS properties re-verified
@@ -52,7 +47,7 @@ class TestVandermondeConstruction:
         for q, n, l in [(5, 3, 1), (5, 3, 2), (7, 5, 2), (11, 6, 3), (13, 7, 5)]:
             pair = build_vandermonde_pair(q, n, l)
             prod = mod_matmul(pair.parity_check.array, pair.generator.array.T, q)
-            assert FieldMatrix(prod, q) == FieldMatrix.zeros(l, n - l, q)
+            assert FieldMatrix(prod, q) == FieldMatrix(np.zeros((l, n - l), dtype=np.int64), q)
 
     def test_full_length_code_has_empty_generator(self):
         pair = build_vandermonde_pair(7, 4, 4)
@@ -216,50 +211,34 @@ class TestCodePairApi:
         assert pair.decode_vector((2, 2, 2)) == (1, 2)
 
     def test_direct_construction_validation(self):
-        h = FieldMatrix([[1, 1, 1], [1, 2, 3]], 5)
-        g = FieldMatrix([[1, 3, 1]], 5)
-        CodePair(parity_check=h, generator=g, points=(1, 2, 3), modulus=5)
-        with pytest.raises(ValueError, match="points"):
-            CodePair(parity_check=h, generator=g, points=(1, 2), modulus=5)
-        with pytest.raises(ValueError):
-            CodePair(
-                parity_check=h,
-                generator=FieldMatrix([[1, 3, 1], [2, 1, 2]], 5),
-                points=(1, 2, 3),
-                modulus=5,
-            )
+        pair = CodePair((1, 2, 3), 2, 5, [[1, 3, 1]])
+        assert pair.generator == FieldMatrix([[1, 3, 1]], 5)
+        assert (pair.n_servers, pair.msg_len, pair.mask_len) == (3, 2, 1)
+        with pytest.raises(ValueError, match="3 columns but generator has 2"):
+            CodePair((1, 2, 3), 2, 5, [[1, 3]])
+        with pytest.raises(ValueError, match="row counts 2\\+2 do not sum to 3"):
+            CodePair((1, 2, 3), 2, 5, [[1, 3, 1], [2, 1, 2]])
+        for l in (-1, 0, 4):
+            with pytest.raises(ValueError, match=f"message length {l} must be between 1 and 3"):
+                CodePair((1, 2, 3), l, 5, np.eye(3, dtype=np.int64))
 
     def test_modulus_mismatch(self):
-        h = FieldMatrix([[1, 1, 1], [1, 2, 3]], 5)
-        g = FieldMatrix([[1, 3, 1]], 5)
-        with pytest.raises(ValueError):
-            CodePair(parity_check=h, generator=g, points=(1, 2, 3), modulus=7)
+        # the rows of a generator mod 5 are not orthogonal mod 7
+        with pytest.raises(ValueError, match="not orthogonal"):
+            CodePair((1, 2, 3), 2, 7, [[1, 3, 1]])
 
     def test_parity_check_must_be_the_points_vandermonde(self):
-        # every minor of this parity check is invertible (it scales the
-        # Vandermonde matrix's first row by 2), yet it is refused: only the
-        # Vandermonde matrix of the pair's own points is accepted
-        g = FieldMatrix([[1, 3, 1]], 5)
-        for rows in ([[2, 2, 2], [1, 2, 3]], [[1, 1, 1], [3, 2, 1]]):
-            with pytest.raises(ValueError, match="not the Vandermonde matrix"):
-                CodePair(
-                    parity_check=FieldMatrix(rows, 5),
-                    generator=g,
-                    points=(1, 2, 3),
-                    modulus=5,
-                )
+        # the pair derives its parity check from its points; none is taken
+        for points, rows in (
+            ((1, 2, 3), [[1, 1, 1], [1, 2, 3]]),
+            ((0, 1, 4), [[1, 1, 1], [0, 1, 4]]),
+        ):
+            h = FieldMatrix(rows, 5)
+            g = h.null_space_basis()
+            assert CodePair(points, 2, 5, g.array).parity_check == h
+        with pytest.raises(TypeError, match="parity_check"):
+            CodePair(parity_check=h, generator=g, points=(0, 1, 4), modulus=5)
 
     def test_points_must_be_distinct_mod_q(self):
-        h = FieldMatrix([[1, 1, 1], [1, 1, 3]], 5)  # the points 1, 6, 3 mod 5
-        g = FieldMatrix([[1, 4, 0]], 5)
         with pytest.raises(ValueError, match="distinct mod 5"):
-            CodePair(parity_check=h, generator=g, points=(1, 6, 3), modulus=5)
-
-    def test_parity_minor_failure_is_named(self):
-        h = FieldMatrix([[1, 1, 2], [2, 2, 3]], 5)  # cols 0,1 dependent
-        g = FieldMatrix([[1, 4, 0]], 5)  # placeholder; h check fires first
-        with pytest.raises(
-            ValueError,
-            match=r"parity check is not the Vandermonde matrix of points \(0, 1, 2\) mod 5",
-        ):
-            CodePair(parity_check=h, generator=g, points=(0, 1, 2), modulus=5)
+            CodePair((1, 6, 3), 2, 5, [[1, 4, 0]])

@@ -1,21 +1,29 @@
 """Field matrix arithmetic and primality, checked against brute-force oracles."""
 
+import ast
 import itertools
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from codedpid.codes import build_vandermonde_pair
+from codedpid.codes import build_vandermonde_pair, override_generator
 from codedpid.field import (
+    MODULUS_LIMIT,
     FieldMatrix,
     RankDeficientError,
     SingularMatrixError,
-    _inverse_stack,
+    check_modulus,
     int64_exact,
+    inverse_stack,
     is_prime,
     mod_matmul,
+    rref,
 )
+from codedpid.protocol import Message, PidConfig, make_association, run_subset_scheme
+from codedpid.sim import simulate_subset_round
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -142,6 +150,26 @@ class TestFieldMatrix:
                 m = FieldMatrix(rows, q)
                 assert int(m.determinant()) == det3_oracle(rows, q)
 
+    def test_determinant_row_exchanges(self):
+        # leading zeros force one exchange, two, or one per column; at q = 2
+        # a negated determinant is the same residue, at 4294967291 the pass
+        # runs on Python ints
+        rng = np.random.default_rng(9)
+        patterns = [
+            [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+            [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+            [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+            [[0, 1, 1], [0, 0, 1], [1, 1, 1]],
+        ]
+        for q in (2, 4294967291):
+            assert FieldMatrix(patterns[0], q).determinant() == q - 1
+            assert FieldMatrix(patterns[1], q).determinant() == 1
+            for pattern in patterns:
+                for _ in range(10):
+                    scale = rng.integers(1, q, size=(3, 3), dtype=np.int64)
+                    rows = (np.array(pattern) * scale).tolist()
+                    assert FieldMatrix(rows, q).determinant() == det3_oracle(rows, q)
+
     def test_determinant_detects_singularity(self):
         # det == 0 exactly when Gauss-Jordan inversion fails
         rng = np.random.default_rng(3)
@@ -209,14 +237,14 @@ class TestNullSpace:
                     assert basis.shape == (n - l, n)
                     assert basis.rank() == n - l
                     prod = times(h, FieldMatrix(basis.array.T, q))
-                    assert prod == FieldMatrix.zeros(l, n - l, q)
+                    assert prod == FieldMatrix(np.zeros((l, n - l), dtype=np.int64), q)
 
     def test_canonical_form(self):
         # each basis row has a 1 in its own free column and 0 in the others,
         # with free columns taken in ascending order
         h = FieldMatrix([[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]], 5)
         basis = h.null_space_basis()
-        _, pivots = h._rref()
+        _, pivots, _ = rref(h.array, 5)
         free = [c for c in range(5) if c not in pivots]
         assert free == sorted(free)
         for i, fc in enumerate(free):
@@ -234,7 +262,7 @@ class TestNullSpace:
     def test_rank(self):
         assert FieldMatrix([[1, 2], [2, 4]], 5).rank() == 1
         assert FieldMatrix([[1, 0], [0, 1]], 5).rank() == 2
-        assert FieldMatrix.zeros(2, 3, 5).rank() == 0
+        assert FieldMatrix(np.zeros((2, 3), dtype=np.int64), 5).rank() == 0
 
 
 # Primes whose products of two residues leave int64: the smallest such prime
@@ -378,10 +406,11 @@ class TestEliminationAgainstScalarReference:
         for q in ELIMINATION_PRIMES:
             for rows, n_cols in elimination_cases(q):
                 m = as_matrix(rows, n_cols, q)
-                rref, pivots = m._rref()
+                reduced, pivots, _ = rref(m.array, q)
                 expected, expected_pivots = reference_rref(rows, n_cols, q)
                 assert pivots == expected_pivots, (q, rows)
-                assert rref.tolist() == expected, (q, rows)
+                assert reduced.dtype == np.int64
+                assert reduced.tolist() == expected, (q, rows)
                 assert m.rank() == len(expected_pivots)
 
     def test_inverse_and_singular(self):
@@ -422,7 +451,7 @@ class TestInverseStack:
         h = pair.parity_check
         subsets = list(itertools.combinations(range(6), 3))
         minors = np.stack([h.array[:, cols] for cols in subsets])
-        stacked = _inverse_stack(minors, 11)
+        stacked = inverse_stack(minors, 11)
         assert stacked.dtype == np.int64 and stacked.shape == (20, 3, 3)
         for cols, inverse in zip(subsets, stacked):
             assert inverse.tolist() == reference_inverse(h.array[:, cols].tolist(), 11)
@@ -436,17 +465,99 @@ class TestInverseStack:
                 [[2, 0, 0], [0, 3, 0], [0, 0, 4]],
                 [[0, 0, 1], [q - 1, 0, 0], [0, 1, 1]],
             ]
-            stacked = _inverse_stack(np.array(members, dtype=np.int64), q)
+            stacked = inverse_stack(np.array(members, dtype=np.int64), q)
             assert stacked.tolist() == [reference_inverse(rows, q) for rows in members]
 
     def test_non_square_stack_raises(self):
         h = build_vandermonde_pair(11, 6, 3).parity_check.array
         for cols in ([0, 1], [0, 1, 2, 3]):
             with pytest.raises(ValueError, match=r"square matrix, got \(3, \d\)$"):
-                _inverse_stack(h[:, cols][None], 11)
+                inverse_stack(h[:, cols][None], 11)
 
     def test_one_singular_member_raises(self):
         h = build_vandermonde_pair(11, 6, 3).parity_check.array
         minors = np.stack([h[:, [0, 1, 2]], h[:, [0, 0, 1]], h[:, [3, 4, 5]]])
         with pytest.raises(SingularMatrixError, match="singular mod 11: no pivot in column 1$"):
-            _inverse_stack(minors, 11)
+            inverse_stack(minors, 11)
+
+
+# Entry points that take a modulus, each fed it as the only bad input.
+MODULUS_ENTRIES = {
+    "make_association": lambda q: make_association(q, 3, 3, 2),
+    "PidConfig": lambda q: PidConfig(q, 1, 1, 1, ((1,),)),
+    "FieldMatrix": lambda q: FieldMatrix([[1]], q),
+    "build_vandermonde_pair": lambda q: build_vandermonde_pair(q, 3, 2),
+    "override_generator": lambda q: override_generator(
+        SimpleNamespace(points=(1, 2, 3), msg_len=2, modulus=q), [[1, 3, 1]]
+    ),
+    "raw_slice_round": lambda q: run_subset_scheme(
+        2, 2, 1, 2, (Message(1, (0, 0), q), Message(2, (0, 0), q)), 1
+    ),
+    "raw_slice_wire_round": lambda q: simulate_subset_round(
+        2, 2, 1, 2, (Message(1, (0, 0), q), Message(2, (0, 0), q)), 1
+    ),
+}
+WIRE_TEXT = "does not fit the 4-byte wire symbol: q must be below 2\\^32"
+BAD_MODULI = [
+    (5.0, TypeError, "modulus must be an int, got float"),
+    (True, TypeError, "modulus must be an int, got bool"),
+    (2**61 - 1, ValueError, f"modulus {2**61 - 1} {WIRE_TEXT}"),
+    (2**89 - 1, ValueError, f"modulus {2**89 - 1} {WIRE_TEXT}"),
+]
+
+
+class TestModulusRule:
+    def test_the_rule(self):
+        assert MODULUS_LIMIT == 2**32
+        check_modulus(2)
+        check_modulus(4294967291)
+        for q in (0, 1, 4, 2**32 - 1):
+            with pytest.raises(ValueError, match=f"modulus {q} is not prime"):
+                check_modulus(q)
+
+    @pytest.mark.parametrize("entry", sorted(MODULUS_ENTRIES))
+    @pytest.mark.parametrize("q, error, text", BAD_MODULI, ids=["float", "bool", "2^61-1", "2^89-1"])
+    def test_every_entry_point_refuses(self, entry, q, error, text):
+        # an OverflowError or a served round fails this as well
+        with pytest.raises(error, match=f"^{text}$"):
+            MODULUS_ENTRIES[entry](q)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "codedpid"
+
+
+def private_field_uses(tree: ast.Module, private: set[str]) -> list[str]:
+    """Every import of a ``_``-prefixed name from ``codedpid.field``, and
+    every attribute read of a ``_``-prefixed name that ``field.py`` defines,
+    in one module's syntax tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "codedpid.field":
+            found += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr in private:
+            found.append(node.attr)
+    return found
+
+
+def test_no_module_reaches_into_field():
+    # field's private names: its functions, classes and assigned names, and
+    # the attributes it keeps on its objects (``FieldMatrix._a``)
+    private = set()
+    for node in ast.walk(ast.parse((SRC / "field.py").read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            private.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            private.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            private.add(node.attr)
+    private = {n for n in private if n.startswith("_") and not n.startswith("__")}
+    assert {"_exact_copy", "_as_array", "_a", "_INT64_LIMIT"} <= private
+    uses = {
+        path.name: private_field_uses(ast.parse(path.read_text()), private)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "field.py"
+    }
+    assert {name: found for name, found in uses.items() if found} == {}
+    # the walk sees both forms of reaching in
+    probe = "from codedpid.field import _exact_copy\nFieldMatrix(a, q)._a\n"
+    assert private_field_uses(ast.parse(probe), private) == ["_exact_copy", "_a"]

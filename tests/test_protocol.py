@@ -28,7 +28,6 @@ from codedpid.protocol import (
     make_association,
     random_messages,
     run_delivery,
-    run_fully_distributed,
     run_subset_scheme,
     server_answer,
     valid_msg_lens,
@@ -408,9 +407,12 @@ class TestRunDelivery:
 
 
 class TestFullyDistributed:
+    # at M = K/N with N dividing L, every server stores a raw slice of
+    # every message: the subset round's raw-slice branch on all N servers
+
     def test_rate_one(self):
         messages = msgs(7, (1, 2, 3, 4), (5, 6, 0, 1))
-        t = run_fully_distributed(messages, 2, 2)
+        t = run_subset_scheme(2, 2, 1, 4, messages, 2)
         assert t.decoded == (5, 6, 0, 1)
         assert t.answers == ((5, 6), (0, 1))
         assert t.rate == Fraction(1)
@@ -418,12 +420,12 @@ class TestFullyDistributed:
     def test_divisibility_required(self):
         messages = msgs(7, (1, 2, 3, 4), (5, 6, 0, 1))
         with pytest.raises(ValueError, match="divisible"):
-            run_fully_distributed(messages, 3, 1)
+            run_subset_scheme(2, 3, Fraction(2, 3), 4, messages, 1)
 
     def test_request_range(self):
         messages = msgs(7, (1, 2), (3, 4))
         with pytest.raises(ValueError):
-            run_fully_distributed(messages, 2, 3)
+            run_subset_scheme(2, 2, 1, 2, messages, 3)
 
 
 class TestSubsetScheme:

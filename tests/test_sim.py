@@ -34,7 +34,6 @@ from codedpid.protocol import (
     make_association,
     random_messages,
     run_delivery,
-    run_fully_distributed,
     run_subset_scheme,
 )
 from codedpid.sim import (
@@ -58,7 +57,6 @@ from codedpid.sim import (
     decode_frames,
     frames_to_bytes,
     read_frame_log,
-    simulate_fully_distributed_round,
     simulate_round,
     simulate_subset_round,
     write_frame_log,
@@ -266,10 +264,12 @@ class TestSubsetRound:
 
 
 class TestFullyDistributedRound:
+    # raw slices on all N servers: a subset round at M = K/N, N dividing L
+
     def test_rate_one(self):
         messages = msgs(7, (1, 2, 3, 4), (5, 6, 0, 1))
-        result = simulate_fully_distributed_round(messages, 2, 2)
-        assert result.transcript == run_fully_distributed(messages, 2, 2)
+        result = simulate_subset_round(2, 2, 1, 4, messages, 2)
+        assert result.transcript == run_subset_scheme(2, 2, 1, 4, messages, 2)
         assert result.transcript.rate == Fraction(1)
         accounting = byte_accounting(result.frames, 2)
         assert accounting.empirical_rate == Fraction(1)
@@ -277,11 +277,11 @@ class TestFullyDistributedRound:
     def test_rejections(self):
         messages = msgs(7, (1, 2, 3), (4, 5, 6))
         with pytest.raises(ValueError, match="divisible"):
-            simulate_fully_distributed_round(messages, 2, 1)
+            simulate_subset_round(2, 2, 1, 3, messages, 1)
         with pytest.raises(ValueError):
-            simulate_fully_distributed_round(messages, 3, 9)
+            simulate_subset_round(2, 3, Fraction(2, 3), 3, messages, 9)
         with pytest.raises(ValueError):
-            simulate_fully_distributed_round((), 2, 1)
+            simulate_subset_round(2, 2, 1, 3, (), 1)
 
 
 # -- one layout per variant, two transports --------------------------------------
@@ -305,33 +305,34 @@ REFUSALS = [
     (run_subset_scheme, simulate_subset_round,
      (4, 4, 2, 2, msgs(5, *[(1, 2, 3, 4)] * 4), 1),
      "message 1 has 4 symbols, expected 2"),
-    # raw slices check every message, not only the first
-    (run_fully_distributed, simulate_fully_distributed_round,
-     (msgs(7, (1, 2, 3, 4), (5, 6)), 2, 1),
+    # raw slices (M = K/N, N dividing L) check every message, not only the
+    # first
+    (run_subset_scheme, simulate_subset_round,
+     (2, 2, 1, 4, msgs(7, (1, 2, 3, 4), (5, 6)), 1),
      "message 2 has 2 symbols, expected 4"),
-    (run_fully_distributed, simulate_fully_distributed_round,
-     ((Message(1, (1, 2), 7), Message(2, (3, 4), 11)), 2, 2),
+    (run_subset_scheme, simulate_subset_round,
+     (2, 2, 1, 2, (Message(1, (1, 2), 7), Message(2, (3, 4), 11)), 2),
      "message 2 modulus 11 != 7"),
-    (run_fully_distributed, simulate_fully_distributed_round,
-     ((Message(2, (1, 2), 7), Message(1, (3, 4), 7)), 2, 1),
+    (run_subset_scheme, simulate_subset_round,
+     (2, 2, 1, 2, (Message(2, (1, 2), 7), Message(1, (3, 4), 7)), 1),
      "message at position 1 has index 2"),
-    (run_fully_distributed, simulate_fully_distributed_round,
-     (msgs(7, (1, 2, 3), (4, 5, 6)), 2, 1),
-     "message length 3 is not divisible by 2 servers"),
+    (run_subset_scheme, simulate_subset_round,
+     (2, 2, 1, 3, msgs(7, (1, 2, 3), (4, 5, 6)), 1),
+     "L=3 is not divisible by the 2 active servers"),
     # counts are checked before anything divides by them
     (run_subset_scheme, simulate_subset_round,
      (0, 3, 1, 1, (), 1), "k_messages must be positive, got 0"),
     (run_subset_scheme, simulate_subset_round,
      (4, 0, 1, 1, msgs(5, (1,), (2,), (3,), (4,)), 1),
      "n_servers must be positive, got 0"),
-    (run_fully_distributed, simulate_fully_distributed_round,
-     (msgs(7, (1, 2)), 0, 1), "n_servers must be positive, got 0"),
+    (run_subset_scheme, simulate_subset_round,
+     (1, 0, 1, 2, msgs(7, (1, 2)), 1), "n_servers must be positive, got 0"),
     # raw slices bound their modulus as the coded layouts do
-    (run_fully_distributed, simulate_fully_distributed_round,
-     (msgs(2**41, (1, 2), (3, 4)), 2, 1),
+    (run_subset_scheme, simulate_subset_round,
+     (2, 2, 1, 2, msgs(2**41, (1, 2), (3, 4)), 1),
      "modulus 2199023255552 does not fit the 4-byte wire symbol: q must be below 2^32"),
-    (run_fully_distributed, simulate_fully_distributed_round,
-     (msgs(10, (1, 2), (3, 4)), 2, 1), "modulus 10 is not prime"),
+    (run_subset_scheme, simulate_subset_round,
+     (2, 2, 1, 2, msgs(10, (1, 2), (3, 4)), 1), "modulus 10 is not prime"),
 ]
 
 
@@ -546,7 +547,7 @@ def subset_raw_round():
 
 def fully_distributed_round():
     messages = msgs(7, (1, 2, 3, 4), (5, 6, 0, 1))
-    return simulate_fully_distributed_round(messages, 2, 2)
+    return simulate_subset_round(2, 2, 1, 4, messages, 2)
 
 
 # sha256 of ``frames_to_bytes`` of each round, with its frame and byte counts,
@@ -824,7 +825,7 @@ class TestParseOnce:
         messages = msgs(13, *rows)
         for _ in range(3):
             simulate_subset_round(4, 4, 2, 2, messages, 3, seed=1)
-            simulate_fully_distributed_round(msgs(7, (1, 2), (3, 4)), 2, 1)
+            simulate_subset_round(2, 2, 1, 2, msgs(7, (1, 2), (3, 4)), 1)
         assert len(parses) == 3 * (4 + 2)
 
     def test_coded_subset_rounds_parse_inner_storage_once(self, parses):
