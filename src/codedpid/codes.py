@@ -52,9 +52,10 @@ class CodePair:
     """A parity-check / mask-generator pair over a prime field.
 
     ``generator`` is given as N - L rows of N integers, an array or nested
-    lists, and kept as a ``FieldMatrix`` mod q.  ``parity_check`` is derived,
-    shape (msg_len, N): the Vandermonde matrix of ``points``, row i holding
-    the points to the i-th power mod q.
+    lists, and kept as a ``FieldMatrix`` mod q; a ``FieldMatrix`` of the
+    pair's modulus is kept as given, one of any other modulus refused.
+    ``parity_check`` is derived, shape (msg_len, N): the Vandermonde matrix
+    of ``points``, row i holding the points to the i-th power mod q.
     """
 
     points: tuple[int, ...]
@@ -82,7 +83,11 @@ class CodePair:
         if len({p % q for p in self.points}) != n:
             raise ValueError(f"evaluation points must be distinct mod {q}")
         h = FieldMatrix(_vandermonde(self.points, self.msg_len, q), q)
-        g = FieldMatrix(self.generator, q)
+        g = self.generator
+        if not isinstance(g, FieldMatrix):
+            g = FieldMatrix(g, q)
+        elif g.modulus != q:
+            raise ValueError(f"generator modulus {g.modulus} != code modulus {q}")
         object.__setattr__(self, "parity_check", h)
         object.__setattr__(self, "generator", g)
         if g.cols != n:

@@ -33,12 +33,13 @@ therefore hosts a share of K*L/N messages when the association is balanced.
 Delivery variants
 -----------------
 Each variant is laid out once, by a private function that checks the
-request, the messages and the parameters and returns the server states,
-the randomness (None when unmasked) and the decoder: ``_coded_layout``,
-``_raw_slice_layout`` (every server stores a raw slice of every message,
-rate 1) and ``_subset_layout`` (M >= K/N: a coded or raw-slice layout on
-ceil(K/M) servers, the rest silent; ``analysis.achievable_coded_rate``
-shares its checks).  With M = K/N and N dividing L, the subset layout is
+request (an int in 1..K, by the one rule ``_check_request``), the messages
+and the parameters and returns the server states, the randomness (None
+when unmasked) and the decoder: ``_coded_layout``, ``_raw_slice_layout``
+(every server stores a raw slice of every message, rate 1) and
+``_subset_layout`` (M >= K/N: a coded or raw-slice layout on ceil(K/M)
+servers, the rest silent; ``analysis.achievable_coded_rate`` shares its
+checks).  With M = K/N and N dividing L, the subset layout is
 the raw-slice layout on all N servers.  ``run_delivery`` and
 ``run_subset_scheme`` answer a layout locally; ``sim.simulate_round`` and
 ``simulate_subset_round`` answer the same layout over the wire.
@@ -144,7 +145,7 @@ class PidConfig:
 
     def servers_for(self, k: int) -> tuple[int, ...]:
         """Sorted 1-based host set of message k."""
-        self._check_message(k)
+        _check_request(k, self.k_messages)
         return self.association[k - 1]
 
     def server_load(self, server: int) -> int:
@@ -175,10 +176,6 @@ class PidConfig:
         incidence[rows, np.array(self.association).ravel() - 1] = 1
         incidence.flags.writeable = False
         return incidence
-
-    def _check_message(self, k: int) -> None:
-        if not 1 <= k <= self.k_messages:
-            raise ValueError(f"message id {k} outside 1..{self.k_messages}")
 
     def _check_server(self, n: int) -> None:
         if not 1 <= n <= self.n_servers:
@@ -523,7 +520,7 @@ def _coded_layout(
     ``draw(code, seed)``: N shares, each in F_q, that the decoder cancels.
     The wire round passes as ``encode`` and ``draw`` the names it looks up
     in its own module."""
-    config._check_message(d)
+    _check_request(d, config.k_messages)
     storage = encode(config, code, messages)
     randomness = draw(code, seed)
     transcript = functools.partial(
@@ -546,8 +543,7 @@ def _raw_slice_layout(messages, n_servers: int, d: int, msg_len: int) -> _Layout
     q = messages[0].modulus
     check_modulus(q)
     _check_messages(messages, len(messages), q, msg_len)
-    if not 1 <= d <= len(messages):
-        raise ValueError(f"message id {d} outside 1..{len(messages)}")
+    _check_request(d, len(messages))
     part = msg_len // n_servers
     storage = tuple(
         ServerState(
@@ -692,6 +688,14 @@ def _check_positive(**named: int) -> None:
     for name, value in named.items():
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _check_request(d: int, k_messages: int) -> None:
+    """Refuse a message id that is not an int (a bool is not one) in 1..K."""
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise TypeError(f"message id must be an int, got {d!r}")
+    if not 1 <= d <= k_messages:
+        raise ValueError(f"message id {d} outside 1..{k_messages}")
 
 
 def _check_instance(config: PidConfig, code: CodePair) -> None:

@@ -13,22 +13,26 @@ message id, symbol count, symbols...]), 2 SETUP_SHARE (coordinator -> server:
 answer symbols, possibly none), 5 DECODE_RESULT (user -> coordinator: the L
 decoded symbols).  Actor ids: coordinator 0, servers 1..N, user N+1.
 
-A round always runs in fixed phases - storage setup, share setup, deliver
-commands, answers in server-id order, decode result - so the frame log of a
-round is a deterministic byte string: replays are byte-identical.  Storage
-is encoded once per instance and messages, and a rewrite re-encodes only
-the servers that host a changed message (see ``protocol.encode_storage``);
-every other server keeps its state object.  A state's SETUP_STORAGE frame
-is built once and kept on that state, so successive rounds re-send the
-same frame objects for every unchanged server, and only the shares, the
-command and the answers change.  Those frames also cost almost nothing
-after their first round: a storage frame packs its bytes once and keeps
-them, and keeps the fragment table its first server parsed (see
-``ServerActor``).  Frames are immutable, so that parse holds for the frame
-for good.  These caches live on the objects they describe, not in a
-module-level slot, so they last as long as the caller keeps those objects,
-and instances served alternately do not evict each other's.  Logs
-serialize to files with an 8-byte magic header.
+One function, ``_serve``, drives a round in fixed phases - storage setup,
+share setup, deliver commands, answers in server-id order, decode result -
+handing each frame to its actor and appending it to the round's log, so the
+log is a deterministic byte string: replays are byte-identical.  No frame
+passes between servers, and actors raise ``ProtocolViolation`` on any
+frame out of schema.
+
+Storage is encoded once per instance and messages, and a rewrite
+re-encodes only the servers that host a changed message (see
+``protocol.encode_storage``); every other server keeps its state object.
+A state's SETUP_STORAGE frame is built once and kept on that state, so
+successive rounds re-send the same frame objects for every unchanged
+server, and only the shares, the command and the answers change.  Those
+frames also cost almost nothing after their first round: a storage frame
+packs its bytes once and keeps them, and keeps the fragment table its
+first server parsed (see ``ServerActor``).  Frames are immutable, so that
+parse holds for the frame for good.  These caches live on the objects they
+describe, not in a module-level slot, so they last as long as the caller
+keeps those objects, and instances served alternately do not evict each
+other's.  Logs serialize to files with an 8-byte magic header.
 
 A ``Frame`` is a tuple record (kind, sender, payload), so each frame of a
 round costs what a tuple costs.  Its public constructor validates the three
@@ -36,16 +40,18 @@ fields (``FrameError``).  A parsed frame, and the share, command, answer and
 decode-result frames of a round, are built without that check, because
 their fields are bounded where they enter: the wire format bounds what is
 parsed; every layout's modulus is a prime below 2^32
-(``field.check_modulus``); an actor refuses, when it is built, an id that
-does not fit 2 bytes and a server a modulus above 2^32, so every symbol it
-sends, reduced mod q, fits 4 bytes; the shares are residues mod q
-(``protocol`` draws them itself, every round); ``_run_phases``
-checks once per round that the request fits 4 bytes; and the user checks
-the symbols its decoder returns.
+(``field.check_modulus``) and every layout refuses a request outside 1..K;
+an actor refuses, when it is built, an id that does not fit 2 bytes and a
+server a modulus above 2^32, so every symbol it sends, reduced mod q, fits
+4 bytes; the shares are residues mod q (``protocol`` draws them itself,
+every round); and the user checks the symbols its decoder returns.
 
-The router forwards every frame and enforces the topology: servers never
-talk to each other.  Actors validate every frame they receive and raise
-``ProtocolViolation`` on anything out of schema.
+Privacy is claimed against one observer, the user: the answers it
+receives, a round's ANSWER frames, are distributed alike for every request
+(``verify`` counts them).  In the paper the servers' side picks ``d``; here
+actor N+1 stands in for it and sends ``d`` in every DELIVER_CMD, so the
+frame log, which holds every frame of the round, is not the user's view
+and shows ``d``.
 """
 
 from __future__ import annotations
@@ -85,8 +91,6 @@ __all__ = [
     "Frame",
     "FrameError",
     "ProtocolViolation",
-    "RoutingError",
-    "Router",
     "ServerActor",
     "UserActor",
     "SimResult",
@@ -127,10 +131,6 @@ class ProtocolViolation(RuntimeError):
     """An actor received a frame outside its expected schema or phase."""
 
 
-class RoutingError(RuntimeError):
-    """A frame was offered to a forbidden destination."""
-
-
 def _check_symbols(payload: tuple[int, ...]) -> None:
     if payload and not (0 <= min(payload) and max(payload) < _SYMBOL_LIMIT):
         raise FrameError("payload symbols must fit 4 bytes each")
@@ -156,7 +156,7 @@ class Frame(namedtuple("Frame", ("kind", "sender", "payload"))):
     deliver-command, answer and decode-result frames of a simulated round,
     are built without that check (the record is made directly): the wire
     format bounds what is parsed, and a round's values are bounded before
-    its frames are built (see ``_run_phases``, the actors' constructors and
+    its frames are built (see ``_serve``, the actors' constructors and
     ``UserActor.decode_result``).  Every frame, built either way, has the
     class its kind calls for: SETUP_STORAGE frames are ``_StorageFrame``s.
     """
@@ -292,27 +292,6 @@ def read_frame_log(path) -> tuple[Frame, ...]:
     if not data.startswith(LOG_MAGIC):
         raise FrameError(f"log file lacks the {LOG_MAGIC!r} magic header")
     return decode_frames(data, len(LOG_MAGIC))
-
-
-class Router:
-    """Delivers frames to actors, logging everything and policing topology."""
-
-    def __init__(self, n_servers: int):
-        self.n_servers = n_servers
-        self.log: list[Frame] = []
-
-    def send(self, frame: Frame, recipient) -> list[Frame]:
-        n = self.n_servers
-        if 1 <= frame.sender <= n and 1 <= recipient.actor_id <= n:
-            raise RoutingError(
-                f"server {frame.sender} may not message server {recipient.actor_id}"
-            )
-        self.log.append(frame)
-        return recipient.receive(frame)
-
-    def record(self, frame: Frame) -> None:
-        """Log a frame addressed to the coordinator (which only listens)."""
-        self.log.append(frame)
 
 
 class ServerActor:
@@ -464,76 +443,40 @@ def _storage_frame(state: ServerState) -> Frame:
     return frame
 
 
-def _run_phases(
-    n_servers: int,
-    modulus: int,
-    storage_frames,
-    shares: tuple[int, ...] | None,
-    d: int,
-    decode_fn,
-) -> tuple[tuple[Frame, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Drive one round through the actors; returns (frames, answers, decoded).
-
-    ``storage_frames`` holds one SETUP_STORAGE frame per server, in server-id
-    order.  ``shares`` may be None (no share phase) or shorter than the
-    server list (only that prefix of servers receives a share).
-
-    The storage frames were validated when they were built.  The share and
-    deliver-command frames are built here without re-validation, after one
-    check per round: ``d`` must fit 4 bytes (the shares are residues mod
-    q, see ``protocol._coded_layout``), and the user, built before the
-    servers, refuses an id N+1 (the largest sender of the round) that does
-    not fit 2 bytes (``FrameError`` either way, as ``Frame`` would raise).
-    One command frame goes to every server: frames are immutable.
-    """
+def _serve(layout: _Layout) -> SimResult:
+    """Answer a ``protocol`` layout over the wire, in the fixed phases of
+    the module docstring.  One command frame goes to every server: frames
+    are immutable.  Only the storage frames were validated, when built.
+    The user, built before the servers, refuses an id N+1 (the round's
+    largest sender) that does not fit 2 bytes (``FrameError``) before any
+    server is made."""
+    storage, modulus = layout.storage, layout.modulus
+    n_servers = len(storage)
     user_id = n_servers + 1
-    _check_symbols((d,))
-    user = UserActor(user_id, n_servers, decode_fn, modulus)
-    router = Router(n_servers)
+    user = UserActor(user_id, n_servers, layout.decode, modulus)
     servers = [ServerActor(n, modulus) for n in range(1, user_id)]
+    log: list[Frame] = []
 
-    send = router.send
-    for frame, actor in zip(storage_frames, servers):
-        send(frame, actor)
-    if shares is not None:
-        for share, actor in zip(shares, servers):
-            send(_record(Frame, (SETUP_SHARE, COORDINATOR_ID, (share,))), actor)
+    def send(frame: Frame, actor) -> list[Frame]:
+        log.append(frame)
+        return actor.receive(frame)
 
-    cmd = _record(Frame, (DELIVER_CMD, user_id, (d,)))
-    replies = []
-    for actor in servers:
-        router.log.append(cmd)
-        replies.append(actor.receive(cmd))
-
-    answer_frames: list[Frame] = []
-    for reply in replies:
-        if len(reply) != 1 or reply[0].kind != ANSWER:
-            raise ProtocolViolation("server must reply with exactly one answer")
-        answer_frames.append(reply[0])
+    for state, server in zip(storage, servers):
+        send(_storage_frame(state), server)
+    if layout.randomness is not None:
+        for share, server in zip(layout.randomness.shares, servers):
+            send(_record(Frame, (SETUP_SHARE, COORDINATOR_ID, (share,))), server)
+    cmd = _record(Frame, (DELIVER_CMD, user_id, (layout.requested,)))
+    answer_frames = [frame for server in servers for frame in send(cmd, server)]
     for frame in answer_frames:
         send(frame, user)
-
     result = user.decode_result()
-    router.record(result)
-    answers = tuple([frame.payload for frame in answer_frames])
-    return tuple(router.log), answers, result.payload
-
-
-def _serve(layout: _Layout) -> SimResult:
-    """Answer a ``protocol`` layout over the wire: one storage frame per
-    server state, the shares (if any) to the leading servers, then the
-    deliver commands, the answers and the decode result."""
-    randomness = layout.randomness
-    frames, answers, decoded = _run_phases(
-        n_servers=len(layout.storage),
-        modulus=layout.modulus,
-        storage_frames=tuple(_storage_frame(state) for state in layout.storage),
-        shares=None if randomness is None else randomness.shares,
-        d=layout.requested,
-        decode_fn=layout.decode,
+    log.append(result)
+    transcript = layout.transcript(
+        answers=tuple([frame.payload for frame in answer_frames]),
+        decoded=result.payload,
     )
-    transcript = layout.transcript(answers=answers, decoded=decoded)
-    return SimResult(transcript=transcript, frames=frames)
+    return SimResult(transcript=transcript, frames=tuple(log))
 
 
 def simulate_round(

@@ -75,7 +75,7 @@ import numpy as np
 
 from codedpid.codes import CodePair
 from codedpid.field import mod_matmul, rref
-from codedpid.protocol import PidConfig, _encoder
+from codedpid.protocol import PidConfig, _check_instance, _encoder
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -240,8 +240,11 @@ def masked_scheme(
     ``corrupt`` optionally flips one stored symbol: (server, message,
     position, delta) with 1-based server/message, position indexing that
     server's stored symbols for that message, and delta added mod q.  Fault
-    injection for audits; delta % q == 0 is rejected as a no-op.
+    injection for audits; delta % q == 0 is rejected as a no-op.  A code
+    pair of another instance (q, N or L) is refused as ``encode_storage``
+    refuses it.
     """
+    _check_instance(config, code)
     q, k, n, l = code.modulus, config.k_messages, config.n_servers, config.msg_len
     offset = np.zeros((k, n), np.int64)
     if corrupt is not None:

@@ -176,6 +176,16 @@ class TestCodePairApi:
         assert pair.msg_len == 3
         assert pair.mask_len == 3
 
+    def test_generator_given_as_field_matrix(self):
+        pair = build_vandermonde_pair(5, 3, 2, points=(1, 2, 3))
+        again = CodePair(pair.points, pair.msg_len, pair.modulus, pair.generator)
+        assert again == pair
+        assert again.generator is pair.generator
+        assert CodePair((1, 2, 3), 2, 5, FieldMatrix([[1, 3, 1]], 5)) == pair
+        # a generator over another field is refused, not reduced
+        with pytest.raises(ValueError, match="generator modulus 7 != code modulus 5"):
+            CodePair((1, 2, 3), 2, 5, FieldMatrix([[1, 3, 1]], 7))
+
     def test_plain_int_views(self):
         pair = build_vandermonde_pair(5, 3, 2, points=(1, 2, 3))
         assert pair.parity_check.to_lists() == [[1, 1, 1], [1, 2, 3]]

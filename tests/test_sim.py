@@ -1,4 +1,4 @@
-"""Wire format, actors, routing, logs, and sim-vs-library equivalence.
+"""Wire format, actors, the round driver, logs, and sim-vs-library equivalence.
 
 The frame byte golden was laid out by hand from the header packing
 (1-byte kind, 2-byte little-endian sender, 4-byte little-endian length,
@@ -48,8 +48,6 @@ from codedpid.sim import (
     Frame,
     FrameError,
     ProtocolViolation,
-    Router,
-    RoutingError,
     ServerActor,
     UserActor,
     byte_accounting,
@@ -355,6 +353,25 @@ def test_library_and_simulator_refuse_alike(lib_fn, sim_fn, args, text):
     assert str(sim.value) == str(lib.value) == text
 
 
+# One request rule on every layout and both transports: a float or a bool is
+# not a message id, even one that equals an id in range.
+@pytest.mark.parametrize("d", (1.5, 2.0, True), ids=repr)
+def test_non_integer_requests_are_refused(d):
+    config, code = q5_instance()
+    messages = random_messages(config, seed=1)
+    subset_coded = (4, 4, 1, 1, msgs(5, (1,), (2,), (3,), (4,)))
+    calls = [(fn, (config, code, messages)) for fn in (run_delivery, simulate_round)]
+    calls += [
+        (fn, args)
+        for fn in (run_subset_scheme, simulate_subset_round)
+        for args in (subset_coded, (4, 5, 2, 2, RAW_2))
+    ]
+    for fn, args in calls:
+        with pytest.raises(TypeError) as refusal:
+            fn(*args, d)
+        assert str(refusal.value) == f"message id must be an int, got {d!r}"
+
+
 # (q, K, N, M, L): both branches, M = K/N exactly, a fractional M and the
 # largest 4-byte prime.
 SUBSET_SHAPES = [
@@ -383,19 +400,6 @@ def test_subset_transports_agree_across_shapes(q, k, n, m, l):
 
 
 class TestRouterAndActors:
-    def test_server_to_server_banned(self):
-        router = Router(2)
-        target = ServerActor(2, 5)
-        with pytest.raises(RoutingError, match="may not message"):
-            router.send(Frame(ANSWER, 1, ()), target)
-
-    def test_router_logs_every_frame(self):
-        router = Router(2)
-        server = ServerActor(1, 5)
-        router.send(Frame(SETUP_SHARE, COORDINATOR_ID, (3,)), server)
-        router.record(Frame(DECODE_RESULT, 3, (1,)))
-        assert [f.kind for f in router.log] == [SETUP_SHARE, DECODE_RESULT]
-
     def test_server_storage_parsing(self):
         server = ServerActor(1, 5)
         server.receive(Frame(SETUP_STORAGE, 0, (2, 1, 1, 9, 3, 2, 1, 2)))
@@ -1220,18 +1224,25 @@ class TestTrustedRoundFrames:
         assert set(validations) == {SETUP_STORAGE}
 
     def test_per_round_bounds_raise_frame_error(self):
-        run = codedpid.sim._run_phases
-
-        def decode(ordered):
-            return ()
-
         # The user is built, and refused, before any server, so no 65 535
-        # servers are made.
+        # servers are made and no storage frame is built.
+        layout = codedpid.protocol._Layout(
+            requested=1,
+            storage=(None,) * (2**16 - 1),
+            randomness=None,
+            decode=lambda ordered: (),
+            modulus=5,
+            transcript=None,
+        )
         with pytest.raises(FrameError, match="sender id 65536 does not fit 2 bytes"):
-            run(2**16 - 1, 5, (), None, 1, decode)
+            codedpid.sim._serve(layout)
+        # A request that does not fit 4 bytes never reaches the round: the
+        # layout refuses it as outside 1..K.
+        config, code = q5_instance()
+        messages = random_messages(config, seed=1)
         for d in (2**32, -1):
-            with pytest.raises(FrameError, match="4 bytes"):
-                run(2, 5, (), None, d, decode)
+            with pytest.raises(ValueError, match=f"message id {d} outside 1..3"):
+                simulate_round(config, code, messages, d)
 
     def test_actors_outside_the_bounds_are_refused_when_built(self):
         for sender in (2**16, -1):

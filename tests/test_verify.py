@@ -23,14 +23,18 @@ from codedpid.cli import main
 from codedpid.codes import build_vandermonde_pair
 from codedpid.instances import q5_instance, q11_instance
 from codedpid.protocol import (
+    Message,
+    _subset_inner,
     attach_shares,
     answer_vector,
     draw_randomness,
     encode_storage,
     make_association,
     random_messages,
+    run_subset_scheme,
     valid_msg_lens,
 )
+from codedpid.sim import simulate_subset_round
 from codedpid.verify import (
     CHUNK_ROWS,
     DEFAULT_BUDGET,
@@ -222,6 +226,68 @@ class TestSchemesAgree:
             tracemalloc.stop()
         assert storage.shape == (64, 64, 200)
         assert peak < 25 * 10**6
+
+
+    def test_masked_scheme_refuses_a_pair_of_another_instance(self):
+        config, _ = q5_instance()
+        for code, text in (
+            (build_vandermonde_pair(7, 3, 2), "config modulus 5 != code modulus 7"),
+            (build_vandermonde_pair(5, 4, 2), "config has 3 servers, code has 4"),
+            (build_vandermonde_pair(5, 3, 1), "config message length 2 != code 1"),
+        ):
+            with pytest.raises(ValueError) as refusal:
+                masked_scheme(config, code)
+            assert str(refusal.value) == text
+
+
+def one_input_answers(scheme, words, mask):
+    """``scheme``'s answers to one input, message symbols ``words`` (K*L)
+    and mask symbols ``mask``: a (K, N) int64 array, q where silent."""
+    w = np.array(words, np.int64).reshape(-1, 1)
+    u = np.array(mask, np.int64).reshape(-1, 1)
+    return scheme.answers(scheme.build_storage(w), u)[:, :, 0]
+
+
+class TestServedSubsetAgrees:
+    """The subset rounds that ``run_subset_scheme`` and
+    ``simulate_subset_round`` serve answer as the audited schemes do: the
+    serving answer rule and the batched one are written apart."""
+
+    TRANSPORTS = (
+        run_subset_scheme,
+        lambda *args, **kw: simulate_subset_round(*args, **kw).transcript,
+    )
+
+    def test_raw_slice_branch_answers_as_the_split_scheme(self):
+        # K=2, N=2, M=1, L=2: every server holds one raw symbol of each
+        # message, the split scheme with both servers hosting both messages
+        q, k, n, l = 5, 2, 2, 2
+        scheme = split_scheme(make_association(q, k, n, l))
+        for words in itertools.product(range(q), repeat=k * l):
+            messages = tuple(
+                Message(i + 1, words[i * l : (i + 1) * l], q) for i in range(k)
+            )
+            expected = one_input_answers(scheme, words, ())
+            for d in range(1, k + 1):
+                for serve in self.TRANSPORTS:
+                    served = serve(k, n, 1, l, messages, d)
+                    assert served.answers == tuple((a,) for a in expected[d - 1].tolist())
+
+    def test_coded_branch_answers_as_the_masked_scheme(self):
+        # K=4, N=3, M=2, L=1: the coded scheme on ceil(K/M) = 2 servers under
+        # the round's own mask, and server 3 silent
+        q, k, n, l = 5, 4, 3, 1
+        scheme = masked_scheme(*_subset_inner(q, k, 2, l))
+        rng = np.random.default_rng(5)
+        for seed in range(40):
+            words = tuple(int(x) for x in rng.integers(0, q, size=k * l))
+            messages = tuple(Message(i + 1, (w,), q) for i, w in enumerate(words))
+            for d in range(1, k + 1):
+                for serve in self.TRANSPORTS:
+                    served = serve(k, n, 2, l, messages, d, seed=seed)
+                    expected = one_input_answers(scheme, words, served.mask_vector)
+                    active = tuple((a,) for a in expected[d - 1].tolist())
+                    assert served.answers == active + ((),)
 
 
 class TestRowsLast:
