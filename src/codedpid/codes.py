@@ -14,16 +14,17 @@ holding their i-th powers mod q, and checks at construction time:
 
 Given an MDS ``h`` and orthogonality, the generator has the MDS property
 exactly when it has full rank N-L (its rows then generate the MDS code
-``h`` checks), so it needs one rank computation, not a minor enumeration.
-Both checks are exact.
+``h`` checks), so it needs one rank computation, not a minor enumeration,
+and none when its last N-L columns are the identity.  Both checks are exact.
 
 ``build_vandermonde_pair`` constructs the canonical instance from distinct
-evaluation points; ``override_generator`` swaps in a hand-picked generator
-and re-checks everything.  A pair keeps one cache of parity-check minor
-inverses, as read-only int64 arrays: ``protocol``'s encoder asks it for all
-of an encode's host sets, the missing ones inverted in one stacked
-Gauss-Jordan (``field.inverse_stack``), and ``h_sub_inverse`` builds one
-minor's plain-int rows.
+evaluation points, its generator in closed form with no elimination (the
+Lagrange basis of the first L points); ``override_generator`` swaps in a
+hand-picked generator and re-checks everything.  A pair keeps one cache of
+parity-check minor inverses, as read-only int64 arrays: ``protocol``'s
+encoder asks it for all of an encode's host sets, the missing ones inverted
+in one stacked Gauss-Jordan (``field.inverse_stack``), and
+``h_sub_inverse`` builds one minor's plain-int rows.
 """
 
 from __future__ import annotations
@@ -103,8 +104,10 @@ class CodePair:
         # h is MDS, so the code it checks is MDS; orthogonal rows of g lie in
         # that code and generate it, making g MDS, exactly when rank g = N-L.
         # A rank-deficient g has every (N-L)-column minor singular, so its
-        # first N-L columns name a failing set.
-        if g.rank() != g.rows:
+        # first N-L columns name a failing set.  An identity in the last N-L
+        # columns, as the canonical generator has, is full rank as it stands.
+        identity = (g.array[:, h.rows :] == np.eye(g.rows, dtype=np.int64)).all()
+        if not identity and g.rank() != g.rows:
             raise ValueError(
                 f"generator columns {tuple(range(g.rows))} form a singular "
                 f"matrix mod {q}"
@@ -149,8 +152,14 @@ def build_vandermonde_pair(
     Row i of the parity check is the points raised to the i-th power, which
     makes every L-column minor a Vandermonde-style invertible matrix.  The
     generator is the canonical null-space basis of the parity check (rows
-    reduced, free columns in ascending order), so the construction is fully
-    deterministic.
+    reduced, free columns in ascending order), written in closed form.  The
+    pivots of a reduced row echelon form are its leftmost independent
+    columns, and the first L columns are independent (their Vandermonde
+    determinant is nonzero for distinct points), so the pivots are columns
+    0..L-1 and the form is ``[I | A]`` with ``A = V^-1 W`` (V those columns,
+    W the rest): the Lagrange basis of the first L points at the others,
+    ``A[i, f] = l_i(x_f)``.  The generator is then ``[-A^T | I]``, built
+    with no elimination from O(N*L) products and L inverses.
     """
     check_modulus(q)
     if not 1 <= msg_len <= n_servers:
@@ -169,8 +178,19 @@ def build_vandermonde_pair(
         raise ValueError(
             f"{n_servers} distinct points do not exist mod {q}"
         )
-    g = FieldMatrix(_vandermonde(points, msg_len, q), q).null_space_basis()
-    return CodePair(points, msg_len, q, g.array)
+    # prod[i, f] is the product of x_f - x_m over m < L, m != i: prefix
+    # products of the differences times prefix products of their reversal.
+    x = np.array(points, dtype=np.int64 if int64_exact(q, 1) else object)
+    diff = (x - x[:msg_len, None]) % q
+    both = np.stack((diff, diff[::-1]))
+    prefix = np.ones_like(both)
+    for i in range(1, msg_len):
+        prefix[:, i] = prefix[:, i - 1] * both[:, i - 1] % q
+    prod = prefix[0] * prefix[1, ::-1] % q
+    inverses = np.array([pow(int(w), -1, q) for w in prod.diagonal()], dtype=x.dtype)
+    lagrange = -prod[:, msg_len:].T * inverses % q
+    g = np.hstack((lagrange, np.eye(n_servers - msg_len, dtype=x.dtype)))
+    return CodePair(points, msg_len, q, g)
 
 
 def _vandermonde(points, rows: int, q: int) -> np.ndarray:

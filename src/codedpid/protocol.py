@@ -48,7 +48,9 @@ the raw-slice layout on all N servers.  ``run_delivery`` and
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import secrets
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -125,21 +127,7 @@ class PidConfig:
             raise ValueError(
                 f"association has {len(self.association)} entries for K={k} messages"
             )
-        for idx, hosts in enumerate(self.association, start=1):
-            if len(hosts) != l:
-                raise ValueError(
-                    f"message {idx} is hosted by {len(hosts)} servers, expected L={l}"
-                )
-            if len(set(hosts)) != l:
-                raise ValueError(f"message {idx} lists a server twice: {hosts}")
-            if any(not 1 <= s <= n for s in hosts):
-                raise ValueError(
-                    f"message {idx} names a server outside 1..{n}: {hosts}"
-                )
-            if tuple(sorted(hosts)) != tuple(hosts):
-                raise ValueError(
-                    f"host set for message {idx} must be sorted: {hosts}"
-                )
+        _check_host_sets(self.association, l, n)
 
     # -- association views ----------------------------------------------------
 
@@ -206,16 +194,12 @@ def make_association(
                 f"N={n_servers} servers; valid lengths are "
                 f"{valid_msg_lens(k_messages, n_servers)}"
             )
-        assoc = tuple(
-            tuple(
-                sorted(((k * msg_len + i) % n_servers) + 1 for i in range(msg_len))
-            )
-            for k in range(k_messages)
-        )
+        ring = np.arange(k_messages)[:, None] * msg_len + np.arange(msg_len)
+        assoc = tuple(tuple(sorted(hosts)) for hosts in (ring % n_servers + 1).tolist())
     elif mode == EXPLICIT:
         if association is None:
             raise ValueError("explicit mode needs an association")
-        assoc = tuple(tuple(sorted(int(s) for s in hosts)) for hosts in association)
+        assoc = tuple(tuple(sorted(hosts)) for hosts in association)
     else:
         raise ValueError(f"unknown association mode {mode!r}")
     return PidConfig(
@@ -239,7 +223,12 @@ class Message:
     def __post_init__(self):
         if self.index < 1:
             raise ValueError(f"message index {self.index} must be positive")
-        if any(not 0 <= s < self.modulus for s in self.symbols):
+        symbols = self.symbols
+        if not _all_ints(symbols):
+            raise TypeError(
+                f"message {self.index} has symbols that are not ints: {symbols}"
+            )
+        if symbols and not 0 <= min(symbols) <= max(symbols) < self.modulus:
             raise ValueError(
                 f"message {self.index} has symbols outside 0..{self.modulus - 1}"
             )
@@ -255,7 +244,7 @@ def random_messages(config: PidConfig, seed: int | None = None) -> tuple[Message
         rng = np.random.default_rng(seed)
         values = rng.integers(0, q, size=(k, l)).tolist()
     return tuple(
-        Message(index=i + 1, symbols=tuple(int(v) for v in row), modulus=q)
+        Message(index=i + 1, symbols=tuple(row), modulus=q)
         for i, row in enumerate(values)
     )
 
@@ -696,6 +685,40 @@ def _check_request(d: int, k_messages: int) -> None:
         raise TypeError(f"message id must be an int, got {d!r}")
     if not 1 <= d <= k_messages:
         raise ValueError(f"message id {d} outside 1..{k_messages}")
+
+
+def _all_ints(values) -> bool:
+    """Whether every value is an int and none is a bool, ``_check_request``'s
+    rule, read off the set of their types in one pass."""
+    types = set(map(type, values))
+    return all(issubclass(t, int) and not issubclass(t, bool) for t in types)
+
+
+def _check_host_sets(rows, l: int, n: int) -> None:
+    """Refuse host sets, naming the first message whose set is not L long,
+    holds a server id that is not an int (``TypeError``), a repeat, an id
+    outside 1..N or is unsorted, checked in that order.  All pass when, on
+    the ids laid end to end, every id inside a set is below the next and the
+    least and greatest lie in 1..N: each a pass in C, with no per-id step in
+    Python; the sets are walked one by one only to name a refusal."""
+    flat = list(itertools.chain.from_iterable(rows))
+    if set(map(len, rows)) == {l} and _all_ints(flat):
+        rising = list(map(operator.lt, flat, flat[1:]))
+        del rising[l - 1 :: l]  # the pairs that straddle two sets
+        if all(rising) and 1 <= min(flat) and max(flat) <= n:
+            return
+    for idx, hosts in enumerate(rows):
+        at = f"message {idx + 1}"
+        if len(hosts) != l:
+            raise ValueError(f"{at} is hosted by {len(hosts)} servers, expected L={l}")
+        if not _all_ints(hosts):
+            raise TypeError(f"{at} names a server id that is not an int: {hosts}")
+        if len(set(hosts)) != l:
+            raise ValueError(f"{at} lists a server twice: {hosts}")
+        if not 1 <= min(hosts) <= max(hosts) <= n:
+            raise ValueError(f"{at} names a server outside 1..{n}: {hosts}")
+        if list(hosts) != sorted(hosts):
+            raise ValueError(f"host set for {at} must be sorted: {hosts}")
 
 
 def _check_instance(config: PidConfig, code: CodePair) -> None:

@@ -4,9 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import codedpid.field
 from codedpid.codes import CodePair, build_vandermonde_pair, override_generator
 from codedpid.field import MODULUS_LIMIT, FieldMatrix, SingularMatrixError, mod_matmul
+from codedpid.protocol import make_association, random_messages
+from test_field import BIG_PRIMES
 
 # Frozen: the parity check on points 1..6 over F_11 and a compatible
 # hand-picked generator (orthogonality and both MDS properties re-verified
@@ -39,9 +43,39 @@ class TestVandermondeConstruction:
         assert pair.parity_check.to_lists()[1] == [0, 1, 2, 3, 4]
 
     def test_generator_is_canonical_null_basis(self):
-        for q, n, l in [(5, 3, 2), (7, 6, 3), (11, 6, 3), (13, 8, 4)]:
-            pair = build_vandermonde_pair(q, n, l)
-            assert pair.generator == pair.parity_check.null_space_basis()
+        # the closed form against elimination: K64, L in {1, N-1, N} (N the
+        # empty generator), given points (q5-k3's, and ones reduced mod q)
+        # and the moduli whose products leave int64
+        cases = [(5, 3, 2), (7, 6, 3), (11, 6, 3), (13, 8, 4), (257, 64, 32)]
+        cases += [(13, 8, l) for l in (1, 7, 8)]
+        cases += [(q, 64, 32) for q in BIG_PRIMES]
+        cases += [
+            (5, 3, 2, (1, 2, 3)),
+            (11, 6, 3, (12, -9, 3, 26, 5, -5)),
+            (BIG_PRIMES[1], 5, 2, (4294967290, 7, 0, 2**40, -3)),
+            (BIG_PRIMES[0], 4, 3, (-1, 2**33, 5, 3037000506 * 3)),
+        ]
+        for q, n, l, *points in cases:
+            pair = build_vandermonde_pair(q, n, l, *points)
+            assert pair.generator == pair.parity_check.null_space_basis(), (q, n, l)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_closed_form_matches_elimination_on_random_points(self, data):
+        q = data.draw(st.sampled_from((2, 3, 5, 7, 13, 257, 2**31 - 1) + BIG_PRIMES))
+        n = data.draw(st.integers(1, min(q, 10)), label="N")
+        l = data.draw(st.integers(1, n), label="L")
+        points = data.draw(
+            st.lists(
+                st.integers(-(2**40), 2**40),
+                min_size=n,
+                max_size=n,
+                unique_by=lambda p: p % q,
+            ),
+            label="points",
+        )
+        pair = build_vandermonde_pair(q, n, l, points)
+        assert pair.generator == pair.parity_check.null_space_basis()
 
     def test_orthogonality_every_pair(self):
         for q, n, l in [(5, 3, 1), (5, 3, 2), (7, 5, 2), (11, 6, 3), (13, 7, 5)]:
@@ -152,6 +186,21 @@ class TestOverrideGenerator:
         assert str(info.value) == (
             f"generator columns {tuple(range(n - l))} form a singular matrix mod {q}"
         )
+
+    def test_canonical_build_runs_no_elimination(self, monkeypatch):
+        # the canonical generator is written in closed form and is full rank
+        # by its identity block; any other generator is still ranked
+        def no_rref(*_):
+            raise AssertionError("eliminated")
+
+        monkeypatch.setattr(codedpid.field, "rref", no_rref)
+        pair = build_vandermonde_pair(257, 64, 32)
+        random_messages(make_association(257, 64, 64, 32), seed=7)
+        assert override_generator(pair, pair.generator.to_lists()) == pair
+        rows = pair.generator.to_lists()
+        rows[0] = [(a + b) % 257 for a, b in zip(rows[0], rows[1])]
+        with pytest.raises(AssertionError, match="eliminated"):
+            override_generator(pair, rows)
 
     def test_vandermonde_pairs_need_no_minor_enumeration(self, monkeypatch):
         # distinct points make every parity-check minor a Vandermonde

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codedpid.codes import build_vandermonde_pair
 from codedpid.field import FieldMatrix, int64_exact
@@ -98,6 +99,100 @@ class TestAssociation:
         with pytest.raises(ValueError, match="mode"):
             PidConfig(5, 2, 3, 2, ((1, 2), (2, 3)), mode="nope")
 
+    # The per-message loop that the checks over all ids at once replaced,
+    # kept as their oracle: the first message that fails names the first
+    # check it fails, in the order length, repeat, range, sorted.
+    @staticmethod
+    def loop_refusal(association, l, n):
+        for idx, hosts in enumerate(association, start=1):
+            if len(hosts) != l:
+                return f"message {idx} is hosted by {len(hosts)} servers, expected L={l}"
+            if len(set(hosts)) != l:
+                return f"message {idx} lists a server twice: {hosts}"
+            if any(not 1 <= s <= n for s in hosts):
+                return f"message {idx} names a server outside 1..{n}: {hosts}"
+            if tuple(sorted(hosts)) != tuple(hosts):
+                return f"host set for message {idx} must be sorted: {hosts}"
+        return None
+
+    def check_against_loop(self, association, l, n):
+        expected = self.loop_refusal(association, l, n)
+        if expected is None:
+            PidConfig(7, len(association), n, l, association)
+            return
+        with pytest.raises(ValueError) as refusal:
+            PidConfig(7, len(association), n, l, association)
+        assert str(refusal.value) == expected
+
+    @pytest.mark.parametrize(
+        "association, first",
+        [
+            (((1, 2, 3), (2, 1, 3), (1, 1, 2), (1, 2)), "sorted"),
+            (((1, 2, 3), (1, 2), (3, 3, 4), (1, 2, 9)), "expected L"),
+            (((1, 2, 6), (4, 4, 4), (3, 2, 1)), "outside"),
+            (((3, 2, 2), (1, 2, 9)), "twice"),
+            (((0, 0, 1), (5, 4, 3)), "twice"),
+            (((2, 1, 9), (1, 1, 1)), "outside"),
+            (((1, 1, 2, 2), (0, 1, 2)), "expected L"),
+            (((1, 2, 3), (2, 3, 4), (1, 3, 5), (4, 5, 5)), "twice"),
+            (((1, 1, 2), (2.0, 3, 4)), "twice"),
+            (((1, 2, 3), (4, 3, 5)), "sorted"),
+        ],
+    )
+    def test_first_bad_message_named_as_by_the_loop(self, association, first):
+        assert first in self.loop_refusal(association, 3, 5)
+        self.check_against_loop(association, 3, 5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_refusals_agree_with_the_loop(self, data):
+        n = data.draw(st.integers(1, 6), label="N")
+        l = data.draw(st.integers(1, n), label="L")
+        # mostly valid host sets, so that one bad set is often the only one;
+        # near misses: one id repeated, or the first two ids swapped
+        valid = st.sets(st.integers(1, n), min_size=l, max_size=l).map(sorted)
+        loose = st.lists(st.integers(0, n + 1), min_size=max(l - 1, 1), max_size=l + 1)
+        pairs = valid.filter(lambda h: len(h) > 1)
+        repeat = pairs.map(lambda h: sorted(h[1:] + h[1:2]))
+        swap = pairs.map(lambda h: [h[1], h[0], *h[2:]])
+        hosts = st.one_of(valid, valid, valid, loose, repeat, swap).map(tuple)
+        association = tuple(data.draw(st.lists(hosts, min_size=1, max_size=5)))
+        self.check_against_loop(association, l, n)
+
+    def test_canonical_matches_the_ring_loop(self):
+        for q, k, n, l in ((5, 3, 3, 2), (7, 4, 6, 3), (257, 64, 64, 32), (13, 12, 8, 6)):
+            ring = tuple(
+                tuple(sorted((j * l + i) % n + 1 for i in range(l))) for j in range(k)
+            )
+            assert make_association(q, k, n, l).association == ring
+
+    # A host id must be an int and not a bool, by the rule a message id
+    # follows: a float does not index a server and True is not server 1.
+    @pytest.mark.parametrize(
+        "association, first",
+        [
+            (((1.0, 2.0), (2, 3), (1, 3)), 1),
+            (((True, 2), (2, 3), (1, 3)), 1),
+            (((1, 2), (2, 3), (1, 3.0)), 3),
+        ],
+    )
+    def test_non_integer_host_ids_are_refused(self, association, first):
+        with pytest.raises(TypeError) as refusal:
+            PidConfig(5, 3, 3, 2, association)
+        assert str(refusal.value) == (
+            f"message {first} names a server id that is not an int: "
+            f"{association[first - 1]}"
+        )
+
+    def test_explicit_association_is_not_truncated(self):
+        with pytest.raises(TypeError) as refusal:
+            make_association(
+                5, 3, 3, 2, mode=EXPLICIT, association=[[1.7, 2.9], [2, 3], [1, 3]]
+            )
+        assert str(refusal.value) == (
+            "message 1 names a server id that is not an int: (1.7, 2.9)"
+        )
+
     def test_lookup_helpers(self):
         config, _ = q5_instance()
         assert config.servers_for(1) == (1, 2)
@@ -129,6 +224,14 @@ class TestMessages:
             Message(index=0, symbols=(1,), modulus=5)
         with pytest.raises(ValueError):
             Message(index=1, symbols=(5,), modulus=5)
+
+    # A float or a bool is not a field symbol: before this check, q5-k3
+    # delivered (1, 2) for the message (1.5, 2).
+    @pytest.mark.parametrize("symbols", ((1.5, 2), (True, 4), (1, np.float64(2))), ids=repr)
+    def test_non_integer_symbols_are_refused(self, symbols):
+        with pytest.raises(TypeError) as refusal:
+            Message(1, symbols, 5)
+        assert str(refusal.value) == f"message 1 has symbols that are not ints: {symbols}"
 
     def test_random_messages_seeded(self):
         config, _ = q5_instance()
