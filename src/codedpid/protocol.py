@@ -221,6 +221,8 @@ class Message:
     modulus: int
 
     def __post_init__(self):
+        if not _all_ints((self.index,)):
+            raise TypeError(f"message index {self.index!r} is not an int")
         if self.index < 1:
             raise ValueError(f"message index {self.index} must be positive")
         symbols = self.symbols
@@ -378,13 +380,17 @@ def draw_randomness(
     """Draw the mask vector (length N-L) and derive one scalar share per server.
 
     ``seed`` gives a reproducible numpy stream; None uses OS entropy.  Pass
-    ``mask`` explicitly to fix the vector (tests, replay).  The shares are
+    ``mask`` explicitly to fix the vector (tests, replay): ints, reduced mod
+    q; a float or a bool is refused as ``Message`` refuses it.  The shares are
     ``mask @ generator`` mod q, all zero when the mask is empty (L = N).
     """
     q = code.modulus
     r = code.mask_len
     if mask is not None:
-        mask = tuple(int(u) % q for u in mask)
+        mask = tuple(mask)
+        if not _all_ints(mask):
+            raise TypeError(f"mask has entries that are not ints: {mask}")
+        mask = tuple(u % q for u in mask)
         if len(mask) != r:
             raise ValueError(f"mask must have {r} entries, got {len(mask)}")
     elif seed is None:

@@ -19,8 +19,9 @@ floats.
 
 Evaluation is batched.  The audit walks the inputs in ``itertools.product``
 order (message symbols, then mask symbols) one aligned block at a time: the
-q^t inputs that share all but their last t digits, for the largest q^t <=
-``CHUNK_ROWS``.  A block is a (width, B) table of int64 digits, its B rows
+q^t inputs that share all but their last t digits, for the largest q^t with
+K*N*q^t answer cells at most ``BLOCK_CELLS`` (3125 inputs on q5-k3), and
+never fewer than q.  A block is a (width, B) table of digits, its B rows
 (one per input) on the last axis: the trailing digits are built once per
 audit, and a block fills in only its leading digits, one broadcast column.
 One ``answers`` call gives every request d = 1..K for each row of a block,
@@ -28,19 +29,19 @@ and that one array feeds both the decode check and the census keys.  A
 scheme's stages are maps mod q applied to a whole block at once, with the
 block's rows innermost, so each numpy call runs one contiguous loop over
 them and a case costs a share of a few calls instead of its own Python
-work; a block's answers are K*N*B int64, 8 MB for a split at N = 1024.  The
-mask digits vary fastest, so storage is built once per message tuple of a
-block and repeated over its masks.  The privacy census is one order-free
-tally, a dense ``bincount`` array of K rows of (q+1)^N answer keys
-(base-(q+1) digits, q for silence).  A leak's witness is the smallest
-key whose count differs between request 1 and the first request that
-differs: the answer vector first server by server, symbols ascending,
+work; their contractions are ``einsum``s, faster than integer ``matmul`` on
+these shapes.  The mask digits vary fastest, so storage is built once per
+message tuple of a block and repeated over its masks.  The privacy census
+is one order-free tally, a dense ``bincount`` array of K rows of (q+1)^N
+answer keys (base-(q+1) digits, q for silence).  A leak's witness is the
+smallest key whose count differs between request 1 and the first request
+that differs: the answer vector first server by server, symbols ascending,
 silence last.
 
 Every scheme here is affine and described once, by one private
 constructor: request d answers A_d*[w_d; u] + b_d on the servers its
-silence pattern lets send, A_d = [P_d*E_d | G^T] with d's encoder E_d (none
-for raw symbols) placed at its hosts and the share generator G (no rows
+silence pattern lets send, A_d = [P_d*E_d | G^T] with d's encoder E_d (I for
+raw symbols) placed at its hosts and the share generator G (no rows
 when unmasked), b_d a corruption offset and D_d its decoder; the stages and
 the ``AffineMaps`` are read from those arrays.  The schemes are the real
 masked protocol, with the encoder that serves ``pid deliver``, the unmasked
@@ -50,13 +51,16 @@ fault-injected copies.
 The method follows from the input alone (``by_rank``).  ``scheme_audit``
 enumerates when the cases are at most ``DEFAULT_BUDGET`` (10**7), a block
 holds the q inputs of at least one digit (q <= ``CHUNK_ROWS``) and, when
-privacy is audited, the census fits ``DENSE_CENSUS_KEYS`` counters.  Within those
-limits the int64 arithmetic is exact by construction: the inputs are
-numbered below 10**7, the census keys below 2**21, and a stage's values stay
-at most N*(q-1)^2 + q (storage sums L products of residues, the shares N-L,
-decoding N, plus a residue or the no-symbol marker q), below 2^63 for any N
-under 8*10**12.  Otherwise it certifies by rank, exact for every q < 2^32
-(``field.rref``).  Request d's answers are uniform on the coset
+privacy is audited, the census fits ``DENSE_CENSUS_KEYS`` counters.  Within
+those limits the arithmetic is exact by construction: the inputs are
+numbered below 10**7, the census keys below 2**21, and a stage's values
+stay at most N*(q-1)^2 + q (storage sums L products of residues, the shares
+N-L, decoding N, plus a residue or the no-symbol marker q).  Digits and
+stages are int32 while that bound is below 2^31 (``_stage_dtype``), as on
+every masked instance and privacy audit enumerated, else int64 (a
+correctness-only split with N >= 2065 idle servers at q = 1021), exact for
+any N under 8*10**12.  Otherwise it certifies by rank, exact for every
+q < 2^32 (``field.rref``).  Request d's answers are uniform on the coset
 b_d + im A_d, each point hit q^(K*L + N-L - rank A_d) times.  Correctness
 holds exactly when D_d*A_d selects w_d and D_d*b_d = 0 for every d; privacy
 exactly when all requests share one silence pattern and one coset.  The
@@ -80,6 +84,7 @@ from codedpid.protocol import PidConfig, _check_instance, _encoder
 __all__ = [
     "DEFAULT_BUDGET",
     "CHUNK_ROWS",
+    "BLOCK_CELLS",
     "DENSE_CENSUS_KEYS",
     "SchemeUnderTest",
     "AffineMaps",
@@ -101,11 +106,13 @@ __all__ = [
 
 # Most cases an audit enumerates; past it, the audit is by rank.
 DEFAULT_BUDGET = 10**7
-# Most inputs evaluated at once: an audit's blocks hold q^t inputs, the
-# largest power of q not above this, and a larger q is audited by rank.
-# Large enough that numpy's per-call overhead is small against the work,
-# small enough that a block's arrays stay cache-sized.
+# Largest q an audit enumerates: a block holds the q inputs of at least one
+# digit, and a larger q is audited by rank.
 CHUNK_ROWS = 1024
+# Most answer cells, K*N*B, in a block of B = q^t inputs (but B >= q): large
+# enough that numpy's per-call overhead is small against the work, small
+# enough that a block's arrays stay cache-sized (128 KiB of int32 answers).
+BLOCK_CELLS = 2**15
 # Most counters, groups times keys per group, that a privacy census keeps in
 # its one dense array: 16 MiB of int64, and a block's bincount makes one
 # more array of that size.  A wider census is audited by rank.
@@ -133,8 +140,8 @@ class SchemeUnderTest:
     """The three stages of a delivery scheme, as callables on batches, and
     the affine maps they compute.
 
-    Each stage maps int64 arrays of B rows, one per input and on the last
-    axis, to the same; the value q, outside F_q, marks "no symbol".
+    Each stage maps integer arrays (``_stage_dtype``) of B rows, one per
+    input and on the last axis, to the same; q, outside F_q, marks "no symbol".
 
     * ``build_storage(w)``: message symbols, shape (K*L, B) with message k
       at (k-1)*L .. k*L-1 on the first axis, to the storage of each row, an
@@ -167,51 +174,61 @@ class SchemeUnderTest:
 
 
 def _mod(x, q: int):
-    """``x % q`` for non-negative int64 ``x``: numpy divides by a scalar
-    through a fast path that its remainder does not take."""
-    return x - x // q * q
+    """``x % q`` for non-negative integer ``x``, in one temporary: numpy
+    divides by a scalar through a fast path that its remainder does not take."""
+    r = x // q
+    r *= q
+    return np.subtract(x, r, out=r)
+
+
+def _stage_dtype(q: int, n: int) -> type:
+    """int32 if it holds a stage's largest value, N*(q-1)^2 + q, else int64."""
+    return np.int32 if n * (q - 1) ** 2 + q < 2**31 else np.int64
 
 
 def _affine_scheme(
     name: str, config: PidConfig, encoders, shares, sends, decoder, offset
 ) -> SchemeUnderTest:
     """The scheme of the module docstring's A_d, b_d and D_d: ``encoders``
-    (K, L, L) stacks each E_d, None for raw symbols; ``shares`` is G,
+    (K, L, L) stacks each E_d, I for raw symbols; ``shares`` is G,
     (mask_len, N); ``sends`` (K, N), ``decoder`` (K, L, N) and ``offset``
     (K, N).  Storage [k-1, j, b] is what server j+1 holds of message k, or
-    q.  The shares and the decoding are int64, exact while N*(q-1)^2 + q <
-    2^63, as at every q an audit enumerates; storage is exact at every q
-    (``mod_matmul``).
+    q.  The stages compute in ``_stage_dtype``, exact while N*(q-1)^2 + q <
+    2^63, as at every q an audit enumerates.
     """
     q, k, n, l = config.modulus, config.k_messages, config.n_servers, config.msg_len
+    dtype = _stage_dtype(q, n)
     hosts = np.array(config.association) - 1
     # P_d: column i is a unit vector at the i-th server of d's sorted hosts
     placed = np.eye(n, dtype=np.int64)[hosts].transpose(0, 2, 1)
-    if encoders is not None:
-        placed = mod_matmul(placed, encoders, q)
+    placed = mod_matmul(placed, encoders, q)  # P_d*E_d
     # where message k's i-th host sits among the K*N storage cells, and the
     # corruption there
     cells = (np.arange(0, k * n, n)[:, None] + hosts).ravel()
-    shift = offset.ravel()[cells, None]
+    shift = offset.ravel()[cells, None].astype(dtype)
     # silence read as 0: D_d is zero on the servers d silences
     decoder = decoder * sends[:, None, :]
+    coders, stage_shares = encoders.astype(dtype), shares.astype(dtype)
+    stage_decoder = decoder.astype(dtype)
+    silent = None if sends.all() else ~sends
 
     def build_storage(w):
-        if encoders is not None:
-            w = mod_matmul(encoders, w.reshape(k, l, -1), q).reshape(k * l, -1)
-        stored = np.full((k * n, w.shape[1]), q, dtype=np.int64)
+        w = _mod(np.einsum("kij,kjb->kib", coders, w.reshape(k, l, -1)), q)
+        w = w.reshape(k * l, -1)
+        stored = np.full((k * n, w.shape[1]), q, dtype=dtype)
         stored[cells] = _mod(w + shift, q) if shift.any() else w
         return stored.reshape(k, n, -1)
 
     def answers(storage, mask):
         # A server holding nothing of message d has the marker q there, which
         # is 0 mod q: it sends its mask share alone.
-        heard = _mod(storage + shares.T @ mask, q)
-        heard[~sends] = q
+        heard = _mod(storage + np.einsum("mn,mb->nb", stage_shares, mask), q)
+        if silent is not None:
+            heard[silent] = q
         return heard
 
     def decode(answers):
-        return _mod(decoder @ answers, q)
+        return _mod(np.einsum("dln,dnb->dlb", stage_decoder, answers), q)
 
     mask_columns = np.broadcast_to(shares.T, (k, n, len(shares)))
     linear = np.concatenate((placed, mask_columns), axis=2)
@@ -284,12 +301,12 @@ def split_scheme(config: PidConfig) -> SchemeUnderTest:
     answers are d's raw symbols, distributed alike for every d when the
     messages are uniform: that layout passes the privacy audit.
     """
-    k, n = config.k_messages, config.n_servers
+    k, n, l = config.k_messages, config.n_servers, config.msg_len
     # d's hosts alone send, and are read back in order: D_d = P_d^T
     return _affine_scheme(
         "unmasked-split",
         config,
-        None,
+        np.broadcast_to(np.eye(l, dtype=np.int64), (k, l, l)),
         np.zeros((0, n), np.int64),
         config.host_incidence.astype(bool),
         np.eye(n, dtype=np.int64)[np.array(config.association) - 1],
@@ -340,26 +357,27 @@ def by_rank(scheme: SchemeUnderTest, privacy: bool) -> bool:
 def _inputs(scheme: SchemeUnderTest):
     """Yield (index of the first input, message symbols, mask symbols,
     storage) for every block of consecutive inputs, in ``itertools.product``
-    order, each with its rows (one per input) on the last axis.
+    order, each with its rows (one per input) on the last axis, its digits
+    in ``_stage_dtype``.
 
-    A block is the q^t inputs that share all but their last t digits, with
-    q <= q^t <= ``CHUNK_ROWS``: the trailing-digit table is built once and
-    each block fills in only its leading digits, in one buffer reused from
-    block to block.  The mask digits vary fastest, so a block holds each of
-    its message tuples q^min(mask_len, t) times in a row; ``build_storage``
-    runs on one row per tuple and its rows are repeated (sound because it is
-    row-wise).
+    A block is the q^t inputs that share all but their last t digits, for
+    the largest q^t whose K*N*q^t answer cells are at most ``BLOCK_CELLS``,
+    and t >= 1: the trailing-digit table is built once and each block fills
+    in only its leading digits, in one buffer reused from block to block.
+    The mask digits vary fastest, so a block holds each of its message tuples
+    q^min(mask_len, t) times in a row; ``build_storage`` runs on one row per
+    tuple and its rows are repeated (sound because it is row-wise).
     """
     q = scheme.modulus
     msg_width = scheme.k_messages * scheme.msg_len
     width = _width(scheme)
-    powers = np.array([[q**e] for e in reversed(range(width))], dtype=np.int64)
+    cells = scheme.k_messages * scheme.n_servers
     t = 1
-    while t < width and q ** (t + 1) <= CHUNK_ROWS:
+    while t < width and cells * q ** (t + 1) <= BLOCK_CELLS:
         t += 1
     rows, lead = q**t, width - t
-    digits = np.empty((width, rows), dtype=np.int64)
-    digits[lead:] = _mod(np.arange(rows, dtype=np.int64) // powers[lead:], q)
+    digits = np.empty((width, rows), dtype=_stage_dtype(q, scheme.n_servers))
+    digits[lead:] = np.indices((q,) * t, dtype=digits.dtype).reshape(t, rows)
     w, mask = digits[:msg_width], digits[msg_width:]
     stride = q ** min(scheme.mask_len, t)
     for block, leading in enumerate(itertools.product(range(q), repeat=lead)):
@@ -444,8 +462,8 @@ def _audit(
         keys = (q + 1) ** n
         # an answer vector's key: its base-(q+1) digits, q for silence;
         # request d's keys are counted at (d-1)*keys + key
-        weights = (q + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        offsets = np.arange(0, k * keys, keys, dtype=np.int64)[:, None]
+        weights = (q + 1) ** np.arange(n - 1, -1, -1, dtype=np.int32)
+        offsets = np.arange(0, k * keys, keys, dtype=np.int32)[:, None]
         census = np.zeros(k * keys, dtype=np.int64)
     report = None
     checked = 0
@@ -458,7 +476,7 @@ def _audit(
             elif census is None:
                 break
         if census is not None:
-            held.append((weights @ answers + offsets).ravel())
+            held.append((np.einsum("n,dnb->db", weights, answers) + offsets).ravel())
             held_keys += held[-1].size
             if held_keys >= census.size:
                 census += np.bincount(np.concatenate(held), minlength=census.size)

@@ -233,6 +233,14 @@ class TestMessages:
             Message(1, symbols, 5)
         assert str(refusal.value) == f"message 1 has symbols that are not ints: {symbols}"
 
+    # A float or a bool does not name a message: before this check, q5-k3
+    # served Message(True, (1, 2), 5) as message 1.
+    @pytest.mark.parametrize("index", (True, 1.0, np.int64(1)), ids=repr)
+    def test_non_integer_index_is_refused(self, index):
+        with pytest.raises(TypeError) as refusal:
+            Message(index, (1, 2), 5)
+        assert str(refusal.value) == f"message index {index!r} is not an int"
+
     def test_random_messages_seeded(self):
         config, _ = q5_instance()
         a = random_messages(config, seed=1)
@@ -334,6 +342,19 @@ class TestRandomness:
         _, code = q5_instance()
         with pytest.raises(ValueError):
             draw_randomness(code, mask=(1, 2))
+
+    # Before this check both masks below were truncated to (1,).
+    @pytest.mark.parametrize("mask", ((1.7,), (True,), (np.int64(1),)), ids=repr)
+    def test_non_integer_mask_is_refused(self, mask):
+        _, code = q5_instance()
+        with pytest.raises(TypeError) as refusal:
+            draw_randomness(code, mask=mask)
+        assert str(refusal.value) == f"mask has entries that are not ints: {mask}"
+
+    def test_mask_entries_reduce_mod_q(self):
+        _, code = q5_instance()
+        assert draw_randomness(code, mask=(7,)) == draw_randomness(code, mask=(2,))
+        assert draw_randomness(code, mask=[-3]).mask_vector == (2,)
 
 
 def per_server_shares(code, mask):

@@ -36,6 +36,7 @@ from codedpid.protocol import (
 )
 from codedpid.sim import simulate_subset_round
 from codedpid.verify import (
+    BLOCK_CELLS,
     CHUNK_ROWS,
     DEFAULT_BUDGET,
     DENSE_CENSUS_KEYS,
@@ -607,8 +608,8 @@ class TestBatchedMatchesPerCase:
 
     def test_crosses_chunk_boundaries(self):
         # storage corrupted only once message 1's second symbol is nonzero:
-        # the first failure is input 5^5, request 2, in the sixth block of
-        # 5^4 inputs
+        # the first failure is input 5^5, request 2, the first input of the
+        # second block of 5^5
         config, code = q5_instance()
         corrupt = masked_scheme(config, code, corrupt=(2, 2, 1, 3))
         honest = masked_scheme(config, code)
@@ -648,6 +649,12 @@ def long_mask_scheme():
     return scheme
 
 
+def cap_q5_blocks(monkeypatch, rows):
+    """Set ``BLOCK_CELLS`` so that a block of a scheme with q5-k3's K*N = 9
+    answers per input holds at most ``rows`` inputs (and at least q)."""
+    monkeypatch.setattr(codedpid.verify, "BLOCK_CELLS", 9 * rows)
+
+
 @pytest.mark.parametrize("rows", [5, 7, 30, 10**6])
 class TestBlockShapes:
     """Every block size gives the per-case reports: blocks of q^t inputs
@@ -656,7 +663,7 @@ class TestBlockShapes:
 
     @pytest.fixture(autouse=True)
     def block_rows(self, monkeypatch, rows):
-        monkeypatch.setattr(codedpid.verify, "CHUNK_ROWS", rows)
+        cap_q5_blocks(monkeypatch, rows)
 
     def test_small_instances(self):
         for params, scheme in small_instances():
@@ -703,9 +710,12 @@ class TestCensusPaths:
             assert by_rank(split_scheme(config), privacy=True) == ranked
         assert not by_rank(masked_scheme(*q5_instance()), privacy=True)
 
-    @pytest.mark.parametrize("rows", [5, CHUNK_ROWS])
+    # q5-k3 blocks of 5 and of 625 (at most 1024) inputs, and the default
+    # blocks (3125 inputs on q5-k3)
+    @pytest.mark.parametrize("rows", [5, 1024, pytest.param(None, id="default")])
     def test_counts_match_per_case_census(self, monkeypatch, rows):
-        monkeypatch.setattr(codedpid.verify, "CHUNK_ROWS", rows)
+        if rows is not None:
+            cap_q5_blocks(monkeypatch, rows)
         config, _ = q5_instance()
         labelled = [("q5-split", split_scheme(config)), ("long-mask", long_mask_scheme())]
         for label, scheme in labelled + list(small_instances()):
@@ -777,9 +787,9 @@ class TestStorageOncePerMessageTuple:
     @pytest.mark.parametrize(
         "extra, blocks, code",
         [
-            ([], 5**3, 0),
-            (["--scheme", "split"], 5**2, 3),
-            (["--corrupt", "1,1,1,2"], 5**3, 3),
+            ([], 5**2, 0),
+            (["--scheme", "split"], 5, 3),
+            (["--corrupt", "1,1,1,2"], 5**2, 3),
         ],
     )
     def test_pid_verify_walks_the_inputs_once(
@@ -787,7 +797,9 @@ class TestStorageOncePerMessageTuple:
     ):
         # Both properties in one pass: storage for each of the 5^6 message
         # tuples once in all, and one all-requests answers call per block
-        # of 5^4 inputs (5^2 blocks of 5^4 message tuples for the split).
+        # of 5^5 inputs, the largest power of 5 whose 9 answers per input
+        # fit BLOCK_CELLS (5 blocks of 5^5 message tuples for the split).
+        assert 9 * 5**5 <= BLOCK_CELLS < 9 * 5**6
         answered = []
         tallies = []
 
@@ -822,6 +834,51 @@ def q5_layout(tmp_path, q):
         + "\n"
     )
     return str(path)
+
+
+def dtype_recorded(scheme):
+    """``scheme`` with every stage recording the dtype of each array it is
+    given, and the set of those dtypes."""
+    seen = set()
+
+    def recording(stage):
+        def record(*arrays):
+            seen.update(a.dtype for a in arrays)
+            return stage(*arrays)
+
+        return record
+
+    stages = ("build_storage", "answers", "decode")
+    recorded = {name: recording(getattr(scheme, name)) for name in stages}
+    return dataclasses.replace(scheme, **recorded), seen
+
+
+class TestStageDtype:
+    """Enumeration runs in int32 while a stage's largest value, N*(q-1)^2 + q,
+    is below 2^31, and in int64 past it."""
+
+    def test_q5_audits_run_in_int32(self):
+        config, code = q5_instance()
+        for scheme in (
+            masked_scheme(config, code),
+            split_scheme(config),
+            masked_scheme(config, code, corrupt=(1, 1, 1, 2)),
+        ):
+            recorded, seen = dtype_recorded(scheme)
+            assert scheme_audit(recorded) == scheme_audit(scheme), scheme.name
+            assert seen == {np.dtype(np.int32)}, scheme.name
+
+    @pytest.mark.parametrize("n, dtype", [(2064, np.int32), (2065, np.int64)])
+    def test_wide_split_switches_at_the_bound(self, n, dtype):
+        # one symbol over F_1021 on server 1 of n: 2064 * 1020^2 + 1021 is
+        # just below 2^31, 2065 * 1020^2 + 1021 just above
+        q = 1021
+        assert (n * (q - 1) ** 2 + q < 2**31) == (dtype is np.int32)
+        config = make_association(q, 1, n, 1, mode="explicit", association=[[1]])
+        recorded, seen = dtype_recorded(split_scheme(config))
+        assert not by_rank(recorded, privacy=False)
+        assert scheme_correctness(recorded) == CorrectnessReport(True, q, None)
+        assert seen == {np.dtype(dtype)}
 
 
 class TestExactness:
