@@ -192,8 +192,8 @@ class FieldMatrix:
     # -- arithmetic -----------------------------------------------------------
 
     def mat_vec(self, vec) -> tuple[int, ...]:
-        """Matrix times plain-int vector, returned as a plain-int tuple."""
-        v = np.asarray(list(vec), dtype=np.int64)
+        """Matrix times a sequence of plain ints, returned as a plain-int tuple."""
+        v = np.array(vec, dtype=np.int64)
         if v.shape != (self.cols,):
             raise ValueError(f"vector length {v.shape} does not match {self.cols}")
         return tuple(mod_matmul(self._a, v % self.modulus, self.modulus).tolist())

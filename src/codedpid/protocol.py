@@ -393,12 +393,13 @@ def draw_randomness(
         mask = tuple(u % q for u in mask)
         if len(mask) != r:
             raise ValueError(f"mask must have {r} entries, got {len(mask)}")
+        vector = np.array(mask, dtype=np.int64)
     elif seed is None:
         mask = tuple(secrets.randbelow(q) for _ in range(r))
+        vector = np.array(mask, dtype=np.int64)
     else:
-        rng = np.random.default_rng(seed)
-        mask = tuple(int(x) for x in rng.integers(0, q, size=r))
-    vector = np.array(mask, dtype=np.int64)
+        vector = np.random.default_rng(seed).integers(0, q, size=r)
+        mask = tuple(vector.tolist())
     shares = tuple(mod_matmul(vector, code.generator.array, q).tolist())
     return SharedRandomness(mask_vector=mask, shares=shares, modulus=q)
 
@@ -432,6 +433,8 @@ def _answer(symbols: tuple[int, ...], share: int | None, q: int) -> tuple[int, .
     per symbol, or its bare share; with no share, raw fragments or silence."""
     if share is None:
         return symbols
+    if len(symbols) == 1:  # the coded scheme's fragment
+        return ((symbols[0] + share) % q,)
     if symbols:
         return tuple([(s + share) % q for s in symbols])
     return (share,)

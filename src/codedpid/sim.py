@@ -15,10 +15,12 @@ decoded symbols).  Actor ids: coordinator 0, servers 1..N, user N+1.
 
 One function, ``_serve``, drives a round in fixed phases - storage setup,
 share setup, deliver commands, answers in server-id order, decode result -
-handing each frame to its actor and appending it to the round's log, so the
-log is a deterministic byte string: replays are byte-identical.  No frame
-passes between servers, and actors raise ``ProtocolViolation`` on any
-frame out of schema.
+and builds the round's log a phase at a time: a phase's frames are handed
+to their actors' ``receive`` one by one, in server-id order, and appended
+to the log together, so the log is a deterministic byte string: replays
+are byte-identical.  The deliver phase logs one command frame N times.  No
+frame passes between servers, and actors raise ``ProtocolViolation`` on
+any frame out of schema.
 
 Storage is encoded once per instance and messages, and a rewrite
 re-encodes only the servers that host a changed message (see
@@ -32,7 +34,11 @@ first server parsed (see ``ServerActor``).  Frames are immutable, so that
 parse holds for the frame for good.  These caches live on the objects they
 describe, not in a module-level slot, so they last as long as the caller
 keeps those objects, and instances served alternately do not evict each
-other's.  Logs serialize to files with an 8-byte magic header.
+other's.  The codec's own caches are module-level and bounded: the
+compiled packer and unpacker of each payload length, in two dicts of at
+most 256 lengths each; a one-symbol frame (every share, command and coded
+answer) is packed by one precompiled struct.  Logs serialize to files with
+an 8-byte magic header.
 
 A ``Frame`` is a tuple record (kind, sender, payload), so each frame of a
 round costs what a tuple costs.  Its public constructor validates the three
@@ -41,10 +47,11 @@ decode-result frames of a round, are built without that check, because
 their fields are bounded where they enter: the wire format bounds what is
 parsed; every layout's modulus is a prime below 2^32
 (``field.check_modulus``) and every layout refuses a request outside 1..K;
-an actor refuses, when it is built, an id that does not fit 2 bytes and a
-server a modulus above 2^32, so every symbol it sends, reduced mod q, fits
-4 bytes; the shares are residues mod q (``protocol`` draws them itself,
-every round); and the user checks the symbols its decoder returns.
+an actor refuses, when it is built, an id or a modulus that is not an
+int, an id that does not fit 2 bytes and a modulus above 2^32, so every
+symbol it sends, reduced mod q, fits 4 bytes; the shares are residues
+mod q (``protocol`` draws them itself, every round); and the user checks
+the symbols its decoder returns.
 
 Privacy is claimed against one observer, the user: the answers it
 receives, a round's ANSWER frames, are distributed alike for every request
@@ -56,10 +63,9 @@ and shows ``d``.
 
 from __future__ import annotations
 
-import functools
 import struct
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -74,6 +80,7 @@ from codedpid.protocol import (  # noqa: F401
     ServerState,
     _coded_layout,
     _Layout,
+    _all_ints,
     _answer,
     _subset_layout,
     attach_shares,
@@ -116,6 +123,11 @@ COORDINATOR_ID = 0
 LOG_MAGIC = b"PIDSIM01"
 
 _HEADER = struct.Struct("<BHI")
+_HEADER_SIZE = _HEADER.size
+_unpack_header = _HEADER.unpack_from
+# A whole frame of one payload symbol: a round's share, command and answer
+# frames, packed without a star-args call.
+_pack_one = struct.Struct("<BHII").pack
 _SENDER_LIMIT = 2**16
 _SYMBOL_LIMIT = 2**32
 # Builds a record of a tuple subclass from a 3-tuple without calling its
@@ -131,14 +143,34 @@ class ProtocolViolation(RuntimeError):
     """An actor received a frame outside its expected schema or phase."""
 
 
+# The checks below let plain ints through on one test of their types and
+# apply the int rule of ``protocol._all_ints`` (an int, and not a bool) only
+# to anything else.
+_PLAIN_INT = {int}
+
+
+def _check_int(value, what: str) -> None:
+    if type(value) is not int and not _all_ints((value,)):
+        raise FrameError(f"{what} {value!r} is not an int")
+
+
 def _check_symbols(payload: tuple[int, ...]) -> None:
+    if not (set(map(type, payload)) <= _PLAIN_INT or _all_ints(payload)):
+        raise FrameError("payload symbols must be ints")
     if payload and not (0 <= min(payload) and max(payload) < _SYMBOL_LIMIT):
         raise FrameError("payload symbols must fit 4 bytes each")
 
 
 def _check_sender(sender: int) -> None:
+    _check_int(sender, "sender id")
     if not 0 <= sender < _SENDER_LIMIT:
         raise FrameError(f"sender id {sender} does not fit 2 bytes")
+
+
+def _check_modulus(modulus: int) -> None:
+    _check_int(modulus, "modulus")
+    if not 0 < modulus <= _SYMBOL_LIMIT:
+        raise FrameError(f"modulus {modulus} gives symbols that do not fit 4 bytes")
 
 
 class Frame(namedtuple("Frame", ("kind", "sender", "payload"))):
@@ -150,8 +182,9 @@ class Frame(namedtuple("Frame", ("kind", "sender", "payload"))):
     hashes like, the bare tuple ``(kind, sender, payload)`` of the same
     values, and it unpacks as one.
 
-    The constructor validates: the kind must be known, the sender must fit
-    2 bytes and every symbol 4 bytes, else ``FrameError``; the payload is
+    The constructor validates: the kind, the sender and every symbol must
+    be ints and not bools, the kind must be known, the sender must fit 2
+    bytes and every symbol 4 bytes, else ``FrameError``; the payload is
     stored as a tuple.  Frames that ``decode_frame`` parses, and the share,
     deliver-command, answer and decode-result frames of a simulated round,
     are built without that check (the record is made directly): the wire
@@ -165,6 +198,7 @@ class Frame(namedtuple("Frame", ("kind", "sender", "payload"))):
 
     def __new__(cls, kind: int, sender: int, payload) -> Frame:
         payload = tuple(payload)
+        _check_int(kind, "frame kind")
         frame_class = _FRAME_CLASS.get(kind)
         if frame_class is None:
             raise FrameError(f"unknown frame kind {kind}")
@@ -185,11 +219,13 @@ class Frame(namedtuple("Frame", ("kind", "sender", "payload"))):
         """The frame's wire bytes."""
         kind, sender, payload = self
         n = len(payload)
-        return _frame_struct(n).pack(kind, sender, 4 * n, *payload)
+        if n == 1:
+            return _pack_one(kind, sender, 4, payload[0])
+        return _packers[n](kind, sender, 4 * n, *payload)
 
     @property
     def wire_size(self) -> int:
-        return _HEADER.size + 4 * len(self[2])
+        return _HEADER_SIZE + 4 * len(self[2])
 
 
 class _StorageFrame(Frame):
@@ -226,19 +262,34 @@ _FRAME_CLASS = {
     ANSWER: Frame,
     DECODE_RESULT: Frame,
 }
+# The same map indexed by a header's kind byte: None for an unknown kind.
+_KIND_BYTE_CLASS = tuple(_FRAME_CLASS.get(kind) for kind in range(256))
 
 
-# Compiled codecs per payload length in symbols.  A log holds few distinct
-# lengths (a round has at most four besides its storage frames); the bound
-# keeps arbitrary input from growing the caches.
-@functools.lru_cache(maxsize=256)
-def _frame_struct(n: int) -> struct.Struct:
-    return struct.Struct(f"<BHI{n}I")
+_CODEC_CACHE_LIMIT = 256
 
 
-@functools.lru_cache(maxsize=256)
-def _symbols_struct(n: int) -> struct.Struct:
-    return struct.Struct(f"<{n}I")
+class _CodecCache(dict):
+    """Compiled codecs by payload length in symbols, each found with one
+    subscript and compiled on its first use.  A log holds few distinct
+    lengths (a round has at most four besides its storage frames); a cache
+    that holds ``_CODEC_CACHE_LIMIT`` lengths is emptied before the next one
+    is added, so arbitrary input cannot grow it."""
+
+    def __init__(self, compile_length: Callable[[int], Callable]):
+        super().__init__()
+        self.compile_length = compile_length
+
+    def __missing__(self, n: int) -> Callable:
+        if len(self) >= _CODEC_CACHE_LIMIT:
+            self.clear()
+        codec = self[n] = self.compile_length(n)
+        return codec
+
+
+# The packer of a whole frame and the unpacker of a payload.
+_packers = _CodecCache(lambda n: struct.Struct(f"<BHI{n}I").pack)
+_unpackers = _CodecCache(lambda n: struct.Struct(f"<{n}I").unpack_from)
 
 
 def decode_frame(data: bytes, offset: int = 0) -> tuple[Frame, int]:
@@ -247,22 +298,24 @@ def decode_frame(data: bytes, offset: int = 0) -> tuple[Frame, int]:
     The ``<BHI`` header and ``<I`` symbols bound the sender and the
     symbols, so the frame is built without re-validation once its kind is
     known.  A negative ``offset`` is refused, not counted from the end."""
-    if len(data) - offset < _HEADER.size or offset < 0:
+    size = len(data)
+    if size - offset < _HEADER_SIZE or offset < 0:
         raise FrameError(
             f"negative frame offset {offset}" if offset < 0
             else "truncated frame header"
         )
-    kind, sender, length = _HEADER.unpack_from(data, offset)
-    frame_class = _FRAME_CLASS.get(kind)
+    kind, sender, length = _unpack_header(data, offset)
+    frame_class = _KIND_BYTE_CLASS[kind]
     if frame_class is None:
         raise FrameError(f"unknown frame kind {kind}")
-    if length % 4 != 0:
+    if length & 3:
         raise FrameError(f"payload length {length} is not a multiple of 4")
-    start = offset + _HEADER.size
-    if len(data) - start < length:
+    start = offset + _HEADER_SIZE
+    end = start + length
+    if end > size:
         raise FrameError("truncated frame payload")
-    payload = _symbols_struct(length >> 2).unpack_from(data, start)
-    return _record(frame_class, (kind, sender, payload)), start + length
+    payload = _unpackers[length >> 2](data, start)
+    return _record(frame_class, (kind, sender, payload)), end
 
 
 def decode_frames(data: bytes, offset: int = 0) -> tuple[Frame, ...]:
@@ -313,15 +366,25 @@ class ServerActor:
     hand, an equal copy - is parsed in full, and a frame that fails to parse
     keeps nothing.
 
-    The constructor refuses (``FrameError``) an id that does not fit the
-    2-byte sender field and a modulus outside 1..2^32, so every answer
-    frame, whose symbols are reduced mod q, is built without re-validation.
+    The constructor refuses (``FrameError``) an id that is not an int or
+    does not fit the 2-byte sender field, and a modulus that is not an int
+    or lies outside 1..2^32, so every answer frame, whose symbols are
+    reduced mod q, is built without re-validation.
     """
 
+    __slots__ = ("actor_id", "modulus", "fragments", "share")
+
     def __init__(self, server_id: int, modulus: int):
-        _check_sender(server_id)
-        if not 0 < modulus <= _SYMBOL_LIMIT:
-            raise FrameError(f"modulus {modulus} gives symbols that do not fit 4 bytes")
+        # A round builds N servers: plain ints in range pass one inline
+        # test, anything else takes the checks that name what is wrong.
+        if not (
+            type(server_id) is int
+            and type(modulus) is int
+            and 0 <= server_id < _SENDER_LIMIT
+            and 0 < modulus <= _SYMBOL_LIMIT
+        ):
+            _check_sender(server_id)
+            _check_modulus(modulus)
         self.actor_id = server_id
         self.modulus = modulus
         self.fragments: Mapping[int, tuple[int, ...]] = {}
@@ -384,11 +447,14 @@ class ServerActor:
 
 class UserActor:
     """Collects one answer per server, then decodes.  The constructor
-    refuses (``FrameError``) an id that does not fit the 2-byte sender
-    field."""
+    refuses (``FrameError``) an id that is not an int or does not fit the
+    2-byte sender field, and a modulus as ``ServerActor`` does."""
+
+    __slots__ = ("actor_id", "n_servers", "decode_fn", "modulus", "answers")
 
     def __init__(self, user_id: int, n_servers: int, decode_fn, modulus: int):
         _check_sender(user_id)
+        _check_modulus(modulus)
         self.actor_id = user_id
         self.n_servers = n_servers
         self.decode_fn = decode_fn
@@ -404,7 +470,10 @@ class UserActor:
         if sender in self.answers:
             raise ProtocolViolation(f"server {sender} answered twice")
         q = self.modulus
-        self.answers[sender] = tuple([s % q for s in payload])
+        # A coded round's answers carry one symbol each.
+        self.answers[sender] = (
+            (payload[0] % q,) if len(payload) == 1 else tuple([s % q for s in payload])
+        )
         return []
 
     def decode_result(self) -> Frame:
@@ -436,8 +505,9 @@ def _storage_frame(state: ServerState) -> Frame:
     if frame is None:
         payload: list[int] = [len(state.fragments)]
         for message_id, symbols in state.fragments:
-            payload.extend([message_id, len(symbols)])
-            payload.extend(symbols)
+            payload.append(message_id)
+            payload.append(len(symbols))
+            payload += symbols
         frame = Frame(SETUP_STORAGE, COORDINATOR_ID, tuple(payload))
         state.__dict__["_storage_frame"] = frame
     return frame
@@ -445,31 +515,34 @@ def _storage_frame(state: ServerState) -> Frame:
 
 def _serve(layout: _Layout) -> SimResult:
     """Answer a ``protocol`` layout over the wire, in the fixed phases of
-    the module docstring.  One command frame goes to every server: frames
-    are immutable.  Only the storage frames were validated, when built.
-    The user, built before the servers, refuses an id N+1 (the round's
-    largest sender) that does not fit 2 bytes (``FrameError``) before any
-    server is made."""
+    the module docstring.  The log is built a phase at a time: each phase's
+    frames are made, handed to their actors in order and appended together.
+    One command frame goes to every server: frames are immutable.  Only the
+    storage frames were validated, when built.  The user, built before the
+    servers, refuses an id N+1 (the round's largest sender) that does not
+    fit 2 bytes (``FrameError``) before any server is made."""
     storage, modulus = layout.storage, layout.modulus
     n_servers = len(storage)
     user_id = n_servers + 1
     user = UserActor(user_id, n_servers, layout.decode, modulus)
     servers = [ServerActor(n, modulus) for n in range(1, user_id)]
-    log: list[Frame] = []
-
-    def send(frame: Frame, actor) -> list[Frame]:
-        log.append(frame)
-        return actor.receive(frame)
-
-    for state, server in zip(storage, servers):
-        send(_storage_frame(state), server)
+    log = [_storage_frame(state) for state in storage]
+    for frame, server in zip(log, servers):
+        server.receive(frame)
     if layout.randomness is not None:
-        for share, server in zip(layout.randomness.shares, servers):
-            send(_record(Frame, (SETUP_SHARE, COORDINATOR_ID, (share,))), server)
+        shares = [
+            _record(Frame, (SETUP_SHARE, COORDINATOR_ID, (share,)))
+            for share in layout.randomness.shares
+        ]
+        for frame, server in zip(shares, servers):
+            server.receive(frame)
+        log += shares
     cmd = _record(Frame, (DELIVER_CMD, user_id, (layout.requested,)))
-    answer_frames = [frame for server in servers for frame in send(cmd, server)]
+    log += [cmd] * n_servers
+    answer_frames = [frame for server in servers for frame in server.receive(cmd)]
     for frame in answer_frames:
-        send(frame, user)
+        user.receive(frame)
+    log += answer_frames
     result = user.decode_result()
     log.append(result)
     transcript = layout.transcript(

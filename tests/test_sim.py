@@ -8,6 +8,7 @@ The frame byte golden was laid out by hand from the header packing
 import functools
 import hashlib
 import itertools
+import re
 import struct
 from collections import Counter
 from fractions import Fraction
@@ -23,7 +24,7 @@ from codedpid.analysis import (
     achievable_coded_rate,
     download_floor_check,
 )
-from codedpid.codes import build_vandermonde_pair
+from codedpid.codes import CodePair, build_vandermonde_pair
 from codedpid.instances import q5_instance, q11_instance
 from codedpid.protocol import (
     EXPLICIT,
@@ -106,6 +107,23 @@ class TestFrameBytes:
             Frame(ANSWER, 1, (2**32,))
         with pytest.raises(FrameError):
             Frame(ANSWER, 1, (-1,))
+
+    def test_non_integer_fields_are_refused(self):
+        # The int rule of ``protocol._all_ints``: an int, and not a bool.
+        cases = [
+            ((1.0, 0, ()), "frame kind 1.0 is not an int"),
+            ((True, 0, ()), "frame kind True is not an int"),
+            ((ANSWER, 1.5, ()), "sender id 1.5 is not an int"),
+            ((ANSWER, True, ()), "sender id True is not an int"),
+            ((ANSWER, 1, (1.5,)), "payload symbols must be ints"),
+            ((ANSWER, 1, (2, True)), "payload symbols must be ints"),
+            ((ANSWER, 1, (np.int64(1),)), "payload symbols must be ints"),
+        ]
+        for fields, text in cases:
+            with pytest.raises(FrameError, match=re.escape(text)):
+                Frame(*fields)
+        with pytest.raises(FrameError, match="sender id 1.0 is not an int"):
+            Frame(ANSWER, 1, ())._replace(sender=1.0)
 
     def test_decode_errors(self):
         good = Frame(ANSWER, 1, (5,)).encode()
@@ -455,6 +473,17 @@ class TestRouterAndActors:
             user.receive(Frame(ANSWER, 1, (1,)))
         with pytest.raises(ProtocolViolation, match="1/2 answers"):
             user.decode_result()
+
+    def test_answers_of_several_symbols(self):
+        server = ServerActor(1, 5)
+        server.receive(Frame(SETUP_STORAGE, 0, (1, 2, 2, 3, 4)))
+        server.receive(Frame(SETUP_SHARE, 0, (4,)))
+        (frame,) = server.receive(Frame(DELIVER_CMD, 4, (2,)))
+        assert frame.payload == (2, 3)  # (3 + 4, 4 + 4) mod 5
+        user = UserActor(2, 1, decode_fn=lambda a: a[0], modulus=5)
+        user.receive(Frame(ANSWER, 1, (7, 8, 4)))
+        assert user.answers[1] == (2, 3, 4)
+        assert user.decode_result() == (DECODE_RESULT, 2, (2, 3, 4))
 
 
 class TestByteAccounting:
@@ -1089,6 +1118,39 @@ def decode_in_one_loop(data, offset=0):
         return str(exc)
 
 
+class TestCodecReference:
+    """Frame bytes against ``struct.pack`` of the whole format string, and
+    the bound on the codec caches."""
+
+    @pytest.mark.parametrize("n", (0, 1, 2, 97))
+    def test_encode_matches_struct_pack(self, n):
+        payload = tuple(range(2**32 - n, 2**32))
+        for kind in (SETUP_SHARE, DELIVER_CMD, ANSWER, DECODE_RESULT):
+            frame = Frame(kind, 2**16 - 1, payload)
+            reference = struct.pack(f"<BHI{n}I", kind, 2**16 - 1, 4 * n, *payload)
+            assert frame.encode() == reference
+            assert decode_frame(reference) == (frame, len(reference))
+
+    def test_storage_frame_matches_struct_pack(self):
+        payload = (2, 1, 1, 9, 3, 2, 1, 2**32 - 1)
+        frame = Frame(SETUP_STORAGE, COORDINATOR_ID, payload)
+        reference = struct.pack("<BHI8I", SETUP_STORAGE, COORDINATOR_ID, 32, *payload)
+        assert frame.encode() == reference
+        assert frames_to_bytes([frame]) == reference
+        assert decode_frame(reference) == (frame, len(reference))
+
+    def test_codec_caches_stay_bounded(self):
+        limit = codedpid.sim._CODEC_CACHE_LIMIT
+        frames = tuple(Frame(ANSWER, 1, tuple(range(n))) for n in range(limit + 44))
+        data = frames_to_bytes(frames)
+        assert decode_frames(data) == frames
+        assert 0 < len(codedpid.sim._packers) <= limit
+        assert 0 < len(codedpid.sim._unpackers) <= limit
+        # Lengths evicted from a full cache are compiled again.
+        assert frames_to_bytes(frames) == data
+        assert decode_frames(data) == frames
+
+
 class TestDecodeFrames:
     @given(st.lists(FRAMES, max_size=8))
     def test_concatenated_frames(self, frames):
@@ -1260,11 +1322,84 @@ class TestTrustedRoundFrames:
         wide.receive(Frame(SETUP_SHARE, 0, (1,)))
         assert wide.receive(Frame(DELIVER_CMD, 4, (1,)))[0].payload == (2**32 - 1,)
         # the decoder is the caller's, so its symbols are still checked
-        for decoded in ((-1,), (2**32,)):
+        cases = (((-1,), "4 bytes"), ((2**32,), "4 bytes"), ((1.5,), "ints"))
+        for decoded, text in cases:
             user = UserActor(3, 1, decode_fn=lambda _a, out=decoded: out, modulus=5)
             user.receive(Frame(ANSWER, 1, (1,)))
-            with pytest.raises(FrameError, match="4 bytes"):
+            with pytest.raises(FrameError, match=text):
                 user.decode_result()
+
+    def test_non_integer_actor_ids_and_moduli_are_refused(self):
+        decode = lambda _a: (0,)  # noqa: E731
+        server_cases = [
+            ((2.5, 5), "sender id 2.5 is not an int"),
+            ((True, 5), "sender id True is not an int"),
+            ((np.int64(1), 5), "is not an int"),  # repr varies with numpy
+            ((1, 5.5), "modulus 5.5 is not an int"),
+            ((1, True), "modulus True is not an int"),
+        ]
+        for args, text in server_cases:
+            with pytest.raises(FrameError, match=re.escape(text)):
+                ServerActor(*args)
+        for args, text in (
+            ((1.5, 1, decode, 5), "sender id 1.5 is not an int"),
+            ((3, 1, decode, 5.0), "modulus 5.0 is not an int"),
+            ((3, 1, decode, 2**32 + 1), "do not fit 4 bytes"),
+        ):
+            with pytest.raises(FrameError, match=re.escape(text)):
+                UserActor(*args)
+        # An int subclass that is not a bool passes the int rule: it misses
+        # the constructor's plain-int test and is built by the full checks.
+        class Id(int):
+            pass
+
+        server = ServerActor(Id(2), Id(5))
+        server.receive(Frame(SETUP_STORAGE, 0, (1, 1, 1, 3)))
+        server.receive(Frame(SETUP_SHARE, 0, (4,)))
+        (answer,) = server.receive(Frame(DELIVER_CMD, 4, (1,)))
+        assert answer.encode() == Frame(ANSWER, 2, (2,)).encode()
+
+
+class TestEveryFrameReachesItsActor:
+    """A round hands each frame to its actor's ``receive`` and calls each
+    protocol step once, through the names ``perfbench/tracing.py`` wraps, so
+    the per-layer metrics keep counting what a round does."""
+
+    @pytest.mark.parametrize(
+        "make", (q5_instance, k64_instance), ids=lambda f: f.__name__
+    )
+    def test_calls_per_round(self, make, monkeypatch):
+        calls = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[f"{owner.__name__}.{name}"] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(ServerActor, "receive")
+        count(UserActor, "receive")
+        count(CodePair, "decode_vector")
+        count(codedpid.sim, "draw_randomness")
+        count(codedpid.sim, "encode_storage")
+        config, code = make()
+        messages = random_messages(config, seed=3)
+        n = config.n_servers
+        for d in (1, config.k_messages):
+            calls.clear()
+            sim = simulate_round(config, code, messages, d, seed=d)
+            assert sim.transcript.decoded == messages[d - 1].symbols
+            assert len(sim.frames) == 4 * n + 1
+            assert calls == {
+                "ServerActor.receive": 3 * n,
+                "UserActor.receive": n,
+                "CodePair.decode_vector": 1,
+                "codedpid.sim.draw_randomness": 1,
+                "codedpid.sim.encode_storage": 1,
+            }
 
 
 # -- accounting against the per-term formulas ------------------------------------
