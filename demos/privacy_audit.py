@@ -2,7 +2,7 @@
 Certifying privacy by counting, not by argument
 ===============================================
 
-On a small instance we can simply enumerate every possible world -- every
+On a small instance we could simply enumerate every possible world -- every
 message tuple, every mask value, every request -- and count how often each
 complete answer vector appears for each request.  Privacy is owed to the
 user, who receives all N answers: the servers pick the message to convey
@@ -12,12 +12,15 @@ request: that is privacy as an exact, finite, checkable statement.
 
 The same machinery audits broken schemes: strip the mask and the census
 splits; corrupt one stored symbol and the correctness sweep finds it.
-Past enumeration, the same verdicts come exactly from ranks.
+
+The auditor gets every count below exactly from ranks, without visiting
+the cases; the tests count the small instances case by case and check that
+the two agree.
 """
 
 from codedpid.instances import q5_instance, q11_instance
+from codedpid.cli import DECIMAL_CASES
 from codedpid.verify import (
-    DEFAULT_BUDGET,
     case_count,
     case_text,
     masked_scheme,
@@ -72,8 +75,9 @@ print("  first failure: request %d decoded %s, expected %s" % (
     ce.requested, ce.decoded, ce.expected))
 
 # -- instances beyond enumeration ---------------------------------------------
-# The 6-server instance has 11^27 * 8 cases, past the exhaustive budget.  The
-# scheme is linear, so the auditor certifies it by rank instead: request d's
+# The 6-server instance has 11^27 * 8 cases, far too many to visit, and past
+# the 10^7 cases whose counts ``pid verify`` writes in decimal.  The scheme is
+# linear, so the rank certificate decides it as it decides q5-k3: request d's
 # answers are an affine map A_d [w_d; mask] of its inputs, uniform over the
 # image of A_d.  Privacy holds exactly when every request has the same image,
 # correctness exactly when the parity check takes each A_d back to w_d.
@@ -82,7 +86,7 @@ config11, code11 = q11_instance()
 scheme11 = masked_scheme(config11, code11)
 c, p = scheme_audit(scheme11)
 print("\n6-server instance, %d cases > budget %d: certified by rank" % (
-    case_count(scheme11), DEFAULT_BUDGET))
+    case_count(scheme11), DECIMAL_CASES))
 print(verdict_line("correctness", "q11-k8", c.passed, case_text(scheme11)))
 print(verdict_line("privacy", "q11-k8", p.passed, case_text(scheme11)))
 print("  every request's answers cover all %s vectors, each %s times" % (

@@ -75,6 +75,6 @@ for d in range(1, 4):
 
 # Each single answer symbol is fragment+share or share alone; with u uniform
 # each is uniform on F_5 no matter what was asked, which is exactly what the
-# exhaustive audit in demos/privacy_audit.py certifies.
+# audit in demos/privacy_audit.py certifies for every case.
 print("\ndownload: 3 symbols for a 2-symbol message -> rate 2/3 (the best "
       "possible at this storage)")

@@ -9,13 +9,12 @@ Subcommands::
     pid table-l --k-range A:B --n-range A:B        valid message lengths
 
 Exit codes: 0 success, 2 bad input, 3 verification failure.  ``pid verify``
-enumerates every case of a small instance (at most 10^7 cases, q <= 1024
-and, for privacy, a census of at most 2^21 counters) and certifies by rank
-otherwise, as ``verify.by_rank`` decides from the instance alone, so a
-valid config ends in a verdict, 0 or 3.  ``main`` reports every refusal,
-the command line's (``CliError``) and the library's (any ``ValueError``),
-and any file that cannot be read or written (``OSError``), as one
-``error:`` line and exit 2.
+certifies every case by rank, so a valid config ends in a verdict, 0 or 3.
+It writes its counts in decimal for an instance of at most
+``DECIMAL_CASES`` (10^7) cases, and as powers of q past it.  ``main``
+reports every refusal, the command line's (``CliError``) and the
+library's (any ``ValueError``), and any file that cannot be read or
+written (``OSError``), as one ``error:`` line and exit 2.
 
 Config files are ``key = value`` lines; values are Python literals (lists,
 ints, quoted strings) with ``#`` comments outside quotes.  Keys: q, K, N, L,
@@ -65,6 +64,8 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERDICT_FAIL = 3
+# Most cases whose counts ``pid verify`` writes in decimal.
+DECIMAL_CASES = 10**7
 
 
 class CliError(ValueError):
@@ -462,15 +463,15 @@ def cmd_verify(args) -> int:
         correctness=args.property != "privacy",
         privacy=args.property != "correctness",
     )
-    # A rank verdict decides all its cases at once; its counts are written
-    # as powers of q, which can run past the digits ``str`` writes.
-    rank = (c_report or p_report).ranked
-    count = functools.partial(verify_mod.power_text, q=config.modulus) if rank else str
+    # Past DECIMAL_CASES, counts are written as powers of q: they can run
+    # past the digits ``str`` writes.
+    power = verify_mod.case_count(scheme) > DECIMAL_CASES
+    count = functools.partial(verify_mod.power_text, q=config.modulus) if power else str
     if c_report is not None:
         print(
             verify_mod.verdict_line(
                 "correctness", cfg.name, c_report.passed,
-                verify_mod.case_text(scheme) if rank else c_report.cases,
+                verify_mod.case_text(scheme) if power else c_report.cases,
             )
         )
         if not c_report.passed:
@@ -483,7 +484,7 @@ def cmd_verify(args) -> int:
         print(
             verify_mod.verdict_line(
                 "privacy", cfg.name, p_report.passed,
-                verify_mod.case_text(scheme) if rank else p_report.cases,
+                verify_mod.case_text(scheme) if power else p_report.cases,
             )
         )
         print(

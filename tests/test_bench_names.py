@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-import codedpid.verify
 from codedpid.instances import q5_instance
 from codedpid.verify import masked_scheme, scheme_audit, split_scheme
 
@@ -49,20 +48,14 @@ def test_every_traced_name_exists(monkeypatch, tracing):
     ],
     ids=["masked", "split", "corrupt"],
 )
-def test_traced_schemes_audit(monkeypatch, tracing, make, passed):
-    # the tracer's scheme wrap replaces every stage field and tallies each,
-    # and keeps the maps that the rank path reads
+def test_traced_schemes_audit(tracing, make, passed):
+    # the tracer's scheme wrap replaces every stage field and keeps the maps,
+    # which are all an audit reads: the reports are unchanged and no stage runs
     config, code = q5_instance()
     tracer = tracing.Tracer()
     scheme = tracer.scheme_factory(make)(config, code)
     correct, private = scheme_audit(scheme)
     assert (correct.passed, private.passed) == passed
     assert (correct, private) == scheme_audit(make(config, code))
-    assert tracer.calls["verify.build_storage"] > 0
-    assert tracer.calls["verify.answers"] > 0
-    assert tracer.calls["verify.decode"] > 0
-    # by rank, no stage runs
-    calls = dict(tracer.calls)
-    monkeypatch.setattr(codedpid.verify, "DEFAULT_BUDGET", 0)
-    assert scheme_audit(scheme) == scheme_audit(make(config, code))
-    assert dict(tracer.calls) == calls
+    stages = ("verify.build_storage", "verify.answers", "verify.decode")
+    assert [tracer.calls[name] for name in stages] == [0, 0, 0]

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: exit codes, file outputs, frozen line formats."""
 
 import ast
+import dataclasses
 import json
 import re
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from codedpid import verify as verify_mod
 from codedpid.cli import (
     CliError,
     build_instance,
@@ -397,6 +399,27 @@ class TestVerify:
         )
         assert "distinct answer vectors: 125; uniform over them: yes" in out
 
+    def test_q5_passes_without_evaluating_a_case(self, capsys, monkeypatch):
+        # the audit reads the scheme's maps alone: with every stage raising,
+        # ``pid verify`` prints the golden q5-k3 lines
+        def stage(*_):
+            raise AssertionError("pid verify evaluated a stage")
+
+        def raising(scheme):
+            return dataclasses.replace(
+                scheme, build_storage=stage, answers=stage, decode=stage
+            )
+
+        make = verify_mod.masked_scheme
+        monkeypatch.setattr(verify_mod, "masked_scheme", lambda *a, **kw: raising(make(*a, **kw)))
+        code, out, err = run(capsys, "verify", "-c", str(Q5_CFG))
+        assert (code, err) == (0, "")
+        assert out == (
+            "PROPERTY=correctness INSTANCE=q5-k3 VERDICT=pass CASES=234375\n"
+            "PROPERTY=privacy INSTANCE=q5-k3 VERDICT=pass CASES=234375\n"
+            "  distinct answer vectors: 125; uniform over them: yes\n"
+        )
+
     def test_single_property(self, capsys):
         code, out, _ = run(
             capsys, "verify", "-c", str(Q5_CFG), "--property", "correctness"
@@ -465,7 +488,7 @@ class TestVerify:
         assert "unrecognized arguments: --budget 100" in err
 
     def test_budget_env(self, capsys, monkeypatch):
-        # PID_BUDGET is not read: q5 is still enumerated
+        # PID_BUDGET is not read: q5's counts are still in decimal
         monkeypatch.setenv("PID_BUDGET", "100")
         code, out, _ = run(capsys, "verify", "-c", str(Q5_CFG))
         assert code == 0
@@ -498,9 +521,7 @@ class TestVerify:
 
     def test_modulus_too_large_for_exact_audit(self, capsys, tmp_path):
         # 2147483659 is the first prime past 2^31 - 1, the largest modulus
-        # whose N=2 stages keep 2*(q-1)^2 + q below 2^63; its q^2 cases are
-        # past the q <= 1024 that a block holds, and rank decides them
-        # exactly
+        # with 2*(q-1)^2 + q below 2^63; rank decides its q^2 cases exactly
         path = tmp_path / "big.cfg"
         path.write_text(
             "q = 2147483659\nK = 1\nN = 2\nL = 2\n"
@@ -516,8 +537,7 @@ class TestVerify:
 
     def split_cfg(self, tmp_path, k):
         # q=17 with 16 servers and K one-host messages: split answers are
-        # keyed by 18^16 values, far past the 2^21 counters of a census;
-        # K = 16 also makes 17^16 * 16 cases, far past 10^7
+        # keyed by 18^16 values; K = 16 makes 17^16 * 16 cases, far past 10^7
         path = tmp_path / f"split-k{k}.cfg"
         hosts = [[j] for j in range(1, k + 1)]
         path.write_text(
@@ -527,23 +547,22 @@ class TestVerify:
         return str(path)
 
     def test_refusal_order(self, capsys, tmp_path):
-        # past the case limit, or past the census bound when privacy is
-        # audited, a rank verdict; no config is refused
+        # no config is refused; past 10^7 cases the counts are powers of q
         both = ("--scheme", "split", "--property", "both")
         wide = self.split_cfg(tmp_path, 16)
         code, out, err = run(capsys, "verify", "-c", wide, *both)
         assert (code, err) == (3, "")
         assert "PROPERTY=privacy INSTANCE=split-k16 VERDICT=fail CASES=17^16*16\n" in out
-        # 17 cases, but 18^16 census keys: privacy takes rank
+        # 17 cases, in decimal whatever the 18^16 answer keys
         narrow = self.split_cfg(tmp_path, 1)
         code, out, err = run(capsys, "verify", "-c", narrow, *both)
         assert (code, err) == (0, "")
         assert out == (
-            "PROPERTY=correctness INSTANCE=split-k1 VERDICT=pass CASES=17^1*1\n"
-            "PROPERTY=privacy INSTANCE=split-k1 VERDICT=pass CASES=17^1*1\n"
+            "PROPERTY=correctness INSTANCE=split-k1 VERDICT=pass CASES=17\n"
+            "PROPERTY=privacy INSTANCE=split-k1 VERDICT=pass CASES=17\n"
             "  distinct answer vectors: 17; uniform over them: no\n"
         )
-        # the keys matter only to the census
+        # one CASES form per instance, whichever properties are audited
         code, out, _ = run(
             capsys, "verify", "-c", narrow, "--scheme", "split",
             "--property", "correctness",

@@ -1,8 +1,10 @@
-"""Exhaustive audit machinery: counts, censuses, the method rule, fault injection.
+"""The audit: counts, censuses, fault injection, and the per-case oracle.
 
 Case counts are arithmetic facts (q^(K*L+mask) * K) and are frozen below;
 census sizes were derived by hand (answer supports and per-vector counts)
-before pinning.
+before pinning.  ``verify`` decides every audit by rank; the oracle here
+evaluates a scheme's stages one case at a time and counts, and the rank
+reports must equal its reports.
 """
 
 import dataclasses
@@ -18,12 +20,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-import codedpid.verify
 from codedpid.cli import main
 from codedpid.codes import build_vandermonde_pair
+from codedpid.field import rref
 from codedpid.instances import q5_instance, q11_instance
 from codedpid.protocol import (
     Message,
+    _encoder,
     _subset_inner,
     attach_shares,
     answer_vector,
@@ -36,15 +39,12 @@ from codedpid.protocol import (
 )
 from codedpid.sim import simulate_subset_round
 from codedpid.verify import (
-    BLOCK_CELLS,
-    CHUNK_ROWS,
-    DEFAULT_BUDGET,
-    DENSE_CENSUS_KEYS,
     CorrectnessReport,
     Counterexample,
     PrivacyMismatch,
     PrivacyReport,
-    by_rank,
+    _affine_scheme,
+    _rank_privacy,
     case_count,
     case_text,
     masked_scheme,
@@ -78,101 +78,14 @@ class TestCaseCounts:
         assert case_count(masked_scheme(config, code)) == Q11_CASES
 
 
-class TestBudget:
-    """``by_rank`` reads the scheme and the properties audited, nothing
-    else: a fixed case limit, the block bound q <= CHUNK_ROWS and, for
-    privacy, the census bound."""
+def raising(scheme):
+    """``scheme`` with every stage replaced by a callable that raises: an
+    audit that evaluated a case would fail."""
 
-    def test_default(self):
-        # the case limit is 10^7: a split of one 23-symbol message over F_2
-        # has 2^23 = 8388608 cases and is enumerated, one of 24 symbols has
-        # 2^24 = 16777216 and is ranked
-        assert DEFAULT_BUDGET == 10**7
-        for l, ranked in ((23, False), (24, True)):
-            scheme = split_scheme(make_association(2, 1, l, l))
-            assert case_count(scheme) == 2**l
-            assert by_rank(scheme, privacy=False) == ranked
+    def stage(*_):
+        raise AssertionError("an audit evaluated a stage")
 
-    def test_env_override(self, monkeypatch):
-        # PID_BUDGET is not read: q5 is still enumerated under a tiny one
-        # and q11 still ranked under a huge one
-        monkeypatch.setenv("PID_BUDGET", "100")
-        report = scheme_correctness(masked_scheme(*q5_instance()))
-        assert report.cases == Q5_CASES and not report.ranked
-        monkeypatch.setenv("PID_BUDGET", str(10**40))
-        assert by_rank(masked_scheme(*q11_instance()), privacy=False)
-
-    def test_invalid_env(self, monkeypatch):
-        # nor refused
-        monkeypatch.setenv("PID_BUDGET", "lots")
-        assert scheme_privacy(masked_scheme(*q5_instance())).passed
-
-    def test_negative_budget_rejected(self):
-        # no audit takes a budget, negative or not
-        scheme = masked_scheme(*q5_instance())
-        for audit in (scheme_audit, scheme_correctness, scheme_privacy):
-            with pytest.raises(TypeError, match="budget"):
-                audit(scheme, budget=-1)
-
-    # Past the limit every scheme is certified by rank: the stages never
-    # run, and the reports are the enumeration's.
-
-    def test_audit_refuses_over_budget(self):
-        scheme = stageless(masked_scheme(*q11_instance()))
-        assert by_rank(scheme, privacy=False)
-        report = scheme_correctness(scheme)
-        assert report == CorrectnessReport(True, Q11_CASES, None) and report.ranked
-
-    def test_explicit_budget_argument(self, monkeypatch):
-        # ``by_rank`` takes no budget; the limit it reads is inclusive
-        scheme = masked_scheme(*q5_instance())
-        with pytest.raises(TypeError):
-            by_rank(scheme, 10, privacy=False)
-        monkeypatch.setattr(codedpid.verify, "DEFAULT_BUDGET", Q5_CASES)
-        assert not by_rank(scheme, privacy=True)
-        monkeypatch.setattr(codedpid.verify, "DEFAULT_BUDGET", Q5_CASES - 1)
-        assert by_rank(scheme, privacy=True)
-        assert scheme_audit(stageless(scheme)) == scheme_audit(
-            masked_scheme(*q5_instance())
-        )
-
-    def test_block_bound(self):
-        # 1021 is the largest prime a block of CHUNK_ROWS = 1024 inputs
-        # holds; past it, the next prime 1031 is ranked at 1031^2 cases
-        assert CHUNK_ROWS == 1024
-        for q, ranked in ((1021, False), (1031, True)):
-            config = make_association(q, 1, 2, 2)
-            scheme = masked_scheme(config, build_vandermonde_pair(q, 2, 2))
-            assert case_count(scheme) == q**2 < DEFAULT_BUDGET
-            assert by_rank(scheme, privacy=False) == ranked
-            assert by_rank(scheme, privacy=True) == ranked
-
-    def test_census_bound(self):
-        # one message on server 1 of N over F_17: 17 cases, and a census of
-        # 18^N keys, within DENSE_CENSUS_KEYS = 2^21 up to N = 5; past it
-        # privacy alone is ranked
-        assert DENSE_CENSUS_KEYS == 2**21 and 18**5 < 2**21 < 18**6
-        for n, ranked in ((5, False), (6, True)):
-            config = make_association(17, 1, n, 1, mode="explicit", association=[[1]])
-            scheme = split_scheme(config)
-            assert not by_rank(scheme, privacy=False)
-            assert by_rank(scheme, privacy=True) == ranked
-            correct, private = scheme_correctness(scheme), scheme_privacy(scheme)
-            assert correct == CorrectnessReport(True, 17, None) and not correct.ranked
-            assert private == PrivacyReport(True, 17, 17, False, None, None)
-            assert private.ranked == ranked
-
-
-def rank_audit(scheme, **properties):
-    """``scheme_audit`` sent down the rank path by a zero case limit."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(codedpid.verify, "DEFAULT_BUDGET", 0)
-        return scheme_audit(scheme, **properties)
-
-
-def stageless(scheme):
-    """``scheme`` with no stages: only the rank path can audit it."""
-    return dataclasses.replace(scheme, build_storage=None, answers=None, decode=None)
+    return dataclasses.replace(scheme, build_storage=stage, answers=stage, decode=stage)
 
 
 def k64_instance():
@@ -289,45 +202,6 @@ class TestServedSubsetAgrees:
                     expected = one_input_answers(scheme, words, served.mask_vector)
                     active = tuple((a,) for a in expected[d - 1].tolist())
                     assert served.answers == active + ((),)
-
-
-class TestRowsLast:
-    """Every stage takes a block's inputs on its last axis and is row-wise:
-    a random block gives, column by column, what each input gives alone."""
-
-    def schemes(self):
-        config, code = q5_instance()
-        yield masked_scheme(config, code)
-        yield split_scheme(config)
-        yield long_mask_scheme()
-        for _, scheme in corrupt_cells(config, code, deltas=(1, 4)):
-            yield scheme
-
-    def test_block_equals_its_columns(self):
-        rng = np.random.default_rng(18)
-        schemes = list(self.schemes())
-        assert len(schemes) == 15
-        for scheme in schemes:
-            q, k, l, n = scheme.modulus, scheme.k_messages, scheme.msg_len, scheme.n_servers
-            x = rng.integers(0, q, size=(k * l + scheme.mask_len, 37))
-            storage = scheme.build_storage(x[: k * l])
-            answers = scheme.answers(storage, x[k * l :])
-            decoded = scheme.decode(answers)
-            assert (answers.shape, decoded.shape) == ((k, n, 37), (k, l, 37))
-            for b in range(37):
-                one = x[:, b : b + 1]
-                alone = scheme.build_storage(one[: k * l])
-                heard = scheme.answers(alone, one[k * l :])
-                assert (alone[..., 0] == storage[..., b]).all(), scheme.name
-                assert (heard[..., 0] == answers[..., b]).all(), scheme.name
-                assert (scheme.decode(heard)[..., 0] == decoded[..., b]).all(), scheme.name
-
-    def test_reduction_matches_remainder(self):
-        # the stage bound N*(q-1)^2 + q - 1 at N = 2 and the largest
-        # admitted q, and the largest int64
-        q = 2**31 - 1
-        x = np.array([0, q - 1, q, 2 * (q - 1) ** 2 + q - 1, 2**63 - 1], dtype=np.int64)
-        assert (codedpid.verify._mod(x, q) == np.remainder(x, q)).all()
 
 
 class TestExhaustiveQ5:
@@ -492,8 +366,9 @@ def oracle_correctness(scheme):
     for x in itertools.product(range(q), repeat=k * l + scheme.mask_len):
         storage = scheme.build_storage(np.array([x[: k * l]], dtype=np.int64).T)
         answers = scheme.answers(storage, np.array([x[k * l :]], dtype=np.int64).T)
+        every = scheme.decode(answers)[:, :, 0].tolist()
         for d in range(1, k + 1):
-            decoded = tuple(scheme.decode(answers)[d - 1, :, 0].tolist())
+            decoded = tuple(every[d - 1])
             cases += 1
             if decoded != x[(d - 1) * l : d * l]:
                 messages = tuple(x[i * l : (i + 1) * l] for i in range(k))
@@ -586,44 +461,6 @@ def small_instances():
         yield params, masked_scheme(config, code)
 
 
-class TestBatchedMatchesPerCase:
-    def test_small_instances(self):
-        for params, scheme in small_instances():
-            assert audit_reports(scheme) == oracle_reports(params, scheme), params
-
-    def test_split_control(self):
-        config, _ = q5_instance()
-        scheme = split_scheme(config)
-        assert audit_reports(scheme) == oracle_reports("q5-split", scheme)
-
-    def test_every_q5_corrupt_cell(self):
-        # Correctness fails early, yet the joint pass counts the full census:
-        # its privacy report is the privacy-only audit's, whose side is also
-        # pinned by the CLI golden outputs.
-        for cell, scheme in corrupt_cells(*q5_instance(), deltas=(1, 4)):
-            correct = oracle_correctness(scheme)
-            assert not correct.passed, cell
-            assert scheme_correctness(scheme) == correct, cell
-            assert scheme_audit(scheme) == (correct, scheme_privacy(scheme)), cell
-
-    def test_crosses_chunk_boundaries(self):
-        # storage corrupted only once message 1's second symbol is nonzero:
-        # the first failure is input 5^5, request 2, the first input of the
-        # second block of 5^5
-        config, code = q5_instance()
-        corrupt = masked_scheme(config, code, corrupt=(2, 2, 1, 3))
-        honest = masked_scheme(config, code)
-        late = dataclasses.replace(
-            honest,
-            build_storage=lambda w: np.where(
-                w[1] > 0, corrupt.build_storage(w), honest.build_storage(w)
-            ),
-        )
-        report = scheme_correctness(late)
-        assert report.cases == 5**5 * 3 + 2 > 3 * CHUNK_ROWS * 3
-        assert report == oracle_correctness(late)
-
-
 def corrupt_cells(config, code, deltas):
     """A corrupted copy of the masked scheme for every stored (server,
     message) cell and every delta."""
@@ -642,28 +479,16 @@ def q3_corrupt_cells():
 
 def long_mask_scheme():
     """q=5, K=2, N=5, L=1, one host each: a 4-symbol mask, longer than the
-    t < 4 trailing digits of any block of fewer than 5^4 inputs."""
+    message symbols of an input."""
     config = make_association(5, 2, 5, 1, mode="explicit", association=[[1], [2]])
     scheme = masked_scheme(config, build_vandermonde_pair(5, 5, 1))
     assert scheme.mask_len == 4
     return scheme
 
 
-def cap_q5_blocks(monkeypatch, rows):
-    """Set ``BLOCK_CELLS`` so that a block of a scheme with q5-k3's K*N = 9
-    answers per input holds at most ``rows`` inputs (and at least q)."""
-    monkeypatch.setattr(codedpid.verify, "BLOCK_CELLS", 9 * rows)
-
-
-@pytest.mark.parametrize("rows", [5, 7, 30, 10**6])
-class TestBlockShapes:
-    """Every block size gives the per-case reports: blocks of q^t inputs
-    shorter or longer than the mask, and the whole input space as one
-    block."""
-
-    @pytest.fixture(autouse=True)
-    def block_rows(self, monkeypatch, rows):
-        cap_q5_blocks(monkeypatch, rows)
+class TestBatchedMatchesPerCase:
+    """The joint audit, the one-property audits and the per-case oracle give
+    the same reports, cases included."""
 
     def test_small_instances(self):
         for params, scheme in small_instances():
@@ -675,152 +500,18 @@ class TestBlockShapes:
         assert audit_reports(scheme) == oracle_reports("q5-split", scheme)
 
     def test_every_q5_corrupt_cell(self):
-        # A per-case privacy census of one q5 cell takes seconds, so the q=3
-        # cells below cover the privacy side; the CLI golden outputs pin the
-        # q5 cells' privacy at the default block size.
+        # A per-case privacy census of one q5 cell takes over a second, so the
+        # q=3 cells below cover the privacy side against the oracle; the CLI
+        # golden outputs pin the q5 cells' privacy at deltas 1 and 4.
         for cell, scheme in corrupt_cells(*q5_instance(), deltas=(1, 4)):
-            assert scheme_correctness(scheme) == oracle_correctness(scheme), cell
+            correct = oracle_correctness(scheme)
+            assert not correct.passed, cell
+            assert scheme_correctness(scheme) == correct, cell
+            assert scheme_audit(scheme) == (correct, scheme_privacy(scheme)), cell
 
     def test_every_q3_corrupt_cell(self):
         for cell, scheme in q3_corrupt_cells():
             assert audit_reports(scheme) == oracle_reports(("q3", cell), scheme), cell
-
-    def test_mask_longer_than_trailing_digits(self):
-        scheme = long_mask_scheme()
-        assert audit_reports(scheme) == oracle_reports("long-mask", scheme)
-
-
-def answer_tuple(scheme, key):
-    """The answer vector of a census key, as ``oracle_census`` keys it."""
-    q = scheme.modulus
-    digits = [key // (q + 1) ** e % (q + 1) for e in reversed(range(scheme.n_servers))]
-    return tuple(() if a == q else (a,) for a in digits)
-
-
-class TestCensusPaths:
-    """The one census store gives the per-case counts, whatever the block
-    size, and is only used while its counters fit ``DENSE_CENSUS_KEYS``."""
-
-    def test_dense_by_total_counters(self):
-        # the bound counts requests times keys: one request of 3^13 keys fits
-        # 2^21 counters, two do not; the q5-k3 census is 3 rows of 6^3
-        for k, ranked in ((1, False), (2, True)):
-            hosts = [[j] for j in range(1, k + 1)]
-            config = make_association(2, k, 13, 1, mode="explicit", association=hosts)
-            assert by_rank(split_scheme(config), privacy=True) == ranked
-        assert not by_rank(masked_scheme(*q5_instance()), privacy=True)
-
-    # q5-k3 blocks of 5 and of 625 (at most 1024) inputs, and the default
-    # blocks (3125 inputs on q5-k3)
-    @pytest.mark.parametrize("rows", [5, 1024, pytest.param(None, id="default")])
-    def test_counts_match_per_case_census(self, monkeypatch, rows):
-        if rows is not None:
-            cap_q5_blocks(monkeypatch, rows)
-        config, _ = q5_instance()
-        labelled = [("q5-split", split_scheme(config)), ("long-mask", long_mask_scheme())]
-        for label, scheme in labelled + list(small_instances()):
-            _, census = codedpid.verify._audit(scheme, True, True)
-            expected, expected_cases = oracle_runs(label, scheme)[1]
-            assert census.sum() == expected_cases, label
-            counted = [
-                {answer_tuple(scheme, key): int(row[key]) for key in np.flatnonzero(row)}
-                for row in census
-            ]
-            assert counted == expected, label
-
-
-    def test_census_costs_cases_not_blocks_times_counters(self):
-        # one message on server 1 of 3 over F_127: 127^3 cases in blocks of
-        # 127 inputs, and a census of 128^3 = 2^21 counters.  A bincount of
-        # the whole census per block made this audit take 41 s.
-        config = make_association(127, 1, 3, 1, mode="explicit", association=[[1]])
-        scheme = masked_scheme(config, build_vandermonde_pair(127, 3, 1))
-        assert not by_rank(scheme, privacy=True)
-        start = time.perf_counter()
-        private = scheme_privacy(scheme)
-        elapsed = time.perf_counter() - start
-        assert not private.ranked
-        assert private == rank_audit(scheme, correctness=False)[1]
-        assert elapsed < 10, f"privacy audit took {elapsed:.1f} s"
-
-
-class TestStorageOncePerMessageTuple:
-    def counted(self, scheme, answered=None):
-        """``scheme`` with its storage rows counted, and its answered rows
-        too when ``answered`` is a list."""
-        rows = []
-        build, answer = scheme.build_storage, scheme.answers
-
-        def build_storage(w):
-            rows.append(w.shape[1])
-            return build(w)
-
-        def answers(storage, mask):
-            answered.append(storage.shape[2])
-            return answer(storage, mask)
-
-        if answered is not None:
-            scheme = dataclasses.replace(scheme, answers=answers)
-        return dataclasses.replace(scheme, build_storage=build_storage), rows
-
-    def test_q5_audits(self):
-        # 5^7 inputs, each message tuple repeated over the 5 mask values:
-        # 5^6 storage rows per property
-        config, code = q5_instance()
-        scheme, rows = self.counted(masked_scheme(config, code))
-        assert scheme_correctness(scheme).passed
-        assert sum(rows) == 5**6
-        rows.clear()
-        assert scheme_privacy(scheme).passed
-        assert sum(rows) == 5**6
-
-    def test_split_control(self):
-        # no mask: one storage row per input
-        config, _ = q5_instance()
-        scheme, rows = self.counted(split_scheme(config))
-        assert scheme_correctness(scheme).passed
-        assert sum(rows) == 5**6
-        rows.clear()
-        assert not scheme_privacy(scheme).passed
-        assert sum(rows) == 5**6
-
-    @pytest.mark.parametrize(
-        "extra, blocks, code",
-        [
-            ([], 5**2, 0),
-            (["--scheme", "split"], 5, 3),
-            (["--corrupt", "1,1,1,2"], 5**2, 3),
-        ],
-    )
-    def test_pid_verify_walks_the_inputs_once(
-        self, monkeypatch, capsys, extra, blocks, code
-    ):
-        # Both properties in one pass: storage for each of the 5^6 message
-        # tuples once in all, and one all-requests answers call per block
-        # of 5^5 inputs, the largest power of 5 whose 9 answers per input
-        # fit BLOCK_CELLS (5 blocks of 5^5 message tuples for the split).
-        assert 9 * 5**5 <= BLOCK_CELLS < 9 * 5**6
-        answered = []
-        tallies = []
-
-        def counting(maker):
-            def make(*args, **kwargs):
-                scheme, rows = self.counted(maker(*args, **kwargs), answered)
-                tallies.append(rows)
-                return scheme
-
-            return make
-
-        for name in ("masked_scheme", "split_scheme"):
-            monkeypatch.setattr(
-                codedpid.verify, name, counting(getattr(codedpid.verify, name))
-            )
-        assert main(["verify", "-c", str(Q5_CFG), *extra]) == code
-        assert len(capsys.readouterr().out.splitlines()) == (3 if code == 0 else 4)
-        [rows] = tallies
-        assert sum(rows) == 5**6
-        assert len(answered) == blocks
-        assert sum(answered) == (5**6 if extra[:1] == ["--scheme"] else 5**7)
 
 
 def q5_layout(tmp_path, q):
@@ -836,59 +527,13 @@ def q5_layout(tmp_path, q):
     return str(path)
 
 
-def dtype_recorded(scheme):
-    """``scheme`` with every stage recording the dtype of each array it is
-    given, and the set of those dtypes."""
-    seen = set()
-
-    def recording(stage):
-        def record(*arrays):
-            seen.update(a.dtype for a in arrays)
-            return stage(*arrays)
-
-        return record
-
-    stages = ("build_storage", "answers", "decode")
-    recorded = {name: recording(getattr(scheme, name)) for name in stages}
-    return dataclasses.replace(scheme, **recorded), seen
-
-
-class TestStageDtype:
-    """Enumeration runs in int32 while a stage's largest value, N*(q-1)^2 + q,
-    is below 2^31, and in int64 past it."""
-
-    def test_q5_audits_run_in_int32(self):
-        config, code = q5_instance()
-        for scheme in (
-            masked_scheme(config, code),
-            split_scheme(config),
-            masked_scheme(config, code, corrupt=(1, 1, 1, 2)),
-        ):
-            recorded, seen = dtype_recorded(scheme)
-            assert scheme_audit(recorded) == scheme_audit(scheme), scheme.name
-            assert seen == {np.dtype(np.int32)}, scheme.name
-
-    @pytest.mark.parametrize("n, dtype", [(2064, np.int32), (2065, np.int64)])
-    def test_wide_split_switches_at_the_bound(self, n, dtype):
-        # one symbol over F_1021 on server 1 of n: 2064 * 1020^2 + 1021 is
-        # just below 2^31, 2065 * 1020^2 + 1021 just above
-        q = 1021
-        assert (n * (q - 1) ** 2 + q < 2**31) == (dtype is np.int32)
-        config = make_association(q, 1, n, 1, mode="explicit", association=[[1]])
-        recorded, seen = dtype_recorded(split_scheme(config))
-        assert not by_rank(recorded, privacy=False)
-        assert scheme_correctness(recorded) == CorrectnessReport(True, q, None)
-        assert seen == {np.dtype(dtype)}
-
-
 class TestExactness:
-    """The enumeration's bounds, just inside (enumerated, CASES in decimal)
-    and just past (by rank, CASES=q^E*K): the verdicts agree, and no
-    instance is refused.  Inside them every stage value, input number and
-    census key is exact in int64 by construction."""
+    """The widest inputs and the display bound: ``pid verify`` writes its
+    counts in decimal up to 10^7 cases and as q^E*K past it, with the same
+    verdicts and counterexamples on both sides, and refuses no instance.
+    The stages, which the oracle evaluates, stay exact for every q < 2^32."""
 
-    # 1021 is the largest prime a block of CHUNK_ROWS = 1024 inputs holds,
-    # 1031 the next one
+    # two primes near 2^10 whose q^2 cases lie within 10^7
     Q, NEXT = 1021, 1031
 
     def instance(self, q):
@@ -910,51 +555,49 @@ class TestExactness:
         # h = [[1, 1], [1, q-1]]: decoding multiplies residues near q
         assert code.parity_check.to_lists() == [[1, 1], [1, q - 1]]
         scheme = masked_scheme(config, code, corrupt=(2, 1, 1, q - 1))
-        # enumerated: the corrupted symbol fails case 1
+        # the corrupted symbol fails case 1
         report = scheme_correctness(scheme)
-        assert report.cases == 1 and not report.ranked
+        assert report.cases == 1
         ce = report.counterexample
         assert ce.messages == ((0, 0),) and ce.mask == () and ce.requested == 1
         assert ce.decoded == (q - 1, (q - 1) * (q - 1) % q) == (q - 1, 1)
         assert scheme_correctness(masked_scheme(config, code)).cases == q**2
 
-        # the stages alone stay exact up to 2^31 - 1, the largest prime with
-        # 2*(q-1)^2 + q < 2^63 (a rank audit never runs them)
-        q = 2**31 - 1
-        config, code = self.instance(q)
-        honest = masked_scheme(config, code)
-        w = np.array([[q - 1, q - 1], [q - 1, 0], [12345, q - 2]])
-        storage = honest.build_storage(w.T)
-        inverse = code.h_sub_inverse((0, 1))
-        # the one message's symbols on servers 1 and 2
-        for row, stored in zip(w.tolist(), storage[0].T.tolist()):
-            assert stored == [
-                sum(c * x for c, x in zip(inv_row, row)) % q for inv_row in inverse
-            ]
-        decoded = honest.decode(honest.answers(storage, np.zeros((0, 3), np.int64)))
-        assert decoded[0].T.tolist() == w.tolist()
+        # the stages stay exact at 2^31 - 1, the largest prime with
+        # 2*(q-1)^2 + q < 2^63, and at the largest wire modulus past it
+        for q in (2**31 - 1, 4294967291):
+            config, code = self.instance(q)
+            honest = masked_scheme(config, code)
+            w = np.array([[q - 1, q - 1], [q - 1, 0], [12345, q - 2]])
+            storage = honest.build_storage(w.T)
+            inverse = code.h_sub_inverse((0, 1))
+            # the one message's symbols on servers 1 and 2
+            for row, stored in zip(w.tolist(), storage[0].T.tolist()):
+                assert stored == [
+                    sum(c * x for c, x in zip(inv_row, row)) % q for inv_row in inverse
+                ]
+            decoded = honest.decode(honest.answers(storage, np.zeros((0, 3), np.int64)))
+            assert decoded[0].T.tolist() == w.tolist()
 
     def test_next_prime_refused(self):
-        # past the block bound rank decides, with enumeration's counterexample
+        # no prime is refused, and each reports the same first failure
         reports = []
         for q in (self.Q, self.NEXT):
             config, code = self.instance(q)
-            scheme = masked_scheme(config, code, corrupt=(2, 1, 1, q - 1))
-            assert by_rank(scheme, privacy=False) == (q == self.NEXT)
-            report = scheme_correctness(scheme)
+            report = scheme_correctness(masked_scheme(config, code, corrupt=(2, 1, 1, q - 1)))
             assert report.counterexample.decoded == (q - 1, 1)
             reports.append(report)
         config, code = self.instance(self.NEXT)
         for honest in (masked_scheme(config, code), split_scheme(config)):
             assert all(r.passed for r in scheme_audit(honest))
         inside, past = reports
-        assert (inside.cases, past.cases) == (1, self.NEXT**2)
+        assert (inside.cases, past.cases) == (1, 1)
         assert dataclasses.replace(past.counterexample, decoded=None) == dataclasses.replace(
             inside.counterexample, decoded=None
         )
 
     def test_stage_bound_in_pid_verify(self, capsys, tmp_path):
-        for q, cases in ((self.Q, "1"), (self.NEXT, f"{self.NEXT}^2*1")):
+        for q in (self.Q, self.NEXT):
             text = (
                 f"q = {q}\nK = 1\nN = 2\nL = 2\nname = 'n2'\n"
                 f"mode = 'explicit'\nassociation = [[1, 2]]\npoints = [1, {q - 1}]\n"
@@ -963,15 +606,26 @@ class TestExactness:
             code, out = self.verify(capsys, tmp_path / "n2.cfg", text, *argv)
             assert code == 3
             assert out == (
-                f"PROPERTY=correctness INSTANCE=n2 VERDICT=fail CASES={cases}\n"
+                f"PROPERTY=correctness INSTANCE=n2 VERDICT=fail CASES=1\n"
                 f"  counterexample: messages=((0, 0),) mask=() d=1 "
                 f"decoded=({q - 1}, 1) expected=(0, 0)\n"
             )
 
     def test_input_bound_in_pid_verify(self, capsys, tmp_path):
-        # the q5-k3 layout has 7^7 * 3 = 2470629 cases over F_7, within the
-        # 10^7 limit, and 11^7 * 3 = 58461513 over F_11, past it; a corrupted
-        # symbol fails case 1 either way
+        # one message on two servers has 3137^2 = 9840769 cases over F_3137,
+        # within the 10^7 limit, and 3163^2 = 10004569 over F_3163, past it
+        for q, cases, answers in ((3137, "9840769", "9840769"), (3163, "3163^2*1", "3163^2")):
+            text = f"q = {q}\nK = 1\nN = 2\nL = 2\nname = 'n2'\n"
+            code, out = self.verify(capsys, tmp_path / "n2.cfg", text)
+            assert code == 0
+            assert out == (
+                f"PROPERTY=correctness INSTANCE=n2 VERDICT=pass CASES={cases}\n"
+                f"PROPERTY=privacy INSTANCE=n2 VERDICT=pass CASES={cases}\n"
+                f"  distinct answer vectors: {answers}; uniform over them: yes\n"
+            )
+        # the q5-k3 layout has 7^7 * 3 = 2470629 cases over F_7, within it,
+        # and 11^7 * 3 = 58461513 over F_11, past it; a corrupted symbol
+        # fails case 1 either way
         for q, cases in ((7, "1"), (11, "11^7*3")):
             argv = ["verify", "-c", q5_layout(tmp_path, q), "--property", "correctness"]
             assert main([*argv, "--corrupt", "1,1,1,1"]) == 3
@@ -984,17 +638,17 @@ class TestExactness:
             )
 
     def test_key_bound_in_pid_verify(self, capsys, tmp_path):
-        # one message on server 1 of N over q = 17: 18^15 and 18^16 census
-        # keys are both past DENSE_CENSUS_KEYS, so privacy is ranked and
-        # correctness, audited alone, is enumerated
+        # one message on server 1 of N over q = 17: 17 cases, written in
+        # decimal under either property, however many (18^N) answer vectors
+        # there could be
         for n in (15, 16):
             text = f"q = 17\nK = 1\nN = {n}\nL = 1\nmode = 'explicit'\nassociation = [[1]]\n"
             path = tmp_path / "one.cfg"
             code, out = self.verify(capsys, path, text, "--scheme", "split")
             assert code == 0
             assert out == (
-                "PROPERTY=correctness INSTANCE=one VERDICT=pass CASES=17^1*1\n"
-                "PROPERTY=privacy INSTANCE=one VERDICT=pass CASES=17^1*1\n"
+                "PROPERTY=correctness INSTANCE=one VERDICT=pass CASES=17\n"
+                "PROPERTY=privacy INSTANCE=one VERDICT=pass CASES=17\n"
                 "  distinct answer vectors: 17; uniform over them: no\n"
             )
             code, out = self.verify(
@@ -1004,26 +658,22 @@ class TestExactness:
             assert out == "PROPERTY=correctness INSTANCE=one VERDICT=pass CASES=17\n"
 
     def test_input_count_past_int64_refused(self):
-        # 11^27 inputs cannot be numbered in int64, and are far past 10^7
+        # 11^27 inputs cannot be numbered in int64; no case is evaluated
         config, code = q11_instance()
-        scheme = stageless(masked_scheme(config, code))
-        assert by_rank(scheme, privacy=False)
-        assert scheme_correctness(scheme).passed
+        assert scheme_correctness(raising(masked_scheme(config, code))).passed
 
     def test_census_key_past_int64_refused(self):
-        # 16 servers, 15 of them idle: 17 split cases, but 18^16 > 2^63 keys,
-        # so privacy alone is decided by rank
+        # 16 servers, 15 of them idle: 17 split cases, but 18^16 > 2^63
+        # vectors of silence or a symbol per server
         config = make_association(17, 1, 16, 1, mode="explicit", association=[[1]])
         scheme = split_scheme(config)
-        assert not by_rank(scheme, privacy=False) and by_rank(scheme, privacy=True)
-        correct, private = scheme_correctness(scheme), scheme_privacy(scheme)
-        assert correct == CorrectnessReport(True, 17, None) and not correct.ranked
-        assert private == PrivacyReport(True, 17, 17, False, None, None) and private.ranked
+        assert scheme_correctness(scheme) == CorrectnessReport(True, 17, None)
+        assert scheme_privacy(scheme) == PrivacyReport(True, 17, 17, False, None, None)
 
 
 class TestProbe:
-    """The instances a sampled probe once covered past the budget, each now
-    decided exactly by the rank certificate."""
+    """The instances a sampled probe once covered, each decided exactly by
+    the rank certificate."""
 
     def test_clean_on_masked_q11(self):
         config, code = q11_instance()
@@ -1036,7 +686,7 @@ class TestProbe:
     def test_flags_split_scheme_pattern(self):
         # request 1's silence pattern never occurs for request 2
         config, _ = q5_instance()
-        _, report = rank_audit(split_scheme(config))
+        report = scheme_privacy(split_scheme(config))
         assert not report.passed and not report.uniform
         assert report.mismatch == PrivacyMismatch(((0,), (0,), ()), 1, 625, 2, 0)
 
@@ -1085,14 +735,27 @@ class TestProbe:
         assert out.count("VERDICT=pass CASES=1000003^7*3\n") == 2
 
 
-def assert_rank_matches_enumeration(scheme):
-    """The rank certificate (forced by a zero case limit) gives the
-    exhaustive audit's reports, all but the cases a failed correctness audit
-    counts: rank decides them all at once."""
-    (c_enum, p_enum), (c_rank, p_rank) = scheme_audit(scheme), rank_audit(scheme)
-    assert c_rank == dataclasses.replace(c_enum, cases=case_count(scheme))
-    assert p_rank == p_enum
-    assert p_rank.cases == case_count(scheme)
+def assert_rank_matches_enumeration(scheme, label=None):
+    """The rank certificate gives the per-case oracle's reports, cases
+    included; the oracle's runs are taken once per ``label``, if one is
+    given."""
+    if label is None:
+        expected = oracle_correctness(scheme), oracle_privacy(scheme)
+    else:
+        expected = oracle_reports(label, scheme)
+    assert scheme_audit(scheme) == expected
+
+
+def assert_one_image(scheme):
+    """Every request answers on the whole space of the servers that send
+    (its sending rows of A_d have full rank), so requests with one silence
+    pattern share one image and ``_rank_privacy`` refuses nothing."""
+    maps = scheme.maps
+    for d in range(scheme.k_messages):
+        senders = maps.sends[d]
+        _, pivots, _ = rref(maps.linear[d][senders], scheme.modulus)
+        assert len(pivots) == senders.sum(), (scheme.name, d + 1)
+    _rank_privacy(scheme)
 
 
 @st.composite
@@ -1127,24 +790,49 @@ def random_small_schemes(draw):
 
 class TestRankCertificate:
     def test_small_instances(self):
-        for params, scheme in small_instances():
-            assert_rank_matches_enumeration(scheme)
+        # the split control of every small configuration (the masked ones
+        # are compared in TestBatchedMatchesPerCase)
+        for params, config, _ in small_configs():
+            assert_rank_matches_enumeration(split_scheme(config), ("split", params))
 
     def test_split_control(self):
         config, _ = q5_instance()
-        assert_rank_matches_enumeration(split_scheme(config))
-        assert_rank_matches_enumeration(long_mask_scheme())
+        assert_rank_matches_enumeration(split_scheme(config), "q5-split")
+        assert_rank_matches_enumeration(long_mask_scheme(), "long-mask")
 
     def test_every_q5_corrupt_cell(self):
-        cells = list(corrupt_cells(*q5_instance(), deltas=(1, 4)))
+        # deltas 2 and 3 here, 1 and 4 in TestBatchedMatchesPerCase
+        cells = list(corrupt_cells(*q5_instance(), deltas=(2, 3)))
         assert len(cells) == 12
-        for _, scheme in cells:
-            assert_rank_matches_enumeration(scheme)
+        for cell, scheme in cells:
+            correct = scheme_correctness(scheme)
+            assert not correct.passed and correct == oracle_correctness(scheme), cell
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(random_small_schemes())
     def test_random_small_instances(self, scheme):
         assert_rank_matches_enumeration(scheme)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(random_small_schemes())
+    def test_served_schemes_answer_on_one_image(self, scheme):
+        """``_rank_privacy`` refuses a silence pattern with two images, and
+        no scheme the library serves has one.
+
+        * Masked (corrupted too, which moves only b_d): A_d = [P_d*E_d | G^T]
+          has rank N and every server sends.  G^T spans ker H, and
+          H*P_d*E_d = H[:, hosts of d]*E_d = I, so the two blocks' images
+          meet only in 0 and add up to dimension L + (N-L) = N.
+        * Split: request d's hosts send its raw symbols, P_d*I, so its image
+          is the coordinate subspace of its senders, fixed by its pattern.
+        """
+        assert_one_image(scheme)
+
+    def test_wide_served_schemes_answer_on_one_image(self):
+        for config, code in (q11_instance(), k64_instance()):
+            assert_one_image(masked_scheme(config, code))
+            assert_one_image(split_scheme(config))
+            assert_one_image(masked_scheme(config, code, corrupt=(1, 1, 1, 2)))
 
     def test_maps_describe_the_served_encoder(self):
         # A_d [w_d; u] + b_d is what the scheme's own stages answer, silence
@@ -1168,16 +856,38 @@ class TestRankCertificate:
                 heard = np.where(maps.sends[d][:, None], answers[d], 0)
                 assert (maps.decoder[d] @ heard % q == scheme.decode(answers)[d]).all()
 
-    def test_rank_path_evaluates_no_case(self):
-        # past the case limit the stages never run; within it the maps are never
-        # read, so the split control's maps leave the masked audit as it is
-        reports = scheme_audit(stageless(masked_scheme(*q11_instance())))
-        assert all(report.passed for report in reports)
+    def test_first_failure_past_the_zero_input(self):
+        # Schemes whose D_d*A_d misses w_d fail first at a unit input.  Raw
+        # symbols decoded by H: the last wrong column is message 3's second
+        # symbol, input 5^1 (the mask digit after it), case 5*3 + 3 = 18.
+        # Shares outside ker H: the mask column, input 1, case 1*3 + 1 = 4.
         config, code = q5_instance()
-        small = masked_scheme(config, code)
-        misdescribed = dataclasses.replace(small, maps=split_scheme(config).maps)
-        assert scheme_audit(misdescribed) == scheme_audit(small)
-        assert not rank_audit(misdescribed)[1].passed
+        k, n, l = 3, 3, 2
+        masked = masked_scheme(config, code)
+        raw = np.broadcast_to(np.eye(l, dtype=np.int64), (k, l, l))
+        parts = (np.ones((k, n), bool), masked.maps.decoder, np.zeros((k, n), np.int64))
+        shares = code.generator.array
+        for encoders, generator, cases in (
+            (raw, shares, 18),
+            (_encoder(config, code, range(1, k + 1)), np.ones((1, n), np.int64), 4),
+        ):
+            scheme = _affine_scheme("miscoded", config, encoders, generator, *parts)
+            report = scheme_correctness(scheme)
+            assert report == oracle_correctness(scheme)
+            assert report.cases == cases
+
+    def test_rank_path_evaluates_no_case(self):
+        # an audit reads the maps alone: raising stages change no report,
+        # and the split control's maps make the masked scheme leak
+        config, code = q5_instance()
+        schemes = [masked_scheme(*q11_instance()), split_scheme(config)]
+        schemes += [scheme for _, scheme in corrupt_cells(config, code, deltas=(1,))]
+        for scheme in schemes:
+            assert scheme_audit(raising(scheme)) == scheme_audit(scheme), scheme.name
+        masked = masked_scheme(config, code)
+        misdescribed = dataclasses.replace(masked, maps=split_scheme(config).maps)
+        assert scheme_audit(masked)[1].passed
+        assert not scheme_audit(misdescribed)[1].passed
 
     def test_witness_is_the_smallest_differing_answer(self):
         # request 1 answers only on server 2, request 2 only on server 1: the
@@ -1187,7 +897,7 @@ class TestRankCertificate:
         scheme = split_scheme(config)
         witness = PrivacyMismatch(((0,), ()), 1, 0, 2, 3)
         assert scheme_privacy(scheme).mismatch == witness
-        assert rank_audit(scheme)[1].mismatch == witness
+        assert oracle_privacy(scheme).mismatch == witness
 
     def test_k64_certified_by_rank(self):
         scheme = masked_scheme(*k64_instance())
@@ -1221,14 +931,14 @@ class TestRankCertificate:
             scheme, maps=scheme.maps._replace(sends=np.ones((2, 2), bool))
         )
         with pytest.raises(ValueError, match="not counted by rank"):
-            rank_audit(overlapping, correctness=False)
+            scheme_privacy(overlapping)
 
 
 class TestVerdictLine:
     def test_power_forms(self):
         assert power_text(5**4, 5) == "5^4"
         assert power_text(0, 5) == "0"
-        # q itself in decimal, as enumeration counts it
+        # q itself in decimal
         assert power_text(5, 5) == "5"
         assert power_text(75, 5) == "75"
         assert power_text(257**2016, 257) == "257^2016"
