@@ -514,6 +514,75 @@ class TestBatchedMatchesPerCase:
             assert audit_reports(scheme) == oracle_reports(("q3", cell), scheme), cell
 
 
+def blocked_reports(scheme, rows):
+    """The oracle's reports, from the scheme's stages called on blocks of
+    ``rows`` inputs at a time, in enumeration order."""
+    q, k, l, n = scheme.modulus, scheme.k_messages, scheme.msg_len, scheme.n_servers
+    width = k * l + scheme.mask_len
+    total = q**width
+    weights = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    key_weights = (q + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = [[] for _ in range(k)]
+    correct = None
+    for start in range(0, total, rows):
+        x = np.arange(start, min(start + rows, total), dtype=np.int64) // weights[:, None] % q
+        answers = scheme.answers(scheme.build_storage(x[: k * l]), x[k * l :])
+        if correct is None:
+            decoded = scheme.decode(answers)
+            wrong = (decoded != x[: k * l].reshape(k, l, -1)).any(axis=1)
+            if wrong.any():
+                b = np.flatnonzero(wrong.any(axis=0))[0]
+                d = np.flatnonzero(wrong[:, b])[0]
+                first = x[:, b].tolist()
+                messages = tuple(tuple(first[i * l : (i + 1) * l]) for i in range(k))
+                correct = CorrectnessReport(False, (start + b) * k + d + 1, Counterexample(
+                    messages, tuple(first[k * l :]), d + 1,
+                    tuple(decoded[d, :, b].tolist()), messages[d]))
+        for d in range(k):
+            keys[d].append(key_weights @ answers[d])
+    census = []
+    for d in range(k):
+        values, counts = np.unique(np.concatenate(keys[d]), return_counts=True)
+        census.append({
+            tuple(() if a == q else (a,) for a in (value // key_weights % (q + 1)).tolist()):
+            count for value, count in zip(values, counts.tolist())
+        })
+    cases = total * k
+    correct = correct or CorrectnessReport(True, cases, None)
+    return correct, oracle_privacy(scheme, (census, cases))
+
+
+@pytest.mark.parametrize("rows", [5, 7, 30, 10**6])
+class TestBlockShapes:
+    """A stage's output for an input depends on that input alone: its
+    stages called on blocks of ``rows`` inputs give the audit's reports,
+    for blocks shorter or longer than the mask's digits, of a size that is
+    no power of q, and the whole input space as one block."""
+
+    def test_small_instances(self, rows):
+        for params, scheme in small_instances():
+            assert blocked_reports(scheme, rows) == audit_reports(scheme), params
+
+    def test_split_control(self, rows):
+        config, _ = q5_instance()
+        scheme = split_scheme(config)
+        assert blocked_reports(scheme, rows) == audit_reports(scheme)
+
+    def test_every_q5_corrupt_cell(self, rows):
+        for cell, scheme in corrupt_cells(*q5_instance(), deltas=(1, 4)):
+            reports = blocked_reports(scheme, rows)
+            assert not reports[0].passed, cell
+            assert reports == audit_reports(scheme), cell
+
+    def test_every_q3_corrupt_cell(self, rows):
+        for cell, scheme in q3_corrupt_cells():
+            assert blocked_reports(scheme, rows) == audit_reports(scheme), cell
+
+    def test_mask_longer_than_trailing_digits(self, rows):
+        scheme = long_mask_scheme()
+        assert blocked_reports(scheme, rows) == audit_reports(scheme)
+
+
 def q5_layout(tmp_path, q):
     """configs/q5-k3.cfg over ``q``, with the Vandermonde generator."""
     text = Q5_CFG.read_text().replace("q = 5\n", f"q = {q}\n")
