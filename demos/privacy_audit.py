@@ -85,8 +85,8 @@ print("  first failure: request %d decoded %s, expected %s" % (
 config11, code11 = q11_instance()
 scheme11 = masked_scheme(config11, code11)
 c, p = scheme_audit(scheme11)
-print("\n6-server instance, %d cases > budget %d: certified by rank" % (
-    case_count(scheme11), DECIMAL_CASES))
+print("\n6-server instance, %d cases, past the %d that pid verify writes in "
+      "decimal: certified by rank" % (case_count(scheme11), DECIMAL_CASES))
 print(verdict_line("correctness", "q11-k8", c.passed, case_text(scheme11)))
 print(verdict_line("privacy", "q11-k8", p.passed, case_text(scheme11)))
 print("  every request's answers cover all %s vectors, each %s times" % (

@@ -22,9 +22,11 @@ evaluation points, its generator in closed form with no elimination (the
 Lagrange basis of the first L points); ``override_generator`` swaps in a
 hand-picked generator and re-checks everything.  A pair keeps one cache of
 parity-check minor inverses, as read-only int64 arrays: ``protocol``'s
-encoder asks it for all of an encode's host sets, the missing ones inverted
-in one stacked Gauss-Jordan (``field.inverse_stack``), and
-``h_sub_inverse`` builds one minor's plain-int rows.
+encoder asks it for all of an encode's host sets, and ``h_sub_inverse``
+builds one minor's plain-int rows.  Minors not yet cached are written
+together in closed form, with no elimination: the minor on a column set is
+the Vandermonde matrix of those points, so its inverse holds the
+coefficients of their Lagrange basis (``_lagrange_inverses``).
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ import numpy as np
 
 from codedpid.field import (
     FieldMatrix,
+    SingularMatrixError,
     check_modulus,
     int64_exact,
-    inverse_stack,
     mod_matmul,
 )
 
@@ -129,12 +131,20 @@ class CodePair:
     def _minor_inverses(self, col_sets) -> list:
         """Inverses of the parity-check minors on each of these 0-based
         column sets, as read-only int64 arrays.  The sets not yet cached are
-        inverted together, in one stacked Gauss-Jordan."""
+        inverted together, in closed form (``_lagrange_inverses``)."""
         cache = self._sub_inverse_cache
         missing = [cols for cols in dict.fromkeys(col_sets) if cols not in cache]
         if missing:
-            minors = self.parity_check.array[:, missing].transpose(1, 0, 2)
-            for cols, inverse in zip(missing, inverse_stack(minors, self.modulus)):
+            l = self.msg_len
+            for cols in missing:
+                if len(cols) != l:
+                    raise ValueError(
+                        f"inverse needs a square matrix, got {(l, len(cols))}"
+                    )
+            x = np.array([p % self.modulus for p in self.points], dtype=np.int64)
+            for cols, inverse in zip(
+                missing, _lagrange_inverses(x[missing], self.modulus)
+            ):
                 inverse.setflags(write=False)
                 cache[cols] = inverse
         return [cache[cols] for cols in col_sets]
@@ -203,6 +213,46 @@ def _vandermonde(points, rows: int, q: int) -> np.ndarray:
     for i in range(1, rows):
         v[i] = v[i - 1] * x % q
     return v
+
+
+def _lagrange_inverses(x: np.ndarray, q: int) -> np.ndarray:
+    """Exact int64 inverses of the Vandermonde minors of a (B, L) stack of
+    point sets, all at once: minor b has row i holding ``x[b]`` to the i-th
+    power, so row j of its inverse is the coefficient vector, lowest power
+    first, of the Lagrange basis polynomial
+    ``l_j(t) = prod_{m != j}(t - x_m) / prod_{m != j}(x_j - x_m)``.
+
+    The numerator is ``P(t) / (t - x_j)``, with P the product of every
+    ``t - x_m``, so it comes from P by synthetic division, and its value at
+    x_j is the denominator (Horner, in the same pass): O(L) broadcast steps
+    and one modular inverse per (set, j), in int64 while (q-1)^2 + q < 2^63
+    and in Python ints above.  A set that repeats a point raises
+    ``SingularMatrixError`` naming, as elimination would, the first column
+    of any set that repeats an earlier one of its set."""
+    b, l = x.shape
+    x = x.astype(np.int64 if int64_exact(q, 1) else object)
+    # p[i] is the coefficient of t^(L-i) in P, for every set, built one
+    # factor at a time; coef[i][:, j] is that of t^(L-1-i) in P / (t - x_j),
+    # and den the quotient's value at x_j.
+    p = np.zeros((l + 1, b), dtype=x.dtype)
+    p[0] = 1
+    for m in range(l):
+        p[1:] = (p[1:] - x[:, m] * p[:-1]) % q
+    coef = np.empty((l, b, l), dtype=x.dtype)
+    coef[0] = 1
+    den = coef[0]
+    for i in range(1, l):
+        coef[i] = (p[i, :, None] + x * coef[i - 1]) % q
+        den = (den * x + coef[i]) % q
+    heads = den.ravel().tolist()
+    if not all(heads):
+        # Column c has no pivot in a set where it repeats an earlier column.
+        repeats = (x[:, :, None] == x[:, None, :]) & np.tri(l, k=-1, dtype=bool)
+        c = int(repeats.any(axis=2).any(axis=0).argmax())
+        raise SingularMatrixError(f"matrix is singular mod {q}: no pivot in column {c}")
+    inverses = np.array([pow(h, -1, q) for h in heads], dtype=x.dtype).reshape(b, l)
+    # Row j of set b's inverse lists the coefficients lowest power first.
+    return (coef[::-1].transpose(1, 2, 0) * inverses[:, :, None] % q).astype(np.int64)
 
 
 def override_generator(pair: CodePair, generator_rows) -> CodePair:

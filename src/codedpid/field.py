@@ -17,10 +17,11 @@ Elimination clears a whole column per pivot, from every other row, in one
 broadcast update ``m -= col * pivot_row; m %= q``: ``rref`` (behind
 ``rank``, ``determinant`` and ``null_space_basis``) costs O(columns) numpy
 calls, and ``inverse_stack`` inverts a stack of square matrices at once,
-each with its own pivot rows (``inverse`` is a stack of one).  An update is
-one product plus one residue per entry, so elimination switches to Python
-ints when (q-1)^2 + q reaches 2^63.  Moduli that fill the 4-byte wire
-symbol take the Python-int paths.
+each with its own pivot rows (``inverse`` is a stack of one; the encoder
+does not eliminate, ``codes`` writes its minor inverses in closed form).
+An update is one product plus one residue per entry, so elimination
+switches to Python ints when (q-1)^2 + q reaches 2^63.  Moduli that fill
+the 4-byte wire symbol take the Python-int paths.
 """
 
 from __future__ import annotations

@@ -9,15 +9,18 @@ therefore hosts a share of K*L/N messages when the association is balanced.
 * ``encode_storage`` gives server n, for each hosted message k, one symbol of
   the fragment vector  inverse(parity_check restricted to k's host set) @ w_k.
   One private encoder, ``_encoder``, stacks those inverses, one per distinct
-  host set, and has two callers, each multiplying the stack itself mod q
-  (``field.mod_matmul``: int64 when L*(q-1)^2 + q < 2^63, exact Python ints
-  above): ``encode_storage``, and the auditor's ``verify.masked_scheme``,
-  which builds the audited storage and the rank maps from it, so the audit
-  certifies the encoder that serves.
+  host set, which the code pair writes in closed form (the Lagrange basis
+  of the set's points, no elimination).  It has two callers, each
+  multiplying the stack itself mod q (``field.mod_matmul``: int64 when
+  L*(q-1)^2 + q < 2^63, exact Python ints above): ``encode_storage``, and
+  the auditor's ``verify.masked_scheme``, which builds the audited storage
+  and the rank maps from it, so the audit certifies the encoder that
+  serves.
   Storage depends on the code pair, the config and the messages only, so it
   is encoded once per (code pair, config, messages) and reused, round after
   round, until a message changes; then only the changed messages are
-  encoded again, and only their host servers get new states.
+  encoded again, and only their host servers get new states, which keep
+  their sorted fragment order without a re-sort.
 * ``draw_randomness`` picks a uniform mask vector of length N-L and hands
   server n the scalar share  generator_column_n . mask: all N shares are one
   product  mask @ generator  mod q.  Every coded round draws its own, from
@@ -266,8 +269,9 @@ class ServerState:
     modulus: int
 
     def __post_init__(self):
+        # Sorted and unique is one strictly rising pass over the ids.
         ids = [k for k, _ in self.fragments]
-        if ids != sorted(ids) or len(ids) != len(set(ids)):
+        if not all(map(operator.lt, ids, ids[1:])):
             raise ValueError(
                 f"server {self.server_id} fragment list must be sorted and unique"
             )
@@ -349,26 +353,34 @@ def _encoder(config: PidConfig, code: CodePair, ids) -> np.ndarray:
     """The coded storage of messages ``ids`` as one stacked array, shape
     (len(ids), L, L): entry j is ``inverse(parity_check[:, hosts])`` for
     message ids[j]'s sorted host set, whose row i times the message's
-    symbols is what the i-th host stores.  The inverses come from the code
-    pair's minor-inverse cache, the missing ones in one stacked call.
+    symbols is what the i-th host stores.  The inverses, one per distinct
+    host set, come from the code pair's minor-inverse cache, which writes
+    the missing ones together in closed form (``CodePair._minor_inverses``);
+    one index stacks them in message order.
     """
-    cols = [tuple(s - 1 for s in config.association[k - 1]) for k in ids]
-    return np.array(code._minor_inverses(cols), dtype=np.int64).reshape(
-        len(cols), config.msg_len, config.msg_len
+    hosts = [config.association[k - 1] for k in ids]
+    distinct = {h: i for i, h in enumerate(dict.fromkeys(hosts))}
+    inverses = code._minor_inverses([tuple(s - 1 for s in h) for h in distinct])
+    stacked = np.array(inverses, dtype=np.int64).reshape(
+        len(distinct), config.msg_len, config.msg_len
     )
+    return stacked[list(map(distinct.__getitem__, hosts))]
 
 
 def _with_fragments(
     config: PidConfig, server_id: int, state: ServerState | None, entries
 ) -> ServerState:
-    """A new state of ``server_id`` holding ``entries`` (message id, symbols)
-    in place of the same messages' fragments of ``state``, or alone when
-    ``state`` is None (a full encode builds no empty states to merge into)."""
+    """A new state of ``server_id`` holding ``entries`` (message id, symbols),
+    in rising id order, in place of the same messages' fragments of
+    ``state``, or alone when ``state`` is None (a full encode builds no
+    empty states to merge into).  A rewrite keeps the config, so ``state``
+    already holds every message of ``entries``: the merge keeps the order
+    of ``state``'s fragments, which is sorted, with no re-sort."""
     if state is not None:
         entries = (state._by_message | dict(entries)).items()  # type: ignore[attr-defined]
     return ServerState(
         server_id=server_id,
-        fragments=tuple(sorted(entries)),
+        fragments=tuple(entries),
         share=None,
         modulus=config.modulus,
     )
@@ -696,11 +708,17 @@ def _check_request(d: int, k_messages: int) -> None:
         raise ValueError(f"message id {d} outside 1..{k_messages}")
 
 
+_PLAIN_INT = {int}
+
+
 def _all_ints(values) -> bool:
     """Whether every value is an int and none is a bool, ``_check_request``'s
-    rule, read off the set of their types in one pass."""
+    rule, read off the set of their types in one pass: plain ints pass on
+    one subset test, and only other types take the general rule."""
     types = set(map(type, values))
-    return all(issubclass(t, int) and not issubclass(t, bool) for t in types)
+    return types <= _PLAIN_INT or all(
+        issubclass(t, int) and not issubclass(t, bool) for t in types
+    )
 
 
 def _check_host_sets(rows, l: int, n: int) -> None:

@@ -31,7 +31,9 @@ server, and only the shares, the command and the answers change.  Those
 frames also cost almost nothing after their first round: a storage frame
 packs its bytes once and keeps them, and keeps the fragment table its
 first server parsed (see ``ServerActor``).  Frames are immutable, so that
-parse holds for the frame for good.  These caches live on the objects they
+parse holds for the frame for good.  A fresh parse reads a coded payload
+in one slice pass and walks any other entry by entry
+(``ServerActor._load_storage``).  These caches live on the objects they
 describe, not in a module-level slot, so they last as long as the caller
 keeps those objects, and instances served alternately do not evict each
 other's.  The codec's own caches are module-level and bounded: the
@@ -143,10 +145,8 @@ class ProtocolViolation(RuntimeError):
     """An actor received a frame outside its expected schema or phase."""
 
 
-# The checks below let plain ints through on one test of their types and
-# apply the int rule of ``protocol._all_ints`` (an int, and not a bool) only
-# to anything else.
-_PLAIN_INT = {int}
+# The checks below apply the int rule of ``protocol._all_ints`` (an int,
+# and not a bool), which lets plain ints through on one test of their types.
 
 
 def _check_int(value, what: str) -> None:
@@ -155,7 +155,7 @@ def _check_int(value, what: str) -> None:
 
 
 def _check_symbols(payload: tuple[int, ...]) -> None:
-    if not (set(map(type, payload)) <= _PLAIN_INT or _all_ints(payload)):
+    if not _all_ints(payload):
         raise FrameError("payload symbols must be ints")
     if payload and not (0 <= min(payload) and max(payload) < _SYMBOL_LIMIT):
         raise FrameError("payload symbols must fit 4 bytes each")
@@ -418,15 +418,28 @@ class ServerActor:
         self, payload: tuple[int, ...]
     ) -> Mapping[int, tuple[int, ...]]:
         """Parse a storage payload into a read-only message id -> symbols
-        table, symbols reduced mod q."""
+        table, symbols reduced mod q.
+
+        A coded payload, ``[count, id, 1, s, id, 1, s, ...]``, is read in
+        one slice pass: when it holds exactly ``1 + 3 * count`` symbols,
+        every ``payload[2::3]`` is 1 and the ids are distinct, the table is
+        ``payload[1::3]`` against ``payload[3::3]``.  Any other payload is
+        walked entry by entry, which names the ``ProtocolViolation``."""
         if not payload:
             raise ProtocolViolation("storage frame missing entry count")
         q = self.modulus
+        count = payload[0]
+        if len(payload) == 1 + 3 * count and payload[2::3].count(1) == count:
+            symbols = payload[3::3]
+            if symbols and not (0 <= min(symbols) and max(symbols) < q):
+                symbols = [s % q for s in symbols]
+            table = dict(zip(payload[1::3], zip(symbols)))
+            if len(table) == count:
+                return MappingProxyType(table)
         reduced = tuple([s % q for s in payload])
         size = len(payload)
-        count = payload[0]
         pos = 1
-        table: dict[int, tuple[int, ...]] = {}
+        table = {}
         for _ in range(count):
             if pos + 2 > size:
                 raise ProtocolViolation("storage frame entry header truncated")

@@ -1,15 +1,25 @@
 """Code-pair construction, structural invariants, and overrides."""
 
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import codedpid.field
+from codedpid import cli
 from codedpid.codes import CodePair, build_vandermonde_pair, override_generator
-from codedpid.field import MODULUS_LIMIT, FieldMatrix, SingularMatrixError, mod_matmul
-from codedpid.protocol import make_association, random_messages
+from codedpid.field import (
+    MODULUS_LIMIT,
+    FieldMatrix,
+    SingularMatrixError,
+    inverse_stack,
+    mod_matmul,
+)
+from codedpid.protocol import encode_storage, make_association, random_messages
+from codedpid.sim import simulate_round
 from test_field import BIG_PRIMES
 
 # Frozen: the parity check on points 1..6 over F_11 and a compatible
@@ -301,3 +311,94 @@ class TestCodePairApi:
     def test_points_must_be_distinct_mod_q(self):
         with pytest.raises(ValueError, match="distinct mod 5"):
             CodePair((1, 6, 3), 2, 5, [[1, 4, 0]])
+
+
+# -- closed-form minor inverses ----------------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+MINOR_PRIMES = (2, 3, 5, 13, 257, 65521, 4294967291)
+
+
+@st.composite
+def minor_cases(draw, repeats=False):
+    """A prime, L in 1..8, N distinct points mod q (N >= L) and a few column
+    sets of L in any order: distinct columns, or columns that may repeat."""
+    q = draw(st.sampled_from(MINOR_PRIMES))
+    l = draw(st.integers(1, min(8, q)))
+    n = draw(st.integers(l, min(l + 4, q)))
+    points = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n, unique=True))
+    if repeats:
+        cols = st.lists(st.integers(0, n - 1), min_size=l, max_size=l).map(tuple)
+    else:
+        cols = st.permutations(range(n)).map(lambda p: tuple(p[:l]))
+    sets = draw(st.lists(cols, min_size=1, max_size=4))
+    return q, l, points, sets
+
+
+def eliminated(pair, sets):
+    """``field.inverse_stack`` on the minors of the distinct ``sets``, by
+    set, or the text of the ``SingularMatrixError`` it raises."""
+    distinct = list(dict.fromkeys(sets))
+    minors = pair.parity_check.array[:, distinct].transpose(1, 0, 2)
+    try:
+        inverses = inverse_stack(minors, pair.modulus)
+    except SingularMatrixError as exc:
+        return str(exc)
+    return dict(zip(distinct, (inverse.tolist() for inverse in inverses)))
+
+
+class TestClosedFormInverses:
+    """The minor inverses are the Lagrange basis coefficients of the set's
+    points: equal to what elimination gives, refused where it refuses."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(minor_cases())
+    def test_closed_form_equals_elimination(self, case):
+        q, l, points, sets = case
+        pair = build_vandermonde_pair(q, len(points), l, points=points)
+        expected = eliminated(pair, sets)
+        for cols, inverse in zip(sets, pair._minor_inverses(sets)):
+            assert inverse.dtype == np.int64 and not inverse.flags.writeable
+            assert inverse.tolist() == expected[cols]
+        # one set at a time, on a pair with an empty cache
+        alone = build_vandermonde_pair(q, len(points), l, points=points)
+        for cols in sets:
+            assert alone.h_sub_inverse(cols) == tuple(map(tuple, expected[cols]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(minor_cases(repeats=True))
+    def test_repeated_columns_are_refused_as_elimination_refuses(self, case):
+        q, l, points, sets = case
+        pair = build_vandermonde_pair(q, len(points), l, points=points)
+        expected = eliminated(pair, sets)
+        try:
+            got = [inverse.tolist() for inverse in pair._minor_inverses(sets)]
+        except SingularMatrixError as exc:
+            assert str(exc) == expected
+        else:
+            assert got == [expected[cols] for cols in sets]
+
+    def test_instances_need_no_elimination(self, monkeypatch, capsys, tmp_path):
+        # No module may reach ``inverse_stack`` to build, encode, serve or
+        # audit an instance: every name bound to it raises.
+        def refuse(*_args):
+            raise AssertionError("inverse_stack was called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("codedpid") and hasattr(module, "inverse_stack"):
+                monkeypatch.setattr(module, "inverse_stack", refuse)
+        churn = tmp_path / "churn.cfg"
+        churn.write_text("name = 'churn'\nq = 13\nK = 24\nN = 12\nL = 6\nseed = 4\n")
+        k64 = tmp_path / "k64.cfg"
+        k64.write_text("name = 'k64'\nq = 257\nK = 64\nN = 64\nL = 32\nseed = 5\n")
+        for path in (REPO / "configs" / "q5-k3.cfg", churn, k64):
+            cfg = cli.load_config(path)
+            config, code = cli.build_instance(cfg)
+            messages = cli.instance_messages(cfg, config, cfg.seed)
+            assert encode_storage(config, code, messages)
+            for d in (1, config.k_messages):
+                sim = simulate_round(config, code, messages, d, seed=d)
+                assert sim.transcript.decoded == messages[d - 1].symbols
+            assert cli.main(["verify", "-c", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert out.count("VERDICT=pass") == 2 and "VERDICT=fail" not in out

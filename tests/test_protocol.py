@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import codedpid.protocol
 from codedpid.codes import build_vandermonde_pair
 from codedpid.field import FieldMatrix, int64_exact
 from codedpid.instances import q5_instance, q11_instance
@@ -312,6 +313,25 @@ class TestEncoding:
         with pytest.raises(ValueError):
             encode_storage(config, code11, msgs(5, *Q5_MESSAGES))
 
+    def test_encodes_sort_nothing(self, monkeypatch):
+        # Entries come in rising id order, and a rewrite keeps each host's
+        # sorted fragment order, so no encode calls ``sorted``.
+        config = make_association(13, 24, 12, 6)
+        code = build_vandermonde_pair(13, 12, 6)
+        messages = random_messages(config, seed=3)
+        rewrite = Message(7, tuple(range(6)), 13)
+        rewritten = messages[:6] + (rewrite,) + messages[7:]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("sorted was called")
+
+        monkeypatch.setattr(codedpid.protocol, "sorted", refuse, raising=False)
+        encode_storage(config, code, messages)
+        kept = encode_storage(config, code, rewritten)
+        monkeypatch.undo()
+        fresh = build_vandermonde_pair(13, 12, 6)
+        assert kept == encode_storage(config, fresh, rewritten)
+
 
 class TestRandomness:
     def test_share_golden_q5(self):
@@ -468,6 +488,16 @@ class TestAnswersAndDecoding:
         assert server_answer(state, 1) == (1,)
         assert server_answer(state, 3) == (0,)
         assert server_answer(state, 2) == ()  # silent: not a host
+
+    def test_server_state_ids_must_rise(self):
+        for ids in ((3, 1), (1, 1), (1, 3, 3), (2, 5, 4)):
+            fragments = tuple((k, (0,)) for k in ids)
+            with pytest.raises(ValueError, match="must be sorted and unique"):
+                ServerState(server_id=2, fragments=fragments, share=None, modulus=5)
+        for ids in ((), (4,), (1, 2, 9)):
+            fragments = tuple((k, (0,)) for k in ids)
+            state = ServerState(server_id=2, fragments=fragments, share=None, modulus=5)
+            assert [k for k, _ in state.fragments] == list(ids)
 
     def test_decode_rejects_multi_symbol_answers(self):
         _, code = q5_instance()

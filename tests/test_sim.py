@@ -486,6 +486,101 @@ class TestRouterAndActors:
         assert user.decode_result() == (DECODE_RESULT, 2, (2, 3, 4))
 
 
+def reference_load_storage(payload, q):
+    """Oracle: a storage payload walked entry by entry into a message id ->
+    symbols table, symbols reduced mod q, or the ``ProtocolViolation`` of
+    the first entry out of schema."""
+    if not payload:
+        raise ProtocolViolation("storage frame missing entry count")
+    reduced = tuple([s % q for s in payload])
+    size = len(payload)
+    count = payload[0]
+    pos = 1
+    table = {}
+    for _ in range(count):
+        if pos + 2 > size:
+            raise ProtocolViolation("storage frame entry header truncated")
+        message_id, n_syms = payload[pos], payload[pos + 1]
+        pos += 2
+        if pos + n_syms > size:
+            raise ProtocolViolation("storage frame entry symbols truncated")
+        if message_id in table:
+            raise ProtocolViolation(f"storage frame repeats message {message_id}")
+        table[message_id] = reduced[pos : pos + n_syms]
+        pos += n_syms
+    if pos != size:
+        raise ProtocolViolation("storage frame has trailing symbols")
+    return table
+
+
+@st.composite
+def storage_payloads(draw):
+    """Storage payloads, mostly of one-symbol entries as a coded server
+    stores them, broken at will: a count too high or too low, entries of 0
+    or 2 symbols, repeated ids, trailing symbols and truncation."""
+    symbol = st.integers(0, 2**32 - 1)
+    width = st.sampled_from((1, 1, 1, 0, 2))
+    entries = draw(st.lists(st.tuples(st.integers(0, 7), width), max_size=6))
+    count = max(0, len(entries) + draw(st.sampled_from((0, 0, 0, -2, -1, 1, 2))))
+    payload = [count]
+    for message_id, width in entries:
+        symbols = draw(st.lists(symbol, min_size=width, max_size=width))
+        payload += [message_id, width, *symbols]
+    payload += draw(st.lists(symbol, max_size=2))
+    return tuple(payload[: len(payload) - draw(st.sampled_from((0, 0, 0, 1, 2)))])
+
+
+def parse_outcome(parse, payload, q):
+    try:
+        return dict(parse(payload, q))
+    except ProtocolViolation as exc:
+        return str(exc)
+
+
+def actor_parse(payload, q):
+    server = ServerActor(1, q)
+    server.receive(Frame(SETUP_STORAGE, COORDINATOR_ID, payload))
+    return server.fragments
+
+
+class TestStorageParseOracle:
+    """A server's storage table, read in one slice pass when it can be,
+    against the entry-by-entry walk: the same table or the same refusal."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(storage_payloads(), st.sampled_from((5, 13, 4294967291)))
+    def test_random_payloads(self, payload, q):
+        assert parse_outcome(actor_parse, payload, q) == parse_outcome(
+            reference_load_storage, payload, q
+        )
+
+    def test_payloads_off_the_one_pass(self):
+        # a count too high, too low; a 0-symbol and a 2-symbol entry among
+        # 1-symbol ones (well formed, read by the walk); a repeated id;
+        # trailing symbols; a payload cut in an entry's symbols, its header
+        for payload in (
+            (3, 1, 1, 7, 2, 1, 8),
+            (1, 1, 1, 7, 2, 1, 8),
+            (3, 1, 1, 7, 2, 0, 3, 1, 8),
+            (2, 1, 2, 7, 9, 2, 1, 8),
+            (2, 1, 1, 7, 1, 1, 8),
+            (2, 1, 1, 7, 2, 1, 8, 9),
+            (2, 1, 1, 7, 2, 1),
+            (2, 1, 1, 7, 2),
+        ):
+            assert parse_outcome(actor_parse, payload, 5) == parse_outcome(
+                reference_load_storage, payload, 5
+            )
+
+    def test_coded_storage_frames(self):
+        for config, code in (q5_instance(), q11_instance(), k64_instance()):
+            messages = random_messages(config, seed=8)
+            sim = simulate_round(config, code, messages, 1, seed=1)
+            for frame in sim.frames[: config.n_servers]:
+                table = reference_load_storage(frame.payload, config.modulus)
+                assert actor_parse(frame.payload, config.modulus) == table
+
+
 class TestByteAccounting:
     def test_q5_round_golden(self):
         config, code = q5_instance()
