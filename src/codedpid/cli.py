@@ -17,7 +17,8 @@ library's (any ``ValueError``), and any file that cannot be read or
 written (``OSError``), as one ``error:`` line and exit 2.
 
 Config files are ``key = value`` lines; values are Python literals (lists,
-ints, quoted strings) with ``#`` comments outside quotes.  Keys: q, K, N, L,
+ints, quoted strings; integers, integer lists and plain strings are read with
+no compile) with ``#`` comments outside quotes.  Keys: q, K, N, L,
 mode, association, points, generator_override, seed, messages, name.  Numbers and
 list entries must be integers (not floats or bools), and q must lie below
 2^32, the 4-byte wire symbol; anything else exits 2.  Instance
@@ -30,7 +31,9 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import functools
+import json
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -44,7 +47,7 @@ from codedpid.analysis import (
     sweep_to_csv,
     valid_msg_lens,
 )
-from codedpid.codes import CodePair, build_vandermonde_pair, override_generator
+from codedpid.codes import CodePair, _override_pair, build_vandermonde_pair
 from codedpid.field import MODULUS_LIMIT
 from codedpid.protocol import (
     CANONICAL,
@@ -117,6 +120,30 @@ def _is_int(value) -> bool:
 _BEFORE_COMMENT = re.compile(
     r"""(?:[^#'"]|'(?:\\.|[^'\\])*'|"(?:\\.|[^"\\])*"|['"])*"""
 )
+# Values ``_literal`` reads without compiling: ints and int lists nested at most
+# 3 deep (``json.loads`` reads deeper lists that ``literal_eval`` refuses past
+# 200 levels), and quoted strings free of escapes, NUL, line breaks, surrogates.
+_INT_TEXT = r"[-0-9, \t]"
+_INT_LISTS = re.compile(
+    rf"(?:{_INT_TEXT}|\[(?:{_INT_TEXT}|\[(?:{_INT_TEXT}|\[{_INT_TEXT}*\])*\])*\])*"
+)
+_PLAIN_STRING = re.compile(
+    "|".join(rf"{q}[^{q}\\\0\n\r\ud800-\udfff]*{q}" for q in "'\"")
+)
+
+
+def _literal(rhs: str):
+    """``rhs`` as ``ast.literal_eval`` reads it (value and type), else the
+    bare text; only what the patterns above do not read is compiled."""
+    if _PLAIN_STRING.fullmatch(rhs):
+        return rhs[1:-1]
+    if _INT_LISTS.fullmatch(rhs):
+        with contextlib.suppress(ValueError):  # such as ``- 5``, ``[1,]``, ``00``
+            return json.loads(rhs)
+    try:
+        return ast.literal_eval(rhs)
+    except (ValueError, SyntaxError, TypeError):
+        return rhs
 
 
 def _read_kv(text: str, known, where: str = "") -> dict[str, object]:
@@ -141,10 +168,7 @@ def _read_kv(text: str, known, where: str = "") -> dict[str, object]:
             )
         if key in values:
             raise CliError(f"{where}line {lineno}: duplicate key {key!r}")
-        try:
-            values[key] = ast.literal_eval(rhs)
-        except (ValueError, SyntaxError, TypeError):
-            values[key] = rhs
+        values[key] = _literal(rhs)
     return values
 
 
@@ -237,12 +261,10 @@ def build_instance(cfg: InstanceConfig) -> tuple[PidConfig, CodePair]:
         mode=cfg.mode,
         association=cfg.association,
     )
-    code = build_vandermonde_pair(
-        cfg.q, cfg.n_servers, cfg.msg_len, points=cfg.points
-    )
-    if cfg.generator_override is not None:
-        code = override_generator(code, cfg.generator_override)
-    return config, code
+    code_args = (cfg.q, cfg.n_servers, cfg.msg_len, cfg.points)
+    if cfg.generator_override is None:
+        return config, build_vandermonde_pair(*code_args)
+    return config, _override_pair(*code_args, cfg.generator_override)
 
 
 def instance_messages(

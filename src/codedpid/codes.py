@@ -20,13 +20,14 @@ and none when its last N-L columns are the identity.  Both checks are exact.
 ``build_vandermonde_pair`` constructs the canonical instance from distinct
 evaluation points, its generator in closed form with no elimination (the
 Lagrange basis of the first L points); ``override_generator`` swaps in a
-hand-picked generator and re-checks everything.  A pair keeps one cache of
-parity-check minor inverses, as read-only int64 arrays: ``protocol``'s
-encoder asks it for all of an encode's host sets, and ``h_sub_inverse``
-builds one minor's plain-int rows.  Minors not yet cached are written
-together in closed form, with no elimination: the minor on a column set is
-the Vandermonde matrix of those points, so its inverse holds the
-coefficients of their Lagrange basis (``_lagrange_inverses``).
+hand-picked generator and re-checks everything; a config's override pair is
+built once (``_override_pair``), with no canonical one to discard.  A pair
+keeps one cache of parity-check minor inverses, as read-only int64 arrays:
+``protocol``'s encoder asks it for all of an encode's host sets, and
+``h_sub_inverse`` builds one minor's plain-int rows.  Minors not yet cached
+are written together in closed form, with no elimination: the minor on a
+column set is the Vandermonde matrix of those points, so its inverse holds
+the coefficients of their Lagrange basis (``_lagrange_inverses``).
 """
 
 from __future__ import annotations
@@ -171,23 +172,7 @@ def build_vandermonde_pair(
     ``A[i, f] = l_i(x_f)``.  The generator is then ``[-A^T | I]``, built
     with no elimination from O(N*L) products and L inverses.
     """
-    check_modulus(q)
-    if not 1 <= msg_len <= n_servers:
-        raise ValueError(
-            f"message length {msg_len} must be between 1 and {n_servers}"
-        )
-    if points is None:
-        points = tuple(range(n_servers))
-    else:
-        points = tuple(int(p) % q for p in points)
-    if len(points) != n_servers:
-        raise ValueError(f"need {n_servers} points, got {len(points)}")
-    if len(set(points)) != len(points):
-        raise ValueError("evaluation points must be distinct")
-    if n_servers > q:
-        raise ValueError(
-            f"{n_servers} distinct points do not exist mod {q}"
-        )
+    points = _checked_points(q, n_servers, msg_len, points)
     # prod[i, f] is the product of x_f - x_m over m < L, m != i: prefix
     # products of the differences times prefix products of their reversal.
     x = np.array(points, dtype=np.int64 if int64_exact(q, 1) else object)
@@ -201,6 +186,31 @@ def build_vandermonde_pair(
     lagrange = -prod[:, msg_len:].T * inverses % q
     g = np.hstack((lagrange, np.eye(n_servers - msg_len, dtype=x.dtype)))
     return CodePair(points, msg_len, q, g)
+
+
+def _checked_points(q: int, n_servers: int, msg_len: int, points) -> tuple[int, ...]:
+    """``points`` reduced mod q (0..N-1 if None), after checking q, L and them."""
+    check_modulus(q)
+    if not 1 <= msg_len <= n_servers:
+        raise ValueError(f"message length {msg_len} must be between 1 and {n_servers}")
+    if points is None:
+        points = tuple(range(n_servers))
+    else:
+        points = tuple(int(p) % q for p in points)
+    if len(points) != n_servers:
+        raise ValueError(f"need {n_servers} points, got {len(points)}")
+    if len(set(points)) != len(points):
+        raise ValueError("evaluation points must be distinct")
+    if n_servers > q:
+        raise ValueError(f"{n_servers} distinct points do not exist mod {q}")
+    return points
+
+
+def _override_pair(q: int, n_servers: int, msg_len: int, points, rows) -> CodePair:
+    """``override_generator(build_vandermonde_pair(q, n_servers, msg_len,
+    points), rows)`` built once: the same checks, in the same order and words."""
+    points = _checked_points(q, n_servers, msg_len, points)
+    return CodePair(points, msg_len, q, [[entry % q for entry in row] for row in rows])
 
 
 def _vandermonde(points, rows: int, q: int) -> np.ndarray:
@@ -259,6 +269,6 @@ def override_generator(pair: CodePair, generator_rows) -> CodePair:
     """Replace the generator of a pair, re-running all structural checks.
     Entries are reduced mod q first, as ``build_vandermonde_pair`` reduces
     its points, so an integer of any size is accepted."""
-    q = pair.modulus
-    rows = [[entry % q for entry in row] for row in generator_rows]
-    return CodePair(pair.points, pair.msg_len, q, rows)
+    return _override_pair(
+        pair.modulus, len(pair.points), pair.msg_len, pair.points, generator_rows
+    )

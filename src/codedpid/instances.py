@@ -7,7 +7,7 @@ construction, like any other generator).
 
 from __future__ import annotations
 
-from codedpid.codes import CodePair, build_vandermonde_pair, override_generator
+from codedpid.codes import CodePair, _override_pair
 from codedpid.protocol import EXPLICIT, PidConfig, make_association
 
 __all__ = [
@@ -49,8 +49,7 @@ def q5_instance() -> tuple[PidConfig, CodePair]:
         q=5, k_messages=3, n_servers=3, msg_len=2,
         mode=EXPLICIT, association=Q5_ASSOCIATION,
     )
-    pair = build_vandermonde_pair(5, 3, 2, points=(1, 2, 3))
-    return config, override_generator(pair, Q5_GENERATOR)
+    return config, _override_pair(5, 3, 2, (1, 2, 3), Q5_GENERATOR)
 
 
 def q11_instance() -> tuple[PidConfig, CodePair]:
@@ -59,5 +58,4 @@ def q11_instance() -> tuple[PidConfig, CodePair]:
         q=11, k_messages=8, n_servers=6, msg_len=3,
         mode=EXPLICIT, association=Q11_ASSOCIATION,
     )
-    pair = build_vandermonde_pair(11, 6, 3, points=(1, 2, 3, 4, 5, 6))
-    return config, override_generator(pair, Q11_GENERATOR)
+    return config, _override_pair(11, 6, 3, (1, 2, 3, 4, 5, 6), Q11_GENERATOR)

@@ -59,3 +59,23 @@ def test_traced_schemes_audit(tracing, make, passed):
     assert (correct, private) == scheme_audit(make(config, code))
     stages = ("verify.build_storage", "verify.answers", "verify.decode")
     assert [tracer.calls[name] for name in stages] == [0, 0, 0]
+
+
+def test_build_instance_is_traced_where_it_runs(monkeypatch, tracing, capsys):
+    # ``cli.build_instance_ms`` is the span on ``codedpid.cli.build_instance``;
+    # ``pid verify -c`` and the audit-q5 set-up must each look it up there
+    import workloads
+    from codedpid import cli
+
+    calls = []
+    build = cli.build_instance
+
+    def counted(cfg):
+        calls.append(cfg)
+        return build(cfg)
+
+    monkeypatch.setattr(cli, "build_instance", counted)
+    assert cli.main(["verify", "-c", str(workloads.Q5_CONFIG)]) == 0
+    assert len(calls) == 1
+    workloads.build_q5()
+    assert len(calls) == 2

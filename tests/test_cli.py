@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from codedpid import verify as verify_mod
 from codedpid.cli import (
     CliError,
+    _read_kv,
     build_instance,
     build_parser,
     load_config,
@@ -212,6 +213,117 @@ class TestConfigEntriesProperty:
             "messages": cfg.messages,
         }[key]
         assert value == (tuple(entries) if key == "points" else ((0, 1), tuple(entries)))
+
+
+def literal_or_text(text):
+    """The oracle: ``ast.literal_eval`` of ``text``, else the bare text."""
+    try:
+        return ast.literal_eval(text)
+    except (ValueError, SyntaxError, TypeError):
+        return text
+
+
+def nested(depth):
+    return "[" * depth + "1" + "]" * depth
+
+
+class TestValueReader:
+    """``_read_kv`` reads every value as ``ast.literal_eval`` does, else as
+    the bare text, whether or not it compiles it: the same value of the same
+    type, and never a ``RecursionError``."""
+
+    @staticmethod
+    def check(text):
+        value = _read_kv(f"v = {text}\n", {"v"})["v"]
+        expected = literal_or_text(text.strip())
+        assert type(value) is type(expected)
+        assert value == expected
+        return value
+
+    @given(st.text("0123456789-_.ex[](), \t'\"\\\x00", max_size=40))
+    def test_drawn_text(self, text):
+        self.check(text)
+
+    @given(
+        st.recursive(
+            st.integers(-(10**30), 10**30), lambda rows: st.lists(rows, max_size=3),
+            max_leaves=12,
+        ),
+        st.sampled_from((", ", ",", " , ", ",\t")),
+    )
+    def test_drawn_int_lists(self, value, comma):
+        assert self.check(json.dumps(value, separators=(comma, ":"))) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "00", "[01]", "- 5", "1_000", "0x1F", "(1, 2)", "[1,2,]", "'a' 'b'",
+            "'a\x00b'", "'é'", "7" * 5000, "-" + "7" * 4300,
+            nested(3), nested(4), nested(200), nested(201), nested(1000), nested(3000),
+        ],
+        ids=lambda text: text if len(text) < 12 else f"{text[:3]}..{len(text)}",
+    )
+    def test_named_cases(self, text):
+        self.check(text)
+
+
+class TestDeepNesting:
+    """A value nested past the 200 levels ``ast.literal_eval`` reads is bare
+    text, so each command refuses it with one error line, not a traceback."""
+
+    DEPTHS = (201, 1000, 5000)
+
+    @pytest.mark.parametrize("depth", DEPTHS)
+    def test_in_config(self, capsys, tmp_path, depth):
+        deep = nested(depth)
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(re.sub(r"^points = .*$", f"points = {deep}",
+                              Q5_CFG.read_text(), flags=re.M))
+        error = f"error: key 'points' must be a list of integers, got {deep!r}\n"
+        for argv in (["verify", "-c", str(cfg)],
+                     ["setup", "-c", str(cfg), "-o", str(tmp_path / "out")]):
+            assert run(capsys, *argv) == (2, "", error)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("depth", DEPTHS)
+    @pytest.mark.parametrize(
+        "name, key, error",
+        [
+            ("messages.txt", "messages", "key 'messages' must be a list of symbol lists"),
+            ("storage.txt", "server_1", "storage.txt does not match the messages in this instance"),
+        ],
+    )
+    def test_in_instance_file(self, capsys, q5_dir, depth, name, key, error):
+        path = q5_dir / name
+        path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {nested(depth)}",
+                               path.read_text(), flags=re.M))
+        for argv in (["deliver", "-i", str(q5_dir), "-d", "1"],
+                     ["verify", "-i", str(q5_dir)]):
+            assert run(capsys, *argv) == (2, "", f"error: {error}\n")
+        assert not (q5_dir / "transcript.txt").exists()
+
+    def test_shipped_and_written_files_compile_nothing(self, capsys, monkeypatch, tmp_path):
+        # every value the shipped configs hold and ``pid setup`` writes is an
+        # integer, an integer list or a plain string
+        def compile_refused(text):
+            raise AssertionError(f"compiled {text!r}")
+
+        monkeypatch.setattr(ast, "literal_eval", compile_refused)
+        configs = sorted((REPO / "configs").glob("*.cfg"))
+        assert len(configs) == 2
+        for cfg in configs:
+            load_config(cfg)
+            out = tmp_path / cfg.stem
+            assert run(capsys, "setup", "-c", str(cfg), "-o", str(out))[0] == 0
+            written = sorted(out.iterdir())
+            assert [path.name for path in written] == [
+                "code.txt", "instance.cfg", "messages.txt", "storage.txt"
+            ]
+            for path in written:
+                text = path.read_text()
+                _read_kv(text, {line.partition("=")[0].strip() for line in text.splitlines()})
+            assert run(capsys, "verify", "-i", str(out))[0] == 0
+            assert run(capsys, "deliver", "-i", str(out), "-d", "1")[0] == 0
 
 
 class TestSetup:

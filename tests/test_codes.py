@@ -1,5 +1,6 @@
 """Code-pair construction, structural invariants, and overrides."""
 
+import dataclasses
 import itertools
 import sys
 from pathlib import Path
@@ -18,7 +19,8 @@ from codedpid.field import (
     inverse_stack,
     mod_matmul,
 )
-from codedpid.protocol import encode_storage, make_association, random_messages
+from codedpid.instances import q5_instance, q11_instance
+from codedpid.protocol import CANONICAL, encode_storage, make_association, random_messages
 from codedpid.sim import simulate_round
 from test_field import BIG_PRIMES
 
@@ -226,6 +228,101 @@ class TestOverrideGenerator:
         pair = build_vandermonde_pair(5, 3, 2, points=(1, 2, 3))
         with pytest.raises(ValueError):
             override_generator(pair, [[1, 3, 1], [2, 1, 2]])
+
+
+REPO = Path(__file__).resolve().parent.parent
+Q5_CFG = REPO / "configs" / "q5-k3.cfg"
+Q11_CFG = REPO / "configs" / "q11-k8.cfg"
+
+
+class TestOverridePairBuiltOnce:
+    """A config's ``generator_override`` pair is built once, by one
+    ``CodePair`` construction, and is the pair ``override_generator`` makes
+    of the canonical one: the same value, or the same refusal."""
+
+    @staticmethod
+    def two_builds(cfg):
+        config = make_association(
+            q=cfg.q, k_messages=cfg.k_messages, n_servers=cfg.n_servers,
+            msg_len=cfg.msg_len, mode=cfg.mode, association=cfg.association,
+        )
+        pair = build_vandermonde_pair(cfg.q, cfg.n_servers, cfg.msg_len, points=cfg.points)
+        return config, override_generator(pair, cfg.generator_override)
+
+    @staticmethod
+    def outcome(build, cfg):
+        try:
+            return build(cfg)
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+
+    @staticmethod
+    def count_pairs(monkeypatch, build, *args):
+        built = []
+        post_init = CodePair.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CodePair, "__post_init__", counted)
+            result = build(*args)
+        return len(built), result
+
+    @pytest.mark.parametrize(
+        "path, instance", [(Q5_CFG, q5_instance), (Q11_CFG, q11_instance)]
+    )
+    def test_one_construction(self, monkeypatch, path, instance):
+        cfg = cli.load_config(path)
+        count, built = self.count_pairs(monkeypatch, cli.build_instance, cfg)
+        assert count == 1
+        assert built == self.two_builds(cfg)
+        # the worked instances are the same pairs, built the same way
+        assert self.count_pairs(monkeypatch, instance) == (1, built)
+
+    def test_entries_reduced_mod_q(self):
+        cfg = dataclasses.replace(
+            cli.load_config(Q5_CFG), generator_override=((6, -2, 11),)
+        )
+        assert cli.build_instance(cfg) == self.two_builds(cfg) == q5_instance()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"generator_override": ((1, 3),)},  # wrong width
+            {"generator_override": ((1, 3, 1), (1, 3, 1))},  # wrong row count
+            {"generator_override": ((1, 1, 1),)},  # not orthogonal
+            {"generator_override": ((0, 0, 0),)},  # orthogonal, singular
+            {"points": (1, 1, 3)},  # repeated
+            {"points": (1, 6, 3)},  # repeated mod q
+            {"points": (1, 2)},  # too few
+            {"points": (1, 1, 3), "generator_override": ((1, 1, 1),)},  # points first
+            {  # more servers than points mod q
+                "n_servers": 6, "mode": CANONICAL, "association": None,
+                "points": None, "generator_override": ((1,) * 6,) * 4,
+            },
+            {"q": 6},  # not a prime
+        ],
+        ids=[
+            "width", "rows", "orthogonal", "singular", "repeated",
+            "repeated-mod-q", "too-few", "points-first", "too-many-for-q",
+            "modulus",
+        ],
+    )
+    def test_same_refusal(self, change):
+        cfg = dataclasses.replace(cli.load_config(Q5_CFG), **change)
+        refusal = self.outcome(self.two_builds, cfg)
+        assert issubclass(refusal[0], Exception)
+        assert self.outcome(cli.build_instance, cfg) == refusal
+
+    def test_rank_deficient_rows_past_one(self):
+        cfg = dataclasses.replace(
+            cli.load_config(Q11_CFG), generator_override=(G_Q11[0], G_Q11[0], G_Q11[2])
+        )
+        expected = (ValueError, "generator columns (0, 1, 2) form a singular matrix mod 11")
+        assert self.outcome(self.two_builds, cfg) == expected
+        assert self.outcome(cli.build_instance, cfg) == expected
 
 
 class TestCodePairApi:
