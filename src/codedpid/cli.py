@@ -54,6 +54,7 @@ from codedpid.protocol import (
     EXPLICIT,
     Message,
     PidConfig,
+    _all_ints,
     _check_messages,
     encode_storage,
     make_association,
@@ -109,10 +110,6 @@ class InstanceConfig:
     generator_override: tuple | None
     seed: int | None
     messages: tuple | None
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # A line's text before its first ``#`` outside a quoted string; a quote
@@ -176,9 +173,9 @@ def _ints(key: str, v, what: str) -> tuple[int, ...]:
     """``v`` as a tuple of integers, refusing floats and bools."""
     if not isinstance(v, (list, tuple)):
         raise CliError(f"key {key!r} must be {what}, got {v!r}")
-    for entry in v:
-        if not _is_int(entry):
-            raise CliError(f"key {key!r} entries must be integers, got {entry!r}")
+    if not _all_ints(v):
+        entry = next(entry for entry in v if not _all_ints((entry,)))
+        raise CliError(f"key {key!r} entries must be integers, got {entry!r}")
     return tuple(v)
 
 
@@ -199,7 +196,7 @@ def parse_config_text(text: str, name: str = "instance") -> InstanceConfig:
 
     def _as_int(key: str) -> int:
         v = values[key]
-        if not _is_int(v):
+        if not _all_ints((v,)):
             raise CliError(f"key {key!r} must be an integer, got {v!r}")
         return v
 
@@ -224,7 +221,7 @@ def parse_config_text(text: str, name: str = "instance") -> InstanceConfig:
         points = _ints("points", points, "a list of integers")
     gen = _int_rows("generator_override", values.get("generator_override"), "rows")
     seed = values.get("seed")
-    if seed is not None and (not _is_int(seed) or seed < 0):
+    if seed is not None and (not _all_ints((seed,)) or seed < 0):
         raise CliError(f"key 'seed' must be a non-negative integer, got {seed!r}")
     messages = _int_rows("messages", values.get("messages"), "symbol lists")
     cfg_name = values.get("name", name)

@@ -27,7 +27,9 @@ keeps one cache of parity-check minor inverses, as read-only int64 arrays:
 ``h_sub_inverse`` builds one minor's plain-int rows.  Minors not yet cached
 are written together in closed form, with no elimination: the minor on a
 column set is the Vandermonde matrix of those points, so its inverse holds
-the coefficients of their Lagrange basis (``_lagrange_inverses``).
+the coefficients of their Lagrange basis (``_lagrange_inverses``).  Every
+product of residues here goes through ``field.mod_mul``, exact in int64
+for every admitted modulus.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from codedpid.field import (
     FieldMatrix,
     SingularMatrixError,
     check_modulus,
-    int64_exact,
     mod_matmul,
+    mod_mul,
 )
 
 __all__ = [
@@ -175,16 +177,16 @@ def build_vandermonde_pair(
     points = _checked_points(q, n_servers, msg_len, points)
     # prod[i, f] is the product of x_f - x_m over m < L, m != i: prefix
     # products of the differences times prefix products of their reversal.
-    x = np.array(points, dtype=np.int64 if int64_exact(q, 1) else object)
+    x = np.array(points, dtype=np.int64)
     diff = (x - x[:msg_len, None]) % q
     both = np.stack((diff, diff[::-1]))
     prefix = np.ones_like(both)
     for i in range(1, msg_len):
-        prefix[:, i] = prefix[:, i - 1] * both[:, i - 1] % q
-    prod = prefix[0] * prefix[1, ::-1] % q
-    inverses = np.array([pow(int(w), -1, q) for w in prod.diagonal()], dtype=x.dtype)
-    lagrange = -prod[:, msg_len:].T * inverses % q
-    g = np.hstack((lagrange, np.eye(n_servers - msg_len, dtype=x.dtype)))
+        prefix[:, i] = mod_mul(prefix[:, i - 1], both[:, i - 1], q)
+    prod = mod_mul(prefix[0], prefix[1, ::-1], q)
+    inverses = np.array([pow(int(w), -1, q) for w in prod.diagonal()], dtype=np.int64)
+    lagrange = mod_mul(-prod[:, msg_len:].T, inverses, q)
+    g = np.hstack((lagrange, np.eye(n_servers - msg_len, dtype=np.int64)))
     return CodePair(points, msg_len, q, g)
 
 
@@ -210,18 +212,17 @@ def _override_pair(q: int, n_servers: int, msg_len: int, points, rows) -> CodePa
     """``override_generator(build_vandermonde_pair(q, n_servers, msg_len,
     points), rows)`` built once: the same checks, in the same order and words."""
     points = _checked_points(q, n_servers, msg_len, points)
-    return CodePair(points, msg_len, q, [[entry % q for entry in row] for row in rows])
+    return CodePair(points, msg_len, q, rows)
 
 
 def _vandermonde(points, rows: int, q: int) -> np.ndarray:
     """Row i holds the points to the i-th power mod q, by the recurrence
-    row[i] = row[i-1] * points % q, in int64 while (q-1)^2 + q < 2^63."""
-    dtype = np.int64 if int64_exact(q, 1) else object
-    x = np.array([p % q for p in points], dtype=dtype)
-    v = np.empty((rows, len(x)), dtype=dtype)
+    row[i] = row[i-1] * points % q (``field.mod_mul``)."""
+    x = np.array([p % q for p in points], dtype=np.int64)
+    v = np.empty((rows, len(x)), dtype=np.int64)
     v[:1] = 1
     for i in range(1, rows):
-        v[i] = v[i - 1] * x % q
+        v[i] = mod_mul(v[i - 1], x, q)
     return v
 
 
@@ -235,34 +236,34 @@ def _lagrange_inverses(x: np.ndarray, q: int) -> np.ndarray:
     The numerator is ``P(t) / (t - x_j)``, with P the product of every
     ``t - x_m``, so it comes from P by synthetic division, and its value at
     x_j is the denominator (Horner, in the same pass): O(L) broadcast steps
-    and one modular inverse per (set, j), in int64 while (q-1)^2 + q < 2^63
-    and in Python ints above.  A set that repeats a point raises
-    ``SingularMatrixError`` naming, as elimination would, the first column
-    of any set that repeats an earlier one of its set."""
+    of ``field.mod_mul`` and one modular inverse per (set, j).  A set that
+    repeats a point raises ``SingularMatrixError`` naming, as elimination
+    would, the first column of any set that repeats an earlier one of its
+    set."""
     b, l = x.shape
-    x = x.astype(np.int64 if int64_exact(q, 1) else object)
     # p[i] is the coefficient of t^(L-i) in P, for every set, built one
     # factor at a time; coef[i][:, j] is that of t^(L-1-i) in P / (t - x_j),
     # and den the quotient's value at x_j.
-    p = np.zeros((l + 1, b), dtype=x.dtype)
+    p = np.zeros((l + 1, b), dtype=np.int64)
     p[0] = 1
+    minus_x = -x
     for m in range(l):
-        p[1:] = (p[1:] - x[:, m] * p[:-1]) % q
-    coef = np.empty((l, b, l), dtype=x.dtype)
+        p[1:] = mod_mul(minus_x[:, m], p[:-1], q, add=p[1:])
+    coef = np.empty((l, b, l), dtype=np.int64)
     coef[0] = 1
     den = coef[0]
     for i in range(1, l):
-        coef[i] = (p[i, :, None] + x * coef[i - 1]) % q
-        den = (den * x + coef[i]) % q
+        coef[i] = mod_mul(x, coef[i - 1], q, add=p[i, :, None])
+        den = mod_mul(den, x, q, add=coef[i])
     heads = den.ravel().tolist()
     if not all(heads):
         # Column c has no pivot in a set where it repeats an earlier column.
         repeats = (x[:, :, None] == x[:, None, :]) & np.tri(l, k=-1, dtype=bool)
         c = int(repeats.any(axis=2).any(axis=0).argmax())
         raise SingularMatrixError(f"matrix is singular mod {q}: no pivot in column {c}")
-    inverses = np.array([pow(h, -1, q) for h in heads], dtype=x.dtype).reshape(b, l)
+    inverses = np.array([pow(h, -1, q) for h in heads], dtype=np.int64).reshape(b, l)
     # Row j of set b's inverse lists the coefficients lowest power first.
-    return (coef[::-1].transpose(1, 2, 0) * inverses[:, :, None] % q).astype(np.int64)
+    return mod_mul(coef[::-1].transpose(1, 2, 0), inverses[:, :, None], q)
 
 
 def override_generator(pair: CodePair, generator_rows) -> CodePair:

@@ -10,18 +10,18 @@ prime, and below ``MODULUS_LIMIT`` = 2^32, so that every residue travels as
 one 4-byte wire symbol.  ``FieldMatrix``, ``codes.CodePair``,
 ``protocol.PidConfig`` and the raw-slice layout all refuse through it.
 
-Products go through ``mod_matmul``: a dot product of n residues mod q is at
-most n*(q-1)^2, so it runs in int64 when n*(q-1)^2 + q < 2^63
-(``int64_exact``) and in Python ints (``dtype=object``) otherwise.
-Elimination clears a whole column per pivot, from every other row, in one
-broadcast update ``m -= col * pivot_row; m %= q``: ``rref`` (behind
-``rank``, ``determinant`` and ``null_space_basis``) costs O(columns) numpy
-calls, and ``inverse_stack`` inverts a stack of square matrices at once,
-each with its own pivot rows (``inverse`` is a stack of one; the encoder
-does not eliminate, ``codes`` writes its minor inverses in closed form).
-An update is one product plus one residue per entry, so elimination
-switches to Python ints when (q-1)^2 + q reaches 2^63.  Moduli that fill
-the 4-byte wire symbol take the Python-int paths.
+Every array is int64, and every product of residues is made exact here:
+``mod_matmul`` for matrix products and ``mod_mul`` for elementwise ones.
+A sum of n products of residues mod q is at most n*(q-1)^2, so it runs as
+it stands when n*(q-1)^2 + q < 2^63 (``int64_exact``).  Above that bound
+one operand is split into 16-bit limbs, which keeps every partial product
+below 2^49; moduli that fill the 4-byte wire symbol stay exact in int64.
+``rref`` is the one elimination loop, behind ``rank``, ``determinant``,
+``null_space_basis`` and ``inverse`` (the right half of the reduced
+``[A | I]``).  It clears a whole column per pivot, from every other row,
+in one broadcast update ``m -= col * pivot_row; m %= q``, so it costs
+O(columns) numpy calls.  The encoder does not eliminate: ``codes`` writes
+its minor inverses in closed form.
 """
 
 from __future__ import annotations
@@ -37,14 +37,16 @@ __all__ = [
     "is_prime",
     "int64_exact",
     "mod_matmul",
+    "mod_mul",
     "rref",
-    "inverse_stack",
 ]
 
 # Every field symbol travels as one 4-byte wire symbol, so a modulus must lie
 # below 2^32; the largest prime allowed is 4294967291.
 MODULUS_LIMIT = 2**32
 _INT64_LIMIT = 2**63
+# A 16-bit limb times a residue is below 2^48: 2^15 - 1 of them sum in int64.
+_CHUNK = 2**15 - 1
 # Miller-Rabin with these bases has no strong pseudoprime below
 # 3.3 * 10^24, so it decides every 64-bit n exactly.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -101,21 +103,29 @@ def int64_exact(modulus: int, inner: int) -> bool:
     return inner * (modulus - 1) ** 2 + modulus < _INT64_LIMIT
 
 
+def mod_mul(a, b, modulus: int, add=None):
+    """Exact ``(a * b + add) % modulus``, elementwise, as int64, of int64
+    arrays or ints below 2^32 in magnitude (``add=None`` adds nothing).  Past
+    ``int64_exact(q, 1)``, ``a*b = (a*(b >> 16) mod q)*2^16 + a*(b & 0xFFFF)``
+    keeps every partial product below 2^49."""
+    if int64_exact(modulus, 1):
+        product = a * b
+    else:
+        product = (a * (b >> 16) % modulus << 16) + a * (b & 0xFFFF)
+    return (product if add is None else product + add) % modulus
+
+
 def mod_matmul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     """Exact ``(a @ b) % modulus`` of int64 arrays of residues, as int64.
-
-    The product runs in int64 when ``int64_exact`` allows it for the inner
-    dimension and in Python ints (``dtype=object``) otherwise.
-    """
-    if not int64_exact(modulus, a.shape[-1]):
-        return ((a.astype(object) @ b.astype(object)) % modulus).astype(np.int64)
-    return (a @ b) % modulus
-
-
-def _exact_copy(a: np.ndarray, modulus: int) -> np.ndarray:
-    """A copy of ``a`` in which a residue times a residue plus a residue is
-    exact: int64 when ``int64_exact`` allows one term, else Python ints."""
-    return a.astype(np.int64 if int64_exact(modulus, 1) else object)
+    Past ``int64_exact`` for the inner dimension, ``b`` is split into 16-bit
+    limbs as in ``mod_mul`` and the inner dimension summed in chunks."""
+    q, inner = modulus, a.shape[-1]
+    if int64_exact(q, inner):
+        return (a @ b) % q
+    # b's inner axis is its rows, or a vector's one axis
+    cuts = range(_CHUNK, inner, _CHUNK)
+    parts = zip(np.split(a, cuts, axis=-1), np.split(b, cuts, axis=max(b.ndim - 2, 0)))
+    return sum((x @ (y >> 16) % q << 16) + x @ (y & 0xFFFF) % q for x, y in parts) % q
 
 
 class SingularMatrixError(ValueError):
@@ -126,29 +136,39 @@ class RankDeficientError(ValueError):
     """Raised when an operation requires full row rank and the matrix lacks it."""
 
 
-def _as_array(rows, q: int) -> np.ndarray:
-    a = np.array(rows, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d array of rows, got ndim={a.ndim}")
-    return a % q
+def _reduced(x, q: int):
+    """``x`` reduced mod q: integer arrays and ints of any size, alone or in
+    nested sequences; floats, bools and other entries raise ``TypeError``."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
+        return x % q
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_reduced(entry, q) for entry in x]
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x) % q
+    raise TypeError(f"matrix entries must be ints, got {type(x).__name__}")
 
 
 class FieldMatrix:
     """A dense matrix over the prime field with q elements.
 
-    Entries live in a read-only int64 array reduced mod q (``array``);
-    equality, ``mat_vec`` and elimination are exact.  Use ``inverse`` for
-    square systems and ``null_space_basis`` for the canonical right kernel
-    of a full-row-rank matrix; multiply arrays with ``mod_matmul``.
+    Entries live in a read-only int64 array reduced mod q (``array``):
+    ints of any size and integer arrays are reduced, floats, bools and any
+    other entry raise ``TypeError``.  Equality, ``mat_vec`` and elimination
+    are exact.  Use ``inverse`` for square systems and ``null_space_basis``
+    for the canonical right kernel of a full-row-rank matrix; multiply
+    arrays with ``mod_matmul``.
     """
 
     __slots__ = ("_a", "modulus")
 
     def __init__(self, rows, modulus: int):
         check_modulus(modulus)
-        object.__setattr__(self, "_a", _as_array(rows, modulus))
+        a = np.asarray(_reduced(rows, modulus), dtype=np.int64)
+        if a.ndim != 2:
+            raise ValueError(f"expected a 2-d array of rows, got ndim={a.ndim}")
+        a.setflags(write=False)
+        object.__setattr__(self, "_a", a)
         object.__setattr__(self, "modulus", modulus)
-        self._a.setflags(write=False)
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"FieldMatrix is immutable, cannot set {name!r}")
@@ -213,8 +233,16 @@ class FieldMatrix:
         return scale if len(pivots) == self.rows else 0
 
     def inverse(self) -> "FieldMatrix":
-        """Exact inverse: ``inverse_stack`` on a stack of one."""
-        return FieldMatrix(inverse_stack(self._a[None], self.modulus)[0], self.modulus)
+        """Exact inverse: the right half of the reduced ``[A | I]``, or a
+        ``SingularMatrixError`` naming A's first column without a pivot."""
+        n, q = self.rows, self.modulus
+        if n != self.cols:
+            raise ValueError(f"inverse needs a square matrix, got {self.shape}")
+        reduced, pivots, _ = rref(np.hstack((self._a, np.eye(n, dtype=np.int64))), q)
+        # [A | I] has rank n; its pivots are 0..n-1 exactly when A is invertible.
+        for c in (c for c, pivot in enumerate(pivots) if c != pivot):
+            raise SingularMatrixError(f"matrix is singular mod {q}: no pivot in column {c}")
+        return FieldMatrix(reduced[:, n:], q)
 
     def null_space_basis(self) -> "FieldMatrix":
         """Canonical basis of the right null space, one basis vector per row.
@@ -243,8 +271,11 @@ def rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, list[int], int]:
     product of the pivots, negated once per row exchange, which is the
     determinant of a square ``a`` of full rank (its form is then I)."""
     q = modulus
-    m = _exact_copy(a, q)
+    m = a.astype(np.int64)
     n_rows, n_cols = m.shape
+    # Where a product plus a residue fits int64, an update is one product
+    # and one reduction; above that bound the product goes through mod_mul.
+    times = np.multiply if int64_exact(q, 1) else lambda x, y: mod_mul(x, y, q)
     pivots: list[int] = []
     scale = 1
     for c in range(n_cols):
@@ -260,42 +291,12 @@ def rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, list[int], int]:
         # clearing column c from the other rows keeps it, and moving row r
         # to row p, which the update zeroes, is an exchange: it negates it.
         scale = scale * head % q
-        pivot_row = m[p] * pow(head, -1, q) % q
-        m -= m[:, c, None] * pivot_row
+        pivot_row = times(m[p], pow(head, -1, q)) % q
+        m -= times(m[:, c, None], pivot_row)
         m %= q
         if p != r:
             m[p] = m[r]
             scale = -scale % q
         m[r] = pivot_row
         pivots.append(c)
-    return m.astype(np.int64, copy=False), pivots, scale
-
-
-def inverse_stack(a: np.ndarray, modulus: int) -> np.ndarray:
-    """Exact int64 inverses of a (B, n, n) stack of square matrices of
-    residues: Gauss-Jordan on every [A | I] at once, one broadcast update
-    per column.  A singular member raises ``SingularMatrixError`` naming the
-    first column where some member has no pivot."""
-    q = modulus
-    if a.shape[1] != a.shape[2]:
-        raise ValueError(f"inverse needs a square matrix, got {a.shape[1:]}")
-    b, n, _ = a.shape
-    eye = np.broadcast_to(np.eye(n, dtype=np.int64), (b, n, n))
-    m = _exact_copy(np.concatenate((a, eye), axis=2), q)
-    members = np.arange(b)
-    for c in range(n):
-        # Inverses are unique, so any nonzero entry may be the pivot.
-        p = c + m[:, c:, c].argmax(axis=1)
-        heads = m[members, p, c].tolist()
-        if not all(heads):
-            raise SingularMatrixError(
-                f"matrix is singular mod {q}: no pivot in column {c}"
-            )
-        # As in ``rref``: the update zeroes each pivot row; row c moves there.
-        inverses = np.array([pow(h, -1, q) for h in heads], dtype=m.dtype)
-        pivot_rows = m[members, p] * inverses[:, None] % q
-        m -= m[:, :, c, None] * pivot_rows[:, None, :]
-        m %= q
-        m[members, p] = m[:, c]
-        m[:, c] = pivot_rows
-    return m[:, :, n:].astype(np.int64)
+    return m, pivots, scale

@@ -11,8 +11,8 @@ therefore hosts a share of K*L/N messages when the association is balanced.
   One private encoder, ``_encoder``, stacks those inverses, one per distinct
   host set, which the code pair writes in closed form (the Lagrange basis
   of the set's points, no elimination).  It has two callers, each
-  multiplying the stack itself mod q (``field.mod_matmul``: int64 when
-  L*(q-1)^2 + q < 2^63, exact Python ints above): ``encode_storage``, and
+  multiplying the stack itself mod q (``field.mod_matmul``, exact in int64
+  for every admitted q): ``encode_storage``, and
   the auditor's ``verify.masked_scheme``, which builds the audited storage
   and the rank maps from it, so the audit certifies the encoder that
   serves.
@@ -304,8 +304,8 @@ def encode_storage(
     ``inverse(parity_check[:, hosts_of_k]) @ w_k``; its i-th entry is stored
     at the i-th server of k's sorted host set.  The messages encoded go
     through ``_encoder`` together: one inverse per distinct host set and one
-    product mod q, in int64 when L*(q-1)^2 + q < 2^63 and in exact Python
-    ints otherwise.
+    product mod q, exact in int64 for every admitted modulus
+    (``field.mod_matmul``).
 
     The result is memoised in one slot per code pair: a call with a config
     and a messages tuple equal (by value) to the last ones encoded on

@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +15,12 @@ from codedpid.field import (
     MODULUS_LIMIT,
     FieldMatrix,
     SingularMatrixError,
-    inverse_stack,
     mod_matmul,
 )
 from codedpid.instances import q5_instance, q11_instance
 from codedpid.protocol import CANONICAL, encode_storage, make_association, random_messages
 from codedpid.sim import simulate_round
-from test_field import BIG_PRIMES
+from test_field import BIG_PRIMES, reference_inverse
 
 # Frozen: the parity check on points 1..6 over F_11 and a compatible
 # hand-picked generator (orthogonality and both MDS properties re-verified
@@ -342,6 +340,19 @@ class TestCodePairApi:
         with pytest.raises(ValueError, match="generator modulus 7 != code modulus 5"):
             CodePair((1, 2, 3), 2, 5, FieldMatrix([[1, 3, 1]], 7))
 
+    def test_generator_entries_follow_the_int_rule(self):
+        # ints of any size are reduced mod q, floats and bools are refused:
+        # by CodePair and by override_generator alike
+        pair = build_vandermonde_pair(5, 3, 2, points=(1, 2, 3))
+        big = [[1 + 5 * 2**65, 3 - 5 * 2**70, 2**64 * 5 + 1]]
+        assert CodePair((1, 2, 3), 2, 5, big) == pair
+        assert override_generator(pair, big) == pair
+        for rows, kind in (([[1.7, 3, 1]], "float"), ([[True, 3, 1]], "bool")):
+            with pytest.raises(TypeError, match=f"matrix entries must be ints, got {kind}$"):
+                CodePair((1, 2, 3), 2, 5, rows)
+            with pytest.raises(TypeError, match=f"matrix entries must be ints, got {kind}$"):
+                override_generator(pair, rows)
+
     def test_plain_int_views(self):
         pair = build_vandermonde_pair(5, 3, 2, points=(1, 2, 3))
         assert pair.parity_check.to_lists() == [[1, 1, 1], [1, 2, 3]]
@@ -433,15 +444,16 @@ def minor_cases(draw, repeats=False):
 
 
 def eliminated(pair, sets):
-    """``field.inverse_stack`` on the minors of the distinct ``sets``, by
-    set, or the text of the ``SingularMatrixError`` it raises."""
-    distinct = list(dict.fromkeys(sets))
-    minors = pair.parity_check.array[:, distinct].transpose(1, 0, 2)
-    try:
-        inverses = inverse_stack(minors, pair.modulus)
-    except SingularMatrixError as exc:
-        return str(exc)
-    return dict(zip(distinct, (inverse.tolist() for inverse in inverses)))
+    """The scalar Gauss-Jordan inverse of the minor on each distinct set, by
+    set, or, if some minor is singular, the ``SingularMatrixError`` text
+    naming the smallest column without a pivot over the sets, the rule
+    ``_lagrange_inverses`` follows."""
+    h, q = pair.parity_check.array, pair.modulus
+    inverses = {cols: reference_inverse(h[:, cols].tolist(), q) for cols in sets}
+    failing = [c for c in inverses.values() if isinstance(c, int)]
+    if failing:
+        return f"matrix is singular mod {q}: no pivot in column {min(failing)}"
+    return inverses
 
 
 class TestClosedFormInverses:
@@ -476,14 +488,14 @@ class TestClosedFormInverses:
             assert got == [expected[cols] for cols in sets]
 
     def test_instances_need_no_elimination(self, monkeypatch, capsys, tmp_path):
-        # No module may reach ``inverse_stack`` to build, encode, serve or
-        # audit an instance: every name bound to it raises.
+        # Nothing may invert by elimination to build, encode, serve or audit
+        # an instance: ``FieldMatrix.inverse`` raises.
         def refuse(*_args):
-            raise AssertionError("inverse_stack was called")
+            raise AssertionError("FieldMatrix.inverse was called")
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("codedpid") and hasattr(module, "inverse_stack"):
-                monkeypatch.setattr(module, "inverse_stack", refuse)
+        monkeypatch.setattr(FieldMatrix, "inverse", refuse)
+        with pytest.raises(AssertionError, match="inverse was called"):
+            FieldMatrix([[1]], 5).inverse()
         churn = tmp_path / "churn.cfg"
         churn.write_text("name = 'churn'\nq = 13\nK = 24\nN = 12\nL = 6\nseed = 4\n")
         k64 = tmp_path / "k64.cfg"

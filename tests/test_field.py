@@ -17,9 +17,9 @@ from codedpid.field import (
     SingularMatrixError,
     check_modulus,
     int64_exact,
-    inverse_stack,
     is_prime,
     mod_matmul,
+    mod_mul,
     rref,
 )
 from codedpid.protocol import Message, PidConfig, make_association, run_subset_scheme
@@ -141,6 +141,10 @@ class TestFieldMatrix:
     def test_nonsquare_inverse_raises(self):
         with pytest.raises(ValueError, match="square"):
             FieldMatrix([[1, 2, 3], [4, 5, 6]], 7).inverse()
+        h = build_vandermonde_pair(11, 6, 3).parity_check.array
+        for cols in ([0, 1], [0, 1, 2, 3]):
+            with pytest.raises(ValueError, match=r"square matrix, got \(3, \d\)$"):
+                FieldMatrix(h[:, cols], 11).inverse()
 
     def test_determinant_against_permutation_oracle(self):
         rng = np.random.default_rng(7)
@@ -212,6 +216,29 @@ class TestFieldMatrix:
         assert int(m.array[1, 2]) == 6
         assert not m.array.flags.writeable
         assert m.shape == (2, 3)
+
+    def test_entries_are_ints_of_any_size(self):
+        # ints and integer arrays are reduced mod q, whatever their size
+        assert FieldMatrix([[2**64, -(2**70)]], 5).to_lists() == [[2**64 % 5, -(2**70) % 5]]
+        assert FieldMatrix([[np.int64(-3), 7]], 5).to_lists() == [[2, 2]]
+        wide = np.array([[2**64 - 1, 2**63]], dtype=np.uint64)
+        assert FieldMatrix(wide, 5).to_lists() == [[(2**64 - 1) % 5, 2**63 % 5]]
+        assert FieldMatrix([np.array([1, 9]), (2**80, 4)], 7).to_lists() == [[1, 2], [2**80 % 7, 4]]
+        # floats, bools and anything else are refused, not truncated
+        for rows, kind in (
+            ([[1.5]], "float"),
+            ([[1.0, 3]], "float"),
+            ([[True, 3, 1]], "bool"),
+            ([[np.float64(2.0)]], "float64"),
+            (np.array([[1.5]]), "float64"),
+            (np.array([[True, False]]), "bool"),
+            ([["3"]], "str"),
+            ([[None]], "NoneType"),
+        ):
+            with pytest.raises(TypeError, match=f"^matrix entries must be ints, got {kind}$"):
+                FieldMatrix(rows, 5)
+        with pytest.raises(ValueError, match="2-d"):
+            FieldMatrix([1, 2, 3], 5)
 
     def test_immutability(self):
         m = FieldMatrix([[1]], 5)
@@ -326,6 +353,50 @@ class TestExactProducts:
             assert basis.rows == 3 and basis.rank() == 3
             assert mod_matmul(wide.array, basis.array.T, q).tolist() == [[0] * 3] * 2
 
+    @pytest.mark.parametrize("q", (EDGE_PRIME,) + BIG_PRIMES)
+    @pytest.mark.parametrize("inner", (1, 2, 3, 2**15 - 1, 2**15, 2**15 + 1))
+    def test_mod_matmul_at_limb_boundaries(self, q, inner):
+        # every entry q-1, the largest partial products, then random
+        # residues; 2^15 - 1 terms fill one chunk of the limb split
+        rng = np.random.default_rng(inner)
+        for a, b in (
+            ([[q - 1] * inner] * 2, [[q - 1] * 3] * inner),
+            (residues(rng, q, (2, inner)), residues(rng, q, (inner, 3))),
+        ):
+            a64, b64 = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+            expected = py_matmul(a, b, q)
+            got = mod_matmul(a64, b64, q)
+            assert got.dtype == np.int64 and got.tolist() == expected
+            # a vector and a stack on the right chunk their own inner axis
+            assert mod_matmul(a64, b64[:, 0], q).tolist() == [row[0] for row in expected]
+            stacked = mod_matmul(np.stack((a64, a64)), np.stack((b64, b64)), q)
+            assert stacked.tolist() == [expected, expected]
+
+    def test_mod_mul_at_the_largest_residues(self):
+        for q in (257, EDGE_PRIME) + BIG_PRIMES:
+            top = np.full(3, q - 1, dtype=np.int64)
+            assert mod_mul(top, top, q).tolist() == [(q - 1) ** 2 % q] * 3
+            assert mod_mul(-top, top, q, add=top).tolist() == [(q - 1) * (2 - q) % q] * 3
+            assert mod_mul(top, q - 1, q).dtype == np.int64
+            assert mod_mul(q - 1, q - 1, q) == (q - 1) ** 2 % q
+
+    def test_kernels_stay_int64_at_the_largest_modulus(self):
+        q = BIG_PRIMES[-1]
+        points = (q - 1, 7, 0, 2**31, q - 2)
+        pair = build_vandermonde_pair(q, 5, 3, points=points)
+        h = pair.parity_check.array
+        assert h.dtype == pair.generator.array.dtype == np.int64
+        assert h.tolist() == [[pow(x, i, q) for x in points] for i in range(3)]
+        assert pair.generator.to_lists() == reference_null_space(h.tolist(), 5, q)
+        reduced, pivots, _ = rref(pair.generator.array, q)
+        assert reduced.dtype == np.int64
+        assert (reduced.tolist(), pivots) == reference_rref(pair.generator.to_lists(), 5, q)
+        sets = [(0, 1, 2), (4, 2, 0), (1, 3, 4)]
+        for cols, inverse in zip(sets, pair._minor_inverses(sets)):
+            assert inverse.dtype == np.int64
+            assert inverse.tolist() == reference_inverse(h[:, cols].tolist(), q)
+
+
 
 def reference_rref(rows, n_cols: int, q: int):
     """Oracle: scalar Gauss-Jordan in Python ints, one row update per
@@ -376,7 +447,8 @@ def reference_null_space(rows, n_cols: int, q: int):
     return basis
 
 
-# The object path starts at 3037000507; 4294967291 is the largest admitted.
+# Products leave int64 from 3037000507 on, where the limb split starts;
+# 4294967291 is the largest prime admitted.
 ELIMINATION_PRIMES = (2, 3, 5, 257, 3037000507, 4294967291)
 
 
@@ -432,6 +504,26 @@ class TestEliminationAgainstScalarReference:
         kinds = ("singular", "invertible")
         assert {(q, kind) for q in ELIMINATION_PRIMES for kind in kinds} <= seen
 
+    def test_every_minor_of_a_pair(self):
+        pair = build_vandermonde_pair(11, 6, 3)
+        h = pair.parity_check
+        for cols in itertools.combinations(range(6), 3):
+            inverse = FieldMatrix(h.array[:, cols], 11).inverse()
+            assert inverse.array.dtype == np.int64 and inverse.shape == (3, 3)
+            assert inverse.to_lists() == reference_inverse(h.array[:, cols].tolist(), 11)
+
+    def test_members_pivot_on_their_own_rows(self):
+        # each matrix needs a different row exchange, and one none at all
+        for q in (5, 4294967291):
+            members = [
+                [[0, 1, 2], [0, 0, 1], [1, 2, 3]],
+                [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                [[2, 0, 0], [0, 3, 0], [0, 0, 4]],
+                [[0, 0, 1], [q - 1, 0, 0], [0, 1, 1]],
+            ]
+            for rows in members:
+                assert FieldMatrix(rows, q).inverse().to_lists() == reference_inverse(rows, q)
+
     def test_null_space_basis(self):
         for q in ELIMINATION_PRIMES:
             for rows, n_cols in elimination_cases(q):
@@ -443,42 +535,6 @@ class TestEliminationAgainstScalarReference:
                 assert m.null_space_basis().to_lists() == reference_null_space(
                     rows, n_cols, q
                 ), (q, rows)
-
-
-class TestInverseStack:
-    def test_every_minor_of_a_pair(self):
-        pair = build_vandermonde_pair(11, 6, 3)
-        h = pair.parity_check
-        subsets = list(itertools.combinations(range(6), 3))
-        minors = np.stack([h.array[:, cols] for cols in subsets])
-        stacked = inverse_stack(minors, 11)
-        assert stacked.dtype == np.int64 and stacked.shape == (20, 3, 3)
-        for cols, inverse in zip(subsets, stacked):
-            assert inverse.tolist() == reference_inverse(h.array[:, cols].tolist(), 11)
-
-    def test_members_pivot_on_their_own_rows(self):
-        # each member needs a different row swap, and one none at all
-        for q in (5, 4294967291):
-            members = [
-                [[0, 1, 2], [0, 0, 1], [1, 2, 3]],
-                [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
-                [[2, 0, 0], [0, 3, 0], [0, 0, 4]],
-                [[0, 0, 1], [q - 1, 0, 0], [0, 1, 1]],
-            ]
-            stacked = inverse_stack(np.array(members, dtype=np.int64), q)
-            assert stacked.tolist() == [reference_inverse(rows, q) for rows in members]
-
-    def test_non_square_stack_raises(self):
-        h = build_vandermonde_pair(11, 6, 3).parity_check.array
-        for cols in ([0, 1], [0, 1, 2, 3]):
-            with pytest.raises(ValueError, match=r"square matrix, got \(3, \d\)$"):
-                inverse_stack(h[:, cols][None], 11)
-
-    def test_one_singular_member_raises(self):
-        h = build_vandermonde_pair(11, 6, 3).parity_check.array
-        minors = np.stack([h[:, [0, 1, 2]], h[:, [0, 0, 1]], h[:, [3, 4, 5]]])
-        with pytest.raises(SingularMatrixError, match="singular mod 11: no pivot in column 1$"):
-            inverse_stack(minors, 11)
 
 
 # Entry points that take a modulus, each fed it as the only bad input.
@@ -551,7 +607,7 @@ def test_no_module_reaches_into_field():
         elif isinstance(node, ast.Attribute):
             private.add(node.attr)
     private = {n for n in private if n.startswith("_") and not n.startswith("__")}
-    assert {"_exact_copy", "_as_array", "_a", "_INT64_LIMIT"} <= private
+    assert {"_reduced", "_CHUNK", "_a", "_INT64_LIMIT"} <= private
     uses = {
         path.name: private_field_uses(ast.parse(path.read_text()), private)
         for path in sorted(SRC.glob("*.py"))
@@ -559,5 +615,53 @@ def test_no_module_reaches_into_field():
     }
     assert {name: found for name, found in uses.items() if found} == {}
     # the walk sees both forms of reaching in
-    probe = "from codedpid.field import _exact_copy\nFieldMatrix(a, q)._a\n"
-    assert private_field_uses(ast.parse(probe), private) == ["_exact_copy", "_a"]
+    probe = "from codedpid.field import _reduced\nFieldMatrix(a, q)._a\n"
+    assert private_field_uses(ast.parse(probe), private) == ["_reduced", "_a"]
+
+
+def exactness_leaks(tree: ast.Module, is_field: bool) -> list[str]:
+    """Every ``object`` dtype (``dtype=object``, ``astype(object)``) in one
+    module's syntax tree, and, outside ``field.py``, every reference to
+    ``int64_exact``: residue products are made exact in ``field`` alone."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            dtypes = [k.value for k in node.keywords if k.arg == "dtype"]
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+                dtypes += node.args[:1]
+            # ``object`` anywhere in the dtype, ``int64 if ... else object`` too
+            found += [
+                "object dtype"
+                for d in dtypes
+                if any(
+                    isinstance(n, ast.Name) and n.id == "object"
+                    or isinstance(n, ast.Attribute) and n.attr == "object_"
+                    for n in ast.walk(d)
+                )
+            ]
+        elif not is_field and (
+            isinstance(node, ast.Name) and node.id == "int64_exact"
+            or isinstance(node, ast.Attribute) and node.attr == "int64_exact"
+            or isinstance(node, ast.alias) and node.name == "int64_exact"
+        ):
+            found.append("int64_exact")
+    return found
+
+
+def test_exact_arithmetic_lives_in_field():
+    leaks = {
+        path.name: exactness_leaks(ast.parse(path.read_text()), path.name == "field.py")
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: found for name, found in leaks.items() if found} == {}
+    # the walk sees every form it refuses
+    probe = (
+        "from codedpid.field import int64_exact\n"
+        "np.array(x, dtype=object)\nx.astype(np.int64 if w else object)\n"
+        "np.ones(3, dtype=np.object_)\n"
+        "field.int64_exact(q, 1)\nint64_exact(q, 1)\n"
+    )
+    assert exactness_leaks(ast.parse(probe), False) == (
+        ["int64_exact"] + ["object dtype"] * 3 + ["int64_exact"] * 2
+    )
+    assert exactness_leaks(ast.parse(probe), True) == ["object dtype"] * 3
